@@ -17,33 +17,18 @@ from . import hasse as hasse_mod
 from . import laws, orders
 from .homs import ModuleContext
 from .modules import FiniteModule, build_ring_as_module, build_zm_over_zn, module_from_spec
-from .rings import (FiniteRing, AxiomError, SpecError, build_matrix_ring, build_product,
-                    build_zn, hartwig_minus_le, is_proper_star, is_rickart,
-                    is_rickart_star, ring_from_spec, ring_minus_le_annih)
+from .rings import (FiniteRing, AxiomError, RING_RELATIONS, SpecError, build_matrix_ring,
+                    build_product, build_zn, is_proper_star, is_rickart, is_rickart_star,
+                    ring_from_spec, spec_field)
 from .verdicts import witness_to_json
-
-RING_RELATIONS = ("hartwig", "ring-annih")
-
-
-class Workspace:
-    """Named rings/modules with per-module caches of the derived structures."""
-
-    def __init__(self):
-        self.rings: dict[str, FiniteRing] = {}
-        self.modules: dict[str, FiniteModule] = {}
-        self._contexts: dict[int, ModuleContext] = {}
-
-    def context(self, module: FiniteModule) -> ModuleContext:
-        key = id(module)
-        if key not in self._contexts:
-            self._contexts[key] = ModuleContext(module)
-        return self._contexts[key]
 
 
 def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise SpecError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                         f"{exc.msg}") from None
@@ -125,10 +110,10 @@ def cmd_ring(args, out=None) -> int:
     return 0
 
 
-def cmd_module(args, ws: Workspace, out=None) -> int:
+def cmd_module(args, out=None) -> int:
     out = out or sys.stdout
     module = parse_module_arg(args.module)
-    ctx = ws.context(module)
+    ctx = ModuleContext(module)
     regular, first_bad = orders.is_regular_module(ctx)
     info = {
         "name": module.name,
@@ -152,7 +137,7 @@ def cmd_module(args, ws: Workspace, out=None) -> int:
     return 0
 
 
-def cmd_order(args, ws: Workspace, out=None) -> int:
+def cmd_order(args, out=None) -> int:
     out = out or sys.stdout
     if args.rel in RING_RELATIONS:
         if not args.ring:
@@ -161,12 +146,11 @@ def cmd_order(args, ws: Workspace, out=None) -> int:
         for m in (args.m1, args.m2):
             if not (0 <= m < ring.size):
                 raise SpecError(f"element {m} out of range for {ring.name}")
-        fn = hartwig_minus_le if args.rel == "hartwig" else ring_minus_le_annih
-        verdict = fn(ring, args.m1, args.m2)
+        verdict = RING_RELATIONS[args.rel](ring, args.m1, args.m2)
     else:
         if not args.module:
             raise SpecError(f"relation {args.rel} needs --module")
-        ctx = ws.context(parse_module_arg(args.module))
+        ctx = ModuleContext(parse_module_arg(args.module))
         verdict = orders.evaluate(ctx, args.rel, args.m1, args.m2)
 
     if args.json:
@@ -196,7 +180,7 @@ def _load_corpus(token: str):
         raise SpecError("corpus file must be a JSON list of {id, module} entries")
     corpus = []
     for entry in spec:
-        module = module_from_spec(entry["module"])
+        module = module_from_spec(spec_field(entry, "module", "corpus entry"))
         corpus.append(ModuleContext(module, entry.get("id", module.name)))
     return corpus
 
@@ -226,9 +210,9 @@ def cmd_verify(args, out=None) -> int:
     return 1 if failed else 0
 
 
-def cmd_hasse(args, ws: Workspace, out=None) -> int:
+def cmd_hasse(args, out=None) -> int:
     out = out or sys.stdout
-    ctx = ws.context(parse_module_arg(args.module))
+    ctx = ModuleContext(parse_module_arg(args.module))
     try:
         poset = hasse_mod.build_poset(ctx, args.rel)
     except hasse_mod.NotAPartialOrder as exc:
@@ -288,18 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    ws = Workspace()
     try:
         if args.command == "ring":
             return cmd_ring(args)
         if args.command == "module":
-            return cmd_module(args, ws)
+            return cmd_module(args)
         if args.command == "order":
-            return cmd_order(args, ws)
+            return cmd_order(args)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "hasse":
-            return cmd_hasse(args, ws)
+            return cmd_hasse(args)
     except (SpecError, AxiomError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .modules import FiniteModule, Submodule, build_ring_as_module
+from .modules import FiniteModule, Submodule, build_ring_as_module, right_ann
 from .rings import FiniteRing, same_ring
 
 
@@ -227,9 +227,9 @@ def dual_as_module(M: FiniteModule, functionals) -> FiniteModule:
 class ModuleContext:
     """One module together with its lazily computed dual and endomorphism ring.
 
-    Also memoizes the annihilator sets that every order relation keeps
-    probing.  Contexts are cheap to create; the heavy parts build on first
-    use and are immutable afterwards.
+    Also memoizes the annihilator sets, cyclic submodules and regularity
+    verdicts that every order relation keeps probing.  Contexts are cheap to
+    create; the heavy parts build on first use and are immutable afterwards.
     """
 
     def __init__(self, module: FiniteModule, name: str | None = None,
@@ -237,7 +237,6 @@ class ModuleContext:
         self.module = module
         self.name = name or module.name
         self.endo_involution = endo_involution
-        self.cache: dict = {}
 
     @cached_property
     def ring_module(self) -> FiniteModule:
@@ -246,6 +245,17 @@ class ModuleContext:
     @cached_property
     def dual(self) -> tuple[ModHom, ...]:
         return tuple(dual(self.module, self.ring_module))
+
+    @cached_property
+    def dual_tables(self) -> tuple[tuple[int, ...], ...]:
+        """The value tables of M*, in order: the pool of functional witnesses."""
+        return tuple(phi.table for phi in self.dual)
+
+    @cached_property
+    def regular(self) -> tuple:
+        """The regularity verdict of every element, in element order."""
+        from .orders import REGULARITY  # the relation table lives with the orders
+        return tuple(REGULARITY(self, m, m) for m in range(self.module.size))
 
     @cached_property
     def endos(self) -> EndoRing:
@@ -258,10 +268,7 @@ class ModuleContext:
 
     @cached_property
     def _r_R(self) -> tuple[frozenset[int], ...]:
-        M = self.module
-        return tuple(frozenset(r for r in range(M.ring.size)
-                               if M.action[m][r] == M.zero)
-                     for m in range(M.size))
+        return tuple(right_ann(self.module, m) for m in range(self.module.size))
 
     def l_S(self, m: int) -> frozenset[int]:
         """Left annihilator of a module element inside S."""

@@ -8,14 +8,15 @@ pure functions of their inputs, so reruns produce identical output;
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 from . import orders
 from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
-from .rings import (build_matrix_ring, build_product, build_zn, is_rickart_star,
-                    vn_regular_witness)
+from .rings import (build_matrix_ring, build_product, build_zn, hartwig_minus_le,
+                    is_rickart_star, ring_minus_le_annih, vn_regular_witness)
 from .verdicts import OrderVerdict
 
 
@@ -56,24 +57,33 @@ def relation_matrix(ctx: ModuleContext, tag: str, member: str | None = None) -> 
 # -- individual law checks ---------------------------------------------------------
 
 
+def _timed(check):
+    """Fill the returned report's ``elapsed`` with the check's wall time."""
+    @functools.wraps(check)
+    def timed(*args, **kwargs):
+        t0 = time.monotonic()
+        report = check(*args, **kwargs)
+        report.elapsed = time.monotonic() - t0
+        return report
+    return timed
+
+
+@_timed
 def check_partial_order(rel: RelationMatrix, reflexive_domain) -> LawReport:
     """Reflexivity on the stated domain, antisymmetry/transitivity everywhere."""
-    t0 = time.monotonic()
     n, cells = rel.size, rel.cells
     checks = 0
     for m in sorted(reflexive_domain):
         checks += 1
         if not cells[m][m]:
             return LawReport(f"partial-order/{rel.relation}", rel.member, "fail",
-                             {"axiom": "reflexivity", "element": m}, checks,
-                             time.monotonic() - t0)
+                             {"axiom": "reflexivity", "element": m}, checks)
     for i in range(n):
         for j in range(n):
             checks += 1
             if i != j and cells[i][j] and cells[j][i]:
                 return LawReport(f"partial-order/{rel.relation}", rel.member, "fail",
-                                 {"axiom": "antisymmetry", "pair": [i, j]}, checks,
-                                 time.monotonic() - t0)
+                                 {"axiom": "antisymmetry", "pair": [i, j]}, checks)
     for i in range(n):
         for j in range(n):
             if not cells[i][j]:
@@ -82,16 +92,14 @@ def check_partial_order(rel: RelationMatrix, reflexive_domain) -> LawReport:
                 checks += 1
                 if cells[j][k] and not cells[i][k]:
                     return LawReport(f"partial-order/{rel.relation}", rel.member, "fail",
-                                     {"axiom": "transitivity", "triple": [i, j, k]},
-                                     checks, time.monotonic() - t0)
-    return LawReport(f"partial-order/{rel.relation}", rel.member, "pass",
-                     None, checks, time.monotonic() - t0)
+                                     {"axiom": "transitivity", "triple": [i, j, k]}, checks)
+    return LawReport(f"partial-order/{rel.relation}", rel.member, "pass", None, checks)
 
 
+@_timed
 def check_equivalence(rel_a: RelationMatrix, rel_b: RelationMatrix,
                       domain_pairs=None) -> LawReport:
     """Elementwise matrix equality, optionally restricted to stated pairs."""
-    t0 = time.monotonic()
     if rel_a.size != rel_b.size:
         raise ValueError("matrices over different modules")
     law = f"equiv/{rel_a.relation}~{rel_b.relation}"
@@ -109,14 +117,13 @@ def check_equivalence(rel_a: RelationMatrix, rel_b: RelationMatrix,
                     ce["witness_a"] = rel_a.verdicts[i][j].to_json()["witness"]
                 if rel_b.verdicts:
                     ce["witness_b"] = rel_b.verdicts[i][j].to_json()["witness"]
-                return LawReport(law, rel_a.member, "fail", ce, checks,
-                                 time.monotonic() - t0)
-    return LawReport(law, rel_a.member, "pass", None, checks, time.monotonic() - t0)
+                return LawReport(law, rel_a.member, "fail", ce, checks)
+    return LawReport(law, rel_a.member, "pass", None, checks)
 
 
+@_timed
 def check_unit_invariance(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     """m1 <= m2 iff g m1 <= g m2 (units g of S) iff m1 b <= m2 b (units b of R)."""
-    t0 = time.monotonic()
     M, S = ctx.module, ctx.endos
     cells = minus.cells
     checks = 0
@@ -127,50 +134,42 @@ def check_unit_invariance(ctx: ModuleContext, minus: RelationMatrix) -> LawRepor
                 checks += 1
                 if cells[i][j] != cells[gm[i]][gm[j]]:
                     return LawReport("unit-invariance", minus.member, "fail",
-                                     {"side": "S", "unit": g, "pair": [i, j]},
-                                     checks, time.monotonic() - t0)
+                                     {"side": "S", "unit": g, "pair": [i, j]}, checks)
     for b in sorted(M.ring.units()):
         for i in range(M.size):
             for j in range(M.size):
                 checks += 1
                 if cells[i][j] != cells[M.action[i][b]][M.action[j][b]]:
                     return LawReport("unit-invariance", minus.member, "fail",
-                                     {"side": "R", "unit": b, "pair": [i, j]},
-                                     checks, time.monotonic() - t0)
-    return LawReport("unit-invariance", minus.member, "pass", None, checks,
-                     time.monotonic() - t0)
+                                     {"side": "R", "unit": b, "pair": [i, j]}, checks)
+    return LawReport("unit-invariance", minus.member, "pass", None, checks)
 
 
+def _implication(law: str, minus: RelationMatrix, consequence) -> LawReport:
+    """m1 <= m2 implies consequence(m1, m2), checked on every related pair."""
+    checks = 0
+    for i in range(minus.size):
+        for j in range(minus.size):
+            if not minus.cells[i][j]:
+                continue
+            checks += 1
+            if not consequence(i, j):
+                return LawReport(law, minus.member, "fail", {"pair": [i, j]}, checks)
+    return LawReport(law, minus.member, "pass", None, checks)
+
+
+@_timed
 def check_annihilator_monotone(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     """m1 <= m2 implies l_S(m2) <= l_S(m1) and r_R(m2) <= r_R(m1)."""
-    t0 = time.monotonic()
-    checks = 0
-    for i in range(minus.size):
-        for j in range(minus.size):
-            if not minus.cells[i][j]:
-                continue
-            checks += 1
-            if not (ctx.l_S(j) <= ctx.l_S(i) and ctx.r_R(j) <= ctx.r_R(i)):
-                return LawReport("annihilator-monotone", minus.member, "fail",
-                                 {"pair": [i, j]}, checks, time.monotonic() - t0)
-    return LawReport("annihilator-monotone", minus.member, "pass", None, checks,
-                     time.monotonic() - t0)
+    return _implication("annihilator-monotone", minus,
+                        lambda i, j: ctx.l_S(j) <= ctx.l_S(i) and ctx.r_R(j) <= ctx.r_R(i))
 
 
+@_timed
 def check_subset_cyclic(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     """m1 <= m2 implies m1 R <= m2 R."""
-    t0 = time.monotonic()
-    checks = 0
-    for i in range(minus.size):
-        for j in range(minus.size):
-            if not minus.cells[i][j]:
-                continue
-            checks += 1
-            if not ctx.cyclic[i] <= ctx.cyclic[j]:
-                return LawReport("subset-cyclic", minus.member, "fail",
-                                 {"pair": [i, j]}, checks, time.monotonic() - t0)
-    return LawReport("subset-cyclic", minus.member, "pass", None, checks,
-                     time.monotonic() - t0)
+    return _implication("subset-cyclic", minus,
+                        lambda i, j: orders.subset_cyclic(ctx, i, j))
 
 
 def find_converse_gap(ctx: ModuleContext) -> list[tuple[int, int]]:
@@ -191,6 +190,7 @@ def find_converse_gap(ctx: ModuleContext) -> list[tuple[int, int]]:
     return gaps
 
 
+@_timed
 def check_witness_constructions(ctx: ModuleContext, member: str | None = None) -> LawReport:
     """Constructions attached to regularity witnesses, plus the equality chain.
 
@@ -199,31 +199,25 @@ def check_witness_constructions(ctx: ModuleContext, member: str | None = None) -
     N = {n : m.phi(n) = 0}.  For every pair related by the idempotent form,
     the returned (f, a) satisfies m1 = f m1 = f m2 = m1 a = m2 a.
     """
-    t0 = time.monotonic()
     member = member or ctx.name
     M, S, R = ctx.module, ctx.endos, ctx.module.ring
     checks = 0
     for m in range(M.size):
-        for phi in ctx.dual:
-            if M.action[m][phi.table[m]] != m:
-                continue
+        for (phi,) in orders.REGULARITY.clauses(ctx, m, m, ctx.dual_tables):
             checks += 1
-            e = phi.table[m]
+            e = phi[m]
             if R.mul[e][e] != e:
                 return LawReport("witness-constructions", member, "fail",
-                                 {"kind": "eval-idempotent", "element": m, "e": e},
-                                 checks, time.monotonic() - t0)
+                                 {"kind": "eval-idempotent", "element": m, "e": e}, checks)
             s = smash(M, S, m, phi)
             if S.mul[s][s] != s:
                 return LawReport("witness-constructions", member, "fail",
-                                 {"kind": "smash-idempotent", "element": m, "f": s},
-                                 checks, time.monotonic() - t0)
+                                 {"kind": "smash-idempotent", "element": m, "f": s}, checks)
             try:
                 orders.regular_decomposition(ctx, m, phi)
             except AssertionError:
                 return LawReport("witness-constructions", member, "fail",
-                                 {"kind": "decomposition", "element": m},
-                                 checks, time.monotonic() - t0)
+                                 {"kind": "decomposition", "element": m}, checks)
     for m1 in range(M.size):
         for m2 in range(M.size):
             v = orders.minus_le_idem(ctx, m1, m2)
@@ -236,9 +230,8 @@ def check_witness_constructions(ctx: ModuleContext, member: str | None = None) -
             if not chain:
                 return LawReport("witness-constructions", member, "fail",
                                  {"kind": "equality-chain", "pair": [m1, m2],
-                                  "f": f, "a": a}, checks, time.monotonic() - t0)
-    return LawReport("witness-constructions", member, "pass", None, checks,
-                     time.monotonic() - t0)
+                                  "f": f, "a": a}, checks)
+    return LawReport("witness-constructions", member, "pass", None, checks)
 
 
 def _is_ring_as_module(ctx: ModuleContext) -> bool:
@@ -246,11 +239,10 @@ def _is_ring_as_module(ctx: ModuleContext) -> bool:
     return M.size == R.size and M.add == R.add and M.action == R.mul
 
 
+@_timed
 def check_ring_bridge(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     """On R_R over a von Neumann regular ring, the module minus order, the
     Hartwig order and the annihilator form of the ring order coincide."""
-    from .rings import hartwig_minus_le, ring_minus_le_annih
-    t0 = time.monotonic()
     R = ctx.module.ring
     checks = 0
     for a in range(R.size):
@@ -262,9 +254,8 @@ def check_ring_bridge(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
             if not (h == w == m):
                 return LawReport("ring-bridge", minus.member, "fail",
                                  {"pair": [a, b], "hartwig": h, "ring-annih": w,
-                                  "minus-dual": m}, checks, time.monotonic() - t0)
-    return LawReport("ring-bridge", minus.member, "pass", None, checks,
-                     time.monotonic() - t0)
+                                  "minus-dual": m}, checks)
+    return LawReport("ring-bridge", minus.member, "pass", None, checks)
 
 
 # -- corpora -----------------------------------------------------------------------
@@ -295,19 +286,6 @@ CORPORA = {"paper": paper_corpus, "default": default_corpus}
 
 # -- the suite ---------------------------------------------------------------------
 
-STAR_TAGS = ("rstar", "lstar", "star")
-
-
-def _star_gates(ctx: ModuleContext, tag: str) -> bool:
-    R, S = ctx.module.ring, ctx.endos
-    need_r = tag in ("rstar", "star")
-    need_s = tag in ("lstar", "star")
-    if need_r and (R.involution is None or not is_rickart_star(R).holds):
-        return False
-    if need_s and (S.involution is None or not is_rickart_star(S).holds):
-        return False
-    return True
-
 
 def member_laws(ctx: ModuleContext) -> list[LawReport]:
     """Every law, in a fixed order, for one corpus member."""
@@ -325,8 +303,11 @@ def member_laws(ctx: ModuleContext) -> list[LawReport]:
     else:
         na("partial-order/minus-dual")
 
-    for tag in STAR_TAGS:
-        if regular and _star_gates(ctx, tag):
+    # Each star order takes projections in these rings; its laws need them Rickart *.
+    R, S = ctx.module.ring, ctx.endos
+    for tag, rings in (("rstar", (R,)), ("lstar", (S,)), ("star", (R, S))):
+        if regular and all(r.involution is not None and is_rickart_star(r).holds
+                           for r in rings):
             reports.append(check_partial_order(relation_matrix(ctx, tag), reg_dom))
         else:
             na(f"partial-order/{tag}")

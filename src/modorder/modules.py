@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import AxiomError, FiniteRing, SpecError, build_zn, ring_from_spec
+from .rings import AxiomError, FiniteRing, SpecError, build_zn, ring_from_spec, spec_field
 
 MAX_MODULE_SIZE = 64
 
@@ -124,9 +124,6 @@ class Submodule:
                 if M.action[x][r] not in self.members:
                     raise AxiomError(f"set not closed under action at ({x},{r})")
 
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
 
 def cyclic_submodule(M: FiniteModule, m: int) -> Submodule:
     """mR = {m.r : r in R}"""
@@ -202,18 +199,14 @@ def module_to_spec(module: FiniteModule) -> dict:
 
 def module_from_spec(spec: dict) -> FiniteModule:
     """Build a module from its definition-file form (already JSON-decoded)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SpecError("module spec must be an object with a 'kind' field")
-    kind = spec["kind"]
+    kind = spec_field(spec, "kind", "module")
     if kind == "ZmOverZn":
-        return build_zm_over_zn(int(spec["m"]), int(spec["n"]))
+        return build_zm_over_zn(int(spec_field(spec, "m", kind)),
+                                int(spec_field(spec, "n", kind)))
     if kind == "ringAsModule":
-        return build_ring_as_module(ring_from_spec(spec["ring"]))
+        return build_ring_as_module(ring_from_spec(spec_field(spec, "ring", kind)))
     if kind == "tables":
-        try:
-            ring, add, action = spec["ring"], spec["add"], spec["action"]
-        except KeyError as exc:
-            raise SpecError(f"tables spec missing {exc}") from None
+        ring, add, action = (spec_field(spec, key, kind) for key in ("ring", "add", "action"))
         return build_module_from_tables(ring_from_spec(ring), add, action,
                                         name=spec.get("name"))
     raise SpecError(f"unknown module kind {kind!r}")

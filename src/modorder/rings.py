@@ -9,8 +9,9 @@ concurrent reads are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .verdicts import AnnihPair, InnerInverse, OrderVerdict
+from .verdicts import AnnihPair, InnerInverse, OrderVerdict, Relation
 
 MAX_RING_SIZE = 256
 FULL_CHECK_SIZE = 64  # beyond this the size^3 axiom loops run only when forced
@@ -148,17 +149,26 @@ class FiniteRing:
                     break
         return frozenset(out)
 
-    def inverse(self, u: int) -> int:
-        for v in range(self.size):
-            if self.mul[u][v] == self.one == self.mul[v][u]:
-                return v
-        raise ValueError(f"{u} is not a unit of {self.name}")
-
     def projections(self) -> frozenset[int]:
         """Self-adjoint idempotents; requires an involution."""
         if self.involution is None:
             raise ValueError(f"{self.name} has no involution; projections undefined")
         return frozenset(e for e in self.idempotents() if self.involution[e] == e)
+
+    @cached_property
+    def element_pool(self) -> range:
+        """Every element in ascending order, as a witness pool."""
+        return range(self.size)
+
+    @cached_property
+    def idempotent_pool(self) -> tuple[int, ...]:
+        """The idempotents in ascending order, as a witness pool."""
+        return tuple(sorted(self.idempotents()))
+
+    @cached_property
+    def projection_pool(self) -> tuple[int, ...]:
+        """The projections in ascending order, as a witness pool."""
+        return tuple(sorted(self.projections()))
 
     # -- annihilators and principal one-sided ideals ------------------------------
 
@@ -271,25 +281,27 @@ def ring_to_spec(ring: FiniteRing) -> dict:
     return spec
 
 
+def spec_field(spec, key: str, kind: str):
+    """``spec[key]``, or a SpecError naming the kind of spec and the missing key."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise SpecError(f"{kind} spec missing {key!r}")
+    return spec[key]
+
+
 def ring_from_spec(spec: dict) -> FiniteRing:
     """Build a ring from its definition-file form (already JSON-decoded)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SpecError("ring spec must be an object with a 'kind' field")
-    kind = spec["kind"]
+    kind = spec_field(spec, "kind", "ring")
     if kind == "Zn":
-        return build_zn(int(spec["n"]))
+        return build_zn(int(spec_field(spec, "n", kind)))
     if kind == "product":
         factors = spec.get("factors", [])
         if len(factors) != 2:
             raise SpecError("product spec needs exactly two factors")
         return build_product(ring_from_spec(factors[0]), ring_from_spec(factors[1]))
     if kind == "matrix2":
-        return build_matrix_ring(int(spec["p"]))
+        return build_matrix_ring(int(spec_field(spec, "p", kind)))
     if kind == "tables":
-        try:
-            add, mul = spec["add"], spec["mul"]
-        except KeyError as exc:
-            raise SpecError(f"tables spec missing {exc}") from None
+        add, mul = spec_field(spec, "add", kind), spec_field(spec, "mul", kind)
         return build_ring_from_tables(add, mul, involution=spec.get("involution"),
                                       name=spec.get("name"))
     raise SpecError(f"unknown ring kind {kind!r}")
@@ -298,43 +310,42 @@ def ring_from_spec(spec: dict) -> FiniteRing:
 # -- element-level predicates and relations -----------------------------------
 
 
-def vn_regular_witness(ring: FiniteRing, a: int):
-    """First x with a*x*a = a, or None when a has no inner inverse."""
-    for x in range(ring.size):
-        if ring.mul[ring.mul[a][x]][a] == a:
-            return x
-    return None
+def _hartwig_clauses(ring: FiniteRing, a: int, b: int, xs):
+    """Hartwig's minus order: an inner inverse x of a (axa = a) with xa = xb and ax = bx."""
+    mul = ring.mul
+    for x in xs:
+        if mul[mul[a][x]][a] == a and mul[x][a] == mul[x][b] and mul[a][x] == mul[b][x]:
+            yield (x,)
 
 
-def hartwig_minus_le(ring: FiniteRing, a: int, b: int) -> OrderVerdict:
-    """Hartwig's minus order: some inner inverse x of a with xa = xb and ax = bx."""
-    for x in range(ring.size):
-        if ring.mul[ring.mul[a][x]][a] != a:
-            continue
-        if ring.mul[x][a] == ring.mul[x][b] and ring.mul[a][x] == ring.mul[b][x]:
-            return OrderVerdict("hartwig", (a, b), True, InnerInverse(x))
-    return OrderVerdict("hartwig", (a, b), False)
-
-
-def ring_minus_le_annih(ring: FiniteRing, a: int, b: int) -> OrderVerdict:
-    """Annihilator form of the ring minus order.
-
-    Looks for idempotents p, q with l(a) = R(1-p), r(a) = (1-q)R, pa = pb
-    and aq = bq.
-    """
-    idems = sorted(ring.idempotents())
+def _annih_clauses(ring: FiniteRing, a: int, b: int, ps, qs):
+    """Annihilator form of the ring minus order: idempotents p, q with
+    l(a) = R(1-p), r(a) = (1-q)R, pa = pb and aq = bq."""
+    mul = ring.mul
     lann, rann = ring.left_ann(a), ring.right_ann(a)
-    for p in idems:
-        if ring.principal_left(ring.sub(ring.one, p)) != lann:
-            continue
-        if ring.mul[p][a] != ring.mul[p][b]:
-            continue
-        for q in idems:
-            if ring.principal_right(ring.sub(ring.one, q)) != rann:
-                continue
-            if ring.mul[a][q] == ring.mul[b][q]:
-                return OrderVerdict("ring-annih", (a, b), True, AnnihPair(p, q))
-    return OrderVerdict("ring-annih", (a, b), False)
+    for p in ps:
+        if ring.principal_left(ring.sub(ring.one, p)) == lann and mul[p][a] == mul[p][b]:
+            for q in qs:
+                if (ring.principal_right(ring.sub(ring.one, q)) == rann
+                        and mul[a][q] == mul[b][q]):
+                    yield p, q
+
+
+# The ring-level relations, each called as relation(ring, a, b).
+hartwig_minus_le = Relation("hartwig", lambda ring, a, b: (ring.element_pool,),
+                            _hartwig_clauses, InnerInverse)
+ring_minus_le_annih = Relation("ring-annih",
+                               lambda ring, a, b: (ring.idempotent_pool,) * 2,
+                               _annih_clauses, AnnihPair)
+
+RING_RELATIONS = {rel.tag: rel for rel in (hartwig_minus_le, ring_minus_le_annih)}
+
+
+def vn_regular_witness(ring: FiniteRing, a: int):
+    """First x with a*x*a = a (so a <= a in Hartwig's order), or None when
+    a has no inner inverse."""
+    verdict = hartwig_minus_le(ring, a, a)
+    return verdict.witness.value if verdict.holds else None
 
 
 def idempotent_annih_identity(ring: FiniteRing, p: int) -> bool:
@@ -362,8 +373,7 @@ class RickartCert:
     failure: int | None = None
 
 
-def _rickart_cert(ring: FiniteRing, generators) -> RickartCert:
-    gens = sorted(generators)
+def _rickart_cert(ring: FiniteRing, gens) -> RickartCert:
     right_of = {e: ring.principal_right(e) for e in gens}
     left_of = {e: ring.principal_left(e) for e in gens}
     witnesses = {}
@@ -379,12 +389,12 @@ def _rickart_cert(ring: FiniteRing, generators) -> RickartCert:
 
 def is_rickart(ring: FiniteRing) -> RickartCert:
     """Every one-sided annihilator of an element is a principal ideal on an idempotent."""
-    return _rickart_cert(ring, ring.idempotents())
+    return _rickart_cert(ring, ring.idempotent_pool)
 
 
 def is_rickart_star(ring: FiniteRing) -> RickartCert:
     """Every one-sided annihilator is generated by a projection."""
-    return _rickart_cert(ring, ring.projections())
+    return _rickart_cert(ring, ring.projection_pool)
 
 
 def is_proper_star(ring: FiniteRing) -> bool:
@@ -396,21 +406,9 @@ def is_proper_star(ring: FiniteRing) -> bool:
 
 
 def revalidate_ring(verdict: OrderVerdict, ring: FiniteRing) -> bool:
-    """Replay a ring-level verdict's witness against the defining equations."""
-    if not verdict.holds:
-        return True
-    a, b = verdict.operands
-    w = verdict.witness
-    if verdict.relation == "hartwig":
-        x = w.value
-        return (ring.mul[ring.mul[a][x]][a] == a
-                and ring.mul[x][a] == ring.mul[x][b]
-                and ring.mul[a][x] == ring.mul[b][x])
-    if verdict.relation == "ring-annih":
-        p, q = w.p, w.q
-        return (ring.mul[p][p] == p and ring.mul[q][q] == q
-                and ring.principal_left(ring.sub(ring.one, p)) == ring.left_ann(a)
-                and ring.principal_right(ring.sub(ring.one, q)) == ring.right_ann(a)
-                and ring.mul[p][a] == ring.mul[p][b]
-                and ring.mul[a][q] == ring.mul[b][q])
-    raise ValueError(f"not a ring-level relation: {verdict.relation}")
+    """Replay a ring-level verdict's witness against its relation's clauses."""
+    try:
+        relation = RING_RELATIONS[verdict.relation]
+    except KeyError:
+        raise ValueError(f"not a ring-level relation: {verdict.relation}") from None
+    return relation.replay(ring, verdict)

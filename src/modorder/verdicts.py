@@ -7,11 +7,15 @@ absent.  ``applicable=False`` marks queries whose preconditions (typically a
 missing involution) rule the question out entirely, and ``hypothesis_ok``
 records whether the theorem hypotheses behind the characterization were
 satisfied by the operands.
+
+Each relation is one :class:`Relation` entry whose clauses drive both the
+search for a witness and the replay of a witness already found.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class OrderVerdict:
             raise ValueError(f"verdict for {self.relation} breaks holds <-> witness")
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "relation": self.relation,
             "operands": list(self.operands),
             "holds": self.holds,
@@ -91,23 +95,74 @@ class OrderVerdict:
             "hypothesis_ok": self.hypothesis_ok,
             "witness": witness_to_json(self.witness),
         }
-        return out
+
+
+@dataclass(frozen=True)
+class Relation:
+    """One order relation, defined once for both the search and the replay.
+
+    ``clauses(ctx, x, y, *pools)`` yields, in pool order, the witness parts
+    (one drawn from each pool) that satisfy every defining clause of the
+    relation at the pair (x, y).  ``pools(ctx, x, y)`` returns those pools,
+    or None where the relation is not defined on ``ctx`` (a star order
+    without the involution it needs); a pool that does not depend on the
+    operands is cached on ``ctx``, so a query only looks it up.  ``witness``
+    builds the witness from its parts, which become the witness's first
+    fields.  ``hypothesis`` says whether the theorem behind the
+    characterization covers the operands (None: it assumes nothing).
+    ``ctx`` is whatever the entries read: a module context for module-level
+    relations, a ring for ring-level ones.
+    """
+
+    tag: str
+    pools: Callable
+    clauses: Callable
+    witness: Callable
+    hypothesis: Callable | None = None
+
+    def __call__(self, ctx, x: int, y: int) -> OrderVerdict:
+        """Search: the first witness the clauses yield over the full pools."""
+        pools = self.pools(ctx, x, y)
+        if pools is None:
+            return OrderVerdict(self.tag, (x, y), False, applicable=False)
+        hyp = self.hypothesis is None or self.hypothesis(ctx, x, y)
+        for parts in self.clauses(ctx, x, y, *pools):
+            return OrderVerdict(self.tag, (x, y), True, self.witness(*parts),
+                                hypothesis_ok=hyp)
+        return OrderVerdict(self.tag, (x, y), False, hypothesis_ok=hyp)
+
+    def replay(self, ctx, verdict: OrderVerdict) -> bool:
+        """Check a positive verdict's witness against this relation.
+
+        The witness must be exactly what the search builds from its parts
+        (projection flags included), each part must be a member of its pool,
+        and the clauses must accept the parts as singleton pools.
+        """
+        if not verdict.holds:
+            return True
+        x, y = verdict.operands
+        w, pools = verdict.witness, self.pools(ctx, x, y)
+        if pools is None:
+            return False
+        parts = tuple(getattr(w, f.name) for f in fields(w)[:len(pools)])
+        if len(parts) != len(pools) or self.witness(*parts) != w:
+            return False
+        if not all(part in pool for part, pool in zip(parts, pools)):
+            return False
+        singletons = [(part,) for part in parts]
+        return next(self.clauses(ctx, x, y, *singletons), None) is not None
+
+
+_KINDS = {DualWitness: "functional", IdemPair: "idem-pair", MapPair: "map-pair",
+          DirectSumWitness: "direct-sum", InnerInverse: "inner-inverse",
+          AnnihPair: "annihilator-idem-pair"}
 
 
 def witness_to_json(w: Witness | None):
     if w is None:
         return None
-    if isinstance(w, DualWitness):
-        return {"kind": "functional", "table": list(w.table)}
-    if isinstance(w, IdemPair):
-        return {"kind": "idem-pair", "f": w.f, "a": w.a,
-                "f_projection": w.f_projection, "a_projection": w.a_projection}
-    if isinstance(w, MapPair):
-        return {"kind": "map-pair", "f": w.f, "a": w.a}
-    if isinstance(w, DirectSumWitness):
-        return {"kind": "direct-sum", "first": list(w.first), "second": list(w.second)}
-    if isinstance(w, InnerInverse):
-        return {"kind": "inner-inverse", "value": w.value}
-    if isinstance(w, AnnihPair):
-        return {"kind": "annihilator-idem-pair", "p": w.p, "q": w.q}
-    raise TypeError(f"unknown witness {w!r}")
+    out = {"kind": _KINDS[type(w)]}
+    for f in fields(w):
+        value = getattr(w, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out

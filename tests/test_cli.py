@@ -188,12 +188,25 @@ def test_byte_identical_reruns():
            subprocess.run(cmd, capture_output=True).stdout
 
 
-def test_workspace_cache_matches_fresh():
-    ws = cli.Workspace()
-    module = cli.parse_module_arg("Z6/Z30")
-    ctx = ws.context(module)
-    assert ws.context(module) is ctx
-    import modorder as mo
-    fresh = mo.ModuleContext(module)
-    assert [h.table for h in ctx.dual] == [h.table for h in fresh.dual]
-    assert ctx.endos.mul == fresh.endos.mul
+def test_missing_ring_file(tmp_path):
+    code, _, err = run_cli("ring", "--ring", str(tmp_path / "nofile.json"))
+    assert code == 2 and "nofile.json" in err
+
+
+def test_missing_corpus_file(tmp_path):
+    code, _, err = run_cli("verify", "--corpus", str(tmp_path / "nofile.json"))
+    assert code == 2 and "nofile.json" in err
+
+
+def test_ring_spec_missing_key(tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"kind": "Zn"}))
+    code, _, err = run_cli("ring", "--ring", str(path))
+    assert code == 2 and "Zn" in err and "'n'" in err
+
+
+def test_corpus_entry_missing_module(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"id": "lost"}]))
+    code, _, err = run_cli("verify", "--corpus", str(path))
+    assert code == 2 and "corpus entry" in err and "'module'" in err

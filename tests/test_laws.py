@@ -1,14 +1,13 @@
 import copy
+import functools
 
 import modorder as mo
 from modorder.laws import RelationMatrix
 
 
+@functools.cache
 def _minus_matrix(ctx):
-    key = "test-minus-matrix"
-    if key not in ctx.cache:
-        ctx.cache[key] = mo.relation_matrix(ctx, "minus-dual")
-    return ctx.cache[key]
+    return mo.relation_matrix(ctx, "minus-dual")
 
 
 # -- check_partial_order ---------------------------------------------------------

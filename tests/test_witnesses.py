@@ -1,0 +1,87 @@
+"""Witness identity and witness replay, for every relation tag."""
+
+import hashlib
+import json
+from dataclasses import replace
+
+import modorder as mo
+from modorder.rings import revalidate_ring
+from modorder.verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
+                               OrderVerdict)
+
+TAGS = ("minus-dual", "minus-idem", "minus-relaxed", "minus-image", "jones", "mitsch",
+        "mitsch-sym", "gb", "dsum", "rstar", "lstar", "star")
+
+# sha256 of every relation matrix over the default corpus, witnesses included
+MATRICES_SHA256 = "7ff2c1095b300add38acf852cf48007ead3472d753df2144f84e0c5c61e0223e"
+
+
+def test_relation_matrices_digest(corpus):
+    h = hashlib.sha256()
+    for name, ctx in corpus.items():
+        for tag in TAGS:
+            rows = [[v.to_json() for v in row] for row in mo.relation_matrix(ctx, tag).verdicts]
+            h.update(json.dumps([name, tag, rows], sort_keys=True,
+                                separators=(",", ":")).encode())
+    assert h.hexdigest() == MATRICES_SHA256
+
+
+def _tampered(ctx, w):
+    """Copies of a witness with one part swapped for a non-pool element or one flag flipped."""
+    S, R = ctx.endos, ctx.module.ring
+    if isinstance(w, DualWitness):  # maps 0 to 1, so it is no functional
+        yield replace(w, table=tuple((x + 1) % R.size for x in w.table))
+    elif isinstance(w, IdemPair):
+        yield replace(w, f=next(f for f in range(S.size) if S.mul[f][f] != f))
+        yield replace(w, a=next(a for a in range(R.size) if R.mul[a][a] != a))
+        yield replace(w, f_projection=not w.f_projection)
+        yield replace(w, a_projection=not w.a_projection)
+    elif isinstance(w, MapPair):
+        yield replace(w, f=S.size)
+        yield replace(w, a=R.size)
+    elif isinstance(w, DirectSumWitness):
+        yield replace(w, first=w.second, second=w.first)
+        yield replace(w, first=tuple(reversed(w.first)))
+    else:
+        raise AssertionError(f"no tampering for {w!r}")
+
+
+def test_replay_rejects_tampered_module_witnesses(z6_over_z30):
+    ctx = z6_over_z30
+    verdicts = [mo.evaluate(ctx, tag, 2, 5) for tag in TAGS]
+    verdicts.append(mo.is_regular_element(ctx, 2))
+    for v in verdicts:
+        assert v.holds and mo.revalidate(ctx, v), v.relation
+        for w in _tampered(ctx, v.witness):
+            assert not mo.revalidate(ctx, replace(v, witness=w)), (v.relation, w)
+
+
+def test_replay_rejects_tampered_ring_witnesses():
+    z6 = mo.build_zn(6)
+    hartwig = mo.hartwig_minus_le(z6, 3, 5)
+    annih = mo.ring_minus_le_annih(z6, 2, 5)
+    assert revalidate_ring(hartwig, z6) and revalidate_ring(annih, z6)
+    for v, w in ((hartwig, replace(hartwig.witness, value=6)),
+                 (annih, replace(annih.witness, p=2)),
+                 (annih, replace(annih.witness, q=2))):
+        assert not revalidate_ring(replace(v, witness=w), z6), w
+
+
+def test_rstar_replay_rejects_forged_projections(corpus):
+    """On M2(Z2)_R an idempotent a with a* != a must not pass as a projection."""
+    ctx = corpus["M2(Z2)"]
+    S, R = ctx.endos, ctx.module.ring
+    assert R.star(5) == 3 and not mo.right_star_le(ctx, 1, 13).holds
+    assert not mo.revalidate(ctx, OrderVerdict("rstar", (1, 13), True, IdemPair(4, 5)))
+    accepted = []
+    for m1 in range(R.size):
+        for m2 in range(R.size):
+            if mo.right_star_le(ctx, m1, m2).holds:
+                continue
+            for f in sorted(S.idempotents()):
+                for a in sorted(R.idempotents()):
+                    for flags in ((False, False), (False, True), (True, False), (True, True)):
+                        v = OrderVerdict("rstar", (m1, m2), True, IdemPair(f, a, *flags))
+                        if mo.revalidate(ctx, v):
+                            accepted.append(((m1, m2), v.witness))
+    assert accepted == []
