@@ -145,8 +145,7 @@ class EndoRing(FiniteRing):
                 for y in self.maps] for x in self.maps]
         mul = [[self._index[tuple(x.table[y.table[k]] for k in range(module.size))]
                 for y in self.maps] for x in self.maps]
-        super().__init__(add, mul, involution=involution,
-                         name=f"End({module.name})", check=True)
+        super().__init__(add, mul, involution=involution, name=f"End({module.name})")
         assert self.maps[self.zero].table == (module.zero,) * module.size
         assert self.maps[self.one].table == tuple(range(module.size))
 
@@ -256,6 +255,11 @@ class ModuleContext:
         """The regularity verdict of every element, in element order."""
         from .orders import REGULARITY  # the relation table lives with the orders
         return tuple(REGULARITY(self, m, m) for m in range(self.module.size))
+
+    @cached_property
+    def is_regular(self) -> bool:
+        """Whether every element is regular, i.e. the module is regular."""
+        return all(v.holds for v in self.regular)
 
     @cached_property
     def endos(self) -> EndoRing:

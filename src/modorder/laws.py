@@ -234,11 +234,6 @@ def check_witness_constructions(ctx: ModuleContext, member: str | None = None) -
     return LawReport("witness-constructions", member, "pass", None, checks)
 
 
-def _is_ring_as_module(ctx: ModuleContext) -> bool:
-    M, R = ctx.module, ctx.module.ring
-    return M.size == R.size and M.add == R.add and M.action == R.mul
-
-
 @_timed
 def check_ring_bridge(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     """On R_R over a von Neumann regular ring, the module minus order, the
@@ -338,7 +333,7 @@ def member_laws(ctx: ModuleContext) -> list[LawReport]:
     reports.append(check_subset_cyclic(ctx, minus))
     reports.append(check_witness_constructions(ctx))
 
-    if _is_ring_as_module(ctx) and all(
+    if ctx.module.is_ring_as_module() and all(
             vn_regular_witness(ctx.module.ring, a) is not None
             for a in range(ctx.module.ring.size)):
         reports.append(check_ring_bridge(ctx, minus))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import AxiomError, FiniteRing, SpecError, build_zn, ring_from_spec, spec_field
+from .rings import (FULL_CHECK_SIZE, AxiomError, FiniteRing, SpecError, additive_group,
+                    build_zn, checked_table, ring_from_spec, spec_field, spec_int)
 
 MAX_MODULE_SIZE = 64
 
@@ -12,88 +13,57 @@ MAX_MODULE_SIZE = 64
 class FiniteModule:
     """Unitary right R-module on ``0..size-1``.
 
-    ``action`` is a size x |R| table: ``action[m][r]`` is m.r.  Validation
+    ``action`` is a size x |R| table: ``action[m][r]`` is m.r.  Construction
     checks the abelian-group laws of the addition and the four action laws
     m(r+s) = mr + ms, (m+n)r = mr + nr, m(rs) = (mr)s and m1 = m.
     """
 
-    def __init__(self, ring: FiniteRing, add, action, *, name=None,
-                 check=True, force_full_check=False):
-        self.ring = ring
-        self.size = len(add)
-        if self.size < 1:
-            raise AxiomError("module carrier is empty")
-        if self.size > MAX_MODULE_SIZE:
-            raise AxiomError(f"module size {self.size} exceeds cap {MAX_MODULE_SIZE}")
-        self.add = [list(row) for row in add]
-        self.action = [list(row) for row in action]
+    def __init__(self, ring: FiniteRing, add, action, *, name=None):
+        self.ring, self.add, self.action = ring, add, action
+        if ring.size <= FULL_CHECK_SIZE and self.is_ring_as_module():
+            # R_R's module laws are the ring's additive-group, distributivity
+            # and associativity laws, which the ring checked in full: it has at
+            # most FULL_CHECK_SIZE = 64 elements, the module size cap.
+            self.add, self.action = ring.add, ring.mul
+            self.size, self.zero, self.neg = ring.size, ring.zero, ring.neg
+        else:
+            self.add, self.zero, self.neg = additive_group(add, MAX_MODULE_SIZE, "module")
+            self.size = len(self.add)
+            self.action = checked_table(action, self.size, ring.size, self.size, "action")
+            self.validate()
         self.name = name or f"module{self.size}"
-        self._check_shape()
-        self.zero = self._find_zero()
-        self.neg = self._inverses()
-        if check:
-            self.validate(force=force_full_check)
 
-    def _check_shape(self):
-        n, r = self.size, self.ring.size
-        if len(self.add) != n or any(len(row) != n for row in self.add):
-            raise AxiomError(f"addition table is not {n}x{n}")
-        if len(self.action) != n or any(len(row) != r for row in self.action):
-            raise AxiomError(f"action table is not {n}x{r}")
-        for table, width in ((self.add, n), (self.action, n)):
-            for i, row in enumerate(table):
-                for j, v in enumerate(row):
-                    if not (0 <= v < n):
-                        raise AxiomError(f"table entry [{i}][{j}] = {v} out of range")
+    def is_ring_as_module(self) -> bool:
+        """Whether this is R_R: its tables are its ring's own add and mul."""
+        return self.add == self.ring.add and self.action == self.ring.mul
 
-    def _find_zero(self):
-        for e in range(self.size):
-            if all(self.add[e][x] == x == self.add[x][e] for x in range(self.size)):
-                return e
-        raise AxiomError("module has no additive identity")
-
-    def _inverses(self):
-        neg = []
-        for x in range(self.size):
-            try:
-                neg.append(self.add[x].index(self.zero))
-            except ValueError:
-                raise AxiomError(f"module element {x} has no additive inverse") from None
-        return neg
-
-    def validate(self, *, force=False):
+    def validate(self):
+        """Check additive associativity and the four action laws."""
         n, R = self.size, self.ring
         rng, rr = range(n), range(R.size)
         for x in rng:
             for y in rng:
-                if self.add[x][y] != self.add[y][x]:
-                    raise AxiomError(f"module addition not commutative at ({x},{y})")
-        deep = force or (n <= MAX_MODULE_SIZE and R.size <= 64)
-        if deep:
-            for x in rng:
-                for y in rng:
-                    xy = self.add[x][y]
-                    for z in rng:
-                        if self.add[xy][z] != self.add[x][self.add[y][z]]:
-                            raise AxiomError(f"module addition not associative at ({x},{y},{z})")
+                xy = self.add[x][y]
+                for z in rng:
+                    if self.add[xy][z] != self.add[x][self.add[y][z]]:
+                        raise AxiomError(f"module addition not associative at ({x},{y},{z})")
         for x in rng:
             if self.action[x][R.one] != x:
                 raise AxiomError(f"unitality fails: {x}.1 = {self.action[x][R.one]}")
-        if deep:
-            for x in rng:
+        for x in rng:
+            for r in rr:
+                xr = self.action[x][r]
+                for s in rr:
+                    if self.action[x][R.add[r][s]] != self.add[xr][self.action[x][s]]:
+                        raise AxiomError(f"m(r+s) law fails at (m,r,s)=({x},{r},{s})")
+                    if self.action[x][R.mul[r][s]] != self.action[xr][s]:
+                        raise AxiomError(f"m(rs) law fails at (m,r,s)=({x},{r},{s})")
+        for x in rng:
+            for y in rng:
+                xy = self.add[x][y]
                 for r in rr:
-                    xr = self.action[x][r]
-                    for s in rr:
-                        if self.action[x][R.add[r][s]] != self.add[xr][self.action[x][s]]:
-                            raise AxiomError(f"m(r+s) law fails at (m,r,s)=({x},{r},{s})")
-                        if self.action[x][R.mul[r][s]] != self.action[xr][s]:
-                            raise AxiomError(f"m(rs) law fails at (m,r,s)=({x},{r},{s})")
-            for x in rng:
-                for y in rng:
-                    xy = self.add[x][y]
-                    for r in rr:
-                        if self.action[xy][r] != self.add[self.action[x][r]][self.action[y][r]]:
-                            raise AxiomError(f"(m+n)r law fails at (m,n,r)=({x},{y},{r})")
+                    if self.action[xy][r] != self.add[self.action[x][r]][self.action[y][r]]:
+                        raise AxiomError(f"(m+n)r law fails at (m,n,r)=({x},{y},{r})")
 
     def act(self, m: int, r: int) -> int:
         return self.action[m][r]
@@ -151,20 +121,23 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
     return Submodule(a.module, a.members & b.members)
 
 
+def is_direct_sum(M: FiniteModule, a, b, target) -> bool:
+    """A + B = target with A intersect B = {0}, for sets of elements of M."""
+    return (set(a).intersection(b) == {M.zero}
+            and {M.add[x][y] for x in a for y in b} == target)
+
+
 def is_internal_direct_sum(a: Submodule, b: Submodule, target: Submodule) -> bool:
     """A + B = target with A intersect B = {0}."""
     _same_parent(a, b)
     _same_parent(a, target)
-    M = a.module
-    if a.members & b.members != frozenset([M.zero]):
-        return False
-    return sum_of_sets(a, b).members == target.members
+    return is_direct_sum(a.module, a.members, b.members, target.members)
 
 
 # -- constructors ----------------------------------------------------------------
 
 
-def build_zm_over_zn(m: int, n: int, *, check=True) -> FiniteModule:
+def build_zm_over_zn(m: int, n: int) -> FiniteModule:
     """Z_m as a Z_n-module via x.r = x*(r mod m); requires m | n."""
     if m < 1 or n < 1:
         raise SpecError("moduli must be positive")
@@ -173,19 +146,17 @@ def build_zm_over_zn(m: int, n: int, *, check=True) -> FiniteModule:
     ring = build_zn(n)
     add = [[(x + y) % m for y in range(m)] for x in range(m)]
     action = [[x * r % m for r in range(n)] for x in range(m)]
-    return FiniteModule(ring, add, action, name=f"Z{m}/Z{n}", check=check)
+    return FiniteModule(ring, add, action, name=f"Z{m}/Z{n}")
 
 
-def build_ring_as_module(ring: FiniteRing, *, check=True) -> FiniteModule:
+def build_ring_as_module(ring: FiniteRing) -> FiniteModule:
     """R as a right module over itself (action = ring multiplication)."""
-    return FiniteModule(ring, ring.add, ring.mul, name=f"{ring.name}_R", check=check)
+    return FiniteModule(ring, ring.add, ring.mul, name=f"{ring.name}_R")
 
 
-def build_module_from_tables(ring: FiniteRing, add, action, *, name=None,
-                             force_full_check=False) -> FiniteModule:
+def build_module_from_tables(ring: FiniteRing, add, action, *, name=None) -> FiniteModule:
     """Validated module from raw tables; failures name the violated law."""
-    return FiniteModule(ring, add, action, name=name or "tables",
-                        check=True, force_full_check=force_full_check)
+    return FiniteModule(ring, add, action, name=name or "tables")
 
 
 def module_to_spec(module: FiniteModule) -> dict:
@@ -201,8 +172,7 @@ def module_from_spec(spec: dict) -> FiniteModule:
     """Build a module from its definition-file form (already JSON-decoded)."""
     kind = spec_field(spec, "kind", "module")
     if kind == "ZmOverZn":
-        return build_zm_over_zn(int(spec_field(spec, "m", kind)),
-                                int(spec_field(spec, "n", kind)))
+        return build_zm_over_zn(spec_int(spec, "m", kind), spec_int(spec, "n", kind))
     if kind == "ringAsModule":
         return build_ring_as_module(ring_from_spec(spec_field(spec, "ring", kind)))
     if kind == "tables":

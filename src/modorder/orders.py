@@ -19,7 +19,7 @@ from functools import partial
 from operator import eq, le
 
 from .homs import ModuleContext, m_times, s_orbit
-from .modules import Submodule, cyclic_submodule, is_internal_direct_sum
+from .modules import Submodule, cyclic_submodule, is_direct_sum
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
                        OrderVerdict, Relation)
 
@@ -71,8 +71,8 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, Submodu
     assert M.ring.mul[e][e] == e
     n_set = Submodule(M, frozenset(n for n in range(M.size)
                                    if M.action[m][table[n]] == M.zero))
-    whole = Submodule(M, frozenset(range(M.size)))
-    if not is_internal_direct_sum(cyclic_submodule(M, m), n_set, whole):
+    if not is_direct_sum(M, cyclic_submodule(M, m).members, n_set.members,
+                         frozenset(range(M.size))):
         raise AssertionError(f"decomposition failed for m={m}")
     return e, n_set
 
@@ -89,7 +89,7 @@ def _both_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:
 
 
 def _module_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:
-    return all(v.holds for v in ctx.regular)
+    return ctx.is_regular
 
 
 def _idempotents(ctx: ModuleContext, m1: int, m2: int):
@@ -160,11 +160,9 @@ def _summands(ctx: ModuleContext, m1: int, m2: int):
 
 def _direct_sum_clauses(ctx: ModuleContext, m1: int, m2: int, firsts, seconds):
     """m2 R = A (+) B as an internal direct sum, for A = m1 R and B = (m2 - m1) R."""
-    M = ctx.module
     for A in firsts:
         for B in seconds:
-            if (set(A).intersection(B) == {M.zero}
-                    and {M.add[x][y] for x in A for y in B} == ctx.cyclic[m2]):
+            if is_direct_sum(ctx.module, A, B, ctx.cyclic[m2]):
                 yield A, B
 
 

@@ -25,6 +25,47 @@ class SpecError(ValueError):
     """A ring/module definition is malformed."""
 
 
+def checked_table(table, rows: int, cols: int, bound: int, label: str) -> list[list[int]]:
+    """A copy of ``table``, checked to be ``rows`` lists of ``cols`` ints in 0..bound-1."""
+    if (not isinstance(table, (list, tuple)) or len(table) != rows
+            or not all(isinstance(row, (list, tuple)) and len(row) == cols for row in table)):
+        raise AxiomError(f"{label} table is not {rows}x{cols}")
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < bound:
+                raise AxiomError(f"{label}[{i}][{j}] = {v!r} is not in 0..{bound - 1}")
+    return [list(row) for row in table]
+
+
+def _identity(table) -> int | None:
+    """The e with table[e][x] = x = table[x][e] for every x, if there is one."""
+    rng = range(len(table))
+    return next((e for e in rng if all(table[e][x] == x == table[x][e] for x in rng)), None)
+
+
+def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list[int]]:
+    """Check ``add`` as the addition of an abelian group on 0..n-1, n <= cap: shape and
+    range, a zero, negatives and commutativity (associativity is cubic and left to the
+    caller's validate).  Returns a copy of the table, the zero and the negatives."""
+    if not isinstance(add, (list, tuple)):
+        raise AxiomError(f"{kind} add table is not a list of rows")
+    n = len(add)
+    if n > cap:
+        raise AxiomError(f"{kind} size {n} exceeds cap {cap}")
+    add = checked_table(add, n, n, n, f"{kind} add")
+    zero = _identity(add)
+    if zero is None:  # also when the carrier is empty
+        raise AxiomError(f"{kind} has no additive identity")
+    neg = [row.index(zero) if zero in row else None for row in add]
+    if None in neg:
+        raise AxiomError(f"{kind} element {neg.index(None)} has no additive inverse")
+    for a in range(n):
+        for b in range(a):
+            if add[a][b] != add[b][a]:
+                raise AxiomError(f"{kind} addition not commutative at (a,b)=({a},{b})")
+    return add, zero, neg
+
+
 class FiniteRing:
     """Ring with identity on ``0..size-1``, given by add/mul tables.
 
@@ -35,69 +76,24 @@ class FiniteRing:
     an involution only if one is given explicitly.
     """
 
-    def __init__(self, add, mul, *, involution=None, name=None,
-                 check=True, force_full_check=False):
-        self.size = len(add)
-        if self.size < 1:
-            raise AxiomError("ring carrier is empty")
-        if self.size > MAX_RING_SIZE:
-            raise AxiomError(f"ring size {self.size} exceeds cap {MAX_RING_SIZE}")
-        self.add = [list(row) for row in add]
-        self.mul = [list(row) for row in mul]
-        self.name = name or f"ring{self.size}"
-        self._check_shape()
-        self.zero = self._find_additive_identity()
-        self.one = self._find_multiplicative_identity()
-        self.neg = self._additive_inverses()
+    def __init__(self, add, mul, *, involution=None, name=None):
+        self.add, self.zero, self.neg = additive_group(add, MAX_RING_SIZE, "ring")
+        self.size = n = len(self.add)
+        self.mul = checked_table(mul, n, n, n, "mul")
+        self.name = name or f"ring{n}"
+        self.one = _identity(self.mul)
+        if self.one is None:
+            raise AxiomError("no multiplicative identity")
         if involution is None and self.is_commutative():
-            involution = list(range(self.size))
-        self.involution = list(involution) if involution is not None else None
-        if self.involution is not None and len(self.involution) != self.size:
-            raise AxiomError("involution table has wrong length")
-        if check:
-            self.validate(force=force_full_check)
-
-    # -- construction-time checks -------------------------------------------------
-
-    def _check_shape(self):
-        n = self.size
-        for label, table in (("add", self.add), ("mul", self.mul)):
-            if len(table) != n or any(len(row) != n for row in table):
-                raise AxiomError(f"{label} table is not {n}x{n}")
-            for i, row in enumerate(table):
-                for j, v in enumerate(row):
-                    if not (0 <= v < n):
-                        raise AxiomError(f"{label}[{i}][{j}] = {v} out of range")
-
-    def _find_additive_identity(self):
-        for e in range(self.size):
-            if all(self.add[e][x] == x == self.add[x][e] for x in range(self.size)):
-                return e
-        raise AxiomError("no additive identity")
-
-    def _find_multiplicative_identity(self):
-        for e in range(self.size):
-            if all(self.mul[e][x] == x == self.mul[x][e] for x in range(self.size)):
-                return e
-        raise AxiomError("no multiplicative identity")
-
-    def _additive_inverses(self):
-        neg = []
-        for x in range(self.size):
-            try:
-                neg.append(self.add[x].index(self.zero))
-            except ValueError:
-                raise AxiomError(f"element {x} has no additive inverse") from None
-        return neg
+            involution = list(range(n))
+        self.involution = (None if involution is None
+                           else checked_table([involution], 1, n, n, "involution")[0])
+        self.validate()
 
     def validate(self, *, force=False):
-        """Check all ring axioms; cubic loops only for size <= 64 unless forced."""
+        """Check the cubic ring axioms (size <= 64 unless forced) and the involution laws."""
         n = self.size
         rng = range(n)
-        for a in rng:
-            for b in rng:
-                if self.add[a][b] != self.add[b][a]:
-                    raise AxiomError(f"addition not commutative at (a,b)=({a},{b})")
         if force or n <= FULL_CHECK_SIZE:
             for a in rng:
                 for b in rng:
@@ -197,16 +193,16 @@ def same_ring(a: FiniteRing, b: FiniteRing) -> bool:
     return a is b or (a.size == b.size and a.add == b.add and a.mul == b.mul)
 
 
-def build_zn(n: int, *, check=True) -> FiniteRing:
+def build_zn(n: int) -> FiniteRing:
     """Integers mod n.  n = 1 gives the zero ring (zero = one)."""
     if n < 1:
         raise SpecError("modulus must be positive")
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[a * b % n for b in range(n)] for a in range(n)]
-    return FiniteRing(add, mul, name=f"Z{n}", check=check)
+    return FiniteRing(add, mul, name=f"Z{n}")
 
 
-def build_product(r1: FiniteRing, r2: FiniteRing, *, check=True) -> FiniteRing:
+def build_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Componentwise product; element (x, y) sits at index x*|r2| + y."""
     n2 = r2.size
     size = r1.size * n2
@@ -222,8 +218,7 @@ def build_product(r1: FiniteRing, r2: FiniteRing, *, check=True) -> FiniteRing:
     if r1.involution is not None and r2.involution is not None:
         involution = [enc(r1.involution[i // n2], r2.involution[i % n2])
                       for i in range(size)]
-    return FiniteRing(add, mul, involution=involution,
-                      name=f"{r1.name}x{r2.name}", check=check)
+    return FiniteRing(add, mul, involution=involution, name=f"{r1.name}x{r2.name}")
 
 
 def _is_prime(p: int) -> bool:
@@ -232,7 +227,7 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
-def build_matrix_ring(p: int, k: int = 2, *, check=True) -> FiniteRing:
+def build_matrix_ring(p: int, k: int = 2) -> FiniteRing:
     """2x2 matrices over Z_p with transpose as involution.
 
     Matrix ((a,b),(c,d)) sits at index a*p^3 + b*p^2 + c*p + d.  Only k = 2
@@ -261,14 +256,12 @@ def build_matrix_ring(p: int, k: int = 2, *, check=True) -> FiniteRing:
                 (x[2] * y[0] + x[3] * y[2]) % p, (x[2] * y[1] + x[3] * y[3]) % p)
             for y in mats] for x in mats]
     transpose = [enc(x[0], x[2], x[1], x[3]) for x in mats]
-    return FiniteRing(add, mul, involution=transpose, name=f"M2(Z{p})", check=check)
+    return FiniteRing(add, mul, involution=transpose, name=f"M2(Z{p})")
 
 
-def build_ring_from_tables(add, mul, *, involution=None, name=None,
-                           force_full_check=False) -> FiniteRing:
+def build_ring_from_tables(add, mul, *, involution=None, name=None) -> FiniteRing:
     """Validated ring from raw tables; axiom failures name the violating tuple."""
-    return FiniteRing(add, mul, involution=involution, name=name or "tables",
-                      check=True, force_full_check=force_full_check)
+    return FiniteRing(add, mul, involution=involution, name=name or "tables")
 
 
 def ring_to_spec(ring: FiniteRing) -> dict:
@@ -288,18 +281,26 @@ def spec_field(spec, key: str, kind: str):
     return spec[key]
 
 
+def spec_int(spec, key: str, kind: str) -> int:
+    """``spec[key]`` as an int, or a SpecError naming the kind of spec and the key."""
+    value = spec_field(spec, key, kind)
+    if type(value) is not int:
+        raise SpecError(f"{kind} spec field {key!r} must be an integer, not {value!r}")
+    return value
+
+
 def ring_from_spec(spec: dict) -> FiniteRing:
     """Build a ring from its definition-file form (already JSON-decoded)."""
     kind = spec_field(spec, "kind", "ring")
     if kind == "Zn":
-        return build_zn(int(spec_field(spec, "n", kind)))
+        return build_zn(spec_int(spec, "n", kind))
     if kind == "product":
         factors = spec.get("factors", [])
-        if len(factors) != 2:
+        if not isinstance(factors, list) or len(factors) != 2:
             raise SpecError("product spec needs exactly two factors")
         return build_product(ring_from_spec(factors[0]), ring_from_spec(factors[1]))
     if kind == "matrix2":
-        return build_matrix_ring(int(spec_field(spec, "p", kind)))
+        return build_matrix_ring(spec_int(spec, "p", kind))
     if kind == "tables":
         add, mul = spec_field(spec, "add", kind), spec_field(spec, "mul", kind)
         return build_ring_from_tables(add, mul, involution=spec.get("involution"),

@@ -125,15 +125,20 @@ class Relation:
         pools = self.pools(ctx, x, y)
         if pools is None:
             return OrderVerdict(self.tag, (x, y), False, applicable=False)
-        hyp = self.hypothesis is None or self.hypothesis(ctx, x, y)
+        hyp = self.covers(ctx, x, y)
         for parts in self.clauses(ctx, x, y, *pools):
             return OrderVerdict(self.tag, (x, y), True, self.witness(*parts),
                                 hypothesis_ok=hyp)
         return OrderVerdict(self.tag, (x, y), False, hypothesis_ok=hyp)
 
+    def covers(self, ctx, x: int, y: int) -> bool:
+        """Whether the theorem behind the characterization covers (x, y)."""
+        return self.hypothesis is None or self.hypothesis(ctx, x, y)
+
     def replay(self, ctx, verdict: OrderVerdict) -> bool:
         """Check a positive verdict's witness against this relation.
 
+        The hypothesis flag must be what the search records for the operands.
         The witness must be exactly what the search builds from its parts
         (projection flags included), each part must be a member of its pool,
         and the clauses must accept the parts as singleton pools.
@@ -142,7 +147,7 @@ class Relation:
             return True
         x, y = verdict.operands
         w, pools = verdict.witness, self.pools(ctx, x, y)
-        if pools is None:
+        if pools is None or verdict.hypothesis_ok != self.covers(ctx, x, y):
             return False
         parts = tuple(getattr(w, f.name) for f in fields(w)[:len(pools)])
         if len(parts) != len(pools) or self.witness(*parts) != w:

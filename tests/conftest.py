@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import modorder as mo
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for child interpreters, with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 @pytest.fixture(scope="session")

@@ -175,11 +175,11 @@ def test_c09_oracle_cross_check():
             failures)
 
 
-def test_c10_determinism():
+def test_c10_determinism(child_env):
     failures = []
     cmd = [sys.executable, "-m", "modorder.cli", "verify", "--corpus", "paper", "--json"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=child_env)
+    second = subprocess.run(cmd, capture_output=True, env=child_env)
     if first.returncode != 0 or second.returncode != 0:
         failures.append(f"exit codes {first.returncode}, {second.returncode}")
     if first.stdout != second.stdout:

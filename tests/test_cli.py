@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from modorder import cli
 
 from oracles import klein_four_tables
@@ -174,18 +176,18 @@ def test_hasse_star_without_involution(tmp_path):
     assert "not applicable" in err
 
 
-def test_byte_identical_reruns():
+def test_byte_identical_reruns(child_env):
     """Two identical subprocess invocations must agree byte for byte."""
     for corpus in ("paper", "default"):
         cmd = [sys.executable, "-m", "modorder.cli", "verify", "--corpus", corpus, "--json"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, env=child_env)
+        second = subprocess.run(cmd, capture_output=True, env=child_env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
     cmd = [sys.executable, "-m", "modorder.cli", "order", "--module", "Z6/Z30",
            "--rel", "minus-idem", "2", "5", "--json"]
-    assert subprocess.run(cmd, capture_output=True).stdout == \
-           subprocess.run(cmd, capture_output=True).stdout
+    assert subprocess.run(cmd, capture_output=True, env=child_env).stdout == \
+           subprocess.run(cmd, capture_output=True, env=child_env).stdout
 
 
 def test_missing_ring_file(tmp_path):
@@ -210,3 +212,17 @@ def test_corpus_entry_missing_module(tmp_path):
     path.write_text(json.dumps([{"id": "lost"}]))
     code, _, err = run_cli("verify", "--corpus", str(path))
     assert code == 2 and "corpus entry" in err and "'module'" in err
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--ring", {"kind": "Zn", "n": [4]}),
+    ("--module", {"kind": "ZmOverZn", "m": 2, "n": None}),
+    ("--ring", {"kind": "product", "factors": 5}),
+    ("--ring", {"kind": "tables", "add": 5, "mul": [[0]]}),
+    ("--ring", {"kind": "tables", "add": [[0, 1], [1, "a"]], "mul": [[0, 0], [0, 1]]}),
+])
+def test_spec_field_of_wrong_type(tmp_path, flag, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(flag.strip("-"), flag, str(path))
+    assert code == 2 and err.startswith("error: ")

@@ -50,6 +50,33 @@ def test_module_from_spec():
         mo.module_from_spec({"kind": "nope"})
 
 
+def test_action_laws_checked_over_large_rings():
+    add, action = zm_over_zn_tables(2, 128)
+    action[1][3] = 0  # 1.(1 + 2) = 0 but 1.1 + 1.2 = 1
+    with pytest.raises(AxiomError, match=r"m\(r\+s\)"):
+        mo.build_module_from_tables(mo.build_zn(128), add, action)
+
+
+def test_ring_as_module_is_not_validated_again(monkeypatch):
+    def refuse(self):
+        raise AssertionError("validated")
+
+    monkeypatch.setattr(mo.FiniteModule, "validate", refuse)
+    assert mo.build_ring_as_module(mo.build_zn(6)).is_ring_as_module()
+    with pytest.raises(AssertionError, match="validated"):
+        mo.build_zm_over_zn(2, 6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mo.build_zn(6), lambda: mo.build_zn(64),
+    lambda: mo.build_product(mo.build_zn(2), mo.build_zn(3)),
+    lambda: mo.build_product(mo.build_product(mo.build_zn(2), mo.build_zn(4)), mo.build_zn(4)),
+    lambda: mo.build_matrix_ring(2),
+], ids=["Z6", "Z64", "Z2xZ3", "Z2xZ4xZ4", "M2(Z2)"])
+def test_ring_as_module_satisfies_module_laws(build):
+    mo.build_ring_as_module(build()).validate()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=5))
 def test_zm_over_zn_always_validates(m, k):

@@ -95,7 +95,7 @@ def test_matrix_ring_rejects_bad_args():
 
 def test_matrix_ring_full_axiom_check():
     # size 81 skips the cubic loops by default; force them once
-    mo.build_matrix_ring(3, check=True).validate(force=True)
+    mo.build_matrix_ring(3).validate(force=True)
 
 
 def test_from_tables_valid():

@@ -54,6 +54,7 @@ def test_replay_rejects_tampered_module_witnesses(z6_over_z30):
         assert v.holds and mo.revalidate(ctx, v), v.relation
         for w in _tampered(ctx, v.witness):
             assert not mo.revalidate(ctx, replace(v, witness=w)), (v.relation, w)
+        assert not mo.revalidate(ctx, replace(v, hypothesis_ok=not v.hypothesis_ok))
 
 
 def test_replay_rejects_tampered_ring_witnesses():
@@ -65,6 +66,16 @@ def test_replay_rejects_tampered_ring_witnesses():
                  (annih, replace(annih.witness, p=2)),
                  (annih, replace(annih.witness, q=2))):
         assert not revalidate_ring(replace(v, witness=w), z6), w
+    for v in (hartwig, annih):
+        assert not revalidate_ring(replace(v, hypothesis_ok=False), z6)
+
+
+def test_replay_rejects_flipped_hypothesis(z4_over_z4):
+    """Z4/Z4 is not regular: 0 is, 2 is not."""
+    ctx = z4_over_z4
+    for v in (mo.minus_le_idem(ctx, 0, 2), mo.minus_le_relaxed(ctx, 0, 2)):
+        assert v.holds and mo.revalidate(ctx, v), v.relation
+        assert not mo.revalidate(ctx, replace(v, hypothesis_ok=not v.hypothesis_ok))
 
 
 def test_rstar_replay_rejects_forged_projections(corpus):
