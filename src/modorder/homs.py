@@ -1,20 +1,26 @@
 """Hom-space enumeration: Hom_R(M, N), the dual M* and the endomorphism ring.
 
-Enumeration strategy: pick a greedy generating set G of M, try every
-assignment of images to G, extend each assignment over the additive/action
-span by fixed-point closure (rejecting on any inconsistency) and finally
-verify the completed table against full additivity and linearity.  The
-candidate space is |N|^|G| instead of |N|^|M|.
+Homs are extended one generator at a time.  With A the submodule that the
+earlier greedy generators of M span, a hom h on A extends to A + gR along
+each image u of the next generator g by a + g.r -> h(a) + u.r, and is dropped
+on the first element given two values.  A well-defined extension is a hom:
+A is a submodule, so sums and multiples of elements a + g.r keep that form,
+and h is additive and right-linear on A.  So no completed table needs a
+re-check, and none is missed, as every hom restricts to a hom on A.  Before
+each step the work of extending the list of partial homs, len(partial) * |N|
+copied tables of |M| entries plus at most |A| * |R| lookups each, is bounded,
+and a search whose bound exceeds HOM_BUDGET is refused with SpecError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .modules import FiniteModule, Submodule, build_ring_as_module, right_ann
-from .rings import FiniteRing, same_ring
+from .rings import MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, same_ring
+
+HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
 
 
 @dataclass(frozen=True)
@@ -36,87 +42,47 @@ class ModHom:
                         for x in range(M.size) for r in range(M.ring.size)))
 
 
-def generating_set(M: FiniteModule) -> list[int]:
-    """Greedy generators: each one strictly enlarges the add/action span."""
-    gens: list[int] = []
-    span = _span(M, ())
+def _chain(M: FiniteModule):
+    """Each greedy generator g of M with the submodule A that the earlier ones span."""
+    span = {M.zero}
     for x in range(M.size):
         if x not in span:
-            gens.append(x)
-            span = _span(M, gens)
-    return gens
+            yield x, span
+            span = {M.add[xr][a] for xr in set(M.action[x]) for a in span}
 
 
-def _span(M: FiniteModule, seeds) -> set[int]:
-    out = {M.zero, *seeds}
-    changed = True
-    while changed:
-        changed = False
-        cur = list(out)
-        for x in cur:
-            for r in range(M.ring.size):
-                z = M.action[x][r]
-                if z not in out:
-                    out.add(z)
-                    changed = True
-            for y in cur:
-                z = M.add[x][y]
-                if z not in out:
-                    out.add(z)
-                    changed = True
-    return out
+def generating_set(M: FiniteModule) -> list[int]:
+    """Greedy generators: each one strictly enlarges the submodule the earlier ones span."""
+    return [g for g, _ in _chain(M)]
 
 
-def _extend(M: FiniteModule, N: FiniteModule, gens, images):
-    """Close a generator assignment under + and action; None on conflict."""
-    img = [-1] * M.size
-    img[M.zero] = N.zero
-    for g, u in zip(gens, images):
-        if img[g] >= 0 and img[g] != u:
-            return None
-        img[g] = u
-    changed = True
-    while changed:
-        changed = False
-        known = [x for x in range(M.size) if img[x] >= 0]
-        for x in known:
-            ix = img[x]
-            for r in range(M.ring.size):
-                z, v = M.action[x][r], N.action[ix][r]
-                if img[z] < 0:
-                    img[z] = v
-                    changed = True
-                elif img[z] != v:
-                    return None
-        known = [x for x in range(M.size) if img[x] >= 0]
-        for x in known:
-            for y in known:
-                z, v = M.add[x][y], N.add[img[x]][img[y]]
-                if img[z] < 0:
-                    img[z] = v
-                    changed = True
-                elif img[z] != v:
-                    return None
-    if any(v < 0 for v in img):  # generators failed to span M
-        return None
-    return tuple(img)
+def _extend(M: FiniteModule, N: FiniteModule, span: set[int], h: list[int], g: int, u: int):
+    """h, known on the submodule span, extended by a + g.r -> h(a) + u.r; None on conflict."""
+    t = h.copy()
+    for gr, ur in set(zip(M.action[g], N.action[u])):
+        add_gr, add_ur = M.add[gr], N.add[ur]
+        for a in span:
+            z, v = add_gr[a], add_ur[h[a]]
+            if t[z] < 0:
+                t[z] = v
+            elif t[z] != v:
+                return None
+    return t
 
 
 def hom_group(M: FiniteModule, N: FiniteModule) -> list[ModHom]:
-    """All right-linear maps M -> N, sorted by value table."""
+    """All right-linear maps M -> N, sorted by value table; SpecError beyond HOM_BUDGET."""
     if not same_ring(M.ring, N.ring):
         raise ValueError("hom_group needs modules over the same ring")
-    gens = generating_set(M)
-    found = []
-    for images in product(range(N.size), repeat=len(gens)):
-        table = _extend(M, N, gens, images)
-        if table is None:
-            continue
-        h = ModHom(M, N, table)
-        if h.is_valid():
-            found.append(h)
-    found.sort(key=lambda h: h.table)
-    return found
+    partial = [[N.zero if x == M.zero else -1 for x in range(M.size)]]
+    for g, span in _chain(M):
+        steps = len(partial) * N.size * (M.size + len(span) * M.ring.size)
+        if steps > HOM_BUDGET:
+            raise SpecError(f"Hom({M.name}, {N.name}) needs up to {steps} steps to extend "
+                            f"along generator {g}, beyond budget {HOM_BUDGET}")
+        partial = [t for h in partial for u in range(N.size)
+                   if (t := _extend(M, N, span, h, g, u)) is not None]
+    return [ModHom(M, N, tuple(t)) for t in sorted(partial)]
 
 
 def dual(M: FiniteModule, ring_module: FiniteModule | None = None) -> list[ModHom]:
@@ -139,6 +105,9 @@ class EndoRing(FiniteRing):
     def __init__(self, module: FiniteModule, maps: list[ModHom], involution=None):
         self.module = module
         self.maps = list(maps)
+        if len(self.maps) > MAX_RING_SIZE:
+            raise AxiomError(f"End({module.name}) has {len(self.maps)} elements, "
+                             f"beyond cap {MAX_RING_SIZE}")
         self._index = {h.table: i for i, h in enumerate(self.maps)}
         add = [[self._index[tuple(module.add[x.table[k]][y.table[k]]
                                   for k in range(module.size))]
@@ -166,17 +135,11 @@ def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
 def smash(M: FiniteModule, S: EndoRing, m: int, phi) -> int:
     """Index in S of the endomorphism x -> m.phi(x).
 
-    phi may be a ModHom into R_R or a raw value table.  The map is always
-    additive and linear, so a lookup failure signals an enumeration bug.
+    phi may be a ModHom into R_R or a raw value table.  The map is phi
+    followed by the hom r -> m.r from R_R to M, so it lies in S.
     """
     table = phi.table if isinstance(phi, ModHom) else tuple(phi)
-    smashed = tuple(M.action[m][table[x]] for x in range(M.size))
-    try:
-        return S.index_of(smashed)
-    except KeyError:
-        raise RuntimeError(
-            f"smash({m}, ...) produced a map missing from End({M.name}); "
-            "hom enumeration is incomplete") from None
+    return S.index_of(tuple(M.action[m][table[x]] for x in range(M.size)))
 
 
 def eval_pair(phi, m: int) -> int:

@@ -43,6 +43,11 @@ def _identity(table) -> int | None:
     return next((e for e in rng if all(table[e][x] == x == table[x][e] for x in rng)), None)
 
 
+def _check_size(n: int, cap: int, kind: str) -> None:
+    if n > cap:
+        raise AxiomError(f"{kind} size {n} exceeds cap {cap}")
+
+
 def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list[int]]:
     """Check ``add`` as the addition of an abelian group on 0..n-1, n <= cap: shape and
     range, a zero, negatives and commutativity (associativity is cubic and left to the
@@ -50,8 +55,7 @@ def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list
     if not isinstance(add, (list, tuple)):
         raise AxiomError(f"{kind} add table is not a list of rows")
     n = len(add)
-    if n > cap:
-        raise AxiomError(f"{kind} size {n} exceeds cap {cap}")
+    _check_size(n, cap, kind)
     add = checked_table(add, n, n, n, f"{kind} add")
     zero = _identity(add)
     if zero is None:  # also when the carrier is empty
@@ -197,6 +201,7 @@ def build_zn(n: int) -> FiniteRing:
     """Integers mod n.  n = 1 gives the zero ring (zero = one)."""
     if n < 1:
         raise SpecError("modulus must be positive")
+    _check_size(n, MAX_RING_SIZE, "ring")
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[a * b % n for b in range(n)] for a in range(n)]
     return FiniteRing(add, mul, name=f"Z{n}")
@@ -206,6 +211,7 @@ def build_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Componentwise product; element (x, y) sits at index x*|r2| + y."""
     n2 = r2.size
     size = r1.size * n2
+    _check_size(size, MAX_RING_SIZE, "ring")
 
     def enc(x, y):
         return x * n2 + y

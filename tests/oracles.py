@@ -58,8 +58,21 @@ def zm_over_zn_tables(m, n):
     return add, action
 
 
+def f2_power_tables(k):
+    """F2^k over Z2: xor addition, action by 0/1."""
+    n = 2 ** k
+    add = [[x ^ y for y in range(n)] for x in range(n)]
+    action = [[0, x] for x in range(n)]
+    return add, action
+
+
 def klein_four_tables():
     """F2 x F2 over Z2: xor addition, action by 0/1."""
-    add = [[x ^ y for y in range(4)] for x in range(4)]
-    action = [[0, x] for x in range(4)]
-    return add, action
+    return f2_power_tables(2)
+
+
+def f2_power_spec(k):
+    """F2^k over Z2 in the module definition-file form."""
+    add, action = f2_power_tables(k)
+    return {"kind": "tables", "name": f"F2^{k}", "ring": {"kind": "Zn", "n": 2},
+            "add": add, "action": action}

@@ -6,7 +6,7 @@ import pytest
 
 from modorder import cli
 
-from oracles import klein_four_tables
+from oracles import f2_power_spec, klein_four_tables
 
 
 def run_cli(*argv):
@@ -226,3 +226,15 @@ def test_spec_field_of_wrong_type(tmp_path, flag, spec):
     path.write_text(json.dumps(spec))
     code, _, err = run_cli(flag.strip("-"), flag, str(path))
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("k,reason", [(4, "End(F2^4) has 65536 elements"), (6, "budget")])
+def test_module_beyond_caps_refused(tmp_path, child_env, k, reason):
+    """F2^4/Z2 has 2^16 endomorphisms; F2^6/Z2 needs an extension step beyond the budget."""
+    path = tmp_path / f"f2_{k}.json"
+    path.write_text(json.dumps(f2_power_spec(k)))
+    proc = subprocess.run([sys.executable, "-m", "modorder.cli", "module", "--module", str(path)],
+                          capture_output=True, text=True, env=child_env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert reason in proc.stderr

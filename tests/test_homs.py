@@ -1,9 +1,11 @@
+from functools import reduce
+
 import pytest
 
 import modorder as mo
 from modorder.homs import ModHom
 
-from oracles import brute_homs, klein_four_tables, zm_over_zn_tables
+from oracles import brute_homs, f2_power_tables, klein_four_tables, zm_over_zn_tables
 
 
 def test_generating_set_cyclic():
@@ -205,3 +207,44 @@ def test_dual_matches_brute_force_klein(klein_four):
     rmul = [[0, 0], [0, 1]]
     expected = brute_homs(add, action, radd, rmul, 2)
     assert [h.table for h in klein_four.dual] == expected
+
+
+def test_dual_matches_brute_force_f2_cubed():
+    add, action = f2_power_tables(3)
+    module = mo.build_module_from_tables(mo.build_zn(2), add, action, name="F2^3")
+    expected = brute_homs(add, action, [[0, 1], [1, 0]], [[0, 0], [0, 1]], 2)
+    assert len(expected) == 8
+    assert [h.table for h in mo.dual(module)] == expected
+
+
+# -- enumeration of Hom(R_R, R_R) against left multiplications ----------------------
+
+# Right-linear maps R_R -> R_R are exactly x -> a.x, one for each a in R.  Z2^6
+# has six greedy generators and 64^6 generator assignments.
+ORACLE_RINGS = ("Z2xZ2xZ2xZ2xZ2xZ2", "Z2xZ2xZ2xZ4", "Z2xZ4xZ8", "M2(Z2)")
+
+
+@pytest.fixture(scope="module")
+def oracle_contexts():
+    contexts = {}
+    for name in ORACLE_RINGS:
+        ring = (mo.build_matrix_ring(2) if name == "M2(Z2)" else
+                reduce(mo.build_product, [mo.build_zn(int(f[1:])) for f in name.split("x")]))
+        contexts[name] = mo.ModuleContext(mo.build_ring_as_module(ring), name)
+    return contexts
+
+
+@pytest.mark.parametrize("name", ORACLE_RINGS)
+def test_homs_of_ring_module_are_left_multiplications(oracle_contexts, name):
+    ctx = oracle_contexts[name]
+    R, M = ctx.module.ring, ctx.module
+    expected = sorted(tuple(R.mul[a][x] for x in range(R.size)) for a in range(R.size))
+    assert [h.table for h in mo.hom_group(M, M)] == expected
+    assert list(ctx.dual_tables) == expected
+
+
+def test_enumerated_homs_pass_reference_check(corpus, oracle_contexts):
+    """The enumerator does not re-check its tables; ModHom.is_valid does it here."""
+    for ctx in (*corpus.values(), *oracle_contexts.values()):
+        for h in (*ctx.dual, *ctx.endos.maps):
+            assert h.is_valid(), (ctx.name, h.table)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +128,16 @@ def test_from_tables_bad_involution():
 def test_ring_size_cap():
     with pytest.raises(AxiomError, match="cap"):
         mo.build_zn(257)
+
+
+def test_size_cap_checked_before_tables():
+    z20 = mo.build_zn(20)
+    start = time.perf_counter()
+    for build in (lambda: mo.build_zn(100000), lambda: mo.build_product(z20, z20),
+                  lambda: mo.build_zm_over_zn(2, 100000)):
+        with pytest.raises(AxiomError, match="cap"):
+            build()
+    assert time.perf_counter() - start < 0.05  # building the tables would take far longer
 
 
 def test_ring_from_spec_roundtrip():
