@@ -223,8 +223,11 @@ def cmd_hasse(args, out=None) -> int:
         return 0
     dot = hasse_mod.to_dot(poset)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dot)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise SpecError(f"{args.out}: {exc.strerror}") from None
         print(f"wrote {args.out}: {len(poset.elements)} nodes, "
               f"{len(poset.covers)} edges", file=out)
     else:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .rings import (FULL_CHECK_SIZE, AxiomError, FiniteRing, SpecError, additive_group,
-                    build_zn, checked_table, ring_from_spec, spec_field, spec_int)
+from .rings import (AxiomError, FiniteRing, SpecError, additive_group, build_zn,
+                    check_add_associative, check_additive, checked_table, greedy_generators,
+                    ring_from_spec, spec_field, spec_int)
 
 MAX_MODULE_SIZE = 64
 
@@ -20,10 +22,9 @@ class FiniteModule:
 
     def __init__(self, ring: FiniteRing, add, action, *, name=None):
         self.ring, self.add, self.action = ring, add, action
-        if ring.size <= FULL_CHECK_SIZE and self.is_ring_as_module():
+        if self.is_ring_as_module():
             # R_R's module laws are the ring's additive-group, distributivity
-            # and associativity laws, which the ring checked in full: it has at
-            # most FULL_CHECK_SIZE = 64 elements, the module size cap.
+            # and associativity laws, which the ring checked in full.
             self.add, self.action = ring.add, ring.mul
             self.size, self.zero, self.neg = ring.size, ring.zero, ring.neg
         else:
@@ -38,32 +39,23 @@ class FiniteModule:
         return self.add == self.ring.add and self.action == self.ring.mul
 
     def validate(self):
-        """Check additive associativity and the four action laws."""
-        n, R = self.size, self.ring
-        rng, rr = range(n), range(R.size)
-        for x in rng:
-            for y in rng:
-                xy = self.add[x][y]
-                for z in rng:
-                    if self.add[xy][z] != self.add[x][self.add[y][z]]:
-                        raise AxiomError(f"module addition not associative at ({x},{y},{z})")
-        for x in rng:
+        """Check every module law where an additive generator of M or R is involved, as
+        ``FiniteRing.validate`` does: + by Light's test; m1 = m; (m+n)r and m(r+s), which
+        say m -> mr and r -> mr are additive; then m(rs) - (mr)s is additive in each
+        argument, so m(rs) = (mr)s on generator triples."""
+        R, gens = self.ring, greedy_generators(self.add, self.zero)
+        rgens = R.additive_generators
+        check_add_associative(self.add, gens, "module addition")
+        for x in range(self.size):
             if self.action[x][R.one] != x:
                 raise AxiomError(f"unitality fails: {x}.1 = {self.action[x][R.one]}")
-        for x in rng:
-            for r in rr:
-                xr = self.action[x][r]
-                for s in rr:
-                    if self.action[x][R.add[r][s]] != self.add[xr][self.action[x][s]]:
-                        raise AxiomError(f"m(r+s) law fails at (m,r,s)=({x},{r},{s})")
-                    if self.action[x][R.mul[r][s]] != self.action[xr][s]:
-                        raise AxiomError(f"m(rs) law fails at (m,r,s)=({x},{r},{s})")
-        for x in rng:
-            for y in rng:
-                xy = self.add[x][y]
-                for r in rr:
-                    if self.action[xy][r] != self.add[self.action[x][r]][self.action[y][r]]:
-                        raise AxiomError(f"(m+n)r law fails at (m,n,r)=({x},{y},{r})")
+        check_additive(list(zip(*self.action)), self.add, self.add, gens,
+                       "(m+n)r law fails at (m,n,r)=({x},{g},{f})")
+        check_additive(self.action, R.add, self.add, rgens,
+                       "m(r+s) law fails at (m,r,s)=({f},{x},{g})")
+        for m, r, s in product(gens, rgens, rgens):
+            if self.action[m][R.mul[r][s]] != self.action[self.action[m][r]][s]:
+                raise AxiomError(f"m(rs) law fails at (m,r,s)=({m},{r},{s})")
 
     def act(self, m: int, r: int) -> int:
         return self.action[m][r]

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .verdicts import AnnihPair, InnerInverse, OrderVerdict, Relation
 
 MAX_RING_SIZE = 256
-FULL_CHECK_SIZE = 64  # beyond this the size^3 axiom loops run only when forced
 
 
 class AxiomError(ValueError):
@@ -50,8 +50,8 @@ def _check_size(n: int, cap: int, kind: str) -> None:
 
 def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list[int]]:
     """Check ``add`` as the addition of an abelian group on 0..n-1, n <= cap: shape and
-    range, a zero, negatives and commutativity (associativity is cubic and left to the
-    caller's validate).  Returns a copy of the table, the zero and the negatives."""
+    range, a zero, negatives and commutativity (associativity is left to the caller's
+    validate).  Returns a copy of the table, the zero and the negatives."""
     if not isinstance(add, (list, tuple)):
         raise AxiomError(f"{kind} add table is not a list of rows")
     n = len(add)
@@ -68,6 +68,42 @@ def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list
             if add[a][b] != add[b][a]:
                 raise AxiomError(f"{kind} addition not commutative at (a,b)=({a},{b})")
     return add, zero, neg
+
+
+def greedy_generators(add, zero: int) -> tuple[int, ...]:
+    """Each element, zero last, that the closure of those before it under the commutative
+    ``add`` misses.  Every element is then some bracketed sum of these generators."""
+    span, gens = set(), []
+    for x in sorted(range(len(add)), key=lambda x: x == zero):
+        if x not in span:
+            gens.append(x)
+            todo = [x]
+            while todo:  # each new member is added to every member so far, once
+                y = todo.pop()
+                if y not in span:
+                    span.add(y)
+                    todo += [add[y][z] for z in span]
+    return tuple(gens)
+
+
+def check_add_associative(add, gens, label: str) -> None:
+    """Light's test: (a+g)+c = a+(g+c) for all a, c and every generator g in ``gens``
+    (see ``FiniteRing.validate`` for why that suffices)."""
+    for g, a in product(gens, range(len(add))):
+        a_plus, ag_plus = add[a], add[add[a][g]]
+        if ag_plus != [a_plus[v] for v in add[g]]:
+            c = next(c for c, v in enumerate(add[g]) if ag_plus[c] != a_plus[v])
+            raise AxiomError(f"{label} not associative at (a,b,c)=({a},{g},{c})")
+
+
+def check_additive(maps, dom_add, cod_add, gens, law: str) -> None:
+    """f(x+g) = f(x)+f(g) for each value table f = maps[i], all x and every generator g
+    of ``dom_add``, or AxiomError(law.format(f=i, x=x, g=g)); this makes f additive."""
+    for g, (i, f) in product(gens, enumerate(maps)):
+        plus_fg = cod_add[f[g]]
+        if [f[v] for v in dom_add[g]] != [plus_fg[v] for v in f]:
+            x = next(x for x, v in enumerate(dom_add[g]) if f[v] != plus_fg[f[x]])
+            raise AxiomError(law.format(f=i, x=x, g=g))
 
 
 class FiniteRing:
@@ -94,24 +130,27 @@ class FiniteRing:
                            else checked_table([involution], 1, n, n, "involution")[0])
         self.validate()
 
-    def validate(self, *, force=False):
-        """Check the cubic ring axioms (size <= 64 unless forced) and the involution laws."""
-        n = self.size
-        rng = range(n)
-        if force or n <= FULL_CHECK_SIZE:
-            for a in rng:
-                for b in rng:
-                    ab, mab = self.add[a][b], self.mul[a][b]
-                    for c in rng:
-                        if self.add[ab][c] != self.add[a][self.add[b][c]]:
-                            raise AxiomError(f"addition not associative at (a,b,c)=({a},{b},{c})")
-                        if self.mul[mab][c] != self.mul[a][self.mul[b][c]]:
-                            raise AxiomError(f"multiplication not associative at (a,b,c)=({a},{b},{c})")
-                        bc = self.add[b][c]
-                        if self.mul[a][bc] != self.add[self.mul[a][b]][self.mul[a][c]]:
-                            raise AxiomError(f"left distributivity fails at (a,b,c)=({a},{b},{c})")
-                        if self.mul[bc][a] != self.add[self.mul[b][a]][self.mul[c][a]]:
-                            raise AxiomError(f"right distributivity fails at (a,b,c)=({a},{b},{c})")
+    @cached_property
+    def additive_generators(self) -> tuple[int, ...]:
+        """Greedy generators of the additive group (see ``greedy_generators``)."""
+        return greedy_generators(self.add, self.zero)
+
+    def validate(self):
+        """Check every ring law where an additive generator g is involved, in O(n^2 |G|)
+        lookups.  (1) + is associative by Light's test (Clifford & Preston 1961): the b
+        with (a+b)+c = a+(b+c) for all a, c are closed under +, as (a+(b+b'))+c =
+        ((a+b)+b')+c = (a+b)+(b'+c) = a+((b+b')+c).  (2) Distributivity: x -> ax and
+        x -> xa are additive, as given (1) the y with f(x+y) = f(x)+f(y) for all x are
+        closed under +.  (3) Given (2), (ab)c - a(bc) is additive in each argument, so
+        associativity of * on G x G x G.  Then the involution laws."""
+        rng, add, mul, gens = range(self.size), self.add, self.mul, self.additive_generators
+        check_add_associative(add, gens, "addition")
+        check_additive(mul, add, add, gens, "left distributivity fails at (a,b,c)=({f},{x},{g})")
+        check_additive(list(zip(*mul)), add, add, gens,
+                       "right distributivity fails at (a,b,c)=({f},{x},{g})")
+        for a, b, c in product(gens, repeat=3):
+            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                raise AxiomError(f"multiplication not associative at (a,b,c)=({a},{b},{c})")
         if self.involution is not None:
             inv = self.involution
             for a in rng:

@@ -76,3 +76,46 @@ def f2_power_spec(k):
     add, action = f2_power_tables(k)
     return {"kind": "tables", "name": f"F2^{k}", "ring": {"kind": "Zn", "n": 2},
             "add": add, "action": action}
+
+
+def ring_law_violations(add, mul):
+    """Every failing ring law as the message the library gives for it, by checking
+    every triple: no identity, associativity of + and *, both distributive laws.
+    The laws hold exactly when the set is empty."""
+    n = len(add)
+    rng = range(n)
+    found = set()
+    if not any(all(mul[e][x] == x == mul[x][e] for x in rng) for e in rng):
+        found.add("no multiplicative identity")
+    for a, b, c in product(rng, repeat=3):
+        at = f" at (a,b,c)=({a},{b},{c})"
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            found.add("addition not associative" + at)
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            found.add("multiplication not associative" + at)
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            found.add("left distributivity fails" + at)
+        if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]:
+            found.add("right distributivity fails" + at)
+    return found
+
+
+def module_law_violations(ring, add, action):
+    """Every failing module law as the message the library gives for it, by checking
+    every triple: associativity of +, m1 = m, (m+n)r, m(r+s) and m(rs).  The laws
+    hold exactly when the set is empty."""
+    rng, rr = range(len(add)), range(ring.size)
+    found = {f"unitality fails: {x}.1 = {action[x][ring.one]}"
+             for x in rng if action[x][ring.one] != x}
+    for a, b, c in product(rng, repeat=3):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            found.add(f"module addition not associative at (a,b,c)=({a},{b},{c})")
+    for m, n, r in product(rng, rng, rr):
+        if action[add[m][n]][r] != add[action[m][r]][action[n][r]]:
+            found.add(f"(m+n)r law fails at (m,n,r)=({m},{n},{r})")
+    for m, r, s in product(rng, rr, rr):
+        if action[m][ring.add[r][s]] != add[action[m][r]][action[m][s]]:
+            found.add(f"m(r+s) law fails at (m,r,s)=({m},{r},{s})")
+        if action[m][ring.mul[r][s]] != action[action[m][r]][s]:
+            found.add(f"m(rs) law fails at (m,r,s)=({m},{r},{s})")
+    return found

@@ -3,10 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modorder import cli
 
-from oracles import f2_power_spec, klein_four_tables
+from oracles import f2_power_spec, klein_four_tables, zn_tables
 
 
 def run_cli(*argv):
@@ -154,6 +155,14 @@ def test_hasse_z6(tmp_path):
     assert dot.count("->") == 7
 
 
+def test_hasse_out_unwritable(tmp_path):
+    out_path = tmp_path / "missing" / "z6.dot"
+    code, _, err = run_cli("hasse", "--module", "Z6/Z6", "--rel", "minus-dual",
+                           "--out", str(out_path))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert str(out_path) in err
+
+
 def test_hasse_json():
     code, out, _ = run_cli("hasse", "--module", "Z2/Z2", "--rel", "minus-dual", "--json")
     assert code == 0
@@ -238,3 +247,51 @@ def test_module_beyond_caps_refused(tmp_path, child_env, k, reason):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert reason in proc.stderr
+
+
+def test_large_ring_spec_checked(tmp_path):
+    add, mul = zn_tables(128)
+    mul[2][3] = mul[3][2] = 1
+    path = tmp_path / "z128.json"
+    path.write_text(json.dumps({"kind": "tables", "add": add, "mul": mul}))
+    code, out, err = run_cli("ring", "--ring", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def small_table(base):
+    """A table the shape of ``base`` with entries in -1..n: random, or ``base`` with up
+    to three cells overwritten."""
+    n = len(base)
+    entry = st.integers(-1, n)
+    cells = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), entry), max_size=3)
+
+    def overwrite(cells):
+        table = [list(row) for row in base]
+        for i, j, v in cells:
+            table[i][j] = v
+        return table
+    random_table = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return random_table | cells.map(overwrite)
+
+
+@st.composite
+def tables_ring_specs(draw):
+    n = draw(st.integers(1, 4))
+    add, mul = zn_tables(n)
+    spec = {"kind": "tables", "add": draw(small_table(add)), "mul": draw(small_table(mul))}
+    involution = draw(st.none() | st.just(list(range(n)))
+                      | st.lists(st.integers(-1, n), min_size=n - 1, max_size=n + 1))
+    if involution is not None:
+        spec["involution"] = involution
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_ring_specs())
+def test_random_ring_spec_exits_0_or_2(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("spec") / "ring.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli("ring", "--ring", str(path))
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error: ")

@@ -71,7 +71,7 @@ def test_endo_ring_of_paper_module(z6_over_z30):
     s = z6_over_z30.endos
     assert s.size == 6
     assert s.maps[s.one].table == (0, 1, 2, 3, 4, 5)
-    s.validate(force=True)  # full ring-axiom pass
+    s.validate()  # full ring-axiom pass
 
 
 def test_endo_ring_of_z10_model(z10_over_z10):
@@ -95,7 +95,7 @@ def test_endo_ring_noncommutative(klein_four):
     assert s.size == 16
     assert not s.is_commutative()
     assert s.involution is None  # no automatic involution off the commutative case
-    s.validate(force=True)
+    s.validate()
 
 
 def test_smash_examples(z6_over_z30):

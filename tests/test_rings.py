@@ -96,8 +96,8 @@ def test_matrix_ring_rejects_bad_args():
 
 
 def test_matrix_ring_full_axiom_check():
-    # size 81 skips the cubic loops by default; force them once
-    mo.build_matrix_ring(3).validate(force=True)
+    # size 81: every ring law runs on construction; run them once more
+    mo.build_matrix_ring(3).validate()
 
 
 def test_from_tables_valid():
@@ -111,6 +111,14 @@ def test_from_tables_broken_associativity():
     mul[2][3] = 1  # corrupt one product; a cubic law must fail, naming its triple
     with pytest.raises(AxiomError, match=r"\(a,b,c\)=\(\d+,\d+,\d+\)"):
         mo.build_ring_from_tables(add, mul)
+
+
+def test_rings_of_every_size_checked():
+    add, mul = zn_tables(128)
+    mul[2][3] = mul[3][2] = 1  # still commutative, with 1 as identity
+    with pytest.raises(AxiomError, match=r"\(a,b,c\)=\(\d+,\d+,\d+\)"):
+        mo.build_ring_from_tables(add, mul)
+    assert mo.build_matrix_ring(3).size == 81 and mo.build_zn(256).size == 256
 
 
 def test_from_tables_mismatched_sizes():
