@@ -11,14 +11,11 @@ from .rings import (AxiomError, FiniteRing, RickartCert, SpecError, build_matrix
                     hartwig_minus_le, idempotent_annih_identity, is_proper_star,
                     is_rickart, is_rickart_star, ring_from_spec, ring_minus_le_annih,
                     ring_to_spec, same_ring, vn_regular_witness)
-from .modules import (FiniteModule, Submodule, build_module_from_tables,
-                      build_ring_as_module, build_zm_over_zn, cyclic_submodule,
-                      intersect, is_internal_direct_sum, module_from_spec,
-                      module_to_spec, right_ann, sum_of_sets)
-from .homs import (EndoRing, ModHom, ModuleContext, dual, dual_as_module,
-                   endo_ring, eval_pair,
-                   generating_set, hom_group, image_set, left_ann_S, m_times,
-                   s_orbit, smash)
+from .modules import (FiniteModule, build_module_from_tables, build_ring_as_module,
+                      build_zm_over_zn, cyclic_submodule, is_direct_sum, module_from_spec,
+                      module_to_spec, right_ann)
+from .homs import (EndoRing, ModHom, ModuleContext, dual, dual_as_module, endo_ring,
+                   generating_set, hom_group, left_ann_S, m_times, s_orbit, smash)
 from .orders import (EQUIVALENT_FAMILY, RELATIONS, corollary_gb_le, direct_sum_le,
                      evaluate, is_regular_element, is_regular_module, jones_le,
                      left_star_le, minus_le_dual, minus_le_idem, minus_le_image,

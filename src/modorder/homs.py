@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .modules import FiniteModule, Submodule, build_ring_as_module, right_ann
+from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, right_ann
 from .rings import MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, same_ring
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
@@ -142,21 +142,9 @@ def smash(M: FiniteModule, S: EndoRing, m: int, phi) -> int:
     return S.index_of(tuple(M.action[m][table[x]] for x in range(M.size)))
 
 
-def eval_pair(phi, m: int) -> int:
-    """phi(m), as a ring element."""
-    table = phi.table if isinstance(phi, ModHom) else phi
-    return table[m]
-
-
 def left_ann_S(M: FiniteModule, S: EndoRing, m: int) -> frozenset[int]:
     """l_S(m) = {f in S : f(m) = 0}, as a set of S indices."""
     return frozenset(i for i, h in enumerate(S.maps) if h.table[m] == M.zero)
-
-
-def image_set(S: EndoRing, f: int) -> Submodule:
-    """fM, materialized (it is a genuine submodule)."""
-    M = S.module
-    return Submodule(M, frozenset(S.maps[f].table))
 
 
 def s_orbit(S: EndoRing, m: int) -> frozenset[int]:
@@ -229,42 +217,16 @@ class ModuleContext:
         return endo_ring(self.module, involution=self.endo_involution)
 
     @cached_property
-    def _l_S(self) -> tuple[frozenset[int], ...]:
-        return tuple(left_ann_S(self.module, self.endos, m)
-                     for m in range(self.module.size))
+    def l_S(self) -> tuple[frozenset[int], ...]:
+        """l_S(m) = {f in S : f(m) = 0}, the left annihilator in S, indexed by m."""
+        return tuple(left_ann_S(self.module, self.endos, m) for m in range(self.module.size))
 
     @cached_property
-    def _r_R(self) -> tuple[frozenset[int], ...]:
+    def r_R(self) -> tuple[frozenset[int], ...]:
+        """r_R(m) = {r in R : m.r = 0}, the right annihilator in R, indexed by m."""
         return tuple(right_ann(self.module, m) for m in range(self.module.size))
-
-    def l_S(self, m: int) -> frozenset[int]:
-        """Left annihilator of a module element inside S."""
-        return self._l_S[m]
-
-    def r_R(self, m: int) -> frozenset[int]:
-        """Right annihilator of a module element inside R."""
-        return self._r_R[m]
-
-    @cached_property
-    def _l_S_ring(self) -> tuple[frozenset[int], ...]:
-        S = self.endos
-        return tuple(S.left_ann(f) for f in range(S.size))
-
-    def l_S_of_endo(self, f: int) -> frozenset[int]:
-        """Left annihilator of f taken inside the ring S itself."""
-        return self._l_S_ring[f]
-
-    @cached_property
-    def _r_R_ring(self) -> tuple[frozenset[int], ...]:
-        R = self.module.ring
-        return tuple(R.right_ann(a) for a in range(R.size))
-
-    def r_R_of_elem(self, a: int) -> frozenset[int]:
-        """Right annihilator of a ring element inside R."""
-        return self._r_R_ring[a]
 
     @cached_property
     def cyclic(self) -> tuple[frozenset[int], ...]:
-        M = self.module
-        return tuple(frozenset(M.action[m][r] for r in range(M.ring.size))
-                     for m in range(M.size))
+        """mR, indexed by m."""
+        return tuple(cyclic_submodule(self.module, m) for m in range(self.module.size))

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from . import orders
 from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
-from .rings import (build_matrix_ring, build_product, build_zn, hartwig_minus_le,
-                    is_rickart_star, ring_minus_le_annih, vn_regular_witness)
+from .rings import (AxiomError, SpecError, build_matrix_ring, build_product, build_zn,
+                    hartwig_minus_le, is_rickart_star, ring_minus_le_annih,
+                    vn_regular_witness)
 from .verdicts import OrderVerdict
 
 
@@ -162,7 +163,7 @@ def _implication(law: str, minus: RelationMatrix, consequence) -> LawReport:
 def check_annihilator_monotone(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     """m1 <= m2 implies l_S(m2) <= l_S(m1) and r_R(m2) <= r_R(m1)."""
     return _implication("annihilator-monotone", minus,
-                        lambda i, j: ctx.l_S(j) <= ctx.l_S(i) and ctx.r_R(j) <= ctx.r_R(i))
+                        lambda i, j: ctx.l_S[j] <= ctx.l_S[i] and ctx.r_R[j] <= ctx.r_R[i])
 
 
 @_timed
@@ -184,22 +185,23 @@ def find_converse_gap(ctx: ModuleContext) -> list[tuple[int, int]]:
     gaps = []
     for m1 in range(M.size):
         for m2 in range(M.size):
-            if ctx.l_S(m2) <= ctx.l_S(m1) and ctx.r_R(m2) <= ctx.r_R(m1):
+            if ctx.l_S[m2] <= ctx.l_S[m1] and ctx.r_R[m2] <= ctx.r_R[m1]:
                 if not orders.minus_le_dual(ctx, m1, m2).holds:
                     gaps.append((m1, m2))
     return gaps
 
 
 @_timed
-def check_witness_constructions(ctx: ModuleContext, member: str | None = None) -> LawReport:
+def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> LawReport:
     """Constructions attached to regularity witnesses, plus the equality chain.
 
     For every regular m and every witnessing functional phi: phi(m) is
     idempotent in R, x -> m.phi(x) is idempotent in S, and M = mR (+) N with
-    N = {n : m.phi(n) = 0}.  For every pair related by the idempotent form,
-    the returned (f, a) satisfies m1 = f m1 = f m2 = m1 a = m2 a.
+    N = {n : m.phi(n) = 0}.  For every pair related in ``idem``, the
+    ``minus-idem`` matrix, its witness (f, a) satisfies
+    m1 = f m1 = f m2 = m1 a = m2 a.
     """
-    member = member or ctx.name
+    member = idem.member
     M, S, R = ctx.module, ctx.endos, ctx.module.ring
     checks = 0
     for m in range(M.size):
@@ -218,9 +220,8 @@ def check_witness_constructions(ctx: ModuleContext, member: str | None = None) -
             except AssertionError:
                 return LawReport("witness-constructions", member, "fail",
                                  {"kind": "decomposition", "element": m}, checks)
-    for m1 in range(M.size):
-        for m2 in range(M.size):
-            v = orders.minus_le_idem(ctx, m1, m2)
+    for m1, row in enumerate(idem.verdicts):
+        for m2, v in enumerate(row):
             if not v.holds:
                 continue
             checks += 1
@@ -312,14 +313,16 @@ def member_laws(ctx: ModuleContext) -> list[LawReport]:
     dom_main = {(i, j) for i in reg_dom for j in range(n)}
     reports.append(check_equivalence(minus, idem, dom_main))
 
+    mitsch = relation_matrix(ctx, "mitsch")
     for tag in ("minus-relaxed", "minus-image", "jones", "mitsch", "gb"):
         if regular:
-            reports.append(check_equivalence(minus, relation_matrix(ctx, tag)))
+            reports.append(check_equivalence(
+                minus, mitsch if tag == "mitsch" else relation_matrix(ctx, tag)))
         else:
             na(f"equiv/minus-dual~{tag}")
 
-    reports.append(check_equivalence(relation_matrix(ctx, "mitsch"),
-                                     relation_matrix(ctx, "mitsch-sym")))
+    reports.append(check_equivalence(mitsch, relation_matrix(ctx, "mitsch-sym")))
+    del mitsch  # peak memory counts the matrices alive at once
 
     dom_both = {(i, j) for i in reg_dom for j in reg_dom}
     reports.append(check_equivalence(minus, relation_matrix(ctx, "dsum"), dom_both))
@@ -331,7 +334,7 @@ def member_laws(ctx: ModuleContext) -> list[LawReport]:
 
     reports.append(check_annihilator_monotone(ctx, minus))
     reports.append(check_subset_cyclic(ctx, minus))
-    reports.append(check_witness_constructions(ctx))
+    reports.append(check_witness_constructions(ctx, idem))
 
     if ctx.module.is_ring_as_module() and all(
             vn_regular_witness(ctx.module.ring, a) is not None
@@ -344,14 +347,15 @@ def member_laws(ctx: ModuleContext) -> list[LawReport]:
 
 
 def run_suite(corpus, law_filter: str | None = None) -> list[LawReport]:
-    """All laws over all corpus members; per-member failures stay isolated."""
+    """All laws over all corpus members.  A member refused by a size cap or budget
+    (SpecError, AxiomError) stops the suite with an error of the same type that
+    names the member; any other exception propagates as it is."""
     reports = []
     for ctx in corpus:
         try:
-            member = member_laws(ctx)
-        except Exception as exc:  # pragma: no cover - defensive isolation
-            member = [LawReport("suite", ctx.name, "fail", {"error": repr(exc)})]
-        reports.extend(member)
+            reports.extend(member_laws(ctx))
+        except (SpecError, AxiomError) as exc:
+            raise type(exc)(f"corpus member {ctx.name}: {exc}") from None
     if law_filter:
         reports = [r for r in reports if law_filter in r.law]
     return reports

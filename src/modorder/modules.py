@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .rings import (AxiomError, FiniteRing, SpecError, additive_group, build_zn,
@@ -64,32 +63,12 @@ class FiniteModule:
         return self.add[x][self.neg[y]]
 
 
-# -- submodule sets ------------------------------------------------------------
+# -- element sets ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Submodule:
-    """A materialized submodule: the full member set, tied to its parent."""
-
-    module: FiniteModule
-    members: frozenset[int]
-
-    def __post_init__(self):
-        M = self.module
-        if M.zero not in self.members:
-            raise AxiomError("submodule misses zero")
-        for x in self.members:
-            for y in self.members:
-                if M.add[x][y] not in self.members:
-                    raise AxiomError(f"set not closed under addition at ({x},{y})")
-            for r in range(M.ring.size):
-                if M.action[x][r] not in self.members:
-                    raise AxiomError(f"set not closed under action at ({x},{r})")
-
-
-def cyclic_submodule(M: FiniteModule, m: int) -> Submodule:
+def cyclic_submodule(M: FiniteModule, m: int) -> frozenset[int]:
     """mR = {m.r : r in R}"""
-    return Submodule(M, frozenset(M.action[m][r] for r in range(M.ring.size)))
+    return frozenset(M.action[m])
 
 
 def right_ann(M: FiniteModule, m: int) -> frozenset[int]:
@@ -97,33 +76,10 @@ def right_ann(M: FiniteModule, m: int) -> frozenset[int]:
     return frozenset(r for r in range(M.ring.size) if M.action[m][r] == M.zero)
 
 
-def _same_parent(a: Submodule, b: Submodule):
-    if a.module is not b.module:
-        raise ValueError("submodules belong to different modules")
-
-
-def sum_of_sets(a: Submodule, b: Submodule) -> Submodule:
-    _same_parent(a, b)
-    M = a.module
-    return Submodule(M, frozenset(M.add[x][y] for x in a.members for y in b.members))
-
-
-def intersect(a: Submodule, b: Submodule) -> Submodule:
-    _same_parent(a, b)
-    return Submodule(a.module, a.members & b.members)
-
-
 def is_direct_sum(M: FiniteModule, a, b, target) -> bool:
     """A + B = target with A intersect B = {0}, for sets of elements of M."""
     return (set(a).intersection(b) == {M.zero}
             and {M.add[x][y] for x in a for y in b} == target)
-
-
-def is_internal_direct_sum(a: Submodule, b: Submodule, target: Submodule) -> bool:
-    """A + B = target with A intersect B = {0}."""
-    _same_parent(a, b)
-    _same_parent(a, target)
-    return is_direct_sum(a.module, a.members, b.members, target.members)
 
 
 # -- constructors ----------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import partial
 from operator import eq, le
 
 from .homs import ModuleContext, m_times, s_orbit
-from .modules import Submodule, cyclic_submodule, is_direct_sum
+from .modules import cyclic_submodule, is_direct_sum
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
                        OrderVerdict, Relation)
 
@@ -57,11 +57,12 @@ def is_regular_module(ctx: ModuleContext):
     return True, None
 
 
-def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, Submodule]:
+def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozenset[int]]:
     """e = phi(m) and N = {n : m.phi(n) = 0}; decomposes M as mR (+) N.
 
     phi must witness regularity of m (rejected otherwise).  The returned e
-    is idempotent and the decomposition is re-verified before returning.
+    is idempotent.  mR and N, the kernel of the endomorphism x -> m.phi(x),
+    are submodules; mR (+) N = M is re-verified before returning.
     """
     M = ctx.module
     table = phi.table if hasattr(phi, "table") else tuple(phi)
@@ -69,10 +70,9 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, Submodu
         raise ValueError(f"functional does not witness regularity of {m}")
     e = table[m]
     assert M.ring.mul[e][e] == e
-    n_set = Submodule(M, frozenset(n for n in range(M.size)
-                                   if M.action[m][table[n]] == M.zero))
-    if not is_direct_sum(M, cyclic_submodule(M, m).members, n_set.members,
-                         frozenset(range(M.size))):
+    row = M.action[m]
+    n_set = frozenset(n for n in range(M.size) if row[table[n]] == M.zero)
+    if not is_direct_sum(M, cyclic_submodule(M, m), n_set, frozenset(range(M.size))):
         raise AssertionError(f"decomposition failed for m={m}")
     return e, n_set
 
@@ -117,13 +117,14 @@ def _annihilator_clauses(same):
     ``same`` is the comparison ~: equality, or inclusion for the relaxed form.
     """
     def clauses(ctx: ModuleContext, m1: int, m2: int, fs, as_):
-        maps, row1, row2 = ctx.endos.maps, ctx.module.action[m1], ctx.module.action[m2]
-        l1, r1 = ctx.l_S(m1), ctx.r_R(m1)
+        S, R = ctx.endos, ctx.module.ring
+        row1, row2 = ctx.module.action[m1], ctx.module.action[m2]
+        lann, rann, l1, r1 = S.left_anns, R.right_anns, ctx.l_S[m1], ctx.r_R[m1]
         for f in fs:
-            t = maps[f].table
-            if same(ctx.l_S_of_endo(f), l1) and t[m1] == t[m2]:
+            t = S.maps[f].table
+            if same(lann[f], l1) and t[m1] == t[m2]:
                 for a in as_:
-                    if same(ctx.r_R_of_elem(a), r1) and row1[a] == row2[a]:
+                    if same(rann[a], r1) and row1[a] == row2[a]:
                         yield f, a
     return clauses
 

@@ -209,23 +209,36 @@ class FiniteRing:
         """The projections in ascending order, as a witness pool."""
         return tuple(sorted(self.projections()))
 
-    # -- annihilators and principal one-sided ideals ------------------------------
+    # -- annihilators and principal one-sided ideals, per element -------------------
 
-    def left_ann(self, a: int) -> frozenset[int]:
-        """{x : x*a = 0}"""
-        return frozenset(x for x in range(self.size) if self.mul[x][a] == self.zero)
+    @cached_property
+    def left_anns(self) -> tuple[frozenset[int], ...]:
+        """l(a) = {x : x*a = 0}, indexed by a."""
+        return _shared(frozenset(x for x, v in enumerate(col) if v == self.zero)
+                       for col in zip(*self.mul))
 
-    def right_ann(self, a: int) -> frozenset[int]:
-        """{x : a*x = 0}"""
-        return frozenset(x for x in range(self.size) if self.mul[a][x] == self.zero)
+    @cached_property
+    def right_anns(self) -> tuple[frozenset[int], ...]:
+        """r(a) = {x : a*x = 0}, indexed by a."""
+        return _shared(frozenset(x for x, v in enumerate(row) if v == self.zero)
+                       for row in self.mul)
 
-    def principal_right(self, e: int) -> frozenset[int]:
-        """e*R"""
-        return frozenset(self.mul[e][x] for x in range(self.size))
+    @cached_property
+    def left_ideals(self) -> tuple[frozenset[int], ...]:
+        """R*e, indexed by e."""
+        return _shared(frozenset(col) for col in zip(*self.mul))
 
-    def principal_left(self, e: int) -> frozenset[int]:
-        """R*e"""
-        return frozenset(self.mul[x][e] for x in range(self.size))
+    @cached_property
+    def right_ideals(self) -> tuple[frozenset[int], ...]:
+        """e*R, indexed by e."""
+        return _shared(frozenset(row) for row in self.mul)
+
+
+def _shared(sets) -> tuple[frozenset[int], ...]:
+    """The sets as a tuple in which equal sets are one object: a ring has few distinct
+    ideals and annihilators, and hashed sets of equal size compare by hash first."""
+    seen = {}
+    return tuple(seen.setdefault(s, s) for s in sets)
 
 
 # -- constructors ------------------------------------------------------------
@@ -272,14 +285,12 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
-def build_matrix_ring(p: int, k: int = 2) -> FiniteRing:
+def build_matrix_ring(p: int) -> FiniteRing:
     """2x2 matrices over Z_p with transpose as involution.
 
-    Matrix ((a,b),(c,d)) sits at index a*p^3 + b*p^2 + c*p + d.  Only k = 2
-    is supported and p must be prime (so the entries form a field).
+    Matrix ((a,b),(c,d)) sits at index a*p^3 + b*p^2 + c*p + d.  p must be
+    prime (so the entries form a field).
     """
-    if k != 2:
-        raise SpecError("only 2x2 matrix rings are supported")
     if not _is_prime(p):
         raise SpecError(f"{p} is not prime")
     if p ** 4 > MAX_RING_SIZE:
@@ -367,13 +378,12 @@ def _hartwig_clauses(ring: FiniteRing, a: int, b: int, xs):
 def _annih_clauses(ring: FiniteRing, a: int, b: int, ps, qs):
     """Annihilator form of the ring minus order: idempotents p, q with
     l(a) = R(1-p), r(a) = (1-q)R, pa = pb and aq = bq."""
-    mul = ring.mul
-    lann, rann = ring.left_ann(a), ring.right_ann(a)
+    mul, one, left, right = ring.mul, ring.one, ring.left_ideals, ring.right_ideals
+    lann, rann = ring.left_anns[a], ring.right_anns[a]
     for p in ps:
-        if ring.principal_left(ring.sub(ring.one, p)) == lann and mul[p][a] == mul[p][b]:
+        if left[ring.sub(one, p)] == lann and mul[p][a] == mul[p][b]:
             for q in qs:
-                if (ring.principal_right(ring.sub(ring.one, q)) == rann
-                        and mul[a][q] == mul[b][q]):
+                if right[ring.sub(one, q)] == rann and mul[a][q] == mul[b][q]:
                     yield p, q
 
 
@@ -399,8 +409,8 @@ def idempotent_annih_identity(ring: FiniteRing, p: int) -> bool:
     if ring.mul[p][p] != p:
         raise ValueError(f"{p} is not idempotent in {ring.name}")
     comp = ring.sub(ring.one, p)
-    return (ring.principal_left(comp) == ring.left_ann(p)
-            and ring.principal_right(comp) == ring.right_ann(p))
+    return (ring.left_ideals[comp] == ring.left_anns[p]
+            and ring.right_ideals[comp] == ring.right_anns[p])
 
 
 # -- whole-ring certificates ---------------------------------------------------
@@ -420,13 +430,12 @@ class RickartCert:
 
 
 def _rickart_cert(ring: FiniteRing, gens) -> RickartCert:
-    right_of = {e: ring.principal_right(e) for e in gens}
-    left_of = {e: ring.principal_left(e) for e in gens}
+    right, left = ring.right_ideals, ring.left_ideals
     witnesses = {}
     for a in range(ring.size):
-        rann, lann = ring.right_ann(a), ring.left_ann(a)
-        p = next((e for e in gens if right_of[e] == rann), None)
-        q = next((e for e in gens if left_of[e] == lann), None)
+        rann, lann = ring.right_anns[a], ring.left_anns[a]
+        p = next((e for e in gens if right[e] == rann), None)
+        q = next((e for e in gens if left[e] == lann), None)
         if p is None or q is None:
             return RickartCert(False, witnesses, failure=a)
         witnesses[a] = (p, q)

@@ -78,6 +78,13 @@ def f2_power_spec(k):
             "add": add, "action": action}
 
 
+def is_submodule(module, members):
+    """Whether a set of elements holds zero and is closed under + and the action."""
+    return (module.zero in members
+            and all(module.add[x][y] in members for x in members for y in members)
+            and all(v in members for x in members for v in module.action[x]))
+
+
 def ring_law_violations(add, mul):
     """Every failing ring law as the message the library gives for it, by checking
     every triple: no identity, associativity of + and *, both distributive laws.

@@ -249,6 +249,22 @@ def test_module_beyond_caps_refused(tmp_path, child_env, k, reason):
     assert reason in proc.stderr
 
 
+def test_verify_member_beyond_caps_refused(tmp_path):
+    """Z6+Z6 over Z6 has 1296 endomorphisms: verify ends in one error naming the member."""
+    pairs = [divmod(x, 6) for x in range(36)]
+    add = [[6 * ((a + c) % 6) + (b + d) % 6 for c, d in pairs] for a, b in pairs]
+    action = [[6 * (a * r % 6) + b * r % 6 for r in range(6)] for a, b in pairs]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([
+        {"id": "Z2/Z2", "module": {"kind": "ZmOverZn", "m": 2, "n": 2}},
+        {"id": "Z6+Z6/Z6", "module": {"kind": "tables", "ring": {"kind": "Zn", "n": 6},
+                                      "add": add, "action": action}}]))
+    code, out, err = run_cli("verify", "--corpus", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Z6+Z6/Z6" in err and "1296" in err
+
+
 def test_large_ring_spec_checked(tmp_path):
     add, mul = zn_tables(128)
     mul[2][3] = mul[3][2] = 1

@@ -126,12 +126,6 @@ def test_smash_square_law(z6_over_z30, z10_over_z10):
                 assert s.mul[f][f] == g
 
 
-def test_eval_pair(z6_over_z30):
-    phi = next(p for p in z6_over_z30.dual if p.table[1] == 5)
-    assert mo.eval_pair(phi, 2) == 10
-    assert mo.eval_pair(phi, 0) == 0
-
-
 def test_left_ann_S(z10_over_z10):
     s = z10_over_z10.endos
     assert mo.left_ann_S(z10_over_z10.module, s, 2) == {0, 5}
@@ -144,9 +138,17 @@ def test_left_ann_S(z10_over_z10):
                 assert s.mul[g][f] in ann
 
 
+def test_context_families_match_definitions(corpus, klein_four):
+    for ctx in (*corpus.values(), klein_four):
+        M, S = ctx.module, ctx.endos
+        for m in range(M.size):
+            assert ctx.l_S[m] == {f for f in range(S.size) if S.maps[f].table[m] == M.zero}
+            assert ctx.r_R[m] == {r for r in range(M.ring.size) if M.action[m][r] == M.zero}
+            assert ctx.cyclic[m] == {M.action[m][r] for r in range(M.ring.size)}
+
+
 def test_image_orbit_and_times(z6_over_z30):
     m, s = z6_over_z30.module, z6_over_z30.endos
-    assert mo.image_set(s, s.one).members == frozenset(range(6))
     assert mo.s_orbit(s, 1) == frozenset(range(6))
     assert mo.m_times(m, 0) == {0}
 

@@ -2,6 +2,9 @@ import copy
 import functools
 
 import modorder as mo
+import pytest
+
+from modorder import laws
 from modorder.laws import RelationMatrix
 
 
@@ -102,8 +105,8 @@ def test_converse_gap_z10(z10_over_z10):
     assert gaps[0] == (1, 3)  # lexicographically first qualifying pair
     # every reported gap replays: inclusions hold, order fails
     for m1, m2 in gaps:
-        assert z10_over_z10.l_S(m2) <= z10_over_z10.l_S(m1)
-        assert z10_over_z10.r_R(m2) <= z10_over_z10.r_R(m1)
+        assert z10_over_z10.l_S[m2] <= z10_over_z10.l_S[m1]
+        assert z10_over_z10.r_R[m2] <= z10_over_z10.r_R[m1]
         assert not mo.minus_le_dual(z10_over_z10, m1, m2).holds
 
 
@@ -119,7 +122,7 @@ def test_converse_gap_absent_on_small_modules():
 
 def test_witness_constructions(corpus):
     for ctx in corpus.values():
-        r = mo.check_witness_constructions(ctx)
+        r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
         assert r.outcome == "pass", (ctx.name, r.counterexample)
 
 
@@ -159,6 +162,22 @@ def test_run_suite_isolates_and_reports_non_regular_members(z4_over_z4):
     # per-pair-domain laws run on the restricted domain
     assert by_law["equiv/minus-dual~minus-idem"].outcome == "pass"
     assert by_law["equiv/minus-dual~dsum"].outcome == "pass"
+
+
+def test_run_suite_propagates_errors(monkeypatch, z4_over_z4):
+    def broken(ctx):
+        raise RuntimeError("broken member")
+    monkeypatch.setattr(laws, "member_laws", broken)
+    with pytest.raises(RuntimeError, match="broken member"):
+        mo.run_suite([z4_over_z4])
+
+
+def test_member_laws_builds_each_matrix_once(monkeypatch, z6_over_z30):
+    built, real = [], laws.relation_matrix
+    monkeypatch.setattr(laws, "relation_matrix",
+                        lambda ctx, tag: built.append(tag) or real(ctx, tag))
+    mo.member_laws(z6_over_z30)
+    assert "mitsch" in built and len(built) == len(set(built)), built
 
 
 def test_run_suite_law_filter(corpus):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 import modorder as mo
 from modorder.modules import AxiomError, SpecError
 
-from oracles import zm_over_zn_tables
+from oracles import is_submodule, zm_over_zn_tables
 
 
 def test_build_zm_over_zn_paper_module():
@@ -88,16 +88,16 @@ def test_zm_over_zn_always_validates(m, k):
 
 def test_cyclic_submodule_values():
     m = mo.build_zm_over_zn(6, 30)
-    assert mo.cyclic_submodule(m, 5).members == frozenset(range(6))
-    assert mo.cyclic_submodule(m, 2).members == {0, 2, 4}
-    assert mo.cyclic_submodule(m, 0).members == {0}
+    assert mo.cyclic_submodule(m, 5) == frozenset(range(6))
+    assert mo.cyclic_submodule(m, 2) == {0, 2, 4}
+    assert mo.cyclic_submodule(m, 0) == {0}
 
 
 def test_cyclic_contains_element_and_closed():
     m = mo.build_zm_over_zn(6, 30)
     for x in range(m.size):
-        sub = mo.cyclic_submodule(m, x)  # Submodule validates closure on construction
-        assert x in sub.members
+        sub = mo.cyclic_submodule(m, x)
+        assert x in sub and is_submodule(m, sub)
 
 
 def test_right_ann_values():
@@ -116,43 +116,20 @@ def test_right_ann_is_right_ideal():
                 assert m.ring.mul[r][s] in ann
 
 
-def test_sum_and_intersection():
-    m = mo.build_zm_over_zn(6, 30)
-    a = mo.cyclic_submodule(m, 2)   # {0,2,4}
-    b = mo.cyclic_submodule(m, 3)   # {0,3}
-    assert mo.sum_of_sets(a, b).members == frozenset(range(6))
-    assert mo.intersect(a, b).members == {0}
-    zero = mo.cyclic_submodule(m, 0)
-    assert mo.sum_of_sets(a, zero).members == a.members
-
-
-def test_sets_reject_parent_mismatch():
-    m1 = mo.build_zm_over_zn(6, 30)
-    m2 = mo.build_zm_over_zn(6, 6)
-    with pytest.raises(ValueError):
-        mo.sum_of_sets(mo.cyclic_submodule(m1, 2), mo.cyclic_submodule(m2, 2))
-
-
-def test_submodule_rejects_unclosed_set():
-    m = mo.build_zm_over_zn(6, 30)
-    with pytest.raises(AxiomError):
-        mo.Submodule(m, frozenset({0, 2}))  # 2+2 = 4 missing
-
-
 def test_internal_direct_sum():
     m = mo.build_zm_over_zn(6, 30)
     a = mo.cyclic_submodule(m, 2)
     b = mo.cyclic_submodule(m, 3)
-    whole = mo.Submodule(m, frozenset(range(6)))
-    assert mo.is_internal_direct_sum(a, b, whole)
-    assert mo.is_internal_direct_sum(b, a, whole)       # symmetric
-    assert not mo.is_internal_direct_sum(a, a, a)       # intersection is a
+    whole = frozenset(range(6))
+    assert mo.is_direct_sum(m, a, b, whole)
+    assert mo.is_direct_sum(m, b, a, whole)       # symmetric
+    assert not mo.is_direct_sum(m, a, a, a)       # intersection is a
     zero = mo.cyclic_submodule(m, 0)
-    assert mo.is_internal_direct_sum(zero, b, b)
+    assert mo.is_direct_sum(m, zero, b, b)
 
 
 def test_cyclic_matches_ring_principal_on_ring_module():
     r = mo.build_zn(10)
     m = mo.build_ring_as_module(r)
     for a in range(r.size):
-        assert mo.cyclic_submodule(m, a).members == r.principal_right(a)
+        assert mo.cyclic_submodule(m, a) == r.right_ideals[a]

@@ -3,7 +3,7 @@ import pytest
 import modorder as mo
 from modorder.orders import EQUIVALENT_FAMILY
 
-from oracles import brute_minus_dual
+from oracles import brute_minus_dual, is_submodule
 
 
 # -- regularity ---------------------------------------------------------------
@@ -40,14 +40,26 @@ def test_regular_decomposition_paper_example(z6_over_z30):
     phi = next(p for p in z6_over_z30.dual if p.table[1] == 5)
     e, n_set = mo.regular_decomposition(z6_over_z30, 2, phi)
     assert e == 10
-    assert n_set.members == {0, 3}
+    assert n_set == {0, 3}
 
 
 def test_regular_decomposition_zero(z6_over_z30):
     phi = z6_over_z30.dual[0]  # zero functional
     e, n_set = mo.regular_decomposition(z6_over_z30, 0, phi)
     assert e == 0
-    assert n_set.members == frozenset(range(6))
+    assert n_set == frozenset(range(6))
+
+
+def test_regular_decomposition_summands_are_submodules(corpus):
+    for ctx in corpus.values():
+        M = ctx.module
+        for m in range(M.size):
+            for phi in ctx.dual:
+                if M.action[m][phi.table[m]] != m:
+                    continue
+                e, n_set = mo.regular_decomposition(ctx, m, phi)
+                assert is_submodule(M, mo.cyclic_submodule(M, m)), (ctx.name, m)
+                assert is_submodule(M, n_set), (ctx.name, m, phi.table)
 
 
 def test_regular_decomposition_rejects_non_witness(z6_over_z30):
@@ -139,7 +151,7 @@ def test_direct_sum_examples(z6_over_z30, z10_over_z10):
     v = mo.direct_sum_le(z6_over_z30, 2, 5)
     assert v.holds
     assert v.witness.first == (0, 2, 4) and v.witness.second == (0, 3)
-    assert mo.cyclic_submodule(z6_over_z30.module, 5).members == frozenset(range(6))
+    assert mo.cyclic_submodule(z6_over_z30.module, 5) == frozenset(range(6))
     for m in range(6):
         assert mo.direct_sum_le(z6_over_z30, m, m).holds
     assert not mo.direct_sum_le(z10_over_z10, 2, 6).holds

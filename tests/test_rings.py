@@ -91,8 +91,6 @@ def test_matrix_ring_m2z2_not_proper():
 def test_matrix_ring_rejects_bad_args():
     with pytest.raises(SpecError):
         mo.build_matrix_ring(4)
-    with pytest.raises(SpecError):
-        mo.build_matrix_ring(2, k=3)
 
 
 def test_matrix_ring_full_axiom_check():
@@ -210,11 +208,28 @@ def test_idempotent_identity_rejects_non_idempotent():
 
 def test_z10_annihilator_values():
     r = mo.build_zn(10)
-    assert r.left_ann(2) == {0, 5}
-    assert r.left_ann(0) == frozenset(range(10))
-    assert r.left_ann(1) == {0}
+    assert r.left_anns[2] == {0, 5}
+    assert r.left_anns[0] == frozenset(range(10))
+    assert r.left_anns[1] == {0}
     # R(1-5) = R*6 = l(5)
-    assert r.principal_left(r.sub(1, 5)) == {0, 2, 4, 6, 8} == r.left_ann(5)
+    assert r.left_ideals[r.sub(1, 5)] == {0, 2, 4, 6, 8} == r.left_anns[5]
+
+
+def test_element_families_on_m2z2():
+    """Each family matches its definition on a noncommutative ring, where a swap of
+    rows and columns would show."""
+    r = mo.build_matrix_ring(2)
+    els, mul = range(r.size), r.mul
+    for a in els:
+        assert r.left_anns[a] == {x for x in els if mul[x][a] == r.zero}
+        assert r.right_anns[a] == {x for x in els if mul[a][x] == r.zero}
+        assert r.left_ideals[a] == {mul[x][a] for x in els}
+        assert r.right_ideals[a] == {mul[a][x] for x in els}
+    e11 = 8  # ((1,0),(0,0))
+    assert r.left_anns[e11] == {0, 1, 4, 5}      # first column zero
+    assert r.right_anns[e11] == {0, 1, 2, 3}     # first row zero
+    assert r.left_ideals[e11] == {0, 2, 8, 10}   # second column zero
+    assert r.right_ideals[e11] == {0, 4, 8, 12}  # second row zero
 
 
 # -- Rickart and proper-star predicates -------------------------------------------
@@ -225,7 +240,7 @@ def test_rickart_z10():
     assert cert.holds
     p, q = cert.witnesses[2]
     r = mo.build_zn(10)
-    assert r.principal_right(p) == r.right_ann(2) == {0, 5}
+    assert r.right_ideals[p] == r.right_anns[2] == {0, 5}
     assert p == 5  # first idempotent generating {0,5}
 
 

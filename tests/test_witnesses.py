@@ -5,7 +5,7 @@ import json
 from dataclasses import replace
 
 import modorder as mo
-from modorder.rings import revalidate_ring
+from modorder.rings import RING_RELATIONS, revalidate_ring
 from modorder.verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
                                OrderVerdict)
 
@@ -14,6 +14,23 @@ TAGS = ("minus-dual", "minus-idem", "minus-relaxed", "minus-image", "jones", "mi
 
 # sha256 of every relation matrix over the default corpus, witnesses included
 MATRICES_SHA256 = "7ff2c1095b300add38acf852cf48007ead3472d753df2144f84e0c5c61e0223e"
+
+# sha256 of every module and ring relation matrix, witnesses included, and the
+# run_suite records, over every Z_m/Z_n with n <= 16 and four R_R
+ANSWERS_SHA256 = "54cb7350a22cbf66abd4f61479331986b2c8fb9a285f513e7aa5dc70607e2265"
+
+
+def _digest_members():
+    for n in range(1, 17):
+        for m in range(1, n + 1):
+            if n % m == 0:
+                yield f"Z{m}/Z{n}", mo.build_zm_over_zn(m, n)
+    z = mo.build_zn
+    for name, ring in (("Z2xZ4", mo.build_product(z(2), z(4))),
+                       ("Z2xZ2xZ2", mo.build_product(mo.build_product(z(2), z(2)), z(2))),
+                       ("Z3xZ6", mo.build_product(z(3), z(6))),
+                       ("M2(Z2)", mo.build_matrix_ring(2))):
+        yield name, mo.build_ring_as_module(ring)
 
 
 def test_relation_matrices_digest(corpus):
@@ -24,6 +41,20 @@ def test_relation_matrices_digest(corpus):
             h.update(json.dumps([name, tag, rows], sort_keys=True,
                                 separators=(",", ":")).encode())
     assert h.hexdigest() == MATRICES_SHA256
+
+
+def test_answers_digest():
+    h, members = hashlib.sha256(), 0
+    for name, module in _digest_members():
+        ctx, ring, members = mo.ModuleContext(module, name), module.ring, members + 1
+        answers = [[v.to_json() for row in mo.relation_matrix(ctx, tag).verdicts for v in row]
+                   for tag in TAGS]
+        answers += [[rel(ring, a, b).to_json() for a in range(ring.size)
+                     for b in range(ring.size)] for rel in RING_RELATIONS.values()]
+        answers.append([r.to_json() for r in mo.run_suite([ctx])])
+        h.update(json.dumps([name, answers], sort_keys=True, separators=(",", ":")).encode())
+    assert members == 54
+    assert h.hexdigest() == ANSWERS_SHA256
 
 
 def _tampered(ctx, w):
