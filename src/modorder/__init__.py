@@ -14,8 +14,8 @@ from .rings import (AxiomError, FiniteRing, RickartCert, SpecError, build_matrix
 from .modules import (FiniteModule, build_module_from_tables, build_ring_as_module,
                       build_zm_over_zn, cyclic_submodule, is_direct_sum, module_from_spec,
                       module_to_spec, right_ann)
-from .homs import (EndoRing, ModHom, ModuleContext, dual, dual_as_module, endo_ring,
-                   generating_set, hom_group, left_ann_S, m_times, s_orbit, smash)
+from .homs import (EndoRing, ModuleContext, dual, dual_as_module, endo_ring,
+                   generating_set, hom_group, is_hom, smash)
 from .orders import (EQUIVALENT_FAMILY, RELATIONS, corollary_gb_le, direct_sum_le,
                      evaluate, is_regular_element, is_regular_module, jones_le,
                      left_star_le, minus_le_dual, minus_le_idem, minus_le_image,

@@ -19,7 +19,7 @@ from .homs import ModuleContext
 from .modules import FiniteModule, build_ring_as_module, build_zm_over_zn, module_from_spec
 from .rings import (FiniteRing, AxiomError, RING_RELATIONS, SpecError, build_matrix_ring,
                     build_product, build_zn, is_proper_star, is_rickart, is_rickart_star,
-                    ring_from_spec, spec_field)
+                    ring_from_spec, spec_field, spec_str)
 from .verdicts import witness_to_json
 
 
@@ -68,15 +68,14 @@ def _fmt_set(values) -> str:
     return "{" + ", ".join(str(v) for v in sorted(values)) + "}"
 
 
-def _emit(payload, out):
-    print(json.dumps(payload, separators=(", ", ": ")), file=out)
+def _emit(payload):
+    print(json.dumps(payload, separators=(", ", ": ")))
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_ring(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_ring(args) -> int:
     ring = parse_ring_arg(args.ring)
     rick = is_rickart(ring)
     info = {
@@ -93,25 +92,24 @@ def cmd_ring(args, out=None) -> int:
         info["proper_star"] = is_proper_star(ring)
         info["rickart_star"] = is_rickart_star(ring).holds
     if args.json:
-        _emit(info, out)
+        _emit(info)
         return 0
-    print(f"ring {info['name']}: size {info['size']}", file=out)
-    print(f"commutative: {str(info['commutative']).lower()}", file=out)
-    print(f"idempotents: {_fmt_set(info['idempotents'])}", file=out)
-    print(f"units: {_fmt_set(info['units'])}", file=out)
+    print(f"ring {info['name']}: size {info['size']}")
+    print(f"commutative: {str(info['commutative']).lower()}")
+    print(f"idempotents: {_fmt_set(info['idempotents'])}")
+    print(f"units: {_fmt_set(info['units'])}")
     if ring.involution is not None:
-        print(f"projections: {_fmt_set(info['projections'])}", file=out)
-        print(f"proper-star: {str(info['proper_star']).lower()}", file=out)
+        print(f"projections: {_fmt_set(info['projections'])}")
+        print(f"proper-star: {str(info['proper_star']).lower()}")
     else:
-        print("involution: absent", file=out)
-    print(f"rickart: {str(info['rickart']).lower()}", file=out)
+        print("involution: absent")
+    print(f"rickart: {str(info['rickart']).lower()}")
     if ring.involution is not None:
-        print(f"rickart-star: {str(info['rickart_star']).lower()}", file=out)
+        print(f"rickart-star: {str(info['rickart_star']).lower()}")
     return 0
 
 
-def cmd_module(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_module(args) -> int:
     module = parse_module_arg(args.module)
     ctx = ModuleContext(module)
     regular, first_bad = orders.is_regular_module(ctx)
@@ -126,19 +124,18 @@ def cmd_module(args, out=None) -> int:
     if not regular:
         info["first_non_regular"] = first_bad
     if args.json:
-        _emit(info, out)
+        _emit(info)
         return 0
-    print(f"module {info['name']} over {info['ring']}: size {info['size']}", file=out)
-    print(f"|M*| = {info['dual_size']}, |S| = {info['endo_size']}", file=out)
+    print(f"module {info['name']} over {info['ring']}: size {info['size']}")
+    print(f"|M*| = {info['dual_size']}, |S| = {info['endo_size']}")
     if regular:
-        print("regular: true", file=out)
+        print("regular: true")
     else:
-        print(f"regular: false at {first_bad}", file=out)
+        print(f"regular: false at {first_bad}")
     return 0
 
 
-def cmd_order(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_order(args) -> int:
     if args.rel in RING_RELATIONS:
         if not args.ring:
             raise SpecError(f"relation {args.rel} needs --ring")
@@ -154,19 +151,18 @@ def cmd_order(args, out=None) -> int:
         verdict = orders.evaluate(ctx, args.rel, args.m1, args.m2)
 
     if args.json:
-        _emit(verdict.to_json(), out)
+        _emit(verdict.to_json())
     else:
         if not verdict.applicable:
             print(f"{verdict.relation}({args.m1}, {args.m2}): not applicable "
-                  "(required involution is absent)", file=out)
+                  "(required involution is absent)")
         else:
             word = "holds" if verdict.holds else "does not hold"
-            print(f"{verdict.relation}({args.m1}, {args.m2}): {word}", file=out)
+            print(f"{verdict.relation}({args.m1}, {args.m2}): {word}")
             if verdict.witness is not None:
-                print(f"witness: {json.dumps(witness_to_json(verdict.witness))}", file=out)
+                print(f"witness: {json.dumps(witness_to_json(verdict.witness))}")
             if not verdict.hypothesis_ok:
-                print("note: hypothesis violated (operand outside the regular domain)",
-                      file=out)
+                print("note: hypothesis violated (operand outside the regular domain)")
     if not verdict.applicable:
         return 2
     return 0 if verdict.holds else 1
@@ -181,18 +177,17 @@ def _load_corpus(token: str):
     corpus = []
     for entry in spec:
         module = module_from_spec(spec_field(entry, "module", "corpus entry"))
-        corpus.append(ModuleContext(module, entry.get("id", module.name)))
+        corpus.append(ModuleContext(module, spec_str(entry, "id", "corpus entry")))
     return corpus
 
 
-def cmd_verify(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_verify(args) -> int:
     corpus = _load_corpus(args.corpus)
     reports = laws.run_suite(corpus, args.laws)
     failed = 0
     if args.json:
         for r in reports:
-            _emit(r.to_json(), out)
+            _emit(r.to_json())
             failed += r.outcome == "fail"
     else:
         width = max((len(r.law) for r in reports), default=10) + 2
@@ -200,18 +195,16 @@ def cmd_verify(args, out=None) -> int:
             line = f"{r.member:<10} {r.law:<{width}} {r.outcome}"
             if r.outcome == "fail":
                 line += f"  {json.dumps(r.counterexample)}"
-            print(line, file=out)
+            print(line)
             failed += r.outcome == "fail"
         total = len(reports)
         passed = sum(r.outcome == "pass" for r in reports)
         na = sum(r.outcome == "not-applicable" for r in reports)
-        print(f"summary: {passed}/{total} passed, {na} not-applicable, {failed} failed",
-              file=out)
+        print(f"summary: {passed}/{total} passed, {na} not-applicable, {failed} failed")
     return 1 if failed else 0
 
 
-def cmd_hasse(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_hasse(args) -> int:
     ctx = ModuleContext(parse_module_arg(args.module))
     try:
         poset = hasse_mod.build_poset(ctx, args.rel)
@@ -219,7 +212,7 @@ def cmd_hasse(args, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        _emit(hasse_mod.to_json_dict(poset), out)
+        _emit(hasse_mod.to_json_dict(poset))
         return 0
     dot = hasse_mod.to_dot(poset)
     if args.out:
@@ -229,10 +222,10 @@ def cmd_hasse(args, out=None) -> int:
         except OSError as exc:
             raise SpecError(f"{args.out}: {exc.strerror}") from None
         print(f"wrote {args.out}: {len(poset.elements)} nodes, "
-              f"{len(poset.covers)} edges", file=out)
+              f"{len(poset.covers)} edges")
     else:
-        out.write(dot)
-        print(f"{len(poset.elements)} nodes, {len(poset.covers)} edges", file=out)
+        sys.stdout.write(dot)
+        print(f"{len(poset.elements)} nodes, {len(poset.covers)} edges")
     return 0
 
 

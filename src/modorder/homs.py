@@ -14,32 +14,21 @@ and a search whose bound exceeds HOM_BUDGET is refused with SpecError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, right_ann
-from .rings import MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, same_ring
+from .rings import MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, _shared, same_ring
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
 
 
-@dataclass(frozen=True)
-class ModHom:
-    """Additive, right-R-linear map between modules over the same ring."""
-
-    dom: FiniteModule
-    cod: FiniteModule
-    table: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
-
-    def is_valid(self) -> bool:
-        M, N, t = self.dom, self.cod, self.table
-        return (all(t[M.add[x][y]] == N.add[t[x]][t[y]]
-                    for x in range(M.size) for y in range(M.size))
-                and all(t[M.action[x][r]] == N.action[t[x]][r]
-                        for x in range(M.size) for r in range(M.ring.size)))
+def is_hom(M: FiniteModule, N: FiniteModule, t) -> bool:
+    """Whether the value table t is an additive, right-linear map M -> N, checked on
+    every sum and every product (a reference check: hom_group needs none)."""
+    return (all(t[M.add[x][y]] == N.add[t[x]][t[y]]
+                for x in range(M.size) for y in range(M.size))
+            and all(t[M.action[x][r]] == N.action[t[x]][r]
+                    for x in range(M.size) for r in range(M.ring.size)))
 
 
 def _chain(M: FiniteModule):
@@ -70,8 +59,8 @@ def _extend(M: FiniteModule, N: FiniteModule, span: set[int], h: list[int], g: i
     return t
 
 
-def hom_group(M: FiniteModule, N: FiniteModule) -> list[ModHom]:
-    """All right-linear maps M -> N, sorted by value table; SpecError beyond HOM_BUDGET."""
+def hom_group(M: FiniteModule, N: FiniteModule) -> list[tuple[int, ...]]:
+    """Value tables of all right-linear maps M -> N, sorted; SpecError beyond HOM_BUDGET."""
     if not same_ring(M.ring, N.ring):
         raise ValueError("hom_group needs modules over the same ring")
     partial = [[N.zero if x == M.zero else -1 for x in range(M.size)]]
@@ -82,18 +71,18 @@ def hom_group(M: FiniteModule, N: FiniteModule) -> list[ModHom]:
                             f"along generator {g}, beyond budget {HOM_BUDGET}")
         partial = [t for h in partial for u in range(N.size)
                    if (t := _extend(M, N, span, h, g, u)) is not None]
-    return [ModHom(M, N, tuple(t)) for t in sorted(partial)]
+    return sorted(map(tuple, partial))
 
 
-def dual(M: FiniteModule, ring_module: FiniteModule | None = None) -> list[ModHom]:
-    """The dual M* = Hom(M, R_R), sorted by value table."""
+def dual(M: FiniteModule, ring_module: FiniteModule | None = None) -> list[tuple[int, ...]]:
+    """The value tables of the dual M* = Hom(M, R_R), sorted."""
     if ring_module is None:
         ring_module = build_ring_as_module(M.ring)
     return hom_group(M, ring_module)
 
 
 class EndoRing(FiniteRing):
-    """S = End_R(M) presented as a FiniteRing.
+    """S = End_R(M) presented as a FiniteRing, each element a value table over M.
 
     Addition is pointwise; multiplication is composition with
     (f.g)(x) = f(g(x)), so M is a left S-module via f.m = f(m).  All
@@ -102,27 +91,27 @@ class EndoRing(FiniteRing):
     otherwise S carries an involution only if set explicitly.
     """
 
-    def __init__(self, module: FiniteModule, maps: list[ModHom], involution=None):
+    def __init__(self, module: FiniteModule, maps, involution=None):
         self.module = module
-        self.maps = list(maps)
+        self.maps = tuple(maps)
         if len(self.maps) > MAX_RING_SIZE:
             raise AxiomError(f"End({module.name}) has {len(self.maps)} elements, "
                              f"beyond cap {MAX_RING_SIZE}")
-        self._index = {h.table: i for i, h in enumerate(self.maps)}
-        add = [[self._index[tuple(module.add[x.table[k]][y.table[k]]
-                                  for k in range(module.size))]
+        self._index = {t: i for i, t in enumerate(self.maps)}
+        add = [[self._index[tuple(module.add[u][v] for u, v in zip(x, y))]
                 for y in self.maps] for x in self.maps]
-        mul = [[self._index[tuple(x.table[y.table[k]] for k in range(module.size))]
-                for y in self.maps] for x in self.maps]
+        mul = [[self._index[tuple(x[k] for k in y)] for y in self.maps] for x in self.maps]
         super().__init__(add, mul, involution=involution, name=f"End({module.name})")
-        assert self.maps[self.zero].table == (module.zero,) * module.size
-        assert self.maps[self.one].table == tuple(range(module.size))
-
-    def apply(self, f: int, m: int) -> int:
-        return self.maps[f].table[m]
+        assert self.maps[self.zero] == (module.zero,) * module.size
+        assert self.maps[self.one] == tuple(range(module.size))
 
     def index_of(self, table) -> int:
         return self._index[tuple(table)]
+
+    @cached_property
+    def images(self) -> tuple[frozenset[int], ...]:
+        """fM, indexed by f."""
+        return _shared(frozenset(t) for t in self.maps)
 
 
 def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
@@ -133,28 +122,10 @@ def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
 
 
 def smash(M: FiniteModule, S: EndoRing, m: int, phi) -> int:
-    """Index in S of the endomorphism x -> m.phi(x).
-
-    phi may be a ModHom into R_R or a raw value table.  The map is phi
-    followed by the hom r -> m.r from R_R to M, so it lies in S.
-    """
-    table = phi.table if isinstance(phi, ModHom) else tuple(phi)
-    return S.index_of(tuple(M.action[m][table[x]] for x in range(M.size)))
-
-
-def left_ann_S(M: FiniteModule, S: EndoRing, m: int) -> frozenset[int]:
-    """l_S(m) = {f in S : f(m) = 0}, as a set of S indices."""
-    return frozenset(i for i, h in enumerate(S.maps) if h.table[m] == M.zero)
-
-
-def s_orbit(S: EndoRing, m: int) -> frozenset[int]:
-    """Sm = {f(m) : f in S}; an additive subgroup, not a submodule in general."""
-    return frozenset(h.table[m] for h in S.maps)
-
-
-def m_times(M: FiniteModule, a: int) -> frozenset[int]:
-    """Ma = {x.a : x in M}; an additive subgroup, not a submodule in general."""
-    return frozenset(M.action[x][a] for x in range(M.size))
+    """Index in S of the endomorphism x -> m.phi(x), for phi the value table of a
+    functional: phi followed by the hom r -> m.r from R_R to M, so it lies in S."""
+    row = M.action[m]
+    return S.index_of(row[v] for v in phi)
 
 
 def dual_as_module(M: FiniteModule, functionals) -> FiniteModule:
@@ -166,20 +137,21 @@ def dual_as_module(M: FiniteModule, functionals) -> FiniteModule:
     R = M.ring
     if not R.is_commutative():
         raise ValueError("dual carries no right-module structure: ring not commutative")
-    index = {phi.table: i for i, phi in enumerate(functionals)}
-    add = [[index[tuple(R.add[x.table[k]][y.table[k]] for k in range(M.size))]
-            for y in functionals] for x in functionals]
-    action = [[index[tuple(R.mul[x.table[k]][r] for k in range(M.size))]
-               for r in range(R.size)] for x in functionals]
+    index = {t: i for i, t in enumerate(functionals)}
+    add = [[index[tuple(R.add[u][v] for u, v in zip(x, y))] for y in functionals]
+           for x in functionals]
+    action = [[index[tuple(R.mul[u][r] for u in x)] for r in range(R.size)]
+              for x in functionals]
     return FiniteModule(R, add, action, name=f"dual({M.name})")
 
 
 class ModuleContext:
     """One module together with its lazily computed dual and endomorphism ring.
 
-    Also memoizes the annihilator sets, cyclic submodules and regularity
-    verdicts that every order relation keeps probing.  Contexts are cheap to
-    create; the heavy parts build on first use and are immutable afterwards.
+    Also memoizes the element-indexed families (annihilators, cyclic
+    submodules, orbits, multiples) and regularity verdicts that every order
+    relation keeps probing.  Contexts are cheap to create; the heavy parts
+    build on first use and are immutable afterwards.
     """
 
     def __init__(self, module: FiniteModule, name: str | None = None,
@@ -193,13 +165,9 @@ class ModuleContext:
         return build_ring_as_module(self.module.ring)
 
     @cached_property
-    def dual(self) -> tuple[ModHom, ...]:
-        return tuple(dual(self.module, self.ring_module))
-
-    @cached_property
-    def dual_tables(self) -> tuple[tuple[int, ...], ...]:
+    def dual(self) -> tuple[tuple[int, ...], ...]:
         """The value tables of M*, in order: the pool of functional witnesses."""
-        return tuple(phi.table for phi in self.dual)
+        return tuple(dual(self.module, self.ring_module))
 
     @cached_property
     def regular(self) -> tuple:
@@ -219,7 +187,9 @@ class ModuleContext:
     @cached_property
     def l_S(self) -> tuple[frozenset[int], ...]:
         """l_S(m) = {f in S : f(m) = 0}, the left annihilator in S, indexed by m."""
-        return tuple(left_ann_S(self.module, self.endos, m) for m in range(self.module.size))
+        zero = self.module.zero
+        return _shared(frozenset(f for f, v in enumerate(col) if v == zero)
+                       for col in zip(*self.endos.maps))
 
     @cached_property
     def r_R(self) -> tuple[frozenset[int], ...]:
@@ -230,3 +200,13 @@ class ModuleContext:
     def cyclic(self) -> tuple[frozenset[int], ...]:
         """mR, indexed by m."""
         return tuple(cyclic_submodule(self.module, m) for m in range(self.module.size))
+
+    @cached_property
+    def orbits(self) -> tuple[frozenset[int], ...]:
+        """Sm = {f(m) : f in S}, indexed by m: additive subgroups, not submodules."""
+        return _shared(frozenset(col) for col in zip(*self.endos.maps))
+
+    @cached_property
+    def multiples(self) -> tuple[frozenset[int], ...]:
+        """Ma = {x.a : x in M}, indexed by a in R: additive subgroups, not submodules."""
+        return _shared(frozenset(col) for col in zip(*self.module.action))

@@ -48,11 +48,11 @@ class RelationMatrix:
         return self.cells[ij[0]][ij[1]]
 
 
-def relation_matrix(ctx: ModuleContext, tag: str, member: str | None = None) -> RelationMatrix:
+def relation_matrix(ctx: ModuleContext, tag: str) -> RelationMatrix:
     n = ctx.module.size
     verdicts = [[orders.evaluate(ctx, tag, i, j) for j in range(n)] for i in range(n)]
     cells = [[v.holds for v in row] for row in verdicts]
-    return RelationMatrix(member or ctx.name, tag, n, cells, verdicts)
+    return RelationMatrix(ctx.name, tag, n, cells, verdicts)
 
 
 # -- individual law checks ---------------------------------------------------------
@@ -129,7 +129,7 @@ def check_unit_invariance(ctx: ModuleContext, minus: RelationMatrix) -> LawRepor
     cells = minus.cells
     checks = 0
     for g in sorted(S.units()):
-        gm = S.maps[g].table
+        gm = S.maps[g]
         for i in range(M.size):
             for j in range(M.size):
                 checks += 1
@@ -205,7 +205,7 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     M, S, R = ctx.module, ctx.endos, ctx.module.ring
     checks = 0
     for m in range(M.size):
-        for (phi,) in orders.REGULARITY.clauses(ctx, m, m, ctx.dual_tables):
+        for (phi,) in orders.REGULARITY.clauses(ctx, m, m, ctx.dual):
             checks += 1
             e = phi[m]
             if R.mul[e][e] != e:
@@ -226,7 +226,8 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
                 continue
             checks += 1
             f, a = v.witness.f, v.witness.a
-            chain = (S.apply(f, m1) == m1 and S.apply(f, m2) == m1
+            t = S.maps[f]
+            chain = (t[m1] == m1 and t[m2] == m1
                      and M.action[m1][a] == m1 and M.action[m2][a] == m1)
             if not chain:
                 return LawReport("witness-constructions", member, "fail",

@@ -6,7 +6,7 @@ from itertools import product
 
 from .rings import (AxiomError, FiniteRing, SpecError, additive_group, build_zn,
                     check_add_associative, check_additive, checked_table, greedy_generators,
-                    ring_from_spec, spec_field, spec_int)
+                    ring_from_spec, spec_field, spec_int, spec_str)
 
 MAX_MODULE_SIZE = 64
 
@@ -126,5 +126,5 @@ def module_from_spec(spec: dict) -> FiniteModule:
     if kind == "tables":
         ring, add, action = (spec_field(spec, key, kind) for key in ("ring", "add", "action"))
         return build_module_from_tables(ring_from_spec(ring), add, action,
-                                        name=spec.get("name"))
+                                        name=spec_str(spec, "name", kind))
     raise SpecError(f"unknown module kind {kind!r}")

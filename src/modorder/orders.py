@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import partial
 from operator import eq, le
 
-from .homs import ModuleContext, m_times, s_orbit
+from .homs import ModuleContext
 from .modules import cyclic_submodule, is_direct_sum
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
                        OrderVerdict, Relation)
@@ -36,7 +36,7 @@ def _regular_clauses(ctx: ModuleContext, m: int, _, tables):
 
 
 # Called as REGULARITY(ctx, m, m); ctx.regular caches its verdicts.
-REGULARITY = Relation("regular", lambda ctx, m, _: (ctx.dual_tables,),
+REGULARITY = Relation("regular", lambda ctx, m, _: (ctx.dual,),
                       _regular_clauses, DualWitness)
 
 
@@ -60,18 +60,17 @@ def is_regular_module(ctx: ModuleContext):
 def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozenset[int]]:
     """e = phi(m) and N = {n : m.phi(n) = 0}; decomposes M as mR (+) N.
 
-    phi must witness regularity of m (rejected otherwise).  The returned e
-    is idempotent.  mR and N, the kernel of the endomorphism x -> m.phi(x),
-    are submodules; mR (+) N = M is re-verified before returning.
+    phi, the value table of a functional, must witness regularity of m (rejected
+    otherwise).  The returned e is idempotent.  mR and N, the kernel of the
+    endomorphism x -> m.phi(x), are submodules; mR (+) N = M is re-verified.
     """
     M = ctx.module
-    table = phi.table if hasattr(phi, "table") else tuple(phi)
-    if next(_regular_clauses(ctx, m, m, (table,)), None) is None:
+    if next(_regular_clauses(ctx, m, m, (phi,)), None) is None:
         raise ValueError(f"functional does not witness regularity of {m}")
-    e = table[m]
+    e = phi[m]
     assert M.ring.mul[e][e] == e
     row = M.action[m]
-    n_set = frozenset(n for n in range(M.size) if row[table[n]] == M.zero)
+    n_set = frozenset(n for n in range(M.size) if row[phi[n]] == M.zero)
     if not is_direct_sum(M, cyclic_submodule(M, m), n_set, frozenset(range(M.size))):
         raise AssertionError(f"decomposition failed for m={m}")
     return e, n_set
@@ -121,7 +120,7 @@ def _annihilator_clauses(same):
         row1, row2 = ctx.module.action[m1], ctx.module.action[m2]
         lann, rann, l1, r1 = S.left_anns, R.right_anns, ctx.l_S[m1], ctx.r_R[m1]
         for f in fs:
-            t = S.maps[f].table
+            t = S.maps[f]
             if same(lann[f], l1) and t[m1] == t[m2]:
                 for a in as_:
                     if same(rann[a], r1) and row1[a] == row2[a]:
@@ -131,13 +130,14 @@ def _annihilator_clauses(same):
 
 def _image_clauses(ctx: ModuleContext, m1: int, m2: int, fs, as_):
     """Image form: m1 R <= f M and S m1 <= M a replace the annihilator clauses."""
-    S, M = ctx.endos, ctx.module
-    m1R, Sm1 = ctx.cyclic[m1], s_orbit(S, m1)
+    maps, images, multiples = ctx.endos.maps, ctx.endos.images, ctx.multiples
+    row1, row2 = ctx.module.action[m1], ctx.module.action[m2]
+    m1R, Sm1 = ctx.cyclic[m1], ctx.orbits[m1]
     for f in fs:
-        t = S.maps[f].table
-        if m1R <= frozenset(t) and t[m1] == t[m2]:
+        t = maps[f]
+        if m1R <= images[f] and t[m1] == t[m2]:
             for a in as_:
-                if Sm1 <= m_times(M, a) and M.action[m1][a] == M.action[m2][a]:
+                if Sm1 <= multiples[a] and row1[a] == row2[a]:
                     yield f, a
 
 
@@ -146,7 +146,7 @@ def _mitsch_clauses(f_fixes_m1: bool, a_fixes_m1: bool):
     def clauses(ctx: ModuleContext, m1: int, m2: int, fs, as_):
         maps, row1, row2 = ctx.endos.maps, ctx.module.action[m1], ctx.module.action[m2]
         for f in fs:
-            t = maps[f].table
+            t = maps[f]
             if t[m2] == m1 and (not f_fixes_m1 or t[m1] == m1):
                 for a in as_:
                     if row2[a] == m1 and (not a_fixes_m1 or row1[a] == m1):
@@ -185,7 +185,7 @@ def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relati
 # -- the relation table ----------------------------------------------------------------
 
 # The minus order, four characterizations.
-minus_le_dual = Relation("minus-dual", lambda ctx, m1, m2: (ctx.dual_tables,),
+minus_le_dual = Relation("minus-dual", lambda ctx, m1, m2: (ctx.dual,),
                          _dual_clauses, DualWitness)
 minus_le_idem = _idempotent_form("minus-idem", False, False)
 minus_le_relaxed = Relation("minus-relaxed", _idempotents, _annihilator_clauses(le),

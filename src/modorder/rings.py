@@ -345,6 +345,14 @@ def spec_int(spec, key: str, kind: str) -> int:
     return value
 
 
+def spec_str(spec, key: str, kind: str) -> str | None:
+    """``spec[key]`` as a str, None when absent, or a SpecError naming the kind and the key."""
+    value = spec.get(key)
+    if key in spec and not isinstance(value, str):
+        raise SpecError(f"{kind} spec field {key!r} must be a string, not {value!r}")
+    return value
+
+
 def ring_from_spec(spec: dict) -> FiniteRing:
     """Build a ring from its definition-file form (already JSON-decoded)."""
     kind = spec_field(spec, "kind", "ring")
@@ -360,7 +368,7 @@ def ring_from_spec(spec: dict) -> FiniteRing:
     if kind == "tables":
         add, mul = spec_field(spec, "add", kind), spec_field(spec, "mul", kind)
         return build_ring_from_tables(add, mul, involution=spec.get("involution"),
-                                      name=spec.get("name"))
+                                      name=spec_str(spec, "name", kind))
     raise SpecError(f"unknown ring kind {kind!r}")
 
 

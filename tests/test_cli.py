@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from modorder import cli
 
-from oracles import f2_power_spec, klein_four_tables, zn_tables
+from oracles import f2_power_spec, klein_four_tables, zm_over_zn_tables, zn_tables
 
 
 def run_cli(*argv):
@@ -229,6 +230,9 @@ def test_corpus_entry_missing_module(tmp_path):
     ("--ring", {"kind": "product", "factors": 5}),
     ("--ring", {"kind": "tables", "add": 5, "mul": [[0]]}),
     ("--ring", {"kind": "tables", "add": [[0, 1], [1, "a"]], "mul": [[0, 0], [0, 1]]}),
+    ("--ring", {"kind": "tables", "name": {"a": 1}, "add": [[0]], "mul": [[0]]}),
+    ("--module", {"kind": "tables", "name": ["M"], "ring": {"kind": "Zn", "n": 1},
+                  "add": [[0]], "action": [[0]]}),
 ])
 def test_spec_field_of_wrong_type(tmp_path, flag, spec):
     path = tmp_path / "spec.json"
@@ -275,20 +279,27 @@ def test_large_ring_spec_checked(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def small_table(base):
-    """A table the shape of ``base`` with entries in -1..n: random, or ``base`` with up
-    to three cells overwritten."""
-    n = len(base)
-    entry = st.integers(-1, n)
-    cells = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), entry), max_size=3)
+def corrupted(base):
+    """``base`` with up to three cells overwritten by entries in -1..len(base)."""
+    rows, cols = len(base), len(base[0])
+    cells = st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                               st.integers(-1, rows)), max_size=3)
 
     def overwrite(cells):
         table = [list(row) for row in base]
         for i, j, v in cells:
             table[i][j] = v
         return table
+    return cells.map(overwrite)
+
+
+def small_table(base):
+    """A table the shape of ``base`` with entries in -1..n: random, or ``base`` with up
+    to three cells overwritten."""
+    n = len(base)
+    entry = st.integers(-1, n)
     random_table = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-    return random_table | cells.map(overwrite)
+    return random_table | corrupted(base)
 
 
 @st.composite
@@ -311,3 +322,64 @@ def test_random_ring_spec_exits_0_or_2(tmp_path_factory, spec):
     code, _, err = run_cli("ring", "--ring", str(path))
     assert code in (0, 2)
     assert (code == 2) == err.startswith("error: ")
+
+
+# Any JSON value, for the fields that must be strings.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def tables_module_specs(draw):
+    """Z_m over Z_n (m | n <= 4) as a tables spec with up to three cells overwritten,
+    named by a random JSON value or not named."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    add, action = zm_over_zn_tables(m, n)
+    spec = {"kind": "tables", "ring": {"kind": "Zn", "n": n},
+            "add": draw(corrupted(add)), "action": draw(corrupted(action))}
+    if draw(st.booleans()):
+        spec["name"] = draw(json_values)
+    return spec
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    """One directory for the random spec files, each example overwriting the last."""
+    return tmp_path_factory.mktemp("random-specs")
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_module_specs())
+def test_random_module_spec_exits_0_or_2(spec_dir, spec):
+    path = spec_dir / "module.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli("module", "--module", str(path))
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_module_specs(), st.none() | json_values)
+def test_random_corpus_entry_fails_only_on_a_law(spec_dir, spec, member_id):
+    entry = {"module": spec} if member_id is None else {"id": member_id, "module": spec}
+    path = spec_dir / "corpus.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run_cli("verify", "--corpus", str(path))
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error: ")
+    if code == 1:
+        assert any(re.search(r" fail(  \{|$)", line) for line in out.splitlines())
+
+
+@pytest.mark.parametrize("member_id", [[1], None])
+def test_corpus_entry_id_not_a_string(tmp_path, member_id):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"id": member_id,
+                                 "module": {"kind": "ZmOverZn", "m": 2, "n": 2}}]))
+    code, out, err = run_cli("verify", "--corpus", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'id'" in err

@@ -3,7 +3,6 @@ from functools import reduce
 import pytest
 
 import modorder as mo
-from modorder.homs import ModHom
 
 from oracles import brute_homs, f2_power_tables, klein_four_tables, zm_over_zn_tables
 
@@ -24,14 +23,14 @@ def test_generating_set_two_generators(klein_four):
 def test_dual_of_paper_module(z6_over_z30):
     functionals = z6_over_z30.dual
     assert len(functionals) == 6
-    assert sorted(phi.table[1] for phi in functionals) == [0, 5, 10, 15, 20, 25]
+    assert sorted(phi[1] for phi in functionals) == [0, 5, 10, 15, 20, 25]
     for phi in functionals:
-        assert phi.is_valid()
+        assert mo.is_hom(z6_over_z30.module, z6_over_z30.ring_module, phi)
 
 
 def test_dual_of_z10(z10_over_z10):
     assert len(z10_over_z10.dual) == 10
-    assert sorted(phi.table[1] for phi in z10_over_z10.dual) == list(range(10))
+    assert sorted(phi[1] for phi in z10_over_z10.dual) == list(range(10))
 
 
 def test_dual_of_trivial_module():
@@ -42,9 +41,8 @@ def test_dual_of_trivial_module():
 def test_hom_group_contains_zero_and_identity(z6_over_z30):
     m = z6_over_z30.module
     endos = mo.hom_group(m, m)
-    tables = [h.table for h in endos]
-    assert (0,) * 6 in tables
-    assert tuple(range(6)) in tables
+    assert (0,) * 6 in endos
+    assert tuple(range(6)) in endos
 
 
 def test_hom_from_ring_module_is_module_sized():
@@ -53,7 +51,7 @@ def test_hom_from_ring_module_is_module_sized():
     m = mo.build_zm_over_zn(6, 30)
     homs = mo.hom_group(r_r, m)
     assert len(homs) == m.size
-    assert sorted(h.table[1] for h in homs) == list(range(m.size))
+    assert sorted(h[1] for h in homs) == list(range(m.size))
 
 
 def test_hom_rejects_mixed_rings():
@@ -70,7 +68,7 @@ def test_hom_into_trivial_module():
 def test_endo_ring_of_paper_module(z6_over_z30):
     s = z6_over_z30.endos
     assert s.size == 6
-    assert s.maps[s.one].table == (0, 1, 2, 3, 4, 5)
+    assert s.maps[s.one] == (0, 1, 2, 3, 4, 5)
     s.validate()  # full ring-axiom pass
 
 
@@ -78,7 +76,7 @@ def test_endo_ring_of_z10_model(z10_over_z10):
     s = z10_over_z10.endos
     assert s.size == 10
     # multiplication maps sorted by table: index d is x -> d*x
-    assert all(s.maps[d].table == tuple(d * x % 10 for x in range(10)) for d in range(10))
+    assert all(s.maps[d] == tuple(d * x % 10 for x in range(10)) for d in range(10))
     assert s.idempotents() == {0, 1, 5, 6}
     # under that indexing S literally carries the Z10 tables
     z10 = mo.build_zn(10)
@@ -100,9 +98,9 @@ def test_endo_ring_noncommutative(klein_four):
 
 def test_smash_examples(z6_over_z30):
     m, s = z6_over_z30.module, z6_over_z30.endos
-    phi = next(p for p in z6_over_z30.dual if p.table[1] == 5)
+    phi = next(p for p in z6_over_z30.dual if p[1] == 5)
     idx = mo.smash(m, s, 2, phi)
-    assert s.maps[idx].table == tuple(4 * x % 6 for x in range(6))
+    assert s.maps[idx] == tuple(4 * x % 6 for x in range(6))
     assert mo.smash(m, s, 0, phi) == s.zero
 
 
@@ -110,7 +108,7 @@ def test_smash_idempotent_on_regular_witness(z6_over_z30):
     m, s = z6_over_z30.module, z6_over_z30.endos
     for x in range(m.size):
         for phi in z6_over_z30.dual:
-            if m.act(x, phi.table[x]) == x:
+            if m.act(x, phi[x]) == x:
                 f = mo.smash(m, s, x, phi)
                 assert s.mul[f][f] == f
 
@@ -122,43 +120,50 @@ def test_smash_square_law(z6_over_z30, z10_over_z10):
         for x in range(m.size):
             for phi in ctx.dual:
                 f = mo.smash(m, s, x, phi)
-                g = mo.smash(m, s, m.act(x, phi.table[x]), phi)
+                g = mo.smash(m, s, m.act(x, phi[x]), phi)
                 assert s.mul[f][f] == g
 
 
 def test_left_ann_S(z10_over_z10):
     s = z10_over_z10.endos
-    assert mo.left_ann_S(z10_over_z10.module, s, 2) == {0, 5}
-    assert mo.left_ann_S(z10_over_z10.module, s, 0) == frozenset(range(10))
+    assert z10_over_z10.l_S[2] == {0, 5}
+    assert z10_over_z10.l_S[0] == frozenset(range(10))
     # l_S(m) is a left ideal: closed under post-composition
     for m in range(10):
-        ann = mo.left_ann_S(z10_over_z10.module, s, m)
+        ann = z10_over_z10.l_S[m]
         for f in ann:
             for g in range(s.size):
                 assert s.mul[g][f] in ann
 
 
 def test_context_families_match_definitions(corpus, klein_four):
+    """Each cached family against its set definition.  The corpus holds M2(Z2)_R, over
+    a noncommutative ring, and F2^2 is non-cyclic with a noncommutative End, so a
+    family that read rows for columns would differ from its definition there."""
     for ctx in (*corpus.values(), klein_four):
-        M, S = ctx.module, ctx.endos
+        M, S, R = ctx.module, ctx.endos, ctx.module.ring
         for m in range(M.size):
-            assert ctx.l_S[m] == {f for f in range(S.size) if S.maps[f].table[m] == M.zero}
-            assert ctx.r_R[m] == {r for r in range(M.ring.size) if M.action[m][r] == M.zero}
-            assert ctx.cyclic[m] == {M.action[m][r] for r in range(M.ring.size)}
+            assert ctx.l_S[m] == {f for f in range(S.size) if S.maps[f][m] == M.zero}
+            assert ctx.r_R[m] == {r for r in range(R.size) if M.action[m][r] == M.zero}
+            assert ctx.cyclic[m] == {M.action[m][r] for r in range(R.size)}
+            assert ctx.orbits[m] == {S.maps[f][m] for f in range(S.size)}
+        for a in range(R.size):
+            assert ctx.multiples[a] == {M.action[x][a] for x in range(M.size)}
+        for f in range(S.size):
+            assert S.images[f] == {S.maps[f][x] for x in range(M.size)}
 
 
 def test_image_orbit_and_times(z6_over_z30):
-    m, s = z6_over_z30.module, z6_over_z30.endos
-    assert mo.s_orbit(s, 1) == frozenset(range(6))
-    assert mo.m_times(m, 0) == {0}
+    assert z6_over_z30.orbits[1] == frozenset(range(6))
+    assert z6_over_z30.multiples[0] == {0}
+    assert z6_over_z30.multiples[5] == frozenset(range(6))
+    assert z6_over_z30.endos.images[z6_over_z30.endos.zero] == {0}
 
 
-def test_modhom_validation():
+def test_is_hom_reference_check():
     m = mo.build_zm_over_zn(6, 30)
-    good = ModHom(m, m, tuple(2 * x % 6 for x in range(6)))
-    assert good.is_valid()
-    bad = ModHom(m, m, (0, 1, 1, 3, 4, 5))
-    assert not bad.is_valid()
+    assert mo.is_hom(m, m, tuple(2 * x % 6 for x in range(6)))
+    assert not mo.is_hom(m, m, (0, 1, 1, 3, 4, 5))
 
 
 # -- dumping S and the dual to the definition-file formats --------------------------
@@ -193,14 +198,14 @@ def test_endos_match_brute_force_zmzn(m, n):
     add, action = zm_over_zn_tables(m, n)
     expected = brute_homs(add, action, add, action, m)
     module = mo.build_zm_over_zn(m, n)
-    assert [h.table for h in mo.hom_group(module, module)] == expected
+    assert mo.hom_group(module, module) == expected
 
 
 def test_endos_match_brute_force_klein(klein_four):
     add, action = klein_four_tables()
     expected = brute_homs(add, action, add, action, 4)
     assert len(expected) == 16
-    assert [h.table for h in mo.hom_group(klein_four.module, klein_four.module)] == expected
+    assert mo.hom_group(klein_four.module, klein_four.module) == expected
 
 
 def test_dual_matches_brute_force_klein(klein_four):
@@ -208,7 +213,7 @@ def test_dual_matches_brute_force_klein(klein_four):
     radd = [[0, 1], [1, 0]]
     rmul = [[0, 0], [0, 1]]
     expected = brute_homs(add, action, radd, rmul, 2)
-    assert [h.table for h in klein_four.dual] == expected
+    assert list(klein_four.dual) == expected
 
 
 def test_dual_matches_brute_force_f2_cubed():
@@ -216,7 +221,7 @@ def test_dual_matches_brute_force_f2_cubed():
     module = mo.build_module_from_tables(mo.build_zn(2), add, action, name="F2^3")
     expected = brute_homs(add, action, [[0, 1], [1, 0]], [[0, 0], [0, 1]], 2)
     assert len(expected) == 8
-    assert [h.table for h in mo.dual(module)] == expected
+    assert mo.dual(module) == expected
 
 
 # -- enumeration of Hom(R_R, R_R) against left multiplications ----------------------
@@ -241,12 +246,15 @@ def test_homs_of_ring_module_are_left_multiplications(oracle_contexts, name):
     ctx = oracle_contexts[name]
     R, M = ctx.module.ring, ctx.module
     expected = sorted(tuple(R.mul[a][x] for x in range(R.size)) for a in range(R.size))
-    assert [h.table for h in mo.hom_group(M, M)] == expected
-    assert list(ctx.dual_tables) == expected
+    assert mo.hom_group(M, M) == expected
+    assert list(ctx.dual) == expected
 
 
 def test_enumerated_homs_pass_reference_check(corpus, oracle_contexts):
-    """The enumerator does not re-check its tables; ModHom.is_valid does it here."""
+    """The enumerator does not re-check its tables; is_hom does it here."""
     for ctx in (*corpus.values(), *oracle_contexts.values()):
-        for h in (*ctx.dual, *ctx.endos.maps):
-            assert h.is_valid(), (ctx.name, h.table)
+        M = ctx.module
+        for phi in ctx.dual:
+            assert mo.is_hom(M, ctx.ring_module, phi), (ctx.name, phi)
+        for f in ctx.endos.maps:
+            assert mo.is_hom(M, M, f), (ctx.name, f)
