@@ -197,10 +197,9 @@ def cmd_verify(args) -> int:
                 line += f"  {json.dumps(r.counterexample)}"
             print(line)
             failed += r.outcome == "fail"
-        total = len(reports)
-        passed = sum(r.outcome == "pass" for r in reports)
-        na = sum(r.outcome == "not-applicable" for r in reports)
-        print(f"summary: {passed}/{total} passed, {na} not-applicable, {failed} failed")
+        outcomes = [r.outcome for r in reports]
+        print(f"summary: {outcomes.count('pass')}/{len(reports)} passed, "
+              f"{outcomes.count('not-applicable')} not-applicable, {failed} failed")
     return 1 if failed else 0
 
 
@@ -268,21 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"ring": cmd_ring, "module": cmd_module, "order": cmd_order,
+               "verify": cmd_verify, "hasse": cmd_hasse}[args.command]
     try:
-        if args.command == "ring":
-            return cmd_ring(args)
-        if args.command == "module":
-            return cmd_module(args)
-        if args.command == "order":
-            return cmd_order(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "hasse":
-            return cmd_hasse(args)
+        return command(args)
     except (SpecError, AxiomError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ def build_poset(ctx: ModuleContext, tag: str,
     """
     if matrix is None:
         matrix = relation_matrix(ctx, tag)
-    if matrix.verdicts and not matrix.verdicts[0][0].applicable:
+    if not matrix.applicable:
         raise ValueError(f"relation {matrix.relation!r} is not applicable on "
                          f"{ctx.name}: the required involution is absent")
     domain = sorted(orders.regular_set(ctx))

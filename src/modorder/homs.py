@@ -14,10 +14,13 @@ and a search whose bound exceeds HOM_BUDGET is refused with SpecError.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property, partial, reduce
+from operator import and_
 
-from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, right_ann
-from .rings import MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, _shared, same_ring
+from .modules import (FiniteModule, build_ring_as_module, cyclic_submodule, is_direct_sum,
+                      right_ann)
+from .rings import (MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, _shared,
+                    preimage_masks, same_ring)
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
 
@@ -113,6 +116,11 @@ class EndoRing(FiniteRing):
         """fM, indexed by f."""
         return _shared(frozenset(t) for t in self.maps)
 
+    @cached_property
+    def preimages(self) -> tuple[tuple[int, ...], ...]:
+        """The mask of {x : f(x) = v}, indexed by f, then v in M."""
+        return preimage_masks(self.maps, self.module.size)
+
 
 def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
     """S = End(M).  A commutative S gets the identity involution for free;
@@ -159,6 +167,8 @@ class ModuleContext:
         self.module = module
         self.name = name or module.name
         self.endo_involution = endo_involution
+        # modules.is_direct_sum on M, memoized: cyclic submodules form few triples
+        self.is_direct_sum = cache(partial(is_direct_sum, module))
 
     @cached_property
     def ring_module(self) -> FiniteModule:
@@ -197,9 +207,28 @@ class ModuleContext:
         return tuple(right_ann(self.module, m) for m in range(self.module.size))
 
     @cached_property
+    def dual_masks(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+        """For each functional t of M*: the masks {x : t(x) = r}, indexed by r in R, and
+        the masks {y : y.v = x.v for every v in tM}, indexed by x."""
+        M, cols = self.module, self.module.column_preimages
+        agree = {image: tuple(reduce(and_, (cols[v][M.action[x][v]] for v in image))
+                              for x in range(M.size)) for image in set(map(frozenset, self.dual))}
+        return {t: (pre, agree[frozenset(t)])
+                for t, pre in zip(self.dual, preimage_masks(self.dual, M.ring.size))}
+
+    @cached_property
     def cyclic(self) -> tuple[frozenset[int], ...]:
         """mR, indexed by m."""
-        return tuple(cyclic_submodule(self.module, m) for m in range(self.module.size))
+        return _shared(cyclic_submodule(self.module, m) for m in range(self.module.size))
+
+    @cached_property
+    def summands(self) -> dict[tuple[int, ...], int]:
+        """Each distinct mR as a sorted tuple, in order of first m, with the mask of its m."""
+        out = {}
+        for m, cyc in enumerate(self.cyclic):
+            key = tuple(sorted(cyc))
+            out[key] = out.get(key, 0) | 1 << m
+        return out
 
     @cached_property
     def orbits(self) -> tuple[frozenset[int], ...]:

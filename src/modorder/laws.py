@@ -8,16 +8,16 @@ pure functions of their inputs, so reruns produce identical output;
 
 from __future__ import annotations
 
-import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial, wraps
 
 from . import orders
 from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
-from .rings import (AxiomError, SpecError, build_matrix_ring, build_product, build_zn,
-                    hartwig_minus_le, is_rickart_star, ring_minus_le_annih,
-                    vn_regular_witness)
+from .rings import (RING_RELATIONS, AxiomError, SpecError, build_matrix_ring, build_product,
+                    build_zn, is_rickart_star, vn_regular_witness)
 from .verdicts import OrderVerdict
 
 
@@ -38,21 +38,37 @@ class LawReport:
 
 @dataclass
 class RelationMatrix:
+    """A relation's cells over a member; a swept one also keeps each cell's first witness
+    parts (None where it fails) and builds its verdicts from them when first read."""
+
     member: str
     relation: str
     size: int
     cells: list[list[bool]]
-    verdicts: list[list[OrderVerdict]] = field(repr=False, default=None)
+    parts: list[list[tuple | None]] | None = field(repr=False, default=None)
+    verdict: Callable | None = field(repr=False, default=None)  # verdict(x, y, parts)
+    applicable: bool = True
 
-    def __getitem__(self, ij):
-        return self.cells[ij[0]][ij[1]]
+    @cached_property
+    def verdicts(self) -> list[list[OrderVerdict]] | None:
+        return self.verdict and [[self.verdict(x, y, p) for y, p in enumerate(row)]
+                                 for x, row in enumerate(self.parts)]
 
 
 def relation_matrix(ctx: ModuleContext, tag: str) -> RelationMatrix:
-    n = ctx.module.size
-    verdicts = [[orders.evaluate(ctx, tag, i, j) for j in range(n)] for i in range(n)]
-    cells = [[v.holds for v in row] for row in verdicts]
-    return RelationMatrix(ctx.name, tag, n, cells, verdicts)
+    """A module relation's matrix over ctx's module, or a ring relation's over its ring, by
+    one sweep; read from ``orders._BY_TAG``, as a profiler may rebind ``RELATIONS``."""
+    if tag in orders.RELATIONS:
+        rel, target, n = orders._BY_TAG[tag], ctx, ctx.module.size
+    elif tag in RING_RELATIONS:
+        rel, target, n = RING_RELATIONS[tag], ctx.module.ring, ctx.module.ring.size
+    else:
+        raise ValueError(f"unknown relation {tag!r}")
+    grid = rel.sweep(target, n)
+    applicable, grid = grid is not None, grid or [[None] * n] * n
+    return RelationMatrix(ctx.name, tag, n, [[p is not None for p in row] for row in grid],
+                          grid, partial(rel.verdict, target, applicable=applicable),
+                          applicable)
 
 
 # -- individual law checks ---------------------------------------------------------
@@ -60,7 +76,7 @@ def relation_matrix(ctx: ModuleContext, tag: str) -> RelationMatrix:
 
 def _timed(check):
     """Fill the returned report's ``elapsed`` with the check's wall time."""
-    @functools.wraps(check)
+    @wraps(check)
     def timed(*args, **kwargs):
         t0 = time.monotonic()
         report = check(*args, **kwargs)
@@ -73,18 +89,17 @@ def _timed(check):
 def check_partial_order(rel: RelationMatrix, reflexive_domain) -> LawReport:
     """Reflexivity on the stated domain, antisymmetry/transitivity everywhere."""
     n, cells = rel.size, rel.cells
+    report = partial(LawReport, f"partial-order/{rel.relation}", rel.member)
     checks = 0
     for m in sorted(reflexive_domain):
         checks += 1
         if not cells[m][m]:
-            return LawReport(f"partial-order/{rel.relation}", rel.member, "fail",
-                             {"axiom": "reflexivity", "element": m}, checks)
+            return report("fail", {"axiom": "reflexivity", "element": m}, checks)
     for i in range(n):
         for j in range(n):
             checks += 1
             if i != j and cells[i][j] and cells[j][i]:
-                return LawReport(f"partial-order/{rel.relation}", rel.member, "fail",
-                                 {"axiom": "antisymmetry", "pair": [i, j]}, checks)
+                return report("fail", {"axiom": "antisymmetry", "pair": [i, j]}, checks)
     for i in range(n):
         for j in range(n):
             if not cells[i][j]:
@@ -92,9 +107,8 @@ def check_partial_order(rel: RelationMatrix, reflexive_domain) -> LawReport:
             for k in range(n):
                 checks += 1
                 if cells[j][k] and not cells[i][k]:
-                    return LawReport(f"partial-order/{rel.relation}", rel.member, "fail",
-                                     {"axiom": "transitivity", "triple": [i, j, k]}, checks)
-    return LawReport(f"partial-order/{rel.relation}", rel.member, "pass", None, checks)
+                    return report("fail", {"axiom": "transitivity", "triple": [i, j, k]}, checks)
+    return report("pass", None, checks)
 
 
 @_timed
@@ -111,13 +125,11 @@ def check_equivalence(rel_a: RelationMatrix, rel_b: RelationMatrix,
                 continue
             checks += 1
             if rel_a.cells[i][j] != rel_b.cells[i][j]:
-                ce = {"pair": [i, j],
-                      rel_a.relation: rel_a.cells[i][j],
+                ce = {"pair": [i, j], rel_a.relation: rel_a.cells[i][j],
                       rel_b.relation: rel_b.cells[i][j]}
-                if rel_a.verdicts:
-                    ce["witness_a"] = rel_a.verdicts[i][j].to_json()["witness"]
-                if rel_b.verdicts:
-                    ce["witness_b"] = rel_b.verdicts[i][j].to_json()["witness"]
+                for key, rel in (("witness_a", rel_a), ("witness_b", rel_b)):
+                    if rel.verdicts:
+                        ce[key] = rel.verdicts[i][j].to_json()["witness"]
                 return LawReport(law, rel_a.member, "fail", ce, checks)
     return LawReport(law, rel_a.member, "pass", None, checks)
 
@@ -128,21 +140,15 @@ def check_unit_invariance(ctx: ModuleContext, minus: RelationMatrix) -> LawRepor
     M, S = ctx.module, ctx.endos
     cells = minus.cells
     checks = 0
-    for g in sorted(S.units()):
-        gm = S.maps[g]
+    sides = [("S", g, S.maps[g]) for g in sorted(S.units())]
+    sides += [("R", b, [row[b] for row in M.action]) for b in sorted(M.ring.units())]
+    for side, unit, image in sides:
         for i in range(M.size):
             for j in range(M.size):
                 checks += 1
-                if cells[i][j] != cells[gm[i]][gm[j]]:
+                if cells[i][j] != cells[image[i]][image[j]]:
                     return LawReport("unit-invariance", minus.member, "fail",
-                                     {"side": "S", "unit": g, "pair": [i, j]}, checks)
-    for b in sorted(M.ring.units()):
-        for i in range(M.size):
-            for j in range(M.size):
-                checks += 1
-                if cells[i][j] != cells[M.action[i][b]][M.action[j][b]]:
-                    return LawReport("unit-invariance", minus.member, "fail",
-                                     {"side": "R", "unit": b, "pair": [i, j]}, checks)
+                                     {"side": side, "unit": unit, "pair": [i, j]}, checks)
     return LawReport("unit-invariance", minus.member, "pass", None, checks)
 
 
@@ -174,21 +180,12 @@ def check_subset_cyclic(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
 
 
 def find_converse_gap(ctx: ModuleContext) -> list[tuple[int, int]]:
-    """All pairs where both annihilator inclusions hold yet m1 is not below m2.
-
-    Such pairs witness that the annihilator-monotonicity implication cannot
-    be reversed.  Listed in ascending lexicographic order (there can be many;
-    returning them all keeps the search deterministic and lets callers pick
-    out any particular pair of interest).
-    """
-    M = ctx.module
-    gaps = []
-    for m1 in range(M.size):
-        for m2 in range(M.size):
-            if ctx.l_S[m2] <= ctx.l_S[m1] and ctx.r_R[m2] <= ctx.r_R[m1]:
-                if not orders.minus_le_dual(ctx, m1, m2).holds:
-                    gaps.append((m1, m2))
-    return gaps
+    """All pairs, in ascending lexicographic order, where both annihilator inclusions
+    hold yet m1 is not below m2: each shows that annihilator monotonicity cannot be
+    reversed (all are returned, so callers can pick out any pair of interest)."""
+    minus, l_S, r_R = relation_matrix(ctx, "minus-dual"), ctx.l_S, ctx.r_R
+    return [(m1, m2) for m1 in range(minus.size) for m2 in range(minus.size)
+            if l_S[m2] <= l_S[m1] and r_R[m2] <= r_R[m1] and not minus.cells[m1][m2]]
 
 
 @_timed
@@ -201,53 +198,48 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     ``minus-idem`` matrix, its witness (f, a) satisfies
     m1 = f m1 = f m2 = m1 a = m2 a.
     """
-    member = idem.member
     M, S, R = ctx.module, ctx.endos, ctx.module.ring
+    fail = partial(LawReport, "witness-constructions", idem.member, "fail")
+    (regular,) = orders.REGULARITY.parts
     checks = 0
     for m in range(M.size):
-        for (phi,) in orders.REGULARITY.clauses(ctx, m, m, ctx.dual):
+        for phi in (t for t in ctx.dual if regular(ctx, m, t) >> m & 1):
             checks += 1
             e = phi[m]
             if R.mul[e][e] != e:
-                return LawReport("witness-constructions", member, "fail",
-                                 {"kind": "eval-idempotent", "element": m, "e": e}, checks)
+                return fail({"kind": "eval-idempotent", "element": m, "e": e}, checks)
             s = smash(M, S, m, phi)
             if S.mul[s][s] != s:
-                return LawReport("witness-constructions", member, "fail",
-                                 {"kind": "smash-idempotent", "element": m, "f": s}, checks)
+                return fail({"kind": "smash-idempotent", "element": m, "f": s}, checks)
             try:
                 orders.regular_decomposition(ctx, m, phi)
             except AssertionError:
-                return LawReport("witness-constructions", member, "fail",
-                                 {"kind": "decomposition", "element": m}, checks)
-    for m1, row in enumerate(idem.verdicts):
-        for m2, v in enumerate(row):
-            if not v.holds:
+                return fail({"kind": "decomposition", "element": m}, checks)
+    for m1, row in enumerate(idem.parts):
+        for m2, parts in enumerate(row):
+            if parts is None:
                 continue
             checks += 1
-            f, a = v.witness.f, v.witness.a
+            f, a = parts
             t = S.maps[f]
             chain = (t[m1] == m1 and t[m2] == m1
                      and M.action[m1][a] == m1 and M.action[m2][a] == m1)
             if not chain:
-                return LawReport("witness-constructions", member, "fail",
-                                 {"kind": "equality-chain", "pair": [m1, m2],
-                                  "f": f, "a": a}, checks)
-    return LawReport("witness-constructions", member, "pass", None, checks)
+                return fail({"kind": "equality-chain", "pair": [m1, m2], "f": f, "a": a},
+                            checks)
+    return LawReport("witness-constructions", idem.member, "pass", None, checks)
 
 
 @_timed
 def check_ring_bridge(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     """On R_R over a von Neumann regular ring, the module minus order, the
     Hartwig order and the annihilator form of the ring order coincide."""
-    R = ctx.module.ring
+    hartwig, annih = relation_matrix(ctx, "hartwig"), relation_matrix(ctx, "ring-annih")
     checks = 0
-    for a in range(R.size):
-        for b in range(R.size):
+    for a in range(hartwig.size):
+        for b in range(hartwig.size):
             checks += 1
-            h = hartwig_minus_le(R, a, b).holds
-            w = ring_minus_le_annih(R, a, b).holds
-            m = minus.cells[a][b]
+            h, w, m = hartwig.cells[a][b], annih.cells[a][b], minus.cells[a][b]
             if not (h == w == m):
                 return LawReport("ring-bridge", minus.member, "fail",
                                  {"pair": [a, b], "hartwig": h, "ring-annih": w,
@@ -284,79 +276,65 @@ CORPORA = {"paper": paper_corpus, "default": default_corpus}
 # -- the suite ---------------------------------------------------------------------
 
 
-def member_laws(ctx: ModuleContext) -> list[LawReport]:
-    """Every law, in a fixed order, for one corpus member."""
-    reports = []
+def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawReport]:
+    """Every law, in a fixed order, for one corpus member; with ``law_filter``, only the
+    laws whose id contains it, so that only the matrices those laws read are built."""
+    reports, shared = [], {}
     regular, _ = orders.is_regular_module(ctx)
     reg_dom = orders.regular_set(ctx)
-    minus = relation_matrix(ctx, "minus-dual")
-    n = ctx.module.size
+    n, R = ctx.module.size, ctx.module.ring
 
-    def na(law):
-        reports.append(LawReport(law, ctx.name, "not-applicable"))
+    def matrix(tag):  # a matrix that several laws read, built once
+        if tag not in shared:
+            shared[tag] = relation_matrix(ctx, tag)
+        return shared[tag]
 
-    if regular:
-        reports.append(check_partial_order(minus, reg_dom))
-    else:
-        na("partial-order/minus-dual")
+    def law(name, check):
+        """Run a law the filter keeps; a check that returns False is not applicable."""
+        if not law_filter or law_filter in name:
+            reports.append(check() or LawReport(name, ctx.name, "not-applicable"))
 
+    law("partial-order/minus-dual",
+        lambda: regular and check_partial_order(matrix("minus-dual"), reg_dom))
     # Each star order takes projections in these rings; its laws need them Rickart *.
-    R, S = ctx.module.ring, ctx.endos
-    for tag, rings in (("rstar", (R,)), ("lstar", (S,)), ("star", (R, S))):
-        if regular and all(r.involution is not None and is_rickart_star(r).holds
-                           for r in rings):
-            reports.append(check_partial_order(relation_matrix(ctx, tag), reg_dom))
-        else:
-            na(f"partial-order/{tag}")
+    for tag, rings in (("rstar", lambda: (R,)), ("lstar", lambda: (ctx.endos,)),
+                       ("star", lambda: (R, ctx.endos))):
+        law(f"partial-order/{tag}", lambda: regular and all(
+            r.involution is not None and is_rickart_star(r).holds for r in rings())
+            and check_partial_order(relation_matrix(ctx, tag), reg_dom))
 
     # Theorem-by-theorem equivalences with the definitional form
-    idem = relation_matrix(ctx, "minus-idem")
-    dom_main = {(i, j) for i in reg_dom for j in range(n)}
-    reports.append(check_equivalence(minus, idem, dom_main))
-
-    mitsch = relation_matrix(ctx, "mitsch")
+    law("equiv/minus-dual~minus-idem",
+        lambda: check_equivalence(matrix("minus-dual"), matrix("minus-idem"),
+                                  {(i, j) for i in reg_dom for j in range(n)}))
     for tag in ("minus-relaxed", "minus-image", "jones", "mitsch", "gb"):
-        if regular:
-            reports.append(check_equivalence(
-                minus, mitsch if tag == "mitsch" else relation_matrix(ctx, tag)))
-        else:
-            na(f"equiv/minus-dual~{tag}")
+        law(f"equiv/minus-dual~{tag}", lambda: regular and check_equivalence(
+            matrix("minus-dual"), matrix(tag) if tag == "mitsch" else relation_matrix(ctx, tag)))
+    law("equiv/mitsch~mitsch-sym",
+        lambda: check_equivalence(matrix("mitsch"), relation_matrix(ctx, "mitsch-sym")))
+    shared.pop("mitsch", None)  # peak memory counts the matrices alive at once
+    law("equiv/minus-dual~dsum",
+        lambda: check_equivalence(matrix("minus-dual"), relation_matrix(ctx, "dsum"),
+                                  {(i, j) for i in reg_dom for j in reg_dom}))
 
-    reports.append(check_equivalence(mitsch, relation_matrix(ctx, "mitsch-sym")))
-    del mitsch  # peak memory counts the matrices alive at once
-
-    dom_both = {(i, j) for i in reg_dom for j in reg_dom}
-    reports.append(check_equivalence(minus, relation_matrix(ctx, "dsum"), dom_both))
-
-    if regular:
-        reports.append(check_unit_invariance(ctx, minus))
-    else:
-        na("unit-invariance")
-
-    reports.append(check_annihilator_monotone(ctx, minus))
-    reports.append(check_subset_cyclic(ctx, minus))
-    reports.append(check_witness_constructions(ctx, idem))
-
-    if ctx.module.is_ring_as_module() and all(
-            vn_regular_witness(ctx.module.ring, a) is not None
-            for a in range(ctx.module.ring.size)):
-        reports.append(check_ring_bridge(ctx, minus))
-    else:
-        na("ring-bridge")
-
+    law("unit-invariance", lambda: regular and check_unit_invariance(ctx, matrix("minus-dual")))
+    law("annihilator-monotone", lambda: check_annihilator_monotone(ctx, matrix("minus-dual")))
+    law("subset-cyclic", lambda: check_subset_cyclic(ctx, matrix("minus-dual")))
+    law("witness-constructions", lambda: check_witness_constructions(ctx, matrix("minus-idem")))
+    law("ring-bridge", lambda: ctx.module.is_ring_as_module()
+        and all(vn_regular_witness(R, a) is not None for a in range(R.size))
+        and check_ring_bridge(ctx, matrix("minus-dual")))
     return reports
 
 
 def run_suite(corpus, law_filter: str | None = None) -> list[LawReport]:
-    """All laws over all corpus members.  A member refused by a size cap or budget
-    (SpecError, AxiomError) stops the suite with an error of the same type that
-    names the member; any other exception propagates as it is."""
+    """All laws over all corpus members, or those whose id contains ``law_filter``.  A
+    member refused by a size cap or budget (SpecError, AxiomError) stops the suite with
+    an error of the same type that names the member; any other exception propagates."""
     reports = []
     for ctx in corpus:
         try:
-            reports.extend(member_laws(ctx))
+            reports.extend(member_laws(ctx, law_filter))
         except (SpecError, AxiomError) as exc:
             raise type(exc)(f"corpus member {ctx.name}: {exc}") from None
-    if law_filter:
-        reports = [r for r in reports if law_filter in r.law]
     return reports

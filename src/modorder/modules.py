@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .rings import (AxiomError, FiniteRing, SpecError, additive_group, build_zn,
                     check_add_associative, check_additive, checked_table, greedy_generators,
-                    ring_from_spec, spec_field, spec_int, spec_str)
+                    preimage_masks, ring_from_spec, spec_field, spec_int, spec_size, spec_str)
 
 MAX_MODULE_SIZE = 64
 
@@ -55,6 +56,13 @@ class FiniteModule:
         for m, r, s in product(gens, rgens, rgens):
             if self.action[m][R.mul[r][s]] != self.action[self.action[m][r]][s]:
                 raise AxiomError(f"m(rs) law fails at (m,r,s)=({m},{r},{s})")
+
+    @cached_property
+    def column_preimages(self) -> tuple[tuple[int, ...], ...]:
+        """The mask of {x : x.r = v}, indexed by r in R, then v in M (R_R: the ring's)."""
+        if self.action is self.ring.mul:
+            return self.ring.column_preimages
+        return preimage_masks(zip(*self.action), self.size)
 
     def act(self, m: int, r: int) -> int:
         return self.action[m][r]
@@ -125,6 +133,7 @@ def module_from_spec(spec: dict) -> FiniteModule:
         return build_ring_as_module(ring_from_spec(spec_field(spec, "ring", kind)))
     if kind == "tables":
         ring, add, action = (spec_field(spec, key, kind) for key in ("ring", "add", "action"))
+        spec_size(spec, add, kind)
         return build_module_from_tables(ring_from_spec(ring), add, action,
                                         name=spec_str(spec, "name", kind))
     raise SpecError(f"unknown module kind {kind!r}")

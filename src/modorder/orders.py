@@ -1,12 +1,12 @@
 """Decision procedures for the order relations, each returning a replayable witness.
 
 Every characterization is one :class:`~modorder.verdicts.Relation` entry,
-written straight from its own defining clauses; the proved equivalences
-between them are verified by the law suite, never assumed here.  The same
-clauses drive the search (:func:`evaluate`) and the witness replay
-(:func:`revalidate`).  Witness searches run over their pools in ascending
-order and return the first hit, so identical queries always produce
-identical verdicts.
+written straight from its own defining clauses as one mask-valued function
+per clause part; the proved equivalences between them are verified by the
+law suite, never assumed here.  The same parts drive the search
+(:func:`evaluate`), the witness replay (:func:`revalidate`) and the sweep of
+a whole matrix (``laws.relation_matrix``).  Searches run over their pools in
+ascending order and return the first hit, so verdicts are deterministic.
 
 Theorem-hypothesis violations (a non-regular operand where the
 characterization assumes regularity) do not abort: the raw existential is
@@ -15,29 +15,32 @@ still decided and the verdict carries ``hypothesis_ok=False``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from operator import eq, le
 
 from .homs import ModuleContext
 from .modules import cyclic_submodule, is_direct_sum
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
-                       OrderVerdict, Relation)
+                       OrderVerdict, Relation, bits)
 
 
-# -- regularity -----------------------------------------------------------------
+# -- the definitional form and regularity ---------------------------------------------
 
 
-def _regular_clauses(ctx: ModuleContext, m: int, _, tables):
-    """Zelmanowitz regularity: a functional phi with m = m.phi(m)."""
-    act = ctx.module.action
-    for t in tables:
-        if act[m][t[m]] == m:
-            yield (t,)
+def _dual_part(ctx: ModuleContext, m1: int, t) -> int:
+    """m1 t = m2 t and t(m1) = t(m2) given m1 = m1.t(m1): fibres of t and of x -> x.v, v in tM."""
+    if ctx.module.action[m1][t[m1]] != m1:
+        return 0
+    fibres, agree = ctx.dual_masks[t]
+    return fibres[t[m1]] & agree[m1]
 
 
-# Called as REGULARITY(ctx, m, m); ctx.regular caches its verdicts.
-REGULARITY = Relation("regular", lambda ctx, m, _: (ctx.dual,),
-                      _regular_clauses, DualWitness)
+minus_le_dual = Relation("minus-dual", lambda ctx, m1: (ctx.dual,), (_dual_part,),
+                         DualWitness)
+# Zelmanowitz regularity, m = m.phi(m) for some phi in M*, is m <= m.  Called as
+# REGULARITY(ctx, m, m); ctx.regular caches its verdicts.
+REGULARITY = replace(minus_le_dual, tag="regular")
 
 
 def is_regular_element(ctx: ModuleContext, m: int) -> OrderVerdict:
@@ -51,10 +54,7 @@ def regular_set(ctx: ModuleContext) -> frozenset[int]:
 
 def is_regular_module(ctx: ModuleContext):
     """(True, None) or (False, first non-regular element)."""
-    for m, v in enumerate(ctx.regular):
-        if not v.holds:
-            return False, m
-    return True, None
+    return next(((False, m) for m, v in enumerate(ctx.regular) if not v.holds), (True, None))
 
 
 def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozenset[int]]:
@@ -64,8 +64,8 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozens
     otherwise).  The returned e is idempotent.  mR and N, the kernel of the
     endomorphism x -> m.phi(x), are submodules; mR (+) N = M is re-verified.
     """
-    M = ctx.module
-    if next(_regular_clauses(ctx, m, m, (phi,)), None) is None:
+    M, phi = ctx.module, tuple(phi)
+    if phi not in ctx.dual_masks or not _dual_part(ctx, m, phi) >> m & 1:
         raise ValueError(f"functional does not witness regularity of {m}")
     e = phi[m]
     assert M.ring.mul[e][e] == e
@@ -91,118 +91,99 @@ def _module_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:
     return ctx.is_regular
 
 
-def _idempotents(ctx: ModuleContext, m1: int, m2: int):
+def _idempotents(ctx: ModuleContext, m1: int):
     return ctx.endos.idempotent_pool, ctx.module.ring.idempotent_pool
 
 
-def _everything(ctx: ModuleContext, m1: int, m2: int):
+def _everything(ctx: ModuleContext, m1: int):
     return ctx.endos.element_pool, ctx.module.ring.element_pool
 
 
-# -- clauses ------------------------------------------------------------------------
+# -- clause parts: each the mask of the m2 at which it holds --------------------------
 
 
-def _dual_clauses(ctx: ModuleContext, m1: int, m2: int, tables):
-    """Definitional form: phi with m1 = m1.phi(m1), m1 phi = m2 phi, phi(m1) = phi(m2)."""
-    row1, row2 = ctx.module.action[m1], ctx.module.action[m2]
-    for t in tables:
-        if row1[t[m1]] == m1 and t[m1] == t[m2] and all(row1[v] == row2[v] for v in t):
-            yield (t,)
+def _fibre_form(f_gate, a_gate):
+    """f in S and a in R that pass their gates, with f m1 = f m2 and m1 a = m2 a."""
+    def f_part(ctx: ModuleContext, m1: int, f: int) -> int:
+        S = ctx.endos
+        return S.preimages[f][S.maps[f][m1]] if f_gate(ctx, m1, f) else 0
+
+    def a_part(ctx: ModuleContext, m1: int, a: int) -> int:
+        M = ctx.module
+        return M.column_preimages[a][M.action[m1][a]] if a_gate(ctx, m1, a) else 0
+    return f_part, a_part
 
 
-def _annihilator_clauses(same):
-    """f in S, a in R with l_S(f) ~ l_S(m1), r_R(a) ~ r_R(m1), f m1 = f m2, m1 a = m2 a.
-
-    ``same`` is the comparison ~: equality, or inclusion for the relaxed form.
-    """
-    def clauses(ctx: ModuleContext, m1: int, m2: int, fs, as_):
-        S, R = ctx.endos, ctx.module.ring
-        row1, row2 = ctx.module.action[m1], ctx.module.action[m2]
-        lann, rann, l1, r1 = S.left_anns, R.right_anns, ctx.l_S[m1], ctx.r_R[m1]
-        for f in fs:
-            t = S.maps[f]
-            if same(lann[f], l1) and t[m1] == t[m2]:
-                for a in as_:
-                    if same(rann[a], r1) and row1[a] == row2[a]:
-                        yield f, a
-    return clauses
+def _annihilator_form(same):
+    """l_S(f) ~ l_S(m1) and r_R(a) ~ r_R(m1), for ~ equality or (relaxed) inclusion."""
+    return _fibre_form(lambda ctx, m1, f: same(ctx.endos.left_anns[f], ctx.l_S[m1]),
+                       lambda ctx, m1, a: same(ctx.module.ring.right_anns[a], ctx.r_R[m1]))
 
 
-def _image_clauses(ctx: ModuleContext, m1: int, m2: int, fs, as_):
-    """Image form: m1 R <= f M and S m1 <= M a replace the annihilator clauses."""
-    maps, images, multiples = ctx.endos.maps, ctx.endos.images, ctx.multiples
-    row1, row2 = ctx.module.action[m1], ctx.module.action[m2]
-    m1R, Sm1 = ctx.cyclic[m1], ctx.orbits[m1]
-    for f in fs:
-        t = maps[f]
-        if m1R <= images[f] and t[m1] == t[m2]:
-            for a in as_:
-                if Sm1 <= multiples[a] and row1[a] == row2[a]:
-                    yield f, a
+# The image form: m1 R <= f M and S m1 <= M a replace the annihilator gates.
+_image_form = _fibre_form(lambda ctx, m1, f: ctx.cyclic[m1] <= ctx.endos.images[f],
+                          lambda ctx, m1, a: ctx.orbits[m1] <= ctx.multiples[a])
 
 
-def _mitsch_clauses(f_fixes_m1: bool, a_fixes_m1: bool):
+def _mitsch_form(f_fixes_m1: bool, a_fixes_m1: bool):
     """m1 = f m2 = m2 a, plus m1 = f m1 and m1 = m1 a where asked."""
-    def clauses(ctx: ModuleContext, m1: int, m2: int, fs, as_):
-        maps, row1, row2 = ctx.endos.maps, ctx.module.action[m1], ctx.module.action[m2]
-        for f in fs:
-            t = maps[f]
-            if t[m2] == m1 and (not f_fixes_m1 or t[m1] == m1):
-                for a in as_:
-                    if row2[a] == m1 and (not a_fixes_m1 or row1[a] == m1):
-                        yield f, a
-    return clauses
+    def f_part(ctx: ModuleContext, m1: int, f: int) -> int:
+        S = ctx.endos
+        return 0 if f_fixes_m1 and S.maps[f][m1] != m1 else S.preimages[f][m1]
+
+    def a_part(ctx: ModuleContext, m1: int, a: int) -> int:
+        M = ctx.module
+        return 0 if a_fixes_m1 and M.action[m1][a] != m1 else M.column_preimages[a][m1]
+    return f_part, a_part
 
 
-def _summands(ctx: ModuleContext, m1: int, m2: int):
-    M = ctx.module
-    return (tuple(sorted(ctx.cyclic[m1])),), (tuple(sorted(ctx.cyclic[M.sub(m2, m1)])),)
+def _summands(ctx: ModuleContext, m1: int):
+    """A = m1 R, and every distinct cyclic submodule as a candidate B."""
+    return (tuple(sorted(ctx.cyclic[m1])),), tuple(ctx.summands)
 
 
-def _direct_sum_clauses(ctx: ModuleContext, m1: int, m2: int, firsts, seconds):
-    """m2 R = A (+) B as an internal direct sum, for A = m1 R and B = (m2 - m1) R."""
-    for A in firsts:
-        for B in seconds:
-            if is_direct_sum(ctx.module, A, B, ctx.cyclic[m2]):
-                yield A, B
+def _second_summand(ctx: ModuleContext, m1: int, B) -> int:
+    """The m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an internal direct sum."""
+    cyclic, add, mask = ctx.cyclic, ctx.module.add[m1], 0
+    for d in bits(ctx.summands[B]):
+        m2 = add[d]
+        mask |= ctx.is_direct_sum(cyclic[m1], cyclic[d], cyclic[m2]) << m2
+    return mask
 
 
 def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relation:
-    """Annihilator-equality form, with f (in S) and/or a (in R) upgraded to
-    projections; each upgrade needs an involution on that ring."""
-    def pools(ctx: ModuleContext, m1: int, m2: int):
+    """Annihilator-equality form, f and/or a upgraded to projections (needs involutions)."""
+    def pools(ctx: ModuleContext, m1: int):
         S, R = ctx.endos, ctx.module.ring
         if (f_projection and S.involution is None) or (a_projection and R.involution is None):
             return None
         return (S.projection_pool if f_projection else S.idempotent_pool,
                 R.projection_pool if a_projection else R.idempotent_pool)
 
-    return Relation(tag, pools, _annihilator_clauses(eq),
+    return Relation(tag, pools, _annihilator_form(eq),
                     partial(IdemPair, f_projection=f_projection, a_projection=a_projection),
                     _m1_regular)
 
 
 # -- the relation table ----------------------------------------------------------------
 
-# The minus order, four characterizations.
-minus_le_dual = Relation("minus-dual", lambda ctx, m1, m2: (ctx.dual,),
-                         _dual_clauses, DualWitness)
+# The minus order, three more characterizations.
 minus_le_idem = _idempotent_form("minus-idem", False, False)
-minus_le_relaxed = Relation("minus-relaxed", _idempotents, _annihilator_clauses(le),
+minus_le_relaxed = Relation("minus-relaxed", _idempotents, _annihilator_form(le),
                             IdemPair, _module_regular)
-minus_le_image = Relation("minus-image", _idempotents, _image_clauses, IdemPair,
+minus_le_image = Relation("minus-image", _idempotents, _image_form, IdemPair,
                           _module_regular)
 # Jones / Mitsch style and the direct-sum order.
-jones_le = Relation("jones", _idempotents, _mitsch_clauses(False, False), IdemPair,
+jones_le = Relation("jones", _idempotents, _mitsch_form(False, False), IdemPair,
                     _module_regular)
-mitsch_le = Relation("mitsch", _everything, _mitsch_clauses(True, False), MapPair,
+mitsch_le = Relation("mitsch", _everything, _mitsch_form(True, False), MapPair,
                      _module_regular)
-mitsch_le_sym = Relation("mitsch-sym", _everything, _mitsch_clauses(True, True), MapPair,
+mitsch_le_sym = Relation("mitsch-sym", _everything, _mitsch_form(True, True), MapPair,
                          _module_regular)
-corollary_gb_le = Relation("gb", _everything, _mitsch_clauses(False, True), MapPair,
+corollary_gb_le = Relation("gb", _everything, _mitsch_form(False, True), MapPair,
                            _module_regular)
-direct_sum_le = Relation("dsum", _summands, _direct_sum_clauses, DirectSumWitness,
-                         _both_regular)
+direct_sum_le = Relation("dsum", _summands, (lambda ctx, m1, A: -1, _second_summand),
+                         DirectSumWitness, _both_regular)
 # The star family: R and/or S must be *-rings.
 right_star_le = _idempotent_form("rstar", False, True)
 left_star_le = _idempotent_form("lstar", True, False)
@@ -240,7 +221,7 @@ def evaluate(ctx: ModuleContext, tag: str, m1: int, m2: int) -> OrderVerdict:
 
 
 def revalidate(ctx: ModuleContext, verdict: OrderVerdict) -> bool:
-    """Replay a verdict's witness: pool membership, then its relation's clauses."""
+    """Replay a verdict's witness: pool membership, then its relation's clause parts."""
     try:
         relation = _BY_TAG[verdict.relation]
     except KeyError:

@@ -180,13 +180,8 @@ class FiniteRing:
         return frozenset(e for e in range(self.size) if self.mul[e][e] == e)
 
     def units(self) -> frozenset[int]:
-        out = set()
-        for u in range(self.size):
-            for v in range(self.size):
-                if self.mul[u][v] == self.one == self.mul[v][u]:
-                    out.add(u)
-                    break
-        return frozenset(out)
+        return frozenset(u for u in range(self.size) if any(
+            self.mul[u][v] == self.one == self.mul[v][u] for v in range(self.size)))
 
     def projections(self) -> frozenset[int]:
         """Self-adjoint idempotents; requires an involution."""
@@ -233,12 +228,33 @@ class FiniteRing:
         """e*R, indexed by e."""
         return _shared(frozenset(row) for row in self.mul)
 
+    @cached_property
+    def row_preimages(self) -> tuple[tuple[int, ...], ...]:
+        """The mask of {b : a*b = v}, indexed by a, then v."""
+        return preimage_masks(self.mul, self.size)
+
+    @cached_property
+    def column_preimages(self) -> tuple[tuple[int, ...], ...]:
+        """The mask of {b : b*a = v}, indexed by a, then v."""
+        return preimage_masks(zip(*self.mul), self.size)
+
 
 def _shared(sets) -> tuple[frozenset[int], ...]:
     """The sets as a tuple in which equal sets are one object: a ring has few distinct
     ideals and annihilators, and hashed sets of equal size compare by hash first."""
     seen = {}
     return tuple(seen.setdefault(s, s) for s in sets)
+
+
+def preimage_masks(tables, size: int) -> tuple[tuple[int, ...], ...]:
+    """For each value table t, the mask of {x : t[x] = v} by v; equal masks are one object."""
+    seen, out = {}, []
+    for t in tables:
+        masks = [0] * size
+        for x, v in enumerate(t):
+            masks[v] |= 1 << x
+        out.append(tuple(seen.setdefault(m, m) for m in masks))
+    return tuple(out)
 
 
 # -- constructors ------------------------------------------------------------
@@ -264,25 +280,18 @@ def build_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     n2 = r2.size
     size = r1.size * n2
     _check_size(size, MAX_RING_SIZE, "ring")
-
-    def enc(x, y):
-        return x * n2 + y
-
-    add = [[enc(r1.add[i // n2][j // n2], r2.add[i % n2][j % n2])
+    add = [[r1.add[i // n2][j // n2] * n2 + r2.add[i % n2][j % n2]
             for j in range(size)] for i in range(size)]
-    mul = [[enc(r1.mul[i // n2][j // n2], r2.mul[i % n2][j % n2])
+    mul = [[r1.mul[i // n2][j // n2] * n2 + r2.mul[i % n2][j % n2]
             for j in range(size)] for i in range(size)]
     involution = None
     if r1.involution is not None and r2.involution is not None:
-        involution = [enc(r1.involution[i // n2], r2.involution[i % n2])
-                      for i in range(size)]
+        involution = [r1.involution[i // n2] * n2 + r2.involution[i % n2] for i in range(size)]
     return FiniteRing(add, mul, involution=involution, name=f"{r1.name}x{r2.name}")
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 def build_matrix_ring(p: int) -> FiniteRing:
@@ -296,17 +305,10 @@ def build_matrix_ring(p: int) -> FiniteRing:
     if p ** 4 > MAX_RING_SIZE:
         raise SpecError(f"M2(Z{p}) has {p ** 4} elements, beyond cap {MAX_RING_SIZE}")
 
-    def dec(i):
-        a, rest = divmod(i, p ** 3)
-        b, rest = divmod(rest, p ** 2)
-        c, d = divmod(rest, p)
-        return a, b, c, d
-
     def enc(a, b, c, d):
         return ((a * p + b) * p + c) * p + d
 
-    size = p ** 4
-    mats = [dec(i) for i in range(size)]
+    mats = list(product(range(p), repeat=4))  # in index order
     add = [[enc(*[(u + v) % p for u, v in zip(x, y)]) for y in mats] for x in mats]
     mul = [[enc((x[0] * y[0] + x[1] * y[2]) % p, (x[0] * y[1] + x[1] * y[3]) % p,
                 (x[2] * y[0] + x[3] * y[2]) % p, (x[2] * y[1] + x[3] * y[3]) % p)
@@ -353,6 +355,12 @@ def spec_str(spec, key: str, kind: str) -> str | None:
     return value
 
 
+def spec_size(spec, table, kind: str) -> None:
+    """A present "size" field must be an int equal to the number of rows of ``table``."""
+    if "size" in spec and isinstance(table, list) and spec_int(spec, "size", kind) != len(table):
+        raise SpecError(f"{kind} spec field 'size' is {spec['size']}, not {len(table)} rows")
+
+
 def ring_from_spec(spec: dict) -> FiniteRing:
     """Build a ring from its definition-file form (already JSON-decoded)."""
     kind = spec_field(spec, "kind", "ring")
@@ -367,6 +375,7 @@ def ring_from_spec(spec: dict) -> FiniteRing:
         return build_matrix_ring(spec_int(spec, "p", kind))
     if kind == "tables":
         add, mul = spec_field(spec, "add", kind), spec_field(spec, "mul", kind)
+        spec_size(spec, add, kind)
         return build_ring_from_tables(add, mul, involution=spec.get("involution"),
                                       name=spec_str(spec, "name", kind))
     raise SpecError(f"unknown ring kind {kind!r}")
@@ -375,32 +384,35 @@ def ring_from_spec(spec: dict) -> FiniteRing:
 # -- element-level predicates and relations -----------------------------------
 
 
-def _hartwig_clauses(ring: FiniteRing, a: int, b: int, xs):
-    """Hartwig's minus order: an inner inverse x of a (axa = a) with xa = xb and ax = bx."""
-    mul = ring.mul
-    for x in xs:
-        if mul[mul[a][x]][a] == a and mul[x][a] == mul[x][b] and mul[a][x] == mul[b][x]:
-            yield (x,)
+def _hartwig_part(ring: FiniteRing, a: int, x: int) -> int:
+    """Hartwig's minus order: the b with xa = xb and ax = bx, for axa = a."""
+    ax, xa = ring.mul[a][x], ring.mul[x][a]
+    if ring.mul[ax][a] != a:
+        return 0
+    return ring.row_preimages[x][xa] & ring.column_preimages[x][ax]
 
 
-def _annih_clauses(ring: FiniteRing, a: int, b: int, ps, qs):
-    """Annihilator form of the ring minus order: idempotents p, q with
-    l(a) = R(1-p), r(a) = (1-q)R, pa = pb and aq = bq."""
-    mul, one, left, right = ring.mul, ring.one, ring.left_ideals, ring.right_ideals
-    lann, rann = ring.left_anns[a], ring.right_anns[a]
-    for p in ps:
-        if left[ring.sub(one, p)] == lann and mul[p][a] == mul[p][b]:
-            for q in qs:
-                if right[ring.sub(one, q)] == rann and mul[a][q] == mul[b][q]:
-                    yield p, q
+def _annih_p(ring: FiniteRing, a: int, p: int) -> int:
+    """The b with pa = pb, for an idempotent p with l(a) = R(1-p)."""
+    if ring.left_ideals[ring.sub(ring.one, p)] != ring.left_anns[a]:
+        return 0
+    return ring.row_preimages[p][ring.mul[p][a]]
+
+
+def _annih_q(ring: FiniteRing, a: int, q: int) -> int:
+    """The b with aq = bq, for an idempotent q with r(a) = (1-q)R."""
+    if ring.right_ideals[ring.sub(ring.one, q)] != ring.right_anns[a]:
+        return 0
+    return ring.column_preimages[q][ring.mul[a][q]]
 
 
 # The ring-level relations, each called as relation(ring, a, b).
-hartwig_minus_le = Relation("hartwig", lambda ring, a, b: (ring.element_pool,),
-                            _hartwig_clauses, InnerInverse)
-ring_minus_le_annih = Relation("ring-annih",
-                               lambda ring, a, b: (ring.idempotent_pool,) * 2,
-                               _annih_clauses, AnnihPair)
+hartwig_minus_le = Relation("hartwig", lambda ring, a: (ring.element_pool,),
+                            (_hartwig_part,), InnerInverse)
+# Annihilator form of the ring minus order: idempotents p, q with
+# l(a) = R(1-p), r(a) = (1-q)R, pa = pb and aq = bq.
+ring_minus_le_annih = Relation("ring-annih", lambda ring, a: (ring.idempotent_pool,) * 2,
+                               (_annih_p, _annih_q), AnnihPair)
 
 RING_RELATIONS = {rel.tag: rel for rel in (hartwig_minus_le, ring_minus_le_annih)}
 

@@ -8,8 +8,8 @@ missing involution) rule the question out entirely, and ``hypothesis_ok``
 records whether the theorem hypotheses behind the characterization were
 satisfied by the operands.
 
-Each relation is one :class:`Relation` entry whose clauses drive both the
-search for a witness and the replay of a witness already found.
+Each relation is one :class:`Relation` entry whose mask-valued clause parts
+drive the search for a witness, its replay and the sweep of a whole matrix.
 """
 
 from __future__ import annotations
@@ -97,65 +97,95 @@ class OrderVerdict:
         }
 
 
+def bits(mask: int):
+    """The positions of the set bits of a non-negative mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Relation:
-    """One order relation, defined once for both the search and the replay.
+    """One order relation, defined once for the search, the replay and the sweep.
 
-    ``clauses(ctx, x, y, *pools)`` yields, in pool order, the witness parts
-    (one drawn from each pool) that satisfy every defining clause of the
-    relation at the pair (x, y).  ``pools(ctx, x, y)`` returns those pools,
-    or None where the relation is not defined on ``ctx`` (a star order
-    without the involution it needs); a pool that does not depend on the
-    operands is cached on ``ctx``, so a query only looks it up.  ``witness``
-    builds the witness from its parts, which become the witness's first
-    fields.  ``hypothesis`` says whether the theorem behind the
-    characterization covers the operands (None: it assumes nothing).
-    ``ctx`` is whatever the entries read: a module context for module-level
-    relations, a ring for ring-level ones.
+    ``pools(ctx, x)`` gives the pools of witness parts for row x, or None where the
+    relation is undefined (a star order without its involution).  ``parts[i](ctx, x, p)``
+    is the mask of the y at which clause part i holds for p in pool i (-1: every y).
+    It holds at (x, y) when each pool has a p covering y; the first ones are the parts
+    from which ``witness`` builds the witness (as its first fields).  ``hypothesis``
+    says whether the theorem covers (x, y) (None: no assumption).  ``ctx`` is a module
+    context, or a ring for ring-level relations.
     """
 
     tag: str
     pools: Callable
-    clauses: Callable
+    parts: tuple[Callable, ...]
     witness: Callable
     hypothesis: Callable | None = None
 
     def __call__(self, ctx, x: int, y: int) -> OrderVerdict:
-        """Search: the first witness the clauses yield over the full pools."""
-        pools = self.pools(ctx, x, y)
+        """Search: the first element of each pool whose part covers y."""
+        pools = self.pools(ctx, x)
         if pools is None:
+            return self.verdict(ctx, x, y, None, applicable=False)
+        found = tuple(next((p for p in pool if part(ctx, x, p) >> y & 1), None)
+                      for pool, part in zip(pools, self.parts))
+        return self.verdict(ctx, x, y, None if None in found else found)
+
+    def sweep(self, ctx, size: int):
+        """Every cell's first witness parts (None where the relation fails), or None if not
+        applicable: each pool runs once per row, its first part covering y supplying y's."""
+        grid = []
+        for x in range(size):
+            pools = self.pools(ctx, x)
+            if pools is None:
+                return None
+            todo, firsts = (1 << size) - 1, []
+            for pool, part in zip(pools, self.parts):
+                first, left = [None] * size, todo
+                for p in pool:
+                    hit = part(ctx, x, p) & left
+                    if hit:
+                        left ^= hit
+                        for y in bits(hit):
+                            first[y] = p
+                        if not left:
+                            break
+                todo ^= left
+                firsts.append(first)
+            row = [None] * size
+            for y in bits(todo):
+                row[y] = tuple([first[y] for first in firsts])
+            grid.append(row)
+        return grid
+
+    def verdict(self, ctx, x: int, y: int, parts, applicable: bool = True) -> OrderVerdict:
+        """The search's verdict at (x, y) from its first witness parts (None: none)."""
+        if not applicable:
             return OrderVerdict(self.tag, (x, y), False, applicable=False)
-        hyp = self.covers(ctx, x, y)
-        for parts in self.clauses(ctx, x, y, *pools):
-            return OrderVerdict(self.tag, (x, y), True, self.witness(*parts),
-                                hypothesis_ok=hyp)
-        return OrderVerdict(self.tag, (x, y), False, hypothesis_ok=hyp)
+        witness = None if parts is None else self.witness(*parts)
+        return OrderVerdict(self.tag, (x, y), parts is not None, witness, self.covers(ctx, x, y))
 
     def covers(self, ctx, x: int, y: int) -> bool:
         """Whether the theorem behind the characterization covers (x, y)."""
         return self.hypothesis is None or self.hypothesis(ctx, x, y)
 
     def replay(self, ctx, verdict: OrderVerdict) -> bool:
-        """Check a positive verdict's witness against this relation.
-
-        The hypothesis flag must be what the search records for the operands.
-        The witness must be exactly what the search builds from its parts
-        (projection flags included), each part must be a member of its pool,
-        and the clauses must accept the parts as singleton pools.
-        """
+        """Check a positive verdict's witness against this relation: the hypothesis flag
+        the search records, exactly the witness the search builds from its parts
+        (projection flags included), and each part in its pool, covering y."""
         if not verdict.holds:
             return True
         x, y = verdict.operands
-        w, pools = verdict.witness, self.pools(ctx, x, y)
+        w, pools = verdict.witness, self.pools(ctx, x)
         if pools is None or verdict.hypothesis_ok != self.covers(ctx, x, y):
             return False
         parts = tuple(getattr(w, f.name) for f in fields(w)[:len(pools)])
         if len(parts) != len(pools) or self.witness(*parts) != w:
             return False
-        if not all(part in pool for part, pool in zip(parts, pools)):
-            return False
-        singletons = [(part,) for part in parts]
-        return next(self.clauses(ctx, x, y, *singletons), None) is not None
+        return all(p in pool and part(ctx, x, p) >> y & 1
+                   for p, pool, part in zip(parts, pools, self.parts))
 
 
 _KINDS = {DualWitness: "functional", IdemPair: "idem-pair", MapPair: "map-pair",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -241,6 +242,41 @@ def test_spec_field_of_wrong_type(tmp_path, flag, spec):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag, spec", [
+    ("--ring", {"kind": "tables", "add": [[0]], "mul": [[0]], "size": "x"}),
+    ("--ring", {"kind": "tables", "add": [[0]], "mul": [[0]], "size": 2}),
+    ("--module", {"kind": "tables", "ring": {"kind": "Zn", "n": 1},
+                  "add": [[0]], "action": [[0]], "size": "1"}),
+    ("--module", {"kind": "tables", "ring": {"kind": "Zn", "n": 1},
+                  "add": [[0]], "action": [[0]], "size": 0}),
+    ("--module", {"kind": "tables", "ring": {"kind": "tables", "add": [[0]], "mul": [[0]],
+                                             "size": True},
+                  "add": [[0]], "action": [[0]]}),
+])
+def test_tables_spec_size_checked(tmp_path, flag, spec):
+    """A present "size" must be an int equal to the number of table rows."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(flag.strip("-"), flag, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'size'" in err
+
+
+# sha256 of the stdout of `verify --corpus default --laws X` before the laws were
+# filtered ahead of their checks; filtering must not change a byte.
+FILTERED_VERIFY_SHA256 = {
+    "ring-bridge": "8b5d2e9d07560fe3efb7b711b4cd119e0b43ea695636a1cfe8e436102bee32c1",
+    "equiv": "66cb4ff919b897f97ea28bacb0fc2b2671aed6b2d4b9256282e37141ad398172",
+}
+
+
+@pytest.mark.parametrize("law", sorted(FILTERED_VERIFY_SHA256))
+def test_filtered_verify_output_unchanged(law):
+    code, out, _ = run_cli("verify", "--corpus", "default", "--laws", law)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FILTERED_VERIFY_SHA256[law]
+
+
 @pytest.mark.parametrize("k,reason", [(4, "End(F2^4) has 65536 elements"), (6, "budget")])
 def test_module_beyond_caps_refused(tmp_path, child_env, k, reason):
     """F2^4/Z2 has 2^16 endomorphisms; F2^6/Z2 needs an extension step beyond the budget."""
@@ -314,10 +350,16 @@ def tables_ring_specs(draw):
     return spec
 
 
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    """One directory for the random spec files, each example overwriting the last."""
+    return tmp_path_factory.mktemp("random-specs")
+
+
 @settings(max_examples=200, deadline=None)
 @given(tables_ring_specs())
-def test_random_ring_spec_exits_0_or_2(tmp_path_factory, spec):
-    path = tmp_path_factory.mktemp("spec") / "ring.json"
+def test_random_ring_spec_exits_0_or_2(spec_dir, spec):
+    path = spec_dir / "ring.json"
     path.write_text(json.dumps(spec))
     code, _, err = run_cli("ring", "--ring", str(path))
     assert code in (0, 2)
@@ -344,12 +386,6 @@ def tables_module_specs(draw):
     if draw(st.booleans()):
         spec["name"] = draw(json_values)
     return spec
-
-
-@pytest.fixture(scope="module")
-def spec_dir(tmp_path_factory):
-    """One directory for the random spec files, each example overwriting the last."""
-    return tmp_path_factory.mktemp("random-specs")
 
 
 @settings(max_examples=100, deadline=None)

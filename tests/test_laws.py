@@ -165,7 +165,7 @@ def test_run_suite_isolates_and_reports_non_regular_members(z4_over_z4):
 
 
 def test_run_suite_propagates_errors(monkeypatch, z4_over_z4):
-    def broken(ctx):
+    def broken(ctx, law_filter=None):
         raise RuntimeError("broken member")
     monkeypatch.setattr(laws, "member_laws", broken)
     with pytest.raises(RuntimeError, match="broken member"):
@@ -183,6 +183,23 @@ def test_member_laws_builds_each_matrix_once(monkeypatch, z6_over_z30):
 def test_run_suite_law_filter(corpus):
     reports = mo.run_suite([corpus["Z6/Z6"]], law_filter="equiv")
     assert reports and all("equiv" in r.law for r in reports)
+
+
+@pytest.mark.parametrize("law_filter, reads", [
+    ("ring-bridge", {"minus-dual", "hartwig", "ring-annih"}),
+    ("mitsch~", {"mitsch", "mitsch-sym"}),
+    ("partial-order/lstar", {"lstar"}),
+    ("witness", {"minus-idem"}),
+    ("no such law", set()),
+])
+def test_filtered_suite_builds_only_what_its_laws_read(monkeypatch, law_filter, reads):
+    built, real = [], laws.relation_matrix
+    monkeypatch.setattr(laws, "relation_matrix",
+                        lambda ctx, tag: built.append(tag) or real(ctx, tag))
+    reports = [r.to_json() for r in mo.run_suite(mo.default_corpus(), law_filter)]
+    assert set(built) == reads
+    assert reports == [r.to_json() for r in mo.run_suite(mo.default_corpus())
+                       if law_filter in r.law]
 
 
 def test_reports_are_reproducible(z6_over_z30):
