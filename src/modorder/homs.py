@@ -15,12 +15,14 @@ and a search whose bound exceeds HOM_BUDGET is refused with SpecError.
 from __future__ import annotations
 
 from functools import cache, cached_property, partial, reduce
+from itertools import product
 from operator import and_
 
 from .modules import (FiniteModule, build_ring_as_module, cyclic_submodule, is_direct_sum,
                       right_ann)
 from .rings import (MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, _shared,
-                    preimage_masks, same_ring)
+                    check_additive, checked_table, greedy_generators, preimage_masks,
+                    same_ring)
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
 
@@ -84,6 +86,35 @@ def dual(M: FiniteModule, ring_module: FiniteModule | None = None) -> list[tuple
     return hom_group(M, ring_module)
 
 
+def _hom_tables(M: FiniteModule, N: FiniteModule, maps, owner: str, op: str, row):
+    """The tables of + and ``op`` on ``maps`` as indices into ``maps``.  A hom is fixed by
+    its values on generating_set(M), so a result is found from those: ``row(t, key, cols)``
+    gives each generator's values along the ``op`` row of the map t with values ``key``,
+    where cols[j] lists every map's value at generator j.  So ``maps`` must be distinct
+    homs, checked in O(|maps||M||G|), and closed under + and ``op``, else AxiomError
+    naming ``owner``."""
+    tables = checked_table(maps, len(maps), M.size, N.size, f"{owner} map")
+    check_additive(tables, M.add, N.add, greedy_generators(M.add, M.zero),
+                   owner + ": map {f} is not additive at (x,g)=({x},{g})")
+    gens = generating_set(M) or [M.zero]  # the zero module is keyed on its one element
+    for (i, t), g in product(enumerate(tables), gens):
+        if [t[v] for v in M.action[g]] != N.action[t[g]]:
+            raise AxiomError(f"{owner}: map {i} is not right-linear at generator {g}")
+    cols, index, out = [[t[g] for t in tables] for g in gens], {}, []
+    for i, key in enumerate(zip(*cols)):
+        if index.setdefault(key, i) != i:
+            raise AxiomError(f"{owner}: map {i} repeats map {index[key]}")
+    for name, along in (("+", lambda _, key, cols: [map(N.add[u].__getitem__, col)
+                                                    for u, col in zip(key, cols)]), (op, row)):
+        try:
+            out.append([list(map(index.__getitem__, zip(*along(t, key, cols))))
+                        for t, key in zip(tables, index)])
+        except KeyError as exc:
+            raise AxiomError(f"{owner}: maps not closed under {name}, no map takes the values "
+                             f"{exc.args[0]} on generators {gens}") from None
+    return out
+
+
 class EndoRing(FiniteRing):
     """S = End_R(M) presented as a FiniteRing, each element a value table over M.
 
@@ -91,22 +122,22 @@ class EndoRing(FiniteRing):
     (f.g)(x) = f(g(x)), so M is a left S-module via f.m = f(m).  All
     ring-core predicates apply unchanged.  An identity involution is
     installed automatically when S is commutative (inherited behaviour);
-    otherwise S carries an involution only if set explicitly.
+    otherwise S carries an involution only if set explicitly.  ``maps`` must
+    be distinct homs M -> M, closed under + and composition, with the
+    identity; other maps are refused with AxiomError.
     """
 
     def __init__(self, module: FiniteModule, maps, involution=None):
-        self.module = module
-        self.maps = tuple(maps)
-        if len(self.maps) > MAX_RING_SIZE:
-            raise AxiomError(f"End({module.name}) has {len(self.maps)} elements, "
-                             f"beyond cap {MAX_RING_SIZE}")
+        self.module, name = module, f"End({module.name})"
+        if len(maps) > MAX_RING_SIZE:
+            raise AxiomError(f"{name} has {len(maps)} elements, beyond cap {MAX_RING_SIZE}")
+        add, mul = _hom_tables(module, module, maps, name, "composition", lambda t, _, cols: [
+            map(t.__getitem__, col) for col in cols])
+        self.maps = tuple(map(tuple, maps))
+        super().__init__(add, mul, involution=involution, name=name)
+        if self.maps[self.one] != tuple(range(module.size)):
+            raise AxiomError(f"{name}: the identity map is not among the maps")
         self._index = {t: i for i, t in enumerate(self.maps)}
-        add = [[self._index[tuple(module.add[u][v] for u, v in zip(x, y))]
-                for y in self.maps] for x in self.maps]
-        mul = [[self._index[tuple(x[k] for k in y)] for y in self.maps] for x in self.maps]
-        super().__init__(add, mul, involution=involution, name=f"End({module.name})")
-        assert self.maps[self.zero] == (module.zero,) * module.size
-        assert self.maps[self.one] == tuple(range(module.size))
 
     def index_of(self, table) -> int:
         return self._index[tuple(table)]
@@ -141,16 +172,15 @@ def dual_as_module(M: FiniteModule, functionals) -> FiniteModule:
 
     That action is right-linear only when R is commutative; noncommutative
     base rings are rejected rather than silently misrepresented.
+    ``functionals`` must be distinct homs closed under + and the action, else AxiomError.
     """
     R = M.ring
     if not R.is_commutative():
         raise ValueError("dual carries no right-module structure: ring not commutative")
-    index = {t: i for i, t in enumerate(functionals)}
-    add = [[index[tuple(R.add[u][v] for u, v in zip(x, y))] for y in functionals]
-           for x in functionals]
-    action = [[index[tuple(R.mul[u][r] for u in x)] for r in range(R.size)]
-              for x in functionals]
-    return FiniteModule(R, add, action, name=f"dual({M.name})")
+    name = f"dual({M.name})"
+    add, action = _hom_tables(M, build_ring_as_module(R), functionals, name, "the action",
+                              lambda _, key, __: [R.mul[u] for u in key])
+    return FiniteModule(R, add, action, name=name)
 
 
 class ModuleContext:

@@ -30,10 +30,11 @@ def checked_table(table, rows: int, cols: int, bound: int, label: str) -> list[l
     if (not isinstance(table, (list, tuple)) or len(table) != rows
             or not all(isinstance(row, (list, tuple)) and len(row) == cols for row in table)):
         raise AxiomError(f"{label} table is not {rows}x{cols}")
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            if type(v) is not int or not 0 <= v < bound:
-                raise AxiomError(f"{label}[{i}][{j}] = {v!r} is not in 0..{bound - 1}")
+    for i, row in enumerate(table):  # a row of ints in range passes at C speed
+        if row and (set(map(type, row)) != {int} or min(row) < 0 or max(row) >= bound):
+            j, v = next((j, v) for j, v in enumerate(row)
+                        if type(v) is not int or not 0 <= v < bound)
+            raise AxiomError(f"{label}[{i}][{j}] = {v!r} is not in 0..{bound - 1}")
     return [list(row) for row in table]
 
 
@@ -71,18 +72,18 @@ def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list
 
 
 def greedy_generators(add, zero: int) -> tuple[int, ...]:
-    """Each element, zero last, that the closure of those before it under the commutative
-    ``add`` misses.  Every element is then some bracketed sum of these generators."""
+    """Each element, zero last, not reached from those before it by adding one of them at a
+    time, in O(n |G|).  Every element is then some bracketed sum of these generators."""
     span, gens = set(), []
     for x in sorted(range(len(add)), key=lambda x: x == zero):
         if x not in span:
             gens.append(x)
             todo = [x]
-            while todo:  # each new member is added to every member so far, once
+            while todo:
                 y = todo.pop()
                 if y not in span:
                     span.add(y)
-                    todo += [add[y][z] for z in span]
+                    todo += [add[y][g] for g in gens]
     return tuple(gens)
 
 
@@ -142,8 +143,11 @@ class FiniteRing:
         ((a+b)+b')+c = (a+b)+(b'+c) = a+((b+b')+c).  (2) Distributivity: x -> ax and
         x -> xa are additive, as given (1) the y with f(x+y) = f(x)+f(y) for all x are
         closed under +.  (3) Given (2), (ab)c - a(bc) is additive in each argument, so
-        associativity of * on G x G x G.  Then the involution laws."""
-        rng, add, mul, gens = range(self.size), self.add, self.mul, self.additive_generators
+        associativity of * on G x G x G.  (4) The involution *: self-inverse on every
+        element, additive by check_additive; given that and (2), (ab)* - b*a* is
+        additive in each argument ((a+a')b -> (ab)* + (a'b)*, b*(a+a')* = b*a* + b*a'*),
+        so (ab)* = b*a* on G x G."""
+        add, mul, gens = self.add, self.mul, self.additive_generators
         check_add_associative(add, gens, "addition")
         check_additive(mul, add, add, gens, "left distributivity fails at (a,b,c)=({f},{x},{g})")
         check_additive(list(zip(*mul)), add, add, gens,
@@ -151,22 +155,20 @@ class FiniteRing:
         for a, b, c in product(gens, repeat=3):
             if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                 raise AxiomError(f"multiplication not associative at (a,b,c)=({a},{b},{c})")
-        if self.involution is not None:
-            inv = self.involution
-            for a in rng:
-                if inv[inv[a]] != a:
-                    raise AxiomError(f"involution not self-inverse at {a}")
-                for b in rng:
-                    if inv[self.add[a][b]] != self.add[inv[a]][inv[b]]:
-                        raise AxiomError(f"involution not additive at (a,b)=({a},{b})")
-                    if inv[self.mul[a][b]] != self.mul[inv[b]][inv[a]]:
-                        raise AxiomError(f"involution not anti-multiplicative at (a,b)=({a},{b})")
+        if (inv := self.involution) is None:
+            return
+        for a, v in enumerate(inv):
+            if inv[v] != a:
+                raise AxiomError(f"involution not self-inverse at {a}")
+        check_additive([inv], add, add, gens, "involution not additive at (a,b)=({x},{g})")
+        for a, b in product(gens, repeat=2):
+            if inv[mul[a][b]] != mul[inv[b]][inv[a]]:
+                raise AxiomError(f"involution not anti-multiplicative at (a,b)=({a},{b})")
 
     # -- basic structure ----------------------------------------------------------
 
     def is_commutative(self) -> bool:
-        return all(self.mul[a][b] == self.mul[b][a]
-                   for a in range(self.size) for b in range(self.size))
+        return self.mul == [list(col) for col in zip(*self.mul)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]

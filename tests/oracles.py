@@ -126,3 +126,17 @@ def module_law_violations(ring, add, action):
         if action[m][ring.mul[r][s]] != action[action[m][r]][s]:
             found.add(f"m(rs) law fails at (m,r,s)=({m},{r},{s})")
     return found
+
+
+def involution_violations(add, mul, inv):
+    """Every failing involution law as the message the library gives for it, by checking
+    every element and every pair: (a*)* = a, (a+b)* = a* + b* and (ab)* = b*a*.  The laws
+    hold exactly when the set is empty."""
+    rng = range(len(add))
+    found = {f"involution not self-inverse at {a}" for a in rng if inv[inv[a]] != a}
+    for a, b in product(rng, repeat=2):
+        if inv[add[a][b]] != add[inv[a]][inv[b]]:
+            found.add(f"involution not additive at (a,b)=({a},{b})")
+        if inv[mul[a][b]] != mul[inv[b]][inv[a]]:
+            found.add(f"involution not anti-multiplicative at (a,b)=({a},{b})")
+    return found

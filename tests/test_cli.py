@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modorder import cli
+from modorder.orders import RELATIONS
 
 from oracles import f2_power_spec, klein_four_tables, zm_over_zn_tables, zn_tables
 
@@ -419,3 +420,32 @@ def test_corpus_entry_id_not_a_string(tmp_path, member_id):
     code, out, err = run_cli("verify", "--corpus", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "'id'" in err
+
+
+def assert_exit_contract(code, out, err):
+    """Exit 0, 1 or 2; an error line exactly on exit 2; exit 1 only for a relation
+    that does not hold.  The modules of tables_module_specs() are cyclic (Z4's table
+    is 4 cells from any Klein group's), so End is commutative and every relation
+    applies."""
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error: ")
+    if code == 1:
+        assert re.search(r"\): does not hold$", out, re.M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_module_specs(), st.sampled_from(sorted(RELATIONS)), st.data())
+def test_random_module_order_keeps_exit_contract(spec_dir, spec, rel, data):
+    path = spec_dir / "order.json"
+    path.write_text(json.dumps(spec))
+    m1, m2 = (data.draw(st.integers(-1, len(spec["add"]))) for _ in range(2))
+    assert_exit_contract(*run_cli("order", "--module", str(path), "--rel", rel,
+                                  str(m1), str(m2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_module_specs(), st.sampled_from(sorted(RELATIONS)))
+def test_random_module_hasse_keeps_exit_contract(spec_dir, spec, rel):
+    path = spec_dir / "hasse.json"
+    path.write_text(json.dumps(spec))
+    assert_exit_contract(*run_cli("hasse", "--module", str(path), "--rel", rel))

@@ -4,12 +4,19 @@ Besides rings and Z_m/Z_n, the tables include structures that break one law
 alone: the near-ring of all maps on Z2 under composition (one distributive
 law fails), unital F2-algebras of dimension 3 with random products (often
 not associative) and F2^2 over Z2 x Z2 acting through random matrices
-(m(r+s) or m(rs) fails alone).  All are relabelled at random, so the
-greedy generators vary, and 0-3 table cells are overwritten.  Construction must fail exactly when
-some law fails, and the error must be one of the failures the oracle lists,
-so it names a real violating tuple.  Each law's check is complete once the
-laws checked before it hold, so the error must also be about the first law,
-in checking order, that fails anywhere.
+(m(r+s) or m(rs) fails alone).  All are relabelled at random, so the greedy
+generators vary, and 0-3 table cells are overwritten.  The involution laws
+are checked on rings that satisfy the ring laws, with a true involution (the
+identity on a commutative ring, transpose on M2(Z2), products of those, or
+the exchange (a, b) -> (b, a) on R x R) or with negation, relabelled at
+random, in which 0-3 times an entry is overwritten or two entries are
+exchanged.  Negation, and an exchange of two fixed points, keep the map
+self-inverse, so the later involution laws fail first often enough.
+Construction must fail exactly when some law fails, and the error must be
+one of the failures the oracle lists, so it names a real violating element
+or tuple.  Each law's check is complete once the laws checked before it
+hold, so the error must also be about the first law, in checking order, that
+fails anywhere.
 """
 
 from functools import cache, reduce
@@ -21,7 +28,8 @@ import modorder as mo
 from modorder.rings import MAX_RING_SIZE, AxiomError, FiniteRing, additive_group
 from modorder.modules import MAX_MODULE_SIZE, FiniteModule
 
-from oracles import module_law_violations, ring_law_violations, zm_over_zn_tables
+from oracles import (involution_violations, module_law_violations, ring_law_violations,
+                     zm_over_zn_tables)
 
 RINGS = ["Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12",
          "Z2xZ2", "Z2xZ3", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ6", "M2(Z2)"]
@@ -29,16 +37,22 @@ MODULES = [(m, n) for n in range(1, 13) for m in range(1, n + 1) if n % m == 0]
 RING_LAWS = ("no multiplicative identity", "addition not associative",
              "left distributivity fails", "right distributivity fails",
              "multiplication not associative")
+INVOLUTION_LAWS = ("involution not self-inverse", "involution not additive",
+                   "involution not anti-multiplicative")
 MODULE_LAWS = ("module addition not associative", "unitality fails", "(m+n)r law fails",
                "m(r+s) law fails", "m(rs) law fails")
 
 
 @cache
+def named_ring(name):
+    """A ring of RINGS by name, or M2(Z2) x Z_k as "M2(Z2)xZk"."""
+    factors = [mo.build_matrix_ring(2) if f == "M2(Z2)" else mo.build_zn(int(f[1:]))
+               for f in name.replace(")x", ") ").replace("x", " ").split()]
+    return reduce(mo.build_product, factors)
+
+
 def ring_tables(name):
-    if name == "M2(Z2)":
-        ring = mo.build_matrix_ring(2)
-    else:
-        ring = reduce(mo.build_product, [mo.build_zn(int(f[1:])) for f in name.split("x")])
+    ring = named_ring(name)
     return ring.add, ring.mul
 
 
@@ -73,6 +87,22 @@ def f2_square_tables(a1, a0):
     action = [[(apply(m, a1) if r >> 1 else 0) ^ (apply(m, a2) if r & 1 else 0)
                if r else apply(m, a0) for r in range(4)] for m in range(4)]
     return add, action
+
+
+def exchange_tables(name):
+    """R x R with the exchange (a, b)* = (b, a), an involution as R is commutative."""
+    ring = named_ring(name)
+    square, n = mo.build_product(ring, ring), ring.size
+    return square.add, square.mul, [x % n * n + x // n for x in range(n * n)]
+
+
+# The identity on commutative rings, transpose on M2(Z2) and products of those, or
+# negation, which is additive and self-inverse but reverses products only when 2ab = 0.
+INVOLUTION_SOURCES = st.one_of(
+    st.sampled_from(RINGS + ["M2(Z2)xZ2", "M2(Z2)xZ3"]).map(named_ring).flatmap(
+        lambda ring: st.sampled_from([(ring.add, ring.mul, ring.involution),
+                                      (ring.add, ring.mul, ring.neg)])),
+    st.sampled_from(["Z2", "Z3", "Z4", "Z2xZ2"]).map(exchange_tables))
 
 
 RING_SOURCES = st.one_of(
@@ -155,3 +185,20 @@ def test_module_check_matches_oracle(data):
         return
     assert_agrees(lambda: FiniteModule(ring, add, action),
                   module_law_violations(ring, add, action), MODULE_LAWS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_involution_check_matches_oracle(data):
+    add, mul, inv = data.draw(INVOLUTION_SOURCES)
+    n = len(add)
+    p = data.draw(st.permutations(range(n)))
+    add, mul, [inv] = relabel(add, p, p, p), relabel(mul, p, p, p), relabel([inv], [0], p, p)
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):
+            inv[a], inv[b] = inv[b], inv[a]
+        else:
+            inv[a] = b
+    assert_agrees(lambda: FiniteRing(add, mul, involution=inv),
+                  involution_violations(add, mul, inv), INVOLUTION_LAWS)

@@ -131,6 +131,15 @@ def test_from_tables_bad_involution():
         mo.build_ring_from_tables(add, mul, involution=[0, 2, 1, 3])
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 3])
+def test_checked_table_names_first_bad_cell(bad):
+    """The row check falls back to a scan that names the first bad cell in its row."""
+    from modorder.rings import checked_table
+    with pytest.raises(AxiomError) as exc:
+        checked_table([[0, 1, 2], [1, bad, 7]], 2, 3, 3, "t")
+    assert str(exc.value) == f"t[1][1] = {bad!r} is not in 0..2"
+
+
 def test_ring_size_cap():
     with pytest.raises(AxiomError, match="cap"):
         mo.build_zn(257)
