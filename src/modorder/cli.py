@@ -152,18 +152,19 @@ def cmd_order(args) -> int:
 
     if args.json:
         _emit(verdict.to_json())
+    elif not verdict.applicable:
+        print(f"{verdict.relation}({args.m1}, {args.m2}): not applicable "
+              "(required involution is absent)")
     else:
-        if not verdict.applicable:
-            print(f"{verdict.relation}({args.m1}, {args.m2}): not applicable "
-                  "(required involution is absent)")
-        else:
-            word = "holds" if verdict.holds else "does not hold"
-            print(f"{verdict.relation}({args.m1}, {args.m2}): {word}")
-            if verdict.witness is not None:
-                print(f"witness: {json.dumps(witness_to_json(verdict.witness))}")
-            if not verdict.hypothesis_ok:
-                print("note: hypothesis violated (operand outside the regular domain)")
+        word = "holds" if verdict.holds else "does not hold"
+        print(f"{verdict.relation}({args.m1}, {args.m2}): {word}")
+        if verdict.witness is not None:
+            print(f"witness: {json.dumps(witness_to_json(verdict.witness))}")
+        if not verdict.hypothesis_ok:
+            print("note: hypothesis violated (operand outside the regular domain)")
     if not verdict.applicable:
+        print(f"error: relation {args.rel!r} is not applicable on {args.module}: "
+              "the required involution is absent", file=sys.stderr)
         return 2
     return 0 if verdict.holds else 1
 

@@ -9,7 +9,6 @@ pure functions of their inputs, so reruns produce identical output;
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial, wraps
 
@@ -18,7 +17,7 @@ from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
 from .rings import (RING_RELATIONS, AxiomError, SpecError, build_matrix_ring, build_product,
                     build_zn, is_rickart_star, vn_regular_witness)
-from .verdicts import OrderVerdict
+from .verdicts import OrderVerdict, Relation
 
 
 @dataclass
@@ -38,37 +37,47 @@ class LawReport:
 
 @dataclass
 class RelationMatrix:
-    """A relation's cells over a member; a swept one also keeps each cell's first witness
-    parts (None where it fails) and builds its verdicts from them when first read."""
+    """A relation's cells over a member.  One built by ``relation_matrix`` also keeps the
+    relation, the context (or ring) it ran on and each row's mask (None: not applicable),
+    from which it finds the holding cells' witness parts and the verdicts when first read."""
 
     member: str
     relation: str
     size: int
     cells: list[list[bool]]
-    parts: list[list[tuple | None]] | None = field(repr=False, default=None)
-    verdict: Callable | None = field(repr=False, default=None)  # verdict(x, y, parts)
-    applicable: bool = True
+    rel: Relation | None = field(repr=False, default=None)
+    target: object = field(repr=False, default=None)
+    rows: list[int | None] = field(repr=False, default_factory=list)
+
+    @cached_property
+    def applicable(self) -> bool:
+        return None not in self.rows
+
+    @cached_property
+    def parts(self) -> list[list[tuple | None]] | None:
+        """Each cell's first witness parts, None where the relation fails."""
+        return self.rel and [[self.rel.first(self.target, x, y) if cell else None
+                              for y, cell in enumerate(row)] for x, row in enumerate(self.cells)]
 
     @cached_property
     def verdicts(self) -> list[list[OrderVerdict]] | None:
-        return self.verdict and [[self.verdict(x, y, p) for y, p in enumerate(row)]
-                                 for x, row in enumerate(self.parts)]
+        return self.rel and [[self.rel.verdict(self.target, x, y, mask) for y in range(self.size)]
+                             for x, mask in enumerate(self.rows)]
 
 
 def relation_matrix(ctx: ModuleContext, tag: str) -> RelationMatrix:
-    """A module relation's matrix over ctx's module, or a ring relation's over its ring, by
-    one sweep; read from ``orders._BY_TAG``, as a profiler may rebind ``RELATIONS``."""
+    """A module relation's matrix over ctx's module, or a ring relation's over its ring, one
+    ``row`` per x; read from ``orders._BY_TAG``, as a profiler may rebind ``RELATIONS``."""
     if tag in orders.RELATIONS:
         rel, target, n = orders._BY_TAG[tag], ctx, ctx.module.size
     elif tag in RING_RELATIONS:
         rel, target, n = RING_RELATIONS[tag], ctx.module.ring, ctx.module.ring.size
     else:
         raise ValueError(f"unknown relation {tag!r}")
-    grid = rel.sweep(target, n)
-    applicable, grid = grid is not None, grid or [[None] * n] * n
-    return RelationMatrix(ctx.name, tag, n, [[p is not None for p in row] for row in grid],
-                          grid, partial(rel.verdict, target, applicable=applicable),
-                          applicable)
+    rows = [rel.row(target, x, (1 << n) - 1) for x in range(n)]
+    # bit y of a row's mask is character y of its reversed binary form
+    cells = [[c == "1" for c in f"{mask or 0:0{n}b}"[::-1]] for mask in rows]
+    return RelationMatrix(ctx.name, tag, n, cells, rel, target, rows)
 
 
 # -- individual law checks ---------------------------------------------------------

@@ -3,10 +3,10 @@
 Every characterization is one :class:`~modorder.verdicts.Relation` entry,
 written straight from its own defining clauses as one mask-valued function
 per clause part; the proved equivalences between them are verified by the
-law suite, never assumed here.  The same parts drive the search
-(:func:`evaluate`), the witness replay (:func:`revalidate`) and the sweep of
-a whole matrix (``laws.relation_matrix``).  Searches run over their pools in
-ascending order and return the first hit, so verdicts are deterministic.
+law suite, never assumed here.  The same parts drive the decision of one
+query (:func:`evaluate`) or one matrix row (``laws.relation_matrix``), the
+witness search (the first hit of each pool, so verdicts are deterministic)
+and the witness replay (:func:`revalidate`).
 
 Theorem-hypothesis violations (a non-regular operand where the
 characterization assumes regularity) do not abort: the raw existential is

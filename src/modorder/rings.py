@@ -40,8 +40,8 @@ def checked_table(table, rows: int, cols: int, bound: int, label: str) -> list[l
 
 def _identity(table) -> int | None:
     """The e with table[e][x] = x = table[x][e] for every x, if there is one."""
-    rng = range(len(table))
-    return next((e for e in rng if all(table[e][x] == x == table[x][e] for x in rng)), None)
+    ident = list(range(len(table)))
+    return next((e for e, col in enumerate(zip(*table)) if table[e] == ident == list(col)), None)
 
 
 def _check_size(n: int, cap: int, kind: str) -> None:
@@ -64,10 +64,9 @@ def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list
     neg = [row.index(zero) if zero in row else None for row in add]
     if None in neg:
         raise AxiomError(f"{kind} element {neg.index(None)} has no additive inverse")
-    for a in range(n):
-        for b in range(a):
-            if add[a][b] != add[b][a]:
-                raise AxiomError(f"{kind} addition not commutative at (a,b)=({a},{b})")
+    if add != [list(col) for col in zip(*add)]:
+        a, b = next((a, b) for a in range(n) for b in range(a) if add[a][b] != add[b][a])
+        raise AxiomError(f"{kind} addition not commutative at (a,b)=({a},{b})")
     return add, zero, neg
 
 

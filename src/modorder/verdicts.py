@@ -9,7 +9,7 @@ records whether the theorem hypotheses behind the characterization were
 satisfied by the operands.
 
 Each relation is one :class:`Relation` entry whose mask-valued clause parts
-drive the search for a witness, its replay and the sweep of a whole matrix.
+drive its decision (``row``), its witness search (``first``) and its replay.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def bits(mask: int):
 
 @dataclass(frozen=True)
 class Relation:
-    """One order relation, defined once for the search, the replay and the sweep.
+    """One order relation, defined once for the decision, the witness and the replay.
 
     ``pools(ctx, x)`` gives the pools of witness parts for row x, or None where the
     relation is undefined (a star order without its involution).  ``parts[i](ctx, x, p)``
@@ -125,47 +125,36 @@ class Relation:
     hypothesis: Callable | None = None
 
     def __call__(self, ctx, x: int, y: int) -> OrderVerdict:
-        """Search: the first element of each pool whose part covers y."""
+        return self.verdict(ctx, x, y, self.row(ctx, x, 1 << y))
+
+    def row(self, ctx, x: int, todo: int) -> int | None:
+        """The mask of the y in ``todo`` at which the relation holds (None: not
+        applicable); each pool runs only until its parts cover every y still alive."""
         pools = self.pools(ctx, x)
         if pools is None:
-            return self.verdict(ctx, x, y, None, applicable=False)
-        found = tuple(next((p for p in pool if part(ctx, x, p) >> y & 1), None)
-                      for pool, part in zip(pools, self.parts))
-        return self.verdict(ctx, x, y, None if None in found else found)
+            return None
+        for pool, part in zip(pools, self.parts):
+            left = todo
+            for p in pool:
+                if not left:
+                    break
+                left &= ~part(ctx, x, p)
+            todo ^= left
+        return todo
 
-    def sweep(self, ctx, size: int):
-        """Every cell's first witness parts (None where the relation fails), or None if not
-        applicable: each pool runs once per row, its first part covering y supplying y's."""
-        grid = []
-        for x in range(size):
-            pools = self.pools(ctx, x)
-            if pools is None:
-                return None
-            todo, firsts = (1 << size) - 1, []
-            for pool, part in zip(pools, self.parts):
-                first, left = [None] * size, todo
-                for p in pool:
-                    hit = part(ctx, x, p) & left
-                    if hit:
-                        left ^= hit
-                        for y in bits(hit):
-                            first[y] = p
-                        if not left:
-                            break
-                todo ^= left
-                firsts.append(first)
-            row = [None] * size
-            for y in bits(todo):
-                row[y] = tuple([first[y] for first in firsts])
-            grid.append(row)
-        return grid
+    def first(self, ctx, x: int, y: int) -> tuple:
+        """The witness parts at a cell where the relation holds: the first p of each
+        pool whose part covers y."""
+        return tuple(next(p for p in pool if part(ctx, x, p) >> y & 1)
+                     for pool, part in zip(self.pools(ctx, x), self.parts))
 
-    def verdict(self, ctx, x: int, y: int, parts, applicable: bool = True) -> OrderVerdict:
-        """The search's verdict at (x, y) from its first witness parts (None: none)."""
-        if not applicable:
+    def verdict(self, ctx, x: int, y: int, row: int | None) -> OrderVerdict:
+        """The verdict at (x, y) from row x's mask (None: not applicable)."""
+        if row is None:
             return OrderVerdict(self.tag, (x, y), False, applicable=False)
-        witness = None if parts is None else self.witness(*parts)
-        return OrderVerdict(self.tag, (x, y), parts is not None, witness, self.covers(ctx, x, y))
+        holds = bool(row >> y & 1)
+        witness = self.witness(*self.first(ctx, x, y)) if holds else None
+        return OrderVerdict(self.tag, (x, y), holds, witness, self.covers(ctx, x, y))
 
     def covers(self, ctx, x: int, y: int) -> bool:
         """Whether the theorem behind the characterization covers (x, y)."""

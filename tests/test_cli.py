@@ -107,9 +107,15 @@ def test_order_star_not_applicable(tmp_path):
             "size": 4, "add": add, "action": action}
     path = tmp_path / "klein.json"
     path.write_text(json.dumps(spec))
-    code, out, _ = run_cli("order", "--module", str(path), "--rel", "star", "1", "1")
+    code, out, err = run_cli("order", "--module", str(path), "--rel", "star", "1", "1")
     assert code == 2
     assert "not applicable" in out
+    assert err.startswith("error: ") and "not applicable" in err
+    code, out, err = run_cli("order", "--module", "RR:M2(2)", "--rel", "star", "1", "2")
+    assert code == 2
+    assert out == "star(1, 2): not applicable (required involution is absent)\n"
+    assert err == ("error: relation 'star' is not applicable on RR:M2(2): "
+                   "the required involution is absent\n")
 
 
 def test_order_out_of_range():

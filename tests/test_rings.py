@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -117,6 +118,30 @@ def test_rings_of_every_size_checked():
     with pytest.raises(AxiomError, match=r"\(a,b,c\)=\(\d+,\d+,\d+\)"):
         mo.build_ring_from_tables(add, mul)
     assert mo.build_matrix_ring(3).size == 81 and mo.build_zn(256).size == 256
+
+
+def test_addition_refused_at_its_one_asymmetric_cell():
+    """One asymmetric cell off the zero row and column, in either triangle, is refused
+    naming the pair (a, b) with b < a, as a scan below the diagonal finds it."""
+    rng, n = random.Random(0), 12
+    for _ in range(25):
+        a, b = rng.sample(range(1, n), 2)
+        if (a + b) % n == 0:  # keep every inverse in its row
+            continue
+        add, mul = zn_tables(n)
+        add[a][b] = (add[a][b] + 1) % n
+        with pytest.raises(AxiomError) as exc:
+            mo.build_ring_from_tables(add, mul)
+        assert str(exc.value) == (f"ring addition not commutative at "
+                                  f"(a,b)=({max(a, b)},{min(a, b)})")
+
+
+def test_missing_identities_refused():
+    add, mul = zn_tables(4)
+    with pytest.raises(AxiomError, match="no additive identity"):
+        mo.build_ring_from_tables([[0] * 4 for _ in range(4)], mul)
+    with pytest.raises(AxiomError, match="no multiplicative identity"):
+        mo.build_ring_from_tables(add, [[0] * 4 for _ in range(4)])
 
 
 def test_from_tables_mismatched_sizes():

@@ -1,12 +1,15 @@
-"""The whole-matrix sweep against the per-query search, cell by cell."""
+"""Whole relation matrices against single queries, cell by cell, and the two routines
+behind both: ``Relation.row`` (the decision) and ``Relation.first`` (the witness)."""
 
 import functools
+import random
 
 import pytest
 
 import modorder as mo
 from modorder import laws, orders
 from modorder.rings import RING_RELATIONS
+from modorder.verdicts import bits
 
 from oracles import klein_four_tables
 
@@ -70,6 +73,42 @@ def test_sweep_parts_are_the_witness_parts(z6_over_z30):
         for y, v in enumerate(row):
             parts = matrix.parts[x][y]
             assert parts == (None if not v.holds else (v.witness.f, v.witness.a))
+
+
+def _relations(ctx):
+    """(relation, target, size) for every module tag over ctx and every ring tag over its
+    ring."""
+    ring = ctx.module.ring
+    return ([(orders._BY_TAG[tag], ctx, ctx.module.size) for tag in MODULE_TAGS]
+            + [(rel, ring, ring.size) for rel in RING_RELATIONS.values()])
+
+
+def test_row_on_todo_is_the_full_row_masked(contexts):
+    """A pool stops once its parts cover every y still alive; that never changes the
+    verdict at a y that is asked about."""
+    rng = random.Random(0)
+    for ctx in contexts:
+        for rel, target, n in _relations(ctx):
+            everything = (1 << n) - 1
+            for x in range(n):
+                full = rel.row(target, x, everything)
+                for todo in (0, 1 << x, *(rng.getrandbits(n) for _ in range(6))):
+                    expected = None if full is None else full & todo
+                    assert rel.row(target, x, todo) == expected, (ctx.name, rel.tag, x, todo)
+
+
+def test_first_is_the_least_covering_part_of_each_pool(contexts):
+    """At each holding cell, ``first`` gives the parts of the single query's witness, each
+    the first element of its pool whose part covers y."""
+    for ctx in contexts:
+        for rel, target, n in _relations(ctx):
+            for x in range(n):
+                pools = rel.pools(target, x)
+                for y in bits(rel.row(target, x, (1 << n) - 1) or 0):
+                    found = rel.first(target, x, y)
+                    assert rel.witness(*found) == rel(target, x, y).witness
+                    for p, pool, part in zip(found, pools, rel.parts):
+                        assert p == next(q for q in pool if part(target, x, q) >> y & 1)
 
 
 def test_sweep_ignores_rebound_relations(monkeypatch, z6_over_z30):
