@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .homs import ModuleContext
 from .laws import RelationMatrix, check_partial_order, relation_matrix
+from .verdicts import bits
 from . import orders
 
 
@@ -23,25 +24,26 @@ class Poset:
     remaining elements (non-regular under minus-type relations) are kept as
     nodes, rendered dashed, and excluded from the axiom-check domain.  Their
     genuine edges are still drawn: a non-regular element can sit above a
-    regular one even though nothing sits above it.
+    regular one even though nothing sits above it.  ``leq`` holds the order's
+    row masks: bit j of ``leq[i]`` says that i <= j.
     """
 
     elements: tuple[int, ...]
     domain: tuple[int, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    leq: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
 
 
-def transitive_reduction(cells, n) -> list[tuple[int, int]]:
-    """Covering edges: related pairs not implied by a two-step path."""
+def transitive_reduction(rows) -> list[tuple[int, int]]:
+    """Covering edges, in ascending order: the related pairs (i, j), i != j, not implied
+    by a two-step path i -> k -> j through a third element k (Aho, Garey and Ullman)."""
     covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not cells[i][j]:
-                continue
-            if not any(k != i and k != j and cells[i][k] and cells[k][j]
-                       for k in range(n)):
-                covers.append((i, j))
+    for i, row in enumerate(rows):
+        above = row & ~(1 << i)
+        implied = 0
+        for k in bits(above):
+            implied |= rows[k] & ~(1 << k)
+        covers += ((i, j) for j in bits(above & ~implied))
     return covers
 
 
@@ -62,10 +64,8 @@ def build_poset(ctx: ModuleContext, tag: str,
     report = check_partial_order(matrix, domain)
     if report.outcome != "pass":
         raise NotAPartialOrder(report)
-    n = matrix.size
-    covers = transitive_reduction(matrix.cells, n)
-    return Poset(tuple(range(n)), tuple(domain),
-                 tuple(tuple(row) for row in matrix.cells), tuple(covers))
+    covers = transitive_reduction(matrix.rows)
+    return Poset(tuple(range(matrix.size)), tuple(domain), tuple(matrix.rows), tuple(covers))
 
 
 def to_dot(poset: Poset) -> str:

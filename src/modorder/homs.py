@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property, partial, reduce
 from itertools import product
-from operator import and_
+from operator import and_, or_
 
 from .modules import (FiniteModule, build_ring_as_module, cyclic_submodule, is_direct_sum,
                       right_ann)
@@ -187,8 +187,8 @@ class ModuleContext:
     """One module together with its lazily computed dual and endomorphism ring.
 
     Also memoizes the element-indexed families (annihilators, cyclic
-    submodules, orbits, multiples) and regularity verdicts that every order
-    relation keeps probing.  Contexts are cheap to create; the heavy parts
+    submodules, orbits, multiples) and the mask of regular elements that every
+    order relation keeps probing.  Contexts are cheap to create; the heavy parts
     build on first use and are immutable afterwards.
     """
 
@@ -210,15 +210,15 @@ class ModuleContext:
         return tuple(dual(self.module, self.ring_module))
 
     @cached_property
-    def regular(self) -> tuple:
-        """The regularity verdict of every element, in element order."""
+    def regular(self) -> int:
+        """The mask of the regular elements, the m with m = m.phi(m) for some phi in M*."""
         from .orders import REGULARITY  # the relation table lives with the orders
-        return tuple(REGULARITY(self, m, m) for m in range(self.module.size))
+        return reduce(or_, (REGULARITY.row(self, m, 1 << m) for m in range(self.module.size)), 0)
 
     @cached_property
     def is_regular(self) -> bool:
         """Whether every element is regular, i.e. the module is regular."""
-        return all(v.holds for v in self.regular)
+        return self.regular == (1 << self.module.size) - 1
 
     @cached_property
     def endos(self) -> EndoRing:

@@ -38,23 +38,26 @@ def _dual_part(ctx: ModuleContext, m1: int, t) -> int:
 
 minus_le_dual = Relation("minus-dual", lambda ctx, m1: (ctx.dual,), (_dual_part,),
                          DualWitness)
-# Zelmanowitz regularity, m = m.phi(m) for some phi in M*, is m <= m.  Called as
-# REGULARITY(ctx, m, m); ctx.regular caches its verdicts.
+# Zelmanowitz regularity, m = m.phi(m) for some phi in M*, is m <= m.  ctx.regular
+# caches the mask of the m with bit m in REGULARITY.row(ctx, m, 1 << m).
 REGULARITY = replace(minus_le_dual, tag="regular")
 
 
 def is_regular_element(ctx: ModuleContext, m: int) -> OrderVerdict:
     """Zelmanowitz regularity: some phi in M* with m = m.phi(m)."""
-    return ctx.regular[m]
+    if not 0 <= m < ctx.module.size:
+        raise ValueError(f"element {m} out of range for {ctx.module.name}")
+    return REGULARITY.verdict(ctx, m, m, ctx.regular)
 
 
 def regular_set(ctx: ModuleContext) -> frozenset[int]:
-    return frozenset(m for m, v in enumerate(ctx.regular) if v.holds)
+    return frozenset(bits(ctx.regular))
 
 
 def is_regular_module(ctx: ModuleContext):
     """(True, None) or (False, first non-regular element)."""
-    return next(((False, m) for m, v in enumerate(ctx.regular) if not v.holds), (True, None))
+    irregular = ~ctx.regular & (1 << ctx.module.size) - 1
+    return next(((False, m) for m in bits(irregular)), (True, None))
 
 
 def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozenset[int]]:
@@ -80,11 +83,11 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozens
 
 
 def _m1_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:
-    return ctx.regular[m1].holds
+    return bool(ctx.regular >> m1 & 1)
 
 
 def _both_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:
-    return ctx.regular[m1].holds and ctx.regular[m2].holds
+    return bool(ctx.regular >> m1 & ctx.regular >> m2 & 1)
 
 
 def _module_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:

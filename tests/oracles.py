@@ -140,3 +140,66 @@ def involution_violations(add, mul, inv):
         if inv[mul[a][b]] != mul[inv[b]][inv[a]]:
             found.add(f"involution not anti-multiplicative at (a,b)=({a},{b})")
     return found
+
+
+# -- relation law checks, cell by cell on an n x n grid of bools --------------------
+# Each returns what the library's check reports: (outcome, counterexample, checks).
+
+
+def partial_order_scan(cells, domain):
+    """Reflexivity on ``domain``, then antisymmetry and transitivity on every cell."""
+    n = len(cells)
+    checks = 0
+    for m in sorted(domain):
+        checks += 1
+        if not cells[m][m]:
+            return "fail", {"axiom": "reflexivity", "element": m}, checks
+    for i in range(n):
+        for j in range(n):
+            checks += 1
+            if i != j and cells[i][j] and cells[j][i]:
+                return "fail", {"axiom": "antisymmetry", "pair": [i, j]}, checks
+    for i in range(n):
+        for j in range(n):
+            if not cells[i][j]:
+                continue
+            for k in range(n):
+                checks += 1
+                if cells[j][k] and not cells[i][k]:
+                    return "fail", {"axiom": "transitivity", "triple": [i, j, k]}, checks
+    return "pass", None, checks
+
+
+def equivalence_scan(cells_a, cells_b, pairs=None):
+    """Cell equality of relations named "a" and "b", on ``pairs`` (None: every cell)."""
+    n = len(cells_a)
+    checks = 0
+    for i in range(n):
+        for j in range(n):
+            if pairs is not None and (i, j) not in pairs:
+                continue
+            checks += 1
+            if cells_a[i][j] != cells_b[i][j]:
+                return "fail", {"pair": [i, j], "a": cells_a[i][j], "b": cells_b[i][j]}, checks
+    return "pass", None, checks
+
+
+def unit_invariance_scan(cells, sides):
+    """cells[i][j] == cells[image[i]][image[j]] for each (side, unit, image) in turn."""
+    n = len(cells)
+    checks = 0
+    for side, unit, image in sides:
+        for i in range(n):
+            for j in range(n):
+                checks += 1
+                if cells[i][j] != cells[image[i]][image[j]]:
+                    return "fail", {"side": side, "unit": unit, "pair": [i, j]}, checks
+    return "pass", None, checks
+
+
+def transitive_reduction_scan(cells):
+    """The related pairs (i, j), i != j, with no k other than i and j between them."""
+    n = len(cells)
+    return [(i, j) for i in range(n) for j in range(n)
+            if i != j and cells[i][j]
+            and not any(k != i and k != j and cells[i][k] and cells[k][j] for k in range(n))]

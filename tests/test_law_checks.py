@@ -17,6 +17,12 @@ one of the failures the oracle lists, so it names a real violating element
 or tuple.  Each law's check is complete once the laws checked before it
 hold, so the error must also be about the first law, in checking order, that
 fails anywhere.
+
+The relation law checks and the Hasse reduction read row masks; they are
+compared with cell-by-cell scans of the same relation as a grid of bools.
+The relations are random partial orders and the minus-dual matrices of
+Z_m/Z_n, each with 0-3 bits flipped, over random domains, and every check
+must report the same outcome, counterexample and count of cells checked.
 """
 
 from functools import cache, reduce
@@ -28,8 +34,12 @@ import modorder as mo
 from modorder.rings import MAX_RING_SIZE, AxiomError, FiniteRing, additive_group
 from modorder.modules import MAX_MODULE_SIZE, FiniteModule
 
-from oracles import (involution_violations, module_law_violations, ring_law_violations,
-                     zm_over_zn_tables)
+from modorder.laws import RelationMatrix
+from modorder.verdicts import bits
+
+from oracles import (equivalence_scan, involution_violations, module_law_violations,
+                     partial_order_scan, ring_law_violations, transitive_reduction_scan,
+                     unit_invariance_scan, zm_over_zn_tables)
 
 RINGS = ["Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12",
          "Z2xZ2", "Z2xZ3", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ6", "M2(Z2)"]
@@ -202,3 +212,63 @@ def test_involution_check_matches_oracle(data):
             inv[a] = b
     assert_agrees(lambda: FiniteRing(add, mul, involution=inv),
                   involution_violations(add, mul, inv), INVOLUTION_LAWS)
+
+
+@cache
+def minus_dual(m, n):
+    """Z_m/Z_n's context, its minus-dual row masks and the images of its units."""
+    ctx = mo.ModuleContext(mo.build_zm_over_zn(m, n), f"Z{m}/Z{n}")
+    M, S = ctx.module, ctx.endos
+    sides = [("S", g, S.maps[g]) for g in sorted(S.units())]
+    sides += [("R", b, [row[b] for row in M.action]) for b in sorted(M.ring.units())]
+    return ctx, tuple(mo.relation_matrix(ctx, "minus-dual").rows), sides
+
+
+def random_order(data, n):
+    """The reflexive, transitive closure of random edges that go up a random linear order."""
+    rank = data.draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    rows = [1 << i for i in range(n)]
+    for a, b in data.draw(st.lists(pairs, max_size=2 * n)):
+        if rank[a] < rank[b]:
+            rows[a] |= 1 << b
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return rows
+
+
+def flipped(data, rows):
+    rows, n = list(rows), len(rows)
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows[data.draw(st.integers(0, n - 1))] ^= 1 << data.draw(st.integers(0, n - 1))
+    return rows
+
+
+def grid(rows):
+    return [[bool(row >> j & 1) for j in range(len(rows))] for row in rows]
+
+
+def outcome(report):
+    return report.outcome, report.counterexample, report.checks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_relation_checks_match_cell_scans(data):
+    ctx, minus, sides = minus_dual(*data.draw(st.sampled_from(MODULES + [(20, 20), (24, 24)])))
+    n, mask = ctx.module.size, st.integers(0, (1 << ctx.module.size) - 1)
+    base = minus if data.draw(st.booleans()) else random_order(data, n)
+    rows, other = flipped(data, base), flipped(data, base)
+    a, b = RelationMatrix(ctx.name, "a", n, rows), RelationMatrix(ctx.name, "b", n, other)
+
+    domain = set(bits(data.draw(mask)))
+    assert outcome(mo.check_partial_order(a, domain)) == partial_order_scan(grid(rows), domain)
+    dom_rows, cols = data.draw(mask), data.draw(mask)
+    pairs = {(i, j) for i in bits(dom_rows) for j in bits(cols)}
+    assert outcome(mo.check_equivalence(a, b)) == equivalence_scan(grid(rows), grid(other))
+    assert (outcome(mo.check_equivalence(a, b, (dom_rows, cols)))
+            == equivalence_scan(grid(rows), grid(other), pairs))
+    assert outcome(mo.check_unit_invariance(ctx, a)) == unit_invariance_scan(grid(rows), sides)
+    assert mo.transitive_reduction(rows) == transitive_reduction_scan(grid(rows))

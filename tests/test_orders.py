@@ -30,6 +30,12 @@ def test_non_regular_element(z4_over_z4):
     assert mo.regular_set(z4_over_z4) == {0, 1, 3}
 
 
+def test_regular_element_out_of_range(z4_over_z4):
+    for m in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            mo.is_regular_element(z4_over_z4, m)
+
+
 def test_regular_module_corpus(corpus):
     for ctx in corpus.values():
         ok, bad = mo.is_regular_module(ctx)

@@ -36,7 +36,8 @@ def _assert_matches_search(matrix, search):
     n = matrix.size
     expected = [[search(x, y) for y in range(n)] for x in range(n)]
     assert matrix.verdicts == expected, matrix.relation
-    assert matrix.cells == [[v.holds for v in row] for row in expected]
+    assert matrix.rows == [sum(v.holds << y for y, v in enumerate(row)) if row[0].applicable
+                           else None for row in expected]
     assert matrix.applicable == expected[0][0].applicable
 
 
@@ -71,7 +72,7 @@ def test_sweep_parts_are_the_witness_parts(z6_over_z30):
     matrix = mo.relation_matrix(z6_over_z30, "minus-idem")
     for x, row in enumerate(matrix.verdicts):
         for y, v in enumerate(row):
-            parts = matrix.parts[x][y]
+            parts = matrix.parts[x].get(y)
             assert parts == (None if not v.holds else (v.witness.f, v.witness.a))
 
 
