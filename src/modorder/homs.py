@@ -1,15 +1,18 @@
 """Hom-space enumeration: Hom_R(M, N), the dual M* and the endomorphism ring.
 
-Homs are extended one generator at a time.  With A the submodule that the
-earlier greedy generators of M span, a hom h on A extends to A + gR along
-each image u of the next generator g by a + g.r -> h(a) + u.r, and is dropped
-on the first element given two values.  A well-defined extension is a hom:
-A is a submodule, so sums and multiples of elements a + g.r keep that form,
-and h is additive and right-linear on A.  So no completed table needs a
-re-check, and none is missed, as every hom restricts to a hom on A.  Before
-each step the work of extending the list of partial homs, len(partial) * |N|
-copied tables of |M| entries plus at most |A| * |R| lookups each, is bounded,
-and a search whose bound exceeds HOM_BUDGET is refused with SpecError.
+Homs are extended one generator at a time.  The greedy generators of M are
+taken from its elements in order of decreasing |xR|, ties by index, so a
+cyclic module, R_R included, needs one step: its first candidate generates
+it.  With A the submodule that the earlier generators span, a hom h on A
+extends to A + gR along each image u of the next generator g by
+a + g.r -> h(a) + u.r, and is dropped on the first element given two values.
+A well-defined extension is a hom: A is a submodule, so sums and multiples of
+elements a + g.r keep that form, and h is additive and right-linear on A.  So
+no completed table needs a re-check, and none is missed, as every hom
+restricts to a hom on A.  Before each step the work of extending the list of
+partial homs, len(partial) * |N| copied tables of |M| entries plus at most
+|A| * |R| lookups each, is bounded, and a search whose bound exceeds
+HOM_BUDGET is refused with SpecError.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ def is_hom(M: FiniteModule, N: FiniteModule, t) -> bool:
 
 
 def _chain(M: FiniteModule):
-    """Each greedy generator g of M with the submodule A that the earlier ones span."""
+    """Each greedy generator g of M, walking the x by decreasing |xR| then by index, with
+    the submodule A that the earlier ones span."""
     span = {M.zero}
-    for x in range(M.size):
+    for x in sorted(range(M.size), key=lambda x: -len(set(M.action[x]))):
         if x not in span:
             yield x, span
             span = {M.add[xr][a] for xr in set(M.action[x]) for a in span}
@@ -94,7 +98,7 @@ def _hom_tables(M: FiniteModule, N: FiniteModule, maps, owner: str, op: str, row
     homs, checked in O(|maps||M||G|), and closed under + and ``op``, else AxiomError
     naming ``owner``."""
     tables = checked_table(maps, len(maps), M.size, N.size, f"{owner} map")
-    check_additive(tables, M.add, N.add, greedy_generators(M.add, M.zero),
+    check_additive(tables, M.add, N.add, greedy_generators(M.add, range(M.size), M.zero),
                    owner + ": map {f} is not additive at (x,g)=({x},{g})")
     gens = generating_set(M) or [M.zero]  # the zero module is keyed on its one element
     for (i, t), g in product(enumerate(tables), gens):
@@ -239,10 +243,13 @@ class ModuleContext:
     @cached_property
     def dual_masks(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
         """For each functional t of M*: the masks {x : t(x) = r}, indexed by r in R, and
-        the masks {y : y.v = x.v for every v in tM}, indexed by x."""
-        M, cols = self.module, self.module.column_preimages
-        agree = {image: tuple(reduce(and_, (cols[v][M.action[x][v]] for v in image))
-                              for x in range(M.size)) for image in set(map(frozenset, self.dual))}
+        the masks {y : y.v = x.v for every v in tM}, indexed by x.  Agreement at v and w
+        gives it at v + w, so it is checked on additive generators of tM only."""
+        M, R, cols, agree = self.module, self.module.ring, self.module.column_preimages, {}
+        for image in set(map(frozenset, self.dual)):
+            gens = greedy_generators(R.add, image, R.zero)
+            agree[image] = tuple(reduce(and_, (cols[v][M.action[x][v]] for v in gens))
+                                 for x in range(M.size))
         return {t: (pre, agree[frozenset(t)])
                 for t, pre in zip(self.dual, preimage_masks(self.dual, M.ring.size))}
 

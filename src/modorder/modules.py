@@ -43,7 +43,7 @@ class FiniteModule:
         ``FiniteRing.validate`` does: + by Light's test; m1 = m; (m+n)r and m(r+s), which
         say m -> mr and r -> mr are additive; then m(rs) - (mr)s is additive in each
         argument, so m(rs) = (mr)s on generator triples."""
-        R, gens = self.ring, greedy_generators(self.add, self.zero)
+        R, gens = self.ring, greedy_generators(self.add, range(self.size), self.zero)
         rgens = R.additive_generators
         check_add_associative(self.add, gens, "module addition")
         for x in range(self.size):

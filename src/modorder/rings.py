@@ -70,11 +70,12 @@ def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list
     return add, zero, neg
 
 
-def greedy_generators(add, zero: int) -> tuple[int, ...]:
-    """Each element, zero last, not reached from those before it by adding one of them at a
-    time, in O(n |G|).  Every element is then some bracketed sum of these generators."""
+def greedy_generators(table, elements, identity: int) -> tuple[int, ...]:
+    """Each of ``elements`` (in order, ``identity`` last) not reached from those before it
+    by ``table`` with one of them at a time, in O(n |G|).  In a finite group, such as the
+    additive group or the units under *, they generate all of ``elements``: x<G> = <G>."""
     span, gens = set(), []
-    for x in sorted(range(len(add)), key=lambda x: x == zero):
+    for x in sorted(elements, key=identity.__eq__):
         if x not in span:
             gens.append(x)
             todo = [x]
@@ -82,7 +83,7 @@ def greedy_generators(add, zero: int) -> tuple[int, ...]:
                 y = todo.pop()
                 if y not in span:
                     span.add(y)
-                    todo += [add[y][g] for g in gens]
+                    todo += [table[y][g] for g in gens]
     return tuple(gens)
 
 
@@ -133,7 +134,7 @@ class FiniteRing:
     @cached_property
     def additive_generators(self) -> tuple[int, ...]:
         """Greedy generators of the additive group (see ``greedy_generators``)."""
-        return greedy_generators(self.add, self.zero)
+        return greedy_generators(self.add, range(self.size), self.zero)
 
     def validate(self):
         """Check every ring law where an additive generator g is involved, in O(n^2 |G|)
@@ -181,8 +182,7 @@ class FiniteRing:
         return frozenset(e for e in range(self.size) if self.mul[e][e] == e)
 
     def units(self) -> frozenset[int]:
-        return frozenset(u for u in range(self.size) if any(
-            self.mul[u][v] == self.one == self.mul[v][u] for v in range(self.size)))
+        return frozenset(self.unit_pool)
 
     def projections(self) -> frozenset[int]:
         """Self-adjoint idempotents; requires an involution."""
@@ -199,6 +199,12 @@ class FiniteRing:
     def idempotent_pool(self) -> tuple[int, ...]:
         """The idempotents in ascending order, as a witness pool."""
         return tuple(sorted(self.idempotents()))
+
+    @cached_property
+    def unit_pool(self) -> tuple[int, ...]:
+        """The units in ascending order: 1 in row u and in column u, as uv = 1 = wu gives v = w."""
+        return tuple(u for u, (row, col) in enumerate(zip(self.mul, zip(*self.mul)))
+                     if self.one in row and self.one in col)
 
     @cached_property
     def projection_pool(self) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ records whether the theorem hypotheses behind the characterization were
 satisfied by the operands.
 
 Each relation is one :class:`Relation` entry whose mask-valued clause parts
-drive its decision (``row``), its witness search (``first``) and its replay.
+drive its decision (``row``), its witness search (``firsts``) and its replay.
 """
 
 from __future__ import annotations
@@ -142,18 +142,26 @@ class Relation:
             todo ^= left
         return todo
 
-    def first(self, ctx, x: int, y: int) -> tuple:
-        """The witness parts at a cell where the relation holds: the first p of each
-        pool whose part covers y."""
-        return tuple(next(p for p in pool if part(ctx, x, p) >> y & 1)
-                     for pool, part in zip(self.pools(ctx, x), self.parts))
+    def firsts(self, ctx, x: int, row: int) -> dict[int, tuple]:
+        """The witness parts at each y of ``row``, a mask of cells where the relation
+        holds: the first p of each pool whose part covers y, in one scan of each pool."""
+        found = {y: [] for y in bits(row)}
+        for pool, part in zip(self.pools(ctx, x), self.parts):
+            left = row
+            for p in pool:
+                if not left:
+                    break
+                for y in bits(part(ctx, x, p) & left):
+                    found[y].append(p)
+                    left ^= 1 << y
+        return {y: tuple(parts) for y, parts in found.items()}
 
     def verdict(self, ctx, x: int, y: int, row: int | None) -> OrderVerdict:
         """The verdict at (x, y) from row x's mask (None: not applicable)."""
         if row is None:
             return OrderVerdict(self.tag, (x, y), False, applicable=False)
         holds = bool(row >> y & 1)
-        witness = self.witness(*self.first(ctx, x, y)) if holds else None
+        witness = self.witness(*self.firsts(ctx, x, 1 << y)[y]) if holds else None
         return OrderVerdict(self.tag, (x, y), holds, witness, self.covers(ctx, x, y))
 
     def covers(self, ctx, x: int, y: int) -> bool:

@@ -1,5 +1,6 @@
 import os
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import modorder as mo
+
+from oracles import ORACLE_RINGS
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +53,14 @@ def klein_four():
     add, action = klein_four_tables()
     module = mo.build_module_from_tables(mo.build_zn(2), add, action, name="F2^2")
     return mo.ModuleContext(module, "F2^2")
+
+
+@pytest.fixture(scope="session")
+def oracle_contexts():
+    """R_R of each of oracles.ORACLE_RINGS, keyed by ring name."""
+    contexts = {}
+    for name in ORACLE_RINGS:
+        ring = (mo.build_matrix_ring(2) if name == "M2(Z2)" else
+                reduce(mo.build_product, [mo.build_zn(int(f[1:])) for f in name.split("x")]))
+        contexts[name] = mo.ModuleContext(mo.build_ring_as_module(ring), name)
+    return contexts

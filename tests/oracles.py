@@ -6,30 +6,36 @@ the enumeration or search code under test.
 
 from itertools import product
 
+# Rings whose R_R the tests check against oracles: the Boolean ring Z2^6, two products
+# that are not von Neumann regular, and M2(Z2), which is not commutative.
+ORACLE_RINGS = ("Z2xZ2xZ2xZ2xZ2xZ2", "Z2xZ2xZ2xZ4", "Z2xZ4xZ8", "M2(Z2)")
+
 
 def brute_homs(dom_add, dom_action, cod_add, cod_action, cod_size):
-    """All additive, linear value tables dom -> cod, by filtering every function."""
+    """All additive, linear value tables dom -> cod, by filtering every function.  Values
+    are chosen for x = 0, 1, ... in turn, and each law t(x+y) = t(x)+t(y), t(x.r) = t(x).r
+    is checked once all the elements it names have values, so a failing prefix is dropped
+    with every function that extends it."""
     msize = len(dom_add)
     rsize = len(dom_action[0]) if msize else 0
-    found = []
-    for table in product(range(cod_size), repeat=msize):
-        ok = True
-        for x in range(msize):
-            tx = table[x]
-            for y in range(msize):
-                if table[dom_add[x][y]] != cod_add[tx][table[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            for r in range(rsize):
-                if table[dom_action[x][r]] != cod_action[tx][r]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(table)
+    laws = [[] for _ in range(msize)]  # the laws whose last-valued element is x
+    for x, y in product(range(msize), repeat=2):
+        z = dom_add[x][y]
+        laws[max(x, y, z)].append((z, lambda t, x=x, y=y: cod_add[t[x]][t[y]]))
+    for x, r in product(range(msize), range(rsize)):
+        z = dom_action[x][r]
+        laws[max(x, z)].append((z, lambda t, x=x, r=r: cod_action[t[x]][r]))
+    found, table = [], [0] * msize
+
+    def extend(x):
+        if x == msize:
+            found.append(tuple(table))
+            return
+        for v in range(cod_size):
+            table[x] = v
+            if all(table[z] == value(table) for z, value in laws[x]):
+                extend(x + 1)
+    extend(0)
     return sorted(found)
 
 
@@ -203,3 +209,10 @@ def transitive_reduction_scan(cells):
     return [(i, j) for i in range(n) for j in range(n)
             if i != j and cells[i][j]
             and not any(k != i and k != j and cells[i][k] and cells[k][j] for k in range(n))]
+
+
+def first_parts(rel, target, x, y):
+    """At a cell (x, y) where the relation ``rel`` holds, the first element of each of its
+    pools whose clause part covers y, by one scan of the pools per cell."""
+    return tuple(next(p for p in pool if part(target, x, p) >> y & 1)
+                 for pool, part in zip(rel.pools(target, x), rel.parts))

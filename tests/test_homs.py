@@ -3,8 +3,10 @@ from functools import reduce
 import pytest
 
 import modorder as mo
+from modorder import homs
 
-from oracles import brute_homs, f2_power_tables, klein_four_tables, zm_over_zn_tables
+from oracles import (ORACLE_RINGS, brute_homs, f2_power_tables, klein_four_tables,
+                     zm_over_zn_tables)
 
 
 def test_generating_set_cyclic():
@@ -18,6 +20,25 @@ def test_generating_set_cyclic():
 def test_generating_set_two_generators(klein_four):
     gens = mo.generating_set(klein_four.module)
     assert len(gens) == 2
+
+
+def test_ring_modules_take_one_generator(corpus, oracle_contexts):
+    """R_R is cyclic, and the walk by decreasing |xR| meets a generator of it first."""
+    z2xz2 = mo.build_ring_as_module(mo.build_product(mo.build_zn(2), mo.build_zn(2)))
+    modules = [z2xz2] + [ctx.module for ctx in (*corpus.values(), *oracle_contexts.values())
+                         if ctx.module.is_ring_as_module()]
+    assert {"M2(Z2)_R", "Z2xZ3_R"} < {M.name for M in modules}
+    for M in modules:
+        assert len(mo.generating_set(M)) == 1, M.name
+
+
+def test_cyclic_hom_search_extends_once_per_image(monkeypatch):
+    """Hom(R_R, R_R) for R = Z2^4 takes one extension step, of one try per element."""
+    M = mo.build_ring_as_module(reduce(mo.build_product, [mo.build_zn(2)] * 4))
+    calls, extend = [], homs._extend
+    monkeypatch.setattr(homs, "_extend", lambda *args: calls.append(args) or extend(*args))
+    assert len(mo.hom_group(M, M)) == M.size
+    assert len(calls) == M.size == 16
 
 
 def test_dual_of_paper_module(z6_over_z30):
@@ -270,6 +291,13 @@ def test_endos_match_brute_force_klein(klein_four):
     assert mo.hom_group(klein_four.module, klein_four.module) == expected
 
 
+@pytest.mark.parametrize("factors", [(2, 2), (2, 4)])
+def test_ring_module_homs_match_brute_force(factors):
+    ring = mo.build_product(*map(mo.build_zn, factors))
+    M = mo.build_ring_as_module(ring)
+    assert mo.hom_group(M, M) == brute_homs(ring.add, ring.mul, ring.add, ring.mul, ring.size)
+
+
 def test_dual_matches_brute_force_klein(klein_four):
     add, action = klein_four_tables()
     radd = [[0, 1], [1, 0]]
@@ -288,19 +316,7 @@ def test_dual_matches_brute_force_f2_cubed():
 
 # -- enumeration of Hom(R_R, R_R) against left multiplications ----------------------
 
-# Right-linear maps R_R -> R_R are exactly x -> a.x, one for each a in R.  Z2^6
-# has six greedy generators and 64^6 generator assignments.
-ORACLE_RINGS = ("Z2xZ2xZ2xZ2xZ2xZ2", "Z2xZ2xZ2xZ4", "Z2xZ4xZ8", "M2(Z2)")
-
-
-@pytest.fixture(scope="module")
-def oracle_contexts():
-    contexts = {}
-    for name in ORACLE_RINGS:
-        ring = (mo.build_matrix_ring(2) if name == "M2(Z2)" else
-                reduce(mo.build_product, [mo.build_zn(int(f[1:])) for f in name.split("x")]))
-        contexts[name] = mo.ModuleContext(mo.build_ring_as_module(ring), name)
-    return contexts
+# Right-linear maps R_R -> R_R are exactly x -> a.x, one for each a in R.
 
 
 @pytest.mark.parametrize("name", ORACLE_RINGS)

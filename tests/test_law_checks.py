@@ -272,3 +272,13 @@ def test_relation_checks_match_cell_scans(data):
             == equivalence_scan(grid(rows), grid(other), pairs))
     assert outcome(mo.check_unit_invariance(ctx, a)) == unit_invariance_scan(grid(rows), sides)
     assert mo.transitive_reduction(rows) == transitive_reduction_scan(grid(rows))
+
+
+def test_unit_invariance_fails_at_a_unit_off_the_first_generator():
+    """The units of Z8 form Z2 x Z2: the edges (1, 1) and (3, 3) are fixed by x -> 3x but
+    moved by x -> 5x, so the law fails, at the pair the cell scan reports."""
+    ctx, _, sides = minus_dual(8, 8)
+    rows = [0, 1 << 1, 0, 1 << 3, 0, 0, 0, 0]
+    report = mo.check_unit_invariance(ctx, RelationMatrix(ctx.name, "a", 8, rows))
+    assert report.outcome == "fail"
+    assert outcome(report) == unit_invariance_scan(grid(rows), sides)

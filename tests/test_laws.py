@@ -124,6 +124,23 @@ def test_witness_constructions(corpus):
         assert r.outcome == "pass", (ctx.name, r.counterexample)
 
 
+@pytest.mark.parametrize("module,refused,element,checks", [
+    ((10, 10), None, 0, 1), ((10, 10), 5, 5, 17), ((6, 30), 3, 3, 10)])
+def test_witness_constructions_report_a_failed_decomposition(module, refused, element, checks):
+    """A direct-sum check that refuses every M = mR (+) N, or those with mR = refused R,
+    fails the law at the first witness of the first such regular m."""
+    ctx = mo.ModuleContext(mo.build_zm_over_zn(*module))
+    direct_sum = ctx.is_direct_sum
+
+    def faulty(a, b, target):
+        return refused is not None and a != ctx.cyclic[refused] and direct_sum(a, b, target)
+    ctx.is_direct_sum = faulty
+    r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
+    assert r.to_json() == {"law": "witness-constructions", "member": ctx.name,
+                           "outcome": "fail", "checks": checks,
+                           "counterexample": {"kind": "decomposition", "element": element}}
+
+
 def test_ring_bridge(corpus):
     for name in ("Z6/Z6", "Z10/Z10", "Z2xZ3", "M2(Z2)"):
         ctx = corpus[name]

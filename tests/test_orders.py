@@ -3,7 +3,7 @@ import pytest
 import modorder as mo
 from modorder.orders import EQUIVALENT_FAMILY
 
-from oracles import brute_minus_dual, is_submodule
+from oracles import brute_homs, brute_minus_dual, is_submodule
 
 
 # -- regularity ---------------------------------------------------------------
@@ -297,6 +297,24 @@ def test_minus_dual_matches_independent_replay(z10_over_z10):
         for j in range(10):
             assert (mo.minus_le_dual(z10_over_z10, i, j).holds
                     == brute_minus_dual(m, functionals, i, j))
+
+
+def test_minus_dual_matches_oracle_where_an_image_needs_two_generators():
+    """On R (+) R over R = Z2xZ2 the image tM of a functional t can need two additive
+    generators, and agreement m1.v = m2.v at one of them does not give it on all of tM.
+    The matrix matches the definition replayed on the brute-force dual."""
+    ring = mo.build_product(mo.build_zn(2), mo.build_zn(2))
+    n = ring.size
+    add = [[ring.add[x // n][y // n] * n + ring.add[x % n][y % n] for y in range(n * n)]
+           for x in range(n * n)]
+    action = [[ring.mul[x // n][r] * n + ring.mul[x % n][r] for r in range(n)]
+              for x in range(n * n)]
+    ctx = mo.ModuleContext(mo.build_module_from_tables(ring, add, action, name="R+R"))
+    functionals = brute_homs(add, action, ring.add, ring.mul, n)
+    assert list(ctx.dual) == functionals
+    assert mo.relation_matrix(ctx, "minus-dual").rows == [
+        sum(brute_minus_dual(ctx.module, functionals, i, j) << j for j in range(n * n))
+        for i in range(n * n)]
 
 
 from hypothesis import given, settings, strategies as st

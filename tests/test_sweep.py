@@ -1,5 +1,5 @@
 """Whole relation matrices against single queries, cell by cell, and the two routines
-behind both: ``Relation.row`` (the decision) and ``Relation.first`` (the witness)."""
+behind both: ``Relation.row`` (the decision) and ``Relation.firsts`` (the witnesses)."""
 
 import functools
 import random
@@ -11,7 +11,7 @@ from modorder import laws, orders
 from modorder.rings import RING_RELATIONS
 from modorder.verdicts import bits
 
-from oracles import klein_four_tables
+from oracles import first_parts, klein_four_tables
 
 MODULE_TAGS = tuple(orders.RELATIONS)
 
@@ -98,18 +98,18 @@ def test_row_on_todo_is_the_full_row_masked(contexts):
                     assert rel.row(target, x, todo) == expected, (ctx.name, rel.tag, x, todo)
 
 
-def test_first_is_the_least_covering_part_of_each_pool(contexts):
-    """At each holding cell, ``first`` gives the parts of the single query's witness, each
-    the first element of its pool whose part covers y."""
-    for ctx in contexts:
+def test_first_is_the_least_covering_part_of_each_pool(contexts, oracle_contexts):
+    """At each holding cell, ``firsts`` on the whole row gives the parts of the single
+    query's witness, each the first element of its pool whose part covers y."""
+    for ctx in (*contexts, *oracle_contexts.values()):
         for rel, target, n in _relations(ctx):
             for x in range(n):
-                pools = rel.pools(target, x)
-                for y in bits(rel.row(target, x, (1 << n) - 1) or 0):
-                    found = rel.first(target, x, y)
-                    assert rel.witness(*found) == rel(target, x, y).witness
-                    for p, pool, part in zip(found, pools, rel.parts):
-                        assert p == next(q for q in pool if part(target, x, q) >> y & 1)
+                row = rel.row(target, x, (1 << n) - 1)
+                found = rel.firsts(target, x, row) if row else {}
+                assert list(found) == list(bits(row or 0)), (ctx.name, rel.tag, x)
+                for y, parts in found.items():
+                    assert parts == first_parts(rel, target, x, y), (ctx.name, rel.tag, x, y)
+                    assert rel.witness(*parts) == rel(target, x, y).witness
 
 
 def test_sweep_ignores_rebound_relations(monkeypatch, z6_over_z30):
