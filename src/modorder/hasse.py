@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .homs import ModuleContext
 from .laws import RelationMatrix, check_partial_order, relation_matrix
@@ -16,8 +16,7 @@ class NotAPartialOrder(ValueError):
         super().__init__(f"relation is not a partial order: {report.counterexample}")
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(NamedTuple):
     """A verified finite order with its covering edges.
 
     ``domain`` holds the elements on which reflexivity was required; the

@@ -7,8 +7,8 @@ pure functions of their inputs, so reruns produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from . import orders
 from .homs import ModuleContext, smash
@@ -18,8 +18,7 @@ from .rings import (RING_RELATIONS, AxiomError, SpecError, build_matrix_ring, bu
 from .verdicts import OrderVerdict, Relation, bits
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
     law: str
     member: str
     outcome: str                      # "pass" | "fail" | "not-applicable"
@@ -31,19 +30,16 @@ class LawReport:
                 "checks": self.checks, "counterexample": self.counterexample}
 
 
-@dataclass
 class RelationMatrix:
     """A relation over a member as one mask per row: bit y of ``rows[x]`` says that x is
     related to y (a row of None: not applicable).  One built by ``relation_matrix`` also
     keeps the relation and the context (or ring) it ran on, from which it finds the
     holding cells' witness parts and the verdicts when first read."""
 
-    member: str
-    relation: str
-    size: int
-    rows: list[int | None]
-    rel: Relation | None = field(repr=False, default=None)
-    target: object = field(repr=False, default=None)
+    def __init__(self, member: str, relation: str, size: int, rows: list[int | None],
+                 rel: Relation | None = None, target: object = None):
+        self.member, self.relation, self.size, self.rows = member, relation, size, rows
+        self.rel, self.target = rel, target
 
     @cached_property
     def applicable(self) -> bool:
@@ -205,7 +201,7 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     M, S, R = ctx.module, ctx.endos, ctx.module.ring
     fail = partial(LawReport, "witness-constructions", idem.member, "fail")
     (regular,) = orders.REGULARITY.parts
-    checks = 0
+    checks, whole = 0, frozenset(range(M.size))
     for m in bits(ctx.regular):
         for phi in (t for t in ctx.dual if regular(ctx, m, t) >> m & 1):
             checks += 1
@@ -215,9 +211,7 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
             s = smash(M, S, m, phi)
             if S.mul[s][s] != s:
                 return fail({"kind": "smash-idempotent", "element": m, "f": s}, checks)
-            try:
-                orders.regular_decomposition(ctx, m, phi)
-            except AssertionError:
+            if orders.kernel_summand(ctx, m, s, whole) is None:  # the scan checked phi
                 return fail({"kind": "decomposition", "element": m}, checks)
     for m1, row in enumerate(idem.parts):
         for m2, (f, a) in row.items():

@@ -15,11 +15,10 @@ still decided and the verdict carries ``hypothesis_ok=False``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from operator import eq, le
 
-from .homs import ModuleContext
+from .homs import ModuleContext, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
                        OrderVerdict, Relation, bits)
@@ -40,7 +39,7 @@ minus_le_dual = Relation("minus-dual", lambda ctx, m1: (ctx.dual,), (_dual_part,
                          DualWitness)
 # Zelmanowitz regularity, m = m.phi(m) for some phi in M*, is m <= m.  ctx.regular
 # caches the mask of the m with bit m in REGULARITY.row(ctx, m, 1 << m).
-REGULARITY = replace(minus_le_dual, tag="regular")
+REGULARITY = minus_le_dual._replace(tag="regular")
 
 
 def is_regular_element(ctx: ModuleContext, m: int) -> OrderVerdict:
@@ -72,11 +71,17 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozens
         raise ValueError(f"functional does not witness regularity of {m}")
     e = phi[m]
     assert M.ring.mul[e][e] == e
-    row = M.action[m]
-    n_set = frozenset(n for n in range(M.size) if row[phi[n]] == M.zero)
-    if not ctx.is_direct_sum(ctx.cyclic[m], n_set, frozenset(range(M.size))):
+    n_set = kernel_summand(ctx, m, smash(M, ctx.endos, m, phi), frozenset(range(M.size)))
+    if n_set is None:
         raise AssertionError(f"decomposition failed for m={m}")
     return e, n_set
+
+
+def kernel_summand(ctx: ModuleContext, m: int, s: int, whole: frozenset[int]):
+    """N = {n : m.phi(n) = 0}, the zero fibre of s = smash(M, S, m, phi), if M = mR (+) N
+    (``whole`` is the set of all of M); None otherwise."""
+    n_set = frozenset(bits(ctx.endos.preimages[s][ctx.module.zero]))
+    return n_set if ctx.is_direct_sum(ctx.cyclic[m], n_set, whole) else None
 
 
 # -- hypotheses and pools -----------------------------------------------------------

@@ -8,9 +8,9 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .verdicts import AnnihPair, InnerInverse, OrderVerdict, Relation
 
@@ -443,8 +443,7 @@ def idempotent_annih_identity(ring: FiniteRing, p: int) -> bool:
 # -- whole-ring certificates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RickartCert:
+class RickartCert(NamedTuple):
     """Per-element idempotent (or projection) generators of both annihilators.
 
     ``witnesses[a] = (p, q)`` with r(a) = pR and l(a) = Rq.  ``failure`` names

@@ -15,18 +15,16 @@ drive its decision (``row``), its witness search (``firsts``) and its replay.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DualWitness:
+class DualWitness(NamedTuple):
     """A functional m -> R, given by its value table over module indices."""
 
     table: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IdemPair:
+class IdemPair(NamedTuple):
     """An idempotent endomorphism index f and an idempotent ring element a.
 
     The projection flags mark clauses that additionally required
@@ -39,31 +37,27 @@ class IdemPair:
     a_projection: bool = False
 
 
-@dataclass(frozen=True)
-class MapPair:
+class MapPair(NamedTuple):
     """An arbitrary endomorphism index f and ring element a."""
 
     f: int
     a: int
 
 
-@dataclass(frozen=True)
-class DirectSumWitness:
+class DirectSumWitness(NamedTuple):
     """The two summand sets of an internal direct-sum decomposition."""
 
     first: tuple[int, ...]
     second: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class InnerInverse:
+class InnerInverse(NamedTuple):
     """An inner generalized inverse: x with a*x*a = a."""
 
     value: int
 
 
-@dataclass(frozen=True)
-class AnnihPair:
+class AnnihPair(NamedTuple):
     """Idempotents p, q certifying the annihilator form of the ring minus order."""
 
     p: int
@@ -73,8 +67,7 @@ class AnnihPair:
 Witness = DualWitness | IdemPair | MapPair | DirectSumWitness | InnerInverse | AnnihPair
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class _VerdictFields(NamedTuple):
     relation: str
     operands: tuple[int, int]
     holds: bool
@@ -82,9 +75,21 @@ class OrderVerdict:
     hypothesis_ok: bool = True
     applicable: bool = True
 
-    def __post_init__(self):
+
+class OrderVerdict(_VerdictFields):
+    """An applicable verdict holds iff it has a witness, checked on every construction path."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        self = super().__new__(cls, *fields, **named)
         if self.applicable and self.holds != (self.witness is not None):
             raise ValueError(f"verdict for {self.relation} breaks holds <-> witness")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         return {
@@ -105,8 +110,7 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """One order relation, defined once for the decision, the witness and the replay.
 
     ``pools(ctx, x)`` gives the pools of witness parts for row x, or None where the
@@ -170,16 +174,18 @@ class Relation:
 
     def replay(self, ctx, verdict: OrderVerdict) -> bool:
         """Check a positive verdict's witness against this relation: the hypothesis flag
-        the search records, exactly the witness the search builds from its parts
-        (projection flags included), and each part in its pool, covering y."""
+        the search records, exactly the witness the search builds from its parts (its
+        type, as records compare equal to any tuple of equal fields, and its projection
+        flags), and each part in its pool, covering y."""
         if not verdict.holds:
             return True
         x, y = verdict.operands
         w, pools = verdict.witness, self.pools(ctx, x)
         if pools is None or verdict.hypothesis_ok != self.covers(ctx, x, y):
             return False
-        parts = tuple(getattr(w, f.name) for f in fields(w)[:len(pools)])
-        if len(parts) != len(pools) or self.witness(*parts) != w:
+        parts = w[:len(pools)] if isinstance(w, tuple) else ()
+        built = len(parts) == len(pools) and self.witness(*parts)
+        if type(built) is not type(w) or built != w:
             return False
         return all(p in pool and part(ctx, x, p) >> y & 1
                    for p, pool, part in zip(parts, pools, self.parts))
@@ -193,8 +199,5 @@ _KINDS = {DualWitness: "functional", IdemPair: "idem-pair", MapPair: "map-pair",
 def witness_to_json(w: Witness | None):
     if w is None:
         return None
-    out = {"kind": _KINDS[type(w)]}
-    for f in fields(w):
-        value = getattr(w, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in (("kind", _KINDS[type(w)]), *zip(w._fields, w))}

@@ -208,6 +208,20 @@ def test_byte_identical_reruns(child_env):
            subprocess.run(cmd, capture_output=True, env=child_env).stdout
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect(child_env):
+    """Every command is a fresh interpreter, so the CLI keeps out the heavy modules that
+    ``@dataclass`` pulls in; measured against a bare interpreter, whose site hooks may
+    load modules of their own."""
+    def modules(prelude):
+        show = prelude + "import json, sys; print(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", show], capture_output=True,
+                              env=child_env, check=True)
+        return set(json.loads(proc.stdout))
+    added = modules("import modorder.cli; ") - modules("")
+    assert "modorder.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
 def test_missing_ring_file(tmp_path):
     code, _, err = run_cli("ring", "--ring", str(tmp_path / "nofile.json"))
     assert code == 2 and "nofile.json" in err

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from collections import namedtuple
+
+import pytest
 
 import modorder as mo
 from modorder.rings import RING_RELATIONS, revalidate_ring
-from modorder.verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
-                               OrderVerdict)
+from modorder.verdicts import (AnnihPair, DirectSumWitness, DualWitness, IdemPair,
+                               InnerInverse, MapPair, OrderVerdict)
 
 TAGS = ("minus-dual", "minus-idem", "minus-relaxed", "minus-image", "jones", "mitsch",
         "mitsch-sym", "gb", "dsum", "rstar", "lstar", "star")
@@ -61,18 +63,18 @@ def _tampered(ctx, w):
     """Copies of a witness with one part swapped for a non-pool element or one flag flipped."""
     S, R = ctx.endos, ctx.module.ring
     if isinstance(w, DualWitness):  # maps 0 to 1, so it is no functional
-        yield replace(w, table=tuple((x + 1) % R.size for x in w.table))
+        yield w._replace(table=tuple((x + 1) % R.size for x in w.table))
     elif isinstance(w, IdemPair):
-        yield replace(w, f=next(f for f in range(S.size) if S.mul[f][f] != f))
-        yield replace(w, a=next(a for a in range(R.size) if R.mul[a][a] != a))
-        yield replace(w, f_projection=not w.f_projection)
-        yield replace(w, a_projection=not w.a_projection)
+        yield w._replace(f=next(f for f in range(S.size) if S.mul[f][f] != f))
+        yield w._replace(a=next(a for a in range(R.size) if R.mul[a][a] != a))
+        yield w._replace(f_projection=not w.f_projection)
+        yield w._replace(a_projection=not w.a_projection)
     elif isinstance(w, MapPair):
-        yield replace(w, f=S.size)
-        yield replace(w, a=R.size)
+        yield w._replace(f=S.size)
+        yield w._replace(a=R.size)
     elif isinstance(w, DirectSumWitness):
-        yield replace(w, first=w.second, second=w.first)
-        yield replace(w, first=tuple(reversed(w.first)))
+        yield w._replace(first=w.second, second=w.first)
+        yield w._replace(first=tuple(reversed(w.first)))
     else:
         raise AssertionError(f"no tampering for {w!r}")
 
@@ -84,8 +86,8 @@ def test_replay_rejects_tampered_module_witnesses(z6_over_z30):
     for v in verdicts:
         assert v.holds and mo.revalidate(ctx, v), v.relation
         for w in _tampered(ctx, v.witness):
-            assert not mo.revalidate(ctx, replace(v, witness=w)), (v.relation, w)
-        assert not mo.revalidate(ctx, replace(v, hypothesis_ok=not v.hypothesis_ok))
+            assert not mo.revalidate(ctx, v._replace(witness=w)), (v.relation, w)
+        assert not mo.revalidate(ctx, v._replace(hypothesis_ok=not v.hypothesis_ok))
 
 
 def test_replay_rejects_tampered_ring_witnesses():
@@ -93,12 +95,55 @@ def test_replay_rejects_tampered_ring_witnesses():
     hartwig = mo.hartwig_minus_le(z6, 3, 5)
     annih = mo.ring_minus_le_annih(z6, 2, 5)
     assert revalidate_ring(hartwig, z6) and revalidate_ring(annih, z6)
-    for v, w in ((hartwig, replace(hartwig.witness, value=6)),
-                 (annih, replace(annih.witness, p=2)),
-                 (annih, replace(annih.witness, q=2))):
-        assert not revalidate_ring(replace(v, witness=w), z6), w
+    for v, w in ((hartwig, hartwig.witness._replace(value=6)),
+                 (annih, annih.witness._replace(p=2)),
+                 (annih, annih.witness._replace(q=2))):
+        assert not revalidate_ring(v._replace(witness=w), z6), w
     for v in (hartwig, annih):
-        assert not revalidate_ring(replace(v, hypothesis_ok=False), z6)
+        assert not revalidate_ring(v._replace(hypothesis_ok=False), z6)
+
+
+def _foreign(w):
+    """w's fields as a bare tuple, in every other witness class of w's arity, and in a
+    record with w's very field names: each compares equal to w, none is of its type."""
+    yield tuple(w)
+    for cls in (DualWitness, IdemPair, MapPair, DirectSumWitness, InnerInverse, AnnihPair):
+        if cls is not type(w) and len(cls._fields) == len(w):
+            yield cls(*w)
+    yield namedtuple("Forged", w._fields)(*w)
+
+
+def test_replay_rejects_foreign_witness_types(corpus):
+    """Every positive verdict of the 12 module relations on Z6/Z30 and M2(Z2)_R, and of
+    the ring relations on Z6, replays; the same values in another type do not."""
+    z6, replays = mo.build_zn(6), []
+    for ctx in (corpus["Z6/Z30"], corpus["M2(Z2)"]):
+        replays += [(v, lambda v, ctx=ctx: mo.revalidate(ctx, v)) for tag in TAGS
+                    for row in mo.relation_matrix(ctx, tag).verdicts for v in row]
+    replays += [(rel(z6, a, b), lambda v: revalidate_ring(v, z6))
+                for rel in RING_RELATIONS.values() for a in range(6) for b in range(6)]
+    positive = [(v, replay) for v, replay in replays if v.holds]
+    assert {v.relation for v, _ in positive} >= {*TAGS[:9], "hartwig", "ring-annih"}
+    for v, replay in positive:
+        assert replay(v), v
+        for w in _foreign(v.witness):
+            assert w == v.witness and not replay(v._replace(witness=w)), (v, w)
+
+
+def test_verdict_keeps_holds_iff_witness_on_every_construction_path(z6_over_z30):
+    v = mo.minus_le_idem(z6_over_z30, 2, 5)
+    assert v.holds and v.witness is not None
+    for build in (lambda: OrderVerdict("minus-idem", (2, 5), True),
+                  lambda: OrderVerdict("minus-idem", (2, 5), False, v.witness),
+                  lambda: v._replace(witness=None),
+                  lambda: v._replace(holds=False),
+                  lambda: OrderVerdict._make((*v[:2], False, *v[3:]))):
+        with pytest.raises(ValueError, match="holds <-> witness"):
+            build()
+    for w in (v._replace(hypothesis_ok=False), v._replace(holds=False, witness=None),
+              OrderVerdict("star", (1, 2), False, applicable=False)):
+        assert type(w) is OrderVerdict
+    assert v._replace(hypothesis_ok=False) == (*v[:4], False, True)
 
 
 def test_replay_rejects_flipped_hypothesis(z4_over_z4):
@@ -106,7 +151,7 @@ def test_replay_rejects_flipped_hypothesis(z4_over_z4):
     ctx = z4_over_z4
     for v in (mo.minus_le_idem(ctx, 0, 2), mo.minus_le_relaxed(ctx, 0, 2)):
         assert v.holds and mo.revalidate(ctx, v), v.relation
-        assert not mo.revalidate(ctx, replace(v, hypothesis_ok=not v.hypothesis_ok))
+        assert not mo.revalidate(ctx, v._replace(hypothesis_ok=not v.hypothesis_ok))
 
 
 def test_rstar_replay_rejects_forged_projections(corpus):
