@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
 
 from . import hasse as hasse_mod
 from . import laws, orders
@@ -36,19 +37,21 @@ def _load_json(path):
 
 def parse_ring_arg(token: str) -> FiniteRing:
     """A builtin token (Z10, Z2xZ3, M2(3)) or a path to a ring definition file."""
+    return _ring(token, "ring", token)
+
+
+def _ring(token: str, kind: str, typed: str) -> FiniteRing:
+    """The ring of ``token``: ``typed``, the argument as given for a ``kind``, or one of its
+    parts.  A malformed token is a SpecError that names ``typed``."""
     if os.path.exists(token) or token.endswith(".json"):
         return ring_from_spec(_load_json(token))
-    if token.startswith("M2(") and token.endswith(")"):
+    if token.startswith("M2(") and token.endswith(")") and token[3:-1].isdecimal():
         return build_matrix_ring(int(token[3:-1]))
     if "x" in token:
-        parts = token.split("x")
-        ring = parse_ring_arg(parts[0])
-        for part in parts[1:]:
-            ring = build_product(ring, parse_ring_arg(part))
-        return ring
-    if token.startswith("Z") and token[1:].isdigit():
+        return reduce(build_product, (_ring(part, kind, typed) for part in token.split("x")))
+    if token.startswith("Z") and token[1:].isdecimal():
         return build_zn(int(token[1:]))
-    raise SpecError(f"cannot interpret ring {token!r} (no such file, not a builtin)")
+    raise SpecError(f"cannot interpret {kind} {typed!r} (no such file, not a builtin)")
 
 
 def parse_module_arg(token: str) -> FiniteModule:
@@ -56,11 +59,10 @@ def parse_module_arg(token: str) -> FiniteModule:
     if os.path.exists(token) or token.endswith(".json"):
         return module_from_spec(_load_json(token))
     if token.startswith("RR:"):
-        return build_ring_as_module(parse_ring_arg(token[3:]))
-    if "/" in token:
-        m_part, n_part = token.split("/", 1)
-        if m_part.startswith("Z") and n_part.startswith("Z"):
-            return build_zm_over_zn(int(m_part[1:]), int(n_part[1:]))
+        return build_ring_as_module(_ring(token[3:], "module", token))
+    m_part, _, n_part = token.partition("/")
+    if all(part[:1] == "Z" and part[1:].isdecimal() for part in (m_part, n_part)):
+        return build_zm_over_zn(int(m_part[1:]), int(n_part[1:]))
     raise SpecError(f"cannot interpret module {token!r} (no such file, not a builtin)")
 
 

@@ -18,14 +18,12 @@ HOM_BUDGET is refused with SpecError.
 from __future__ import annotations
 
 from functools import cache, cached_property, partial, reduce
-from itertools import product
 from operator import and_, or_
 
 from .modules import (FiniteModule, build_ring_as_module, cyclic_submodule, is_direct_sum,
                       right_ann)
-from .rings import (MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, _shared,
-                    check_additive, checked_table, greedy_generators, preimage_masks,
-                    same_ring)
+from .rings import (MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, greedy_generators,
+                    preimage_masks, same_ring)
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
 
@@ -90,33 +88,20 @@ def dual(M: FiniteModule, ring_module: FiniteModule | None = None) -> list[tuple
     return hom_group(M, ring_module)
 
 
-def _hom_tables(M: FiniteModule, N: FiniteModule, maps, owner: str, op: str, row):
-    """The tables of + and ``op`` on ``maps`` as indices into ``maps``.  A hom is fixed by
-    its values on generating_set(M), so a result is found from those: ``row(t, key, cols)``
-    gives each generator's values along the ``op`` row of the map t with values ``key``,
-    where cols[j] lists every map's value at generator j.  So ``maps`` must be distinct
-    homs, checked in O(|maps||M||G|), and closed under + and ``op``, else AxiomError
-    naming ``owner``."""
-    tables = checked_table(maps, len(maps), M.size, N.size, f"{owner} map")
-    check_additive(tables, M.add, N.add, greedy_generators(M.add, range(M.size), M.zero),
-                   owner + ": map {f} is not additive at (x,g)=({x},{g})")
+def _hom_tables(M: FiniteModule, N: FiniteModule, maps, row):
+    """The tables of + and of one more operation on ``maps``, the sorted distinct homs
+    M -> N of hom_group, as indices into ``maps``.  A hom is fixed by its values on
+    generating_set(M), so each result is looked up by those: ``row(t, key, cols)`` gives
+    each generator's values along the row of the map t with values ``key``, where cols[j]
+    lists every map's value at generator j."""
     gens = generating_set(M) or [M.zero]  # the zero module is keyed on its one element
-    for (i, t), g in product(enumerate(tables), gens):
-        if [t[v] for v in M.action[g]] != N.action[t[g]]:
-            raise AxiomError(f"{owner}: map {i} is not right-linear at generator {g}")
-    cols, index, out = [[t[g] for t in tables] for g in gens], {}, []
-    for i, key in enumerate(zip(*cols)):
-        if index.setdefault(key, i) != i:
-            raise AxiomError(f"{owner}: map {i} repeats map {index[key]}")
-    for name, along in (("+", lambda _, key, cols: [map(N.add[u].__getitem__, col)
-                                                    for u, col in zip(key, cols)]), (op, row)):
-        try:
-            out.append([list(map(index.__getitem__, zip(*along(t, key, cols))))
-                        for t, key in zip(tables, index)])
-        except KeyError as exc:
-            raise AxiomError(f"{owner}: maps not closed under {name}, no map takes the values "
-                             f"{exc.args[0]} on generators {gens}") from None
-    return out
+    cols = [[t[g] for t in maps] for g in gens]
+    index = {key: i for i, key in enumerate(zip(*cols))}
+
+    def plus(_, key, cols):
+        return [map(N.add[u].__getitem__, col) for u, col in zip(key, cols)]
+    return [[list(map(index.__getitem__, zip(*along(t, key, cols))))
+             for t, key in zip(maps, index)] for along in (plus, row)]
 
 
 class EndoRing(FiniteRing):
@@ -126,21 +111,18 @@ class EndoRing(FiniteRing):
     (f.g)(x) = f(g(x)), so M is a left S-module via f.m = f(m).  All
     ring-core predicates apply unchanged.  An identity involution is
     installed automatically when S is commutative (inherited behaviour);
-    otherwise S carries an involution only if set explicitly.  ``maps`` must
-    be distinct homs M -> M, closed under + and composition, with the
-    identity; other maps are refused with AxiomError.
+    otherwise S carries an involution only if set explicitly.  The elements are
+    hom_group(module, module), in its order; AxiomError beyond MAX_RING_SIZE of them.
     """
 
-    def __init__(self, module: FiniteModule, maps, involution=None):
+    def __init__(self, module: FiniteModule, involution=None):
         self.module, name = module, f"End({module.name})"
-        if len(maps) > MAX_RING_SIZE:
-            raise AxiomError(f"{name} has {len(maps)} elements, beyond cap {MAX_RING_SIZE}")
-        add, mul = _hom_tables(module, module, maps, name, "composition", lambda t, _, cols: [
+        self.maps = tuple(hom_group(module, module))
+        if len(self.maps) > MAX_RING_SIZE:
+            raise AxiomError(f"{name} has {len(self.maps)} elements, beyond cap {MAX_RING_SIZE}")
+        add, mul = _hom_tables(module, module, self.maps, lambda t, _, cols: [
             map(t.__getitem__, col) for col in cols])
-        self.maps = tuple(map(tuple, maps))
         super().__init__(add, mul, involution=involution, name=name)
-        if self.maps[self.one] != tuple(range(module.size)):
-            raise AxiomError(f"{name}: the identity map is not among the maps")
         self._index = {t: i for i, t in enumerate(self.maps)}
 
     def index_of(self, table) -> int:
@@ -149,7 +131,7 @@ class EndoRing(FiniteRing):
     @cached_property
     def images(self) -> tuple[frozenset[int], ...]:
         """fM, indexed by f."""
-        return _shared(frozenset(t) for t in self.maps)
+        return tuple(frozenset(t) for t in self.maps)
 
     @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
@@ -161,7 +143,7 @@ def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
     """S = End(M).  A commutative S gets the identity involution for free;
     a noncommutative S carries one only if an explicit permutation is given
     (it is validated against the ring laws like any other involution)."""
-    return EndoRing(M, hom_group(M, M), involution=involution)
+    return EndoRing(M, involution=involution)
 
 
 def smash(M: FiniteModule, S: EndoRing, m: int, phi) -> int:
@@ -171,20 +153,19 @@ def smash(M: FiniteModule, S: EndoRing, m: int, phi) -> int:
     return S.index_of(row[v] for v in phi)
 
 
-def dual_as_module(M: FiniteModule, functionals) -> FiniteModule:
-    """M* with pointwise addition and the action (phi.r)(x) = phi(x).r.
+def dual_as_module(M: FiniteModule) -> FiniteModule:
+    """M* = dual(M) with pointwise addition and the action (phi.r)(x) = phi(x).r.
 
     That action is right-linear only when R is commutative; noncommutative
     base rings are rejected rather than silently misrepresented.
-    ``functionals`` must be distinct homs closed under + and the action, else AxiomError.
     """
     R = M.ring
     if not R.is_commutative():
         raise ValueError("dual carries no right-module structure: ring not commutative")
-    name = f"dual({M.name})"
-    add, action = _hom_tables(M, build_ring_as_module(R), functionals, name, "the action",
+    ring_module = build_ring_as_module(R)
+    add, action = _hom_tables(M, ring_module, dual(M, ring_module),
                               lambda _, key, __: [R.mul[u] for u in key])
-    return FiniteModule(R, add, action, name=name)
+    return FiniteModule(R, add, action, name=f"dual({M.name})")
 
 
 class ModuleContext:
@@ -232,8 +213,8 @@ class ModuleContext:
     def l_S(self) -> tuple[frozenset[int], ...]:
         """l_S(m) = {f in S : f(m) = 0}, the left annihilator in S, indexed by m."""
         zero = self.module.zero
-        return _shared(frozenset(f for f, v in enumerate(col) if v == zero)
-                       for col in zip(*self.endos.maps))
+        return tuple(frozenset(f for f, v in enumerate(col) if v == zero)
+                     for col in zip(*self.endos.maps))
 
     @cached_property
     def r_R(self) -> tuple[frozenset[int], ...]:
@@ -256,7 +237,7 @@ class ModuleContext:
     @cached_property
     def cyclic(self) -> tuple[frozenset[int], ...]:
         """mR, indexed by m."""
-        return _shared(cyclic_submodule(self.module, m) for m in range(self.module.size))
+        return tuple(cyclic_submodule(self.module, m) for m in range(self.module.size))
 
     @cached_property
     def summands(self) -> dict[tuple[int, ...], int]:
@@ -270,9 +251,9 @@ class ModuleContext:
     @cached_property
     def orbits(self) -> tuple[frozenset[int], ...]:
         """Sm = {f(m) : f in S}, indexed by m: additive subgroups, not submodules."""
-        return _shared(frozenset(col) for col in zip(*self.endos.maps))
+        return tuple(frozenset(col) for col in zip(*self.endos.maps))
 
     @cached_property
     def multiples(self) -> tuple[frozenset[int], ...]:
         """Ma = {x.a : x in M}, indexed by a in R: additive subgroups, not submodules."""
-        return _shared(frozenset(col) for col in zip(*self.module.action))
+        return tuple(frozenset(col) for col in zip(*self.module.action))

@@ -216,24 +216,24 @@ class FiniteRing:
     @cached_property
     def left_anns(self) -> tuple[frozenset[int], ...]:
         """l(a) = {x : x*a = 0}, indexed by a."""
-        return _shared(frozenset(x for x, v in enumerate(col) if v == self.zero)
-                       for col in zip(*self.mul))
+        return tuple(frozenset(x for x, v in enumerate(col) if v == self.zero)
+                     for col in zip(*self.mul))
 
     @cached_property
     def right_anns(self) -> tuple[frozenset[int], ...]:
         """r(a) = {x : a*x = 0}, indexed by a."""
-        return _shared(frozenset(x for x, v in enumerate(row) if v == self.zero)
-                       for row in self.mul)
+        return tuple(frozenset(x for x, v in enumerate(row) if v == self.zero)
+                     for row in self.mul)
 
     @cached_property
     def left_ideals(self) -> tuple[frozenset[int], ...]:
         """R*e, indexed by e."""
-        return _shared(frozenset(col) for col in zip(*self.mul))
+        return tuple(frozenset(col) for col in zip(*self.mul))
 
     @cached_property
     def right_ideals(self) -> tuple[frozenset[int], ...]:
         """e*R, indexed by e."""
-        return _shared(frozenset(row) for row in self.mul)
+        return tuple(frozenset(row) for row in self.mul)
 
     @cached_property
     def row_preimages(self) -> tuple[tuple[int, ...], ...]:
@@ -246,21 +246,14 @@ class FiniteRing:
         return preimage_masks(zip(*self.mul), self.size)
 
 
-def _shared(sets) -> tuple[frozenset[int], ...]:
-    """The sets as a tuple in which equal sets are one object: a ring has few distinct
-    ideals and annihilators, and hashed sets of equal size compare by hash first."""
-    seen = {}
-    return tuple(seen.setdefault(s, s) for s in sets)
-
-
 def preimage_masks(tables, size: int) -> tuple[tuple[int, ...], ...]:
-    """For each value table t, the mask of {x : t[x] = v} by v; equal masks are one object."""
-    seen, out = {}, []
+    """For each value table t, the mask of {x : t[x] = v} by v."""
+    out = []
     for t in tables:
         masks = [0] * size
         for x, v in enumerate(t):
             masks[v] |= 1 << x
-        out.append(tuple(seen.setdefault(m, m) for m in masks))
+        out.append(tuple(masks))
     return tuple(out)
 
 
@@ -307,10 +300,10 @@ def build_matrix_ring(p: int) -> FiniteRing:
     Matrix ((a,b),(c,d)) sits at index a*p^3 + b*p^2 + c*p + d.  p must be
     prime (so the entries form a field).
     """
+    if p ** 4 > MAX_RING_SIZE:  # before the trial division, which a large p would stall
+        raise SpecError(f"M2(Z{p}) has {p ** 4} elements, beyond cap {MAX_RING_SIZE}")
     if not _is_prime(p):
         raise SpecError(f"{p} is not prime")
-    if p ** 4 > MAX_RING_SIZE:
-        raise SpecError(f"M2(Z{p}) has {p ** 4} elements, beyond cap {MAX_RING_SIZE}")
 
     def enc(a, b, c, d):
         return ((a * p + b) * p + c) * p + d

@@ -62,8 +62,27 @@ def test_malformed_file_diagnostic(tmp_path):
 
 
 def test_unknown_builtin():
-    code, _, err = run_cli("ring", "--ring", "Q8")
-    assert code == 2 and "cannot interpret" in err
+    """A malformed builtin token is refused with the whole token as typed."""
+    for flag, token in [("--ring", "Q8"), ("--ring", "M2(x)"), ("--ring", "M2()"),
+                        ("--ring", "Z2xx"), ("--ring", "x"), ("--module", "Z/Z"),
+                        ("--module", "Z6/Zx"), ("--module", "RR:"), ("--module", "RR:Z2xx")]:
+        code, out, err = run_cli(flag[2:], flag, token)
+        assert code == 2 and out == "", token
+        assert err == (f"error: cannot interpret {flag[2:]} {token!r} "
+                       "(no such file, not a builtin)\n")
+
+
+@pytest.mark.parametrize("p,message", [
+    ("2305843009213693951", "beyond cap 256"),  # 2^61 - 1, a prime
+    ("1" + "0" * 400, "beyond cap 256"),
+    ("4", "4 is not prime"),  # 4^4 = 256 is within the cap
+])
+def test_matrix_ring_cap_before_primality(child_env, p, message):
+    proc = subprocess.run([sys.executable, "-m", "modorder.cli", "ring", "--ring", f"M2({p})"],
+                          capture_output=True, text=True, env=child_env, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
 
 
 def test_module_info():

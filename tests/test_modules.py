@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,18 @@ def test_ring_as_module():
         m = mo.build_ring_as_module(r)
         assert m.size == r.size
         assert m.action == r.mul
+
+
+def test_ring_as_module_takes_the_ring_cap():
+    """R_R is bounded by the ring cap of 256, not the module cap of 64, which holds a
+    module given by other tables."""
+    ring = reduce(mo.build_product, [mo.build_zn(2)] * 7)
+    ctx = mo.ModuleContext(mo.build_ring_as_module(ring))
+    assert ctx.module.size == len(ctx.dual) == ctx.endos.size == 128
+    add, action = zm_over_zn_tables(65, 130)
+    with pytest.raises(AxiomError, match="module size 65 exceeds cap 64"):
+        mo.module_from_spec({"kind": "tables", "ring": {"kind": "Zn", "n": 130}, "size": 65,
+                             "add": add, "action": action})
 
 
 def test_module_from_tables_unitality_error():

@@ -180,6 +180,14 @@ def test_size_cap_checked_before_tables():
     assert time.perf_counter() - start < 0.05  # building the tables would take far longer
 
 
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 10 ** 400])
+def test_matrix_spec_cap_checked_before_primality(p):
+    """2^61 - 1 is prime, and trial division up to its square root would not finish;
+    10^400 has no float square root."""
+    with pytest.raises(SpecError, match="beyond cap 256"):
+        mo.ring_from_spec({"kind": "matrix2", "p": p})
+
+
 def test_ring_from_spec_roundtrip():
     r = mo.ring_from_spec({"kind": "product",
                            "factors": [{"kind": "Zn", "n": 2}, {"kind": "Zn", "n": 3}]})

@@ -1,14 +1,17 @@
-"""The benchmark's span tracer (perfbench/tracing.py) still finds every name it wraps.
+"""The benchmark (perfbench/) still finds every name it wraps or reads.
 
-Only ``install`` and ``uninstall`` run here, with no timed work, so that a change
-which drops or renames a traced entry point fails this suite, not just the benchmark.
+Only the tracer's ``install`` and ``uninstall`` run here, and the other scripts are
+only parsed, with no timed work, so that a change which drops or renames a name the
+benchmark relies on fails this suite, not just the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 # Names that modules bind with ``from .x import f``; the tracer must rebind each one.
 IMPORTED = (("orders", "cyclic_submodule"), ("hasse", "relation_matrix"),
@@ -42,3 +45,50 @@ def test_tracer_installs_and_uninstalls():
     assert all(getattr(mods[mod], attr) is fn for (mod, attr), fn in before.items())
     assert mods["orders"].RELATIONS == relations
     assert tracer.spans == [] and tracer.queries == 0
+
+
+# Attributes that the benchmark scripts read on modorder modules today.
+READ_TODAY = {"homs.ModuleContext", "homs.generating_set", "orders.evaluate",
+              "orders.revalidate", "rings.revalidate_ring", "rings.hartwig_minus_le",
+              "modules.module_to_spec", "cli.parse_ring_arg", "cli.main", "laws.run_suite",
+              "laws.relation_matrix"}
+
+
+def _from_import(package: str, name: str):
+    """What ``from package import name`` binds."""
+    try:
+        return importlib.import_module(f"{package}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(package), name)
+
+
+def _imports(tree, source: str) -> dict[str, str]:
+    """Local name -> imported name, for each ``from source import ...`` in the tree."""
+    return {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == source
+            for alias in node.names}
+
+
+def test_benchmark_reads_only_names_that_exist():
+    """Each perfbench script's ``from modorder... import`` names exist, and so does every
+    attribute it reads on a modorder module it binds, directly or through workloads.py."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))}
+    reexported = _imports(trees["workloads.py"], "modorder")
+    read = set()
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("modorder."):
+                for alias in node.names:
+                    assert hasattr(importlib.import_module(node.module), alias.name), \
+                        f"{file}: {node.module}.{alias.name}"
+        names = _imports(tree, "modorder") | {
+            local: reexported[name] for local, name in _imports(tree, "workloads").items()
+            if name in reexported}
+        bound = {local: _from_import("modorder", name) for local, name in names.items()}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound):
+                owner = names[node.value.id]
+                assert hasattr(bound[node.value.id], node.attr), f"{file}: {owner}.{node.attr}"
+                read.add(f"{owner}.{node.attr}")
+    assert READ_TODAY <= read, READ_TODAY - read
