@@ -18,9 +18,9 @@ from . import hasse as hasse_mod
 from . import laws, orders
 from .homs import ModuleContext
 from .modules import FiniteModule, build_ring_as_module, build_zm_over_zn, module_from_spec
-from .rings import (FiniteRing, AxiomError, RING_RELATIONS, SpecError, build_matrix_ring,
-                    build_product, build_zn, is_proper_star, is_rickart, is_rickart_star,
-                    ring_from_spec, spec_field, spec_str)
+from .rings import (MAX_RING_SIZE, FiniteRing, AxiomError, RING_RELATIONS, SpecError,
+                    build_matrix_ring, build_product, build_zn, is_proper_star, is_rickart,
+                    is_rickart_star, ring_from_spec, spec_field, spec_str)
 from .verdicts import witness_to_json
 
 
@@ -33,6 +33,11 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                         f"{exc.msg}") from None
+    except UnicodeDecodeError:
+        raise SpecError(f"{path}: not UTF-8 text") from None
+    except ValueError:  # json.load's int() refuses an integer past Python's digit limit
+        raise SpecError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} "
+                        f"digits, beyond cap {MAX_RING_SIZE}") from None
 
 
 def parse_ring_arg(token: str) -> FiniteRing:
@@ -46,12 +51,21 @@ def _ring(token: str, kind: str, typed: str) -> FiniteRing:
     if os.path.exists(token) or token.endswith(".json"):
         return ring_from_spec(_load_json(token))
     if token.startswith("M2(") and token.endswith(")") and token[3:-1].isdecimal():
-        return build_matrix_ring(int(token[3:-1]))
+        return build_matrix_ring(_number(token[3:-1], kind, typed))
     if "x" in token:
         return reduce(build_product, (_ring(part, kind, typed) for part in token.split("x")))
     if token.startswith("Z") and token[1:].isdecimal():
-        return build_zn(int(token[1:]))
+        return build_zn(_number(token[1:], kind, typed))
     raise SpecError(f"cannot interpret {kind} {typed!r} (no such file, not a builtin)")
+
+
+def _number(digits: str, kind: str, typed: str) -> int:
+    """A builtin token's number; past 20 digits, beyond every cap, ``typed`` is refused
+    with the digits counted (int() refuses past 4300)."""
+    if len(digits) > 20:
+        raise SpecError(f"{kind} {typed.replace(digits, f'<{len(digits)} digits>')!r} "
+                        f"is beyond cap {MAX_RING_SIZE}")
+    return int(digits)
 
 
 def parse_module_arg(token: str) -> FiniteModule:
@@ -62,7 +76,8 @@ def parse_module_arg(token: str) -> FiniteModule:
         return build_ring_as_module(_ring(token[3:], "module", token))
     m_part, _, n_part = token.partition("/")
     if all(part[:1] == "Z" and part[1:].isdecimal() for part in (m_part, n_part)):
-        return build_zm_over_zn(int(m_part[1:]), int(n_part[1:]))
+        return build_zm_over_zn(*(_number(part[1:], "module", token)
+                                  for part in (m_part, n_part)))
     raise SpecError(f"cannot interpret module {token!r} (no such file, not a builtin)")
 
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 from functools import cache, cached_property, partial, reduce
 from operator import and_, or_
 
-from .modules import (FiniteModule, build_ring_as_module, cyclic_submodule, is_direct_sum,
-                      right_ann)
+from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, direct_sum, right_ann
 from .rings import (MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, greedy_generators,
                     preimage_masks, same_ring)
 
@@ -134,6 +133,12 @@ class EndoRing(FiniteRing):
         return tuple(frozenset(t) for t in self.maps)
 
     @cached_property
+    def kernels(self) -> tuple[frozenset[int], ...]:
+        """ker f = {x : f(x) = 0}, indexed by f."""
+        zero = self.module.zero
+        return tuple(frozenset(x for x, v in enumerate(t) if v == zero) for t in self.maps)
+
+    @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
         """The mask of {x : f(x) = v}, indexed by f, then v in M."""
         return preimage_masks(self.maps, self.module.size)
@@ -149,8 +154,7 @@ def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
 def smash(M: FiniteModule, S: EndoRing, m: int, phi) -> int:
     """Index in S of the endomorphism x -> m.phi(x), for phi the value table of a
     functional: phi followed by the hom r -> m.r from R_R to M, so it lies in S."""
-    row = M.action[m]
-    return S.index_of(row[v] for v in phi)
+    return S.index_of(map(M.action[m].__getitem__, phi))
 
 
 def dual_as_module(M: FiniteModule) -> FiniteModule:
@@ -182,8 +186,9 @@ class ModuleContext:
         self.module = module
         self.name = name or module.name
         self.endo_involution = endo_involution
-        # modules.is_direct_sum on M, memoized: cyclic submodules form few triples
-        self.is_direct_sum = cache(partial(is_direct_sum, module))
+        # modules.direct_sum on M, memoized per pair; it holds the module, not the context,
+        # so a dropped context is freed by reference counting alone
+        self.direct_sum = cache(partial(direct_sum, module))
 
     @cached_property
     def ring_module(self) -> FiniteModule:

@@ -7,7 +7,8 @@ from itertools import product
 
 from .rings import (AxiomError, FiniteRing, SpecError, additive_group, build_zn,
                     check_add_associative, check_additive, checked_table, greedy_generators,
-                    preimage_masks, ring_from_spec, spec_field, spec_int, spec_size, spec_str)
+                    preimage_masks, ring_from_spec, shown, spec_field, spec_int, spec_size,
+                    spec_str)
 
 MAX_MODULE_SIZE = 64
 
@@ -84,10 +85,17 @@ def right_ann(M: FiniteModule, m: int) -> frozenset[int]:
     return frozenset(r for r in range(M.ring.size) if M.action[m][r] == M.zero)
 
 
+def direct_sum(M: FiniteModule, a, b) -> frozenset[int] | None:
+    """A + B when A intersect B = {0}, an internal direct sum; None otherwise.  A and B
+    are sets of elements of M."""
+    if set(a).intersection(b) != {M.zero}:
+        return None
+    return frozenset(M.add[x][y] for x in a for y in b)
+
+
 def is_direct_sum(M: FiniteModule, a, b, target) -> bool:
     """A + B = target with A intersect B = {0}, for sets of elements of M."""
-    return (set(a).intersection(b) == {M.zero}
-            and {M.add[x][y] for x in a for y in b} == target)
+    return direct_sum(M, a, b) == target
 
 
 # -- constructors ----------------------------------------------------------------
@@ -98,7 +106,7 @@ def build_zm_over_zn(m: int, n: int) -> FiniteModule:
     if m < 1 or n < 1:
         raise SpecError("moduli must be positive")
     if n % m != 0:
-        raise SpecError(f"action ill-defined: {m} does not divide {n}")
+        raise SpecError(f"action ill-defined: {shown(m)} does not divide {shown(n)}")
     ring = build_zn(n)
     add = [[(x + y) % m for y in range(m)] for x in range(m)]
     action = [[x * r % m for r in range(n)] for x in range(m)]

@@ -78,10 +78,10 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozens
 
 
 def kernel_summand(ctx: ModuleContext, m: int, s: int, whole: frozenset[int]):
-    """N = {n : m.phi(n) = 0}, the zero fibre of s = smash(M, S, m, phi), if M = mR (+) N
+    """N = {n : m.phi(n) = 0}, the kernel of s = smash(M, S, m, phi), if M = mR (+) N
     (``whole`` is the set of all of M); None otherwise."""
-    n_set = frozenset(bits(ctx.endos.preimages[s][ctx.module.zero]))
-    return n_set if ctx.is_direct_sum(ctx.cyclic[m], n_set, whole) else None
+    n_set = ctx.endos.kernels[s]
+    return n_set if ctx.direct_sum(ctx.cyclic[m], n_set) == whole else None
 
 
 # -- hypotheses and pools -----------------------------------------------------------
@@ -151,12 +151,11 @@ def _summands(ctx: ModuleContext, m1: int):
 
 
 def _second_summand(ctx: ModuleContext, m1: int, B) -> int:
-    """The m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an internal direct sum."""
-    cyclic, add, mask = ctx.cyclic, ctx.module.add[m1], 0
-    for d in bits(ctx.summands[B]):
-        m2 = add[d]
-        mask |= ctx.is_direct_sum(cyclic[m1], cyclic[d], cyclic[m2]) << m2
-    return mask
+    """The m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an internal direct sum.  Every d
+    in B's class has dR = B, so the sum is decided once for the class."""
+    cyclic, ds, add = ctx.cyclic, ctx.summands[B], ctx.module.add[m1]
+    total = ctx.direct_sum(cyclic[m1], cyclic[next(bits(ds))])
+    return 0 if total is None else sum(1 << add[d] for d in bits(ds) if cyclic[add[d]] == total)
 
 
 def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relation:

@@ -8,6 +8,7 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import product
 from typing import NamedTuple
@@ -44,9 +45,17 @@ def _identity(table) -> int | None:
     return next((e for e, col in enumerate(zip(*table)) if table[e] == ident == list(col)), None)
 
 
+def shown(n: int) -> str:
+    """n for a message, or past 20 digits their count: str() refuses n past 4300 digits."""
+    if (size := abs(n)) < 10 ** 20:
+        return str(n)
+    k = int(math.log10(size)) + 1  # the float log is one off near some powers of ten
+    return f"<{k + (size >= 10 ** k) - (size < 10 ** (k - 1))} digits>"
+
+
 def _check_size(n: int, cap: int, kind: str) -> None:
     if n > cap:
-        raise AxiomError(f"{kind} size {n} exceeds cap {cap}")
+        raise AxiomError(f"{kind} size {shown(n)} exceeds cap {cap}")
 
 
 def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list[int]]:
@@ -301,7 +310,7 @@ def build_matrix_ring(p: int) -> FiniteRing:
     prime (so the entries form a field).
     """
     if p ** 4 > MAX_RING_SIZE:  # before the trial division, which a large p would stall
-        raise SpecError(f"M2(Z{p}) has {p ** 4} elements, beyond cap {MAX_RING_SIZE}")
+        raise SpecError(f"M2(Z{shown(p)}) has {shown(p**4)} elements, beyond cap {MAX_RING_SIZE}")
     if not _is_prime(p):
         raise SpecError(f"{p} is not prime")
 
@@ -358,7 +367,8 @@ def spec_str(spec, key: str, kind: str) -> str | None:
 def spec_size(spec, table, kind: str) -> None:
     """A present "size" field must be an int equal to the number of rows of ``table``."""
     if "size" in spec and isinstance(table, list) and spec_int(spec, "size", kind) != len(table):
-        raise SpecError(f"{kind} spec field 'size' is {spec['size']}, not {len(table)} rows")
+        raise SpecError(f"{kind} spec field 'size' is {shown(spec['size'])}, "
+                        f"not {len(table)} rows")
 
 
 def ring_from_spec(spec: dict) -> FiniteRing:

@@ -52,6 +52,23 @@ def brute_minus_dual(module, functionals, m1, m2):
     return False
 
 
+def is_direct_sum(add, zero, a, b, target):
+    """A + B = target with A intersect B = {zero}: an internal direct sum, by definition."""
+    return set(a) & set(b) == {zero} and {add[x][y] for x in a for y in b} == set(target)
+
+
+def brute_dsum_rows(add, action):
+    """For each m1, the mask of the m2 with m1R meet (m2 - m1)R = {0} and
+    m1R + (m2 - m1)R = m2R, every pair decided from the tables."""
+    n = len(add)
+    zero = next(e for e in range(n) if all(add[e][x] == x for x in range(n)))
+    cyclic = [set(row) for row in action]
+    return [sum(1 << m2 for m2 in range(n)
+                for d in range(n) if add[m1][d] == m2  # d = m2 - m1
+                if is_direct_sum(add, zero, cyclic[m1], cyclic[d], cyclic[m2]))
+            for m1 in range(n)]
+
+
 def zn_tables(n):
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[a * b % n for b in range(n)] for a in range(n)]

@@ -85,6 +85,48 @@ def test_matrix_ring_cap_before_primality(child_env, p, message):
     assert message in proc.stderr
 
 
+def _cli_subprocess(env, *argv):
+    """One command in a fresh interpreter, as a user runs it, bounded by a timeout."""
+    return subprocess.run([sys.executable, "-m", "modorder.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+
+
+@pytest.mark.parametrize("flag,token,shown", [
+    ("--ring", "M2(1" + "0" * 1100 + ")", "'M2(<1101 digits>)'"),
+    ("--ring", "Z1" + "0" * 5000, "'Z<5001 digits>'"),
+    ("--module", "Z1" + "0" * 5000 + "/Z2", "'Z<5001 digits>/Z2'"),
+    ("--ring", "M2(1" + "0" * 5000 + ")", "'M2(<5001 digits>)'"),
+])
+def test_oversized_builtin_number_is_refused_by_name(child_env, flag, token, shown):
+    """A number past every size cap is refused with the token as typed, its digits counted
+    rather than echoed (int() itself refuses one past 4300 digits)."""
+    proc = _cli_subprocess(child_env, flag[2:], flag, token)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {flag[2:]} {shown} is beyond cap 256\n"
+
+
+@pytest.mark.parametrize("digits,message", [
+    (5001, "an integer has more than 4300 digits, beyond cap 256"),
+    (1001, "ring size <1001 digits> exceeds cap 256"),
+])
+def test_oversized_spec_number_is_refused_by_name(child_env, tmp_path, digits, message):
+    """A spec file's n too long for json.load is refused naming the file; one that loads is
+    refused by the ring cap, its digits counted rather than echoed."""
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "ZmOverZn", "m": 2, "n": 1' + "0" * (digits - 1) + "}")
+    proc = _cli_subprocess(child_env, "module", "--module", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    prefix = f"{path}: " if digits > 4300 else ""
+    assert proc.stderr == f"error: {prefix}{message}\n"
+
+
+def test_non_utf8_spec_file_is_named(tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_bytes(b'{"kind": "Zn", "n": \xff}')
+    code, out, err = run_cli("ring", "--ring", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text\n")
+
+
 def test_module_info():
     code, out, _ = run_cli("module", "--module", "Z6/Z30")
     assert code == 0

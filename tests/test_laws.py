@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 
 import modorder as mo
 import pytest
@@ -127,14 +129,14 @@ def test_witness_constructions(corpus):
 @pytest.mark.parametrize("module,refused,element,checks", [
     ((10, 10), None, 0, 1), ((10, 10), 5, 5, 17), ((6, 30), 3, 3, 10)])
 def test_witness_constructions_report_a_failed_decomposition(module, refused, element, checks):
-    """A direct-sum check that refuses every M = mR (+) N, or those with mR = refused R,
-    fails the law at the first witness of the first such regular m."""
+    """A direct-sum memo that refuses every mR (+) N, or those with mR = refused R, fails
+    the law at the first witness of the first such regular m."""
     ctx = mo.ModuleContext(mo.build_zm_over_zn(*module))
-    direct_sum = ctx.is_direct_sum
+    direct_sum = ctx.direct_sum
 
-    def faulty(a, b, target):
-        return refused is not None and a != ctx.cyclic[refused] and direct_sum(a, b, target)
-    ctx.is_direct_sum = faulty
+    def faulty(a, b):
+        return direct_sum(a, b) if refused is not None and a != ctx.cyclic[refused] else None
+    ctx.direct_sum = faulty
     r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
     assert r.to_json() == {"law": "witness-constructions", "member": ctx.name,
                            "outcome": "fail", "checks": checks,
@@ -149,6 +151,29 @@ def test_ring_bridge(corpus):
 
 
 # -- the suite ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mo.build_zm_over_zn(6, 30),
+    lambda: mo.build_ring_as_module(mo.build_matrix_ring(2)),
+    lambda: mo.build_ring_as_module(mo.build_product(mo.build_zn(2), mo.build_zn(3))),
+], ids=["Z6/Z30", "M2(Z2)_R", "Z2xZ3_R"])
+def test_context_is_freed_by_reference_counting(build):
+    """No memo or cached family refers back to its context, so once the suite and every
+    matrix, with its verdicts and parts, are done with it, dropping the context frees it
+    at once: a cycle would keep all its tables alive until the cycle collector ran."""
+    gc.disable()
+    try:
+        ctx = mo.ModuleContext(build())
+        mo.run_suite([ctx])
+        for tag in (*mo.RELATIONS, "hartwig", "ring-annih"):
+            matrix = mo.relation_matrix(ctx, tag)
+            matrix.verdicts, matrix.parts
+        ref = weakref.ref(ctx)
+        del ctx, matrix
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_run_suite_default_corpus(corpus):

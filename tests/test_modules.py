@@ -21,6 +21,16 @@ def test_zm_over_zn_rejects_non_divisor():
         mo.build_zm_over_zn(4, 10)
 
 
+@pytest.mark.parametrize("m,n,message", [
+    (10 ** 5000, 10 ** 5000, "ring size <5001 digits> exceeds cap 256"),
+    (10 ** 5000, 3, "action ill-defined: <5001 digits> does not divide 3"),
+], ids=["both-huge", "m-huge"])  # ids, as pytest would print each int in full
+def test_oversized_moduli_are_counted_not_echoed(m, n, message):
+    with pytest.raises((AxiomError, SpecError)) as exc:
+        mo.build_zm_over_zn(m, n)
+    assert str(exc.value) == message
+
+
 def test_ring_as_module():
     for build in (lambda: mo.build_zn(6), lambda: mo.build_matrix_ring(2),
                   lambda: mo.build_zn(1)):

@@ -3,7 +3,8 @@ import pytest
 import modorder as mo
 from modorder.orders import EQUIVALENT_FAMILY
 
-from oracles import brute_homs, brute_minus_dual, is_submodule
+from oracles import (ORACLE_RINGS, brute_dsum_rows, brute_homs, brute_minus_dual,
+                     is_direct_sum, is_submodule)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -315,6 +316,48 @@ def test_minus_dual_matches_oracle_where_an_image_needs_two_generators():
     assert mo.relation_matrix(ctx, "minus-dual").rows == [
         sum(brute_minus_dual(ctx.module, functionals, i, j) << j for j in range(n * n))
         for i in range(n * n)]
+
+
+# The default corpus, the oracle rings' R_R, and the Zn/Zn with n >= 40 that every
+# cyclic benchmark draw holds.
+DSUM_MEMBERS = tuple(dict.fromkeys(("Z6/Z6", "Z10/Z10", "Z6/Z30", "Z2xZ3", "M2(Z2)",
+                                     *ORACLE_RINGS, "Z40/Z40", "Z42/Z42", "Z44/Z44")))
+
+
+@pytest.fixture(scope="module")
+def dsum_members(corpus, oracle_contexts):
+    wide = {f"Z{n}/Z{n}": mo.ModuleContext(mo.build_zm_over_zn(n, n), f"Z{n}/Z{n}")
+            for n in (40, 42, 44)}
+    return {**corpus, **oracle_contexts, **wide}
+
+
+@pytest.mark.parametrize("name", DSUM_MEMBERS)
+def test_dsum_rows_match_oracle(dsum_members, name):
+    ctx = dsum_members[name]
+    assert mo.relation_matrix(ctx, "dsum").rows == brute_dsum_rows(ctx.module.add,
+                                                                    ctx.module.action)
+
+
+@pytest.mark.parametrize("name", DSUM_MEMBERS)
+def test_direct_sum_memo_matches_oracle(dsum_members, name, monkeypatch):
+    """ctx.direct_sum agrees with the definition on every pair of cyclic submodules and on
+    every pair the witness law asks: (mR, ker(x -> m.phi(x))) for each regular m and each
+    phi in M* with m = m.phi(m), its kernel read from the tables."""
+    ctx = dsum_members[name]
+    M, memo, asked = ctx.module, ctx.direct_sum, []
+    monkeypatch.setattr(ctx, "direct_sum", lambda a, b: asked.append((a, b)) or memo(a, b))
+    assert mo.check_witness_constructions(
+        ctx, mo.relation_matrix(ctx, "minus-idem")).outcome == "pass"
+    assert set(asked) == {
+        (frozenset(M.action[m]), frozenset(x for x in range(M.size)
+                                           if M.action[m][phi[x]] == M.zero))
+        for m in range(M.size) for phi in ctx.dual if M.action[m][phi[m]] == m}
+    cyclic = set(map(frozenset, M.action))
+    targets = cyclic | {frozenset(range(M.size))}
+    for a, b in set(asked) | {(a, b) for a in cyclic for b in cyclic}:
+        total = memo(a, b)
+        for target in (targets | {total}) - {None}:
+            assert (total == target) == is_direct_sum(M.add, M.zero, a, b, target), (a, b)
 
 
 from hypothesis import given, settings, strategies as st

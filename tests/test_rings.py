@@ -188,6 +188,30 @@ def test_matrix_spec_cap_checked_before_primality(p):
         mo.ring_from_spec({"kind": "matrix2", "p": p})
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: mo.build_zn(10 ** 5000), "ring size <5001 digits> exceeds cap 256"),
+    (lambda: mo.build_zn(10 ** 1000), "ring size <1001 digits> exceeds cap 256"),
+    (lambda: mo.build_matrix_ring(10 ** 1100),
+     "M2(Z<1101 digits>) has <4401 digits> elements, beyond cap 256"),
+    (lambda: mo.ring_from_spec({"kind": "tables", "size": 10 ** 1000, "add": [[0]],
+                                "mul": [[0]]}),
+     "tables spec field 'size' is <1001 digits>, not 1 rows"),
+])
+def test_oversized_numbers_are_counted_not_echoed(build, message):
+    """str() refuses an int past 4300 digits, and a shorter huge one would flood the line."""
+    with pytest.raises((AxiomError, SpecError)) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_shown_counts_digits_exactly():
+    from modorder.rings import shown
+    assert shown(10 ** 20 - 1) == "9" * 20 and shown(-7) == "-7"
+    for k in (21, 22, 299, 1000, 4300, 9000):  # the float log10 rounds near 10^k
+        for n, digits in ((10 ** k - 1, k), (10 ** k, k + 1), (-(10 ** k), k + 1)):
+            assert shown(n) == f"<{digits} digits>", (k, n == 10 ** k)
+
+
 def test_ring_from_spec_roundtrip():
     r = mo.ring_from_spec({"kind": "product",
                            "factors": [{"kind": "Zn", "n": 2}, {"kind": "Zn", "n": 3}]})
