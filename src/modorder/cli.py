@@ -59,6 +59,13 @@ def _ring(token: str, kind: str, typed: str) -> FiniteRing:
     raise SpecError(f"cannot interpret {kind} {typed!r} (no such file, not a builtin)")
 
 
+def element(token: str) -> int:
+    """An element operand; past 20 digits, beyond every cap, refused by their count."""
+    if len(digits := token.lstrip("+-")) > 20 and digits.isdecimal():
+        raise argparse.ArgumentTypeError(f"element <{len(digits)} digits> out of range")
+    return int(token)
+
+
 def _number(digits: str, kind: str, typed: str) -> int:
     """A builtin token's number; past 20 digits, beyond every cap, ``typed`` is refused
     with the digits counted (int() refuses past 4300)."""
@@ -265,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", help="ring for hartwig / ring-annih")
     p.add_argument("--rel", required=True,
                    choices=sorted(orders.RELATIONS) + list(RING_RELATIONS))
-    p.add_argument("m1", type=int)
-    p.add_argument("m2", type=int)
+    p.add_argument("m1", type=element)
+    p.add_argument("m2", type=element)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run the law suite over a corpus")

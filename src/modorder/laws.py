@@ -14,7 +14,7 @@ from . import orders
 from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
 from .rings import (RING_RELATIONS, AxiomError, SpecError, build_matrix_ring, build_product,
-                    build_zn, greedy_generators, is_rickart_star, vn_regular_witness)
+                    build_zn, greedy_generators)
 from .verdicts import OrderVerdict, Relation, bits
 
 
@@ -200,10 +200,9 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     """
     M, S, R = ctx.module, ctx.endos, ctx.module.ring
     fail = partial(LawReport, "witness-constructions", idem.member, "fail")
-    (regular,) = orders.REGULARITY.parts
     checks, whole = 0, frozenset(range(M.size))
     for m in bits(ctx.regular):
-        for phi in (t for t in ctx.dual if regular(ctx, m, t) >> m & 1):
+        for phi in (t for t in ctx.dual if M.action[m][t[m]] == m):  # bit m of REGULARITY's part
             checks += 1
             e = phi[m]
             if R.mul[e][e] != e:
@@ -293,7 +292,7 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
     for tag, rings in (("rstar", lambda: (R,)), ("lstar", lambda: (ctx.endos,)),
                        ("star", lambda: (R, ctx.endos))):
         law(f"partial-order/{tag}", lambda: regular and all(
-            r.involution is not None and is_rickart_star(r).holds for r in rings())
+            r.involution is not None and r.rickart_star.holds for r in rings())
             and check_partial_order(relation_matrix(ctx, tag), reg_dom))
 
     # Theorem-by-theorem equivalences with the definitional form
@@ -315,7 +314,7 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
     law("subset-cyclic", lambda: check_subset_cyclic(ctx, matrix("minus-dual")))
     law("witness-constructions", lambda: check_witness_constructions(ctx, matrix("minus-idem")))
     law("ring-bridge", lambda: ctx.module.is_ring_as_module()
-        and all(vn_regular_witness(R, a) is not None for a in range(R.size))
+        and R.regular == (1 << R.size) - 1
         and check_ring_bridge(ctx, matrix("minus-dual")))
     return reports
 

@@ -1,12 +1,12 @@
 """Decision procedures for the order relations, each returning a replayable witness.
 
 Every characterization is one :class:`~modorder.verdicts.Relation` entry,
-written straight from its own defining clauses as one mask-valued function
-per clause part; the proved equivalences between them are verified by the
-law suite, never assumed here.  The same parts drive the decision of one
-query (:func:`evaluate`) or one matrix row (``laws.relation_matrix``), the
-witness search (the first hit of each pool, so verdicts are deterministic)
-and the witness replay (:func:`revalidate`).
+written straight from its own defining clauses as one function per clause
+part, a mask per pool element; the proved equivalences between them are
+verified by the law suite, never assumed here.  The same parts drive the
+decision of one query (:func:`evaluate`) or one matrix row
+(``laws.relation_matrix``), the witness search (the first hit of each pool,
+so verdicts are deterministic) and the witness replay (:func:`revalidate`).
 
 Theorem-hypothesis violations (a non-regular operand where the
 characterization assumes regularity) do not abort: the raw existential is
@@ -16,10 +16,11 @@ still decided and the verdict carries ``hypothesis_ok=False``.
 from __future__ import annotations
 
 from functools import partial
-from operator import eq, le
+from operator import eq, ge, le
 
 from .homs import ModuleContext, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
+from .rings import shown
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
                        OrderVerdict, Relation, bits)
 
@@ -27,12 +28,10 @@ from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
 # -- the definitional form and regularity ---------------------------------------------
 
 
-def _dual_part(ctx: ModuleContext, m1: int, t) -> int:
+def _dual_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
     """m1 t = m2 t and t(m1) = t(m2) given m1 = m1.t(m1): fibres of t and of x -> x.v, v in tM."""
-    if ctx.module.action[m1][t[m1]] != m1:
-        return 0
-    fibres, agree = ctx.dual_masks[t]
-    return fibres[t[m1]] & agree[m1]
+    act, masks = ctx.module.action[m1], ctx.dual_masks
+    return [masks[t][0][t[m1]] & masks[t][1][m1] if act[t[m1]] == m1 else 0 for t in pool]
 
 
 minus_le_dual = Relation("minus-dual", lambda ctx, m1: (ctx.dual,), (_dual_part,),
@@ -45,7 +44,7 @@ REGULARITY = minus_le_dual._replace(tag="regular")
 def is_regular_element(ctx: ModuleContext, m: int) -> OrderVerdict:
     """Zelmanowitz regularity: some phi in M* with m = m.phi(m)."""
     if not 0 <= m < ctx.module.size:
-        raise ValueError(f"element {m} out of range for {ctx.module.name}")
+        raise ValueError(f"element {shown(m)} out of range for {ctx.module.name}")
     return REGULARITY.verdict(ctx, m, m, ctx.regular)
 
 
@@ -67,7 +66,7 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozens
     endomorphism x -> m.phi(x), are submodules; mR (+) N = M is re-verified.
     """
     M, phi = ctx.module, tuple(phi)
-    if phi not in ctx.dual_masks or not _dual_part(ctx, m, phi) >> m & 1:
+    if phi not in ctx.dual_masks or M.action[m][phi[m]] != m:
         raise ValueError(f"functional does not witness regularity of {m}")
     e = phi[m]
     assert M.ring.mul[e][e] == e
@@ -107,41 +106,43 @@ def _everything(ctx: ModuleContext, m1: int):
     return ctx.endos.element_pool, ctx.module.ring.element_pool
 
 
-# -- clause parts: each the mask of the m2 at which it holds --------------------------
+# -- clause parts: for each p of a pool, the mask of the m2 at which it holds ---------
 
 
 def _fibre_form(f_gate, a_gate):
-    """f in S and a in R that pass their gates, with f m1 = f m2 and m1 a = m2 a."""
-    def f_part(ctx: ModuleContext, m1: int, f: int) -> int:
-        S = ctx.endos
-        return S.preimages[f][S.maps[f][m1]] if f_gate(ctx, m1, f) else 0
+    """f in S and a in R that pass their gates, with f m1 = f m2 and m1 a = m2 a.  A gate
+    gives (test, family, value) for m1, and p passes it where test(family[p], value)."""
+    def f_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
+        (test, family, value), pre, maps = f_gate(ctx, m1), ctx.endos.preimages, ctx.endos.maps
+        return [pre[f][maps[f][m1]] if test(family[f], value) else 0 for f in pool]
 
-    def a_part(ctx: ModuleContext, m1: int, a: int) -> int:
-        M = ctx.module
-        return M.column_preimages[a][M.action[m1][a]] if a_gate(ctx, m1, a) else 0
+    def a_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
+        (test, family, value), M = a_gate(ctx, m1), ctx.module
+        pre, act = M.column_preimages, M.action[m1]
+        return [pre[a][act[a]] if test(family[a], value) else 0 for a in pool]
     return f_part, a_part
 
 
 def _annihilator_form(same):
     """l_S(f) ~ l_S(m1) and r_R(a) ~ r_R(m1), for ~ equality or (relaxed) inclusion."""
-    return _fibre_form(lambda ctx, m1, f: same(ctx.endos.left_anns[f], ctx.l_S[m1]),
-                       lambda ctx, m1, a: same(ctx.module.ring.right_anns[a], ctx.r_R[m1]))
+    return _fibre_form(lambda ctx, m1: (same, ctx.endos.left_anns, ctx.l_S[m1]),
+                       lambda ctx, m1: (same, ctx.module.ring.right_anns, ctx.r_R[m1]))
 
 
 # The image form: m1 R <= f M and S m1 <= M a replace the annihilator gates.
-_image_form = _fibre_form(lambda ctx, m1, f: ctx.cyclic[m1] <= ctx.endos.images[f],
-                          lambda ctx, m1, a: ctx.orbits[m1] <= ctx.multiples[a])
+_image_form = _fibre_form(lambda ctx, m1: (ge, ctx.endos.images, ctx.cyclic[m1]),
+                          lambda ctx, m1: (ge, ctx.multiples, ctx.orbits[m1]))
 
 
 def _mitsch_form(f_fixes_m1: bool, a_fixes_m1: bool):
     """m1 = f m2 = m2 a, plus m1 = f m1 and m1 = m1 a where asked."""
-    def f_part(ctx: ModuleContext, m1: int, f: int) -> int:
-        S = ctx.endos
-        return 0 if f_fixes_m1 and S.maps[f][m1] != m1 else S.preimages[f][m1]
+    def f_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
+        pre, maps = ctx.endos.preimages, ctx.endos.maps
+        return [0 if f_fixes_m1 and maps[f][m1] != m1 else pre[f][m1] for f in pool]
 
-    def a_part(ctx: ModuleContext, m1: int, a: int) -> int:
-        M = ctx.module
-        return 0 if a_fixes_m1 and M.action[m1][a] != m1 else M.column_preimages[a][m1]
+    def a_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
+        pre, act = ctx.module.column_preimages, ctx.module.action[m1]
+        return [0 if a_fixes_m1 and act[a] != m1 else pre[a][m1] for a in pool]
     return f_part, a_part
 
 
@@ -150,12 +151,13 @@ def _summands(ctx: ModuleContext, m1: int):
     return (tuple(sorted(ctx.cyclic[m1])),), tuple(ctx.summands)
 
 
-def _second_summand(ctx: ModuleContext, m1: int, B) -> int:
-    """The m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an internal direct sum.  Every d
-    in B's class has dR = B, so the sum is decided once for the class."""
-    cyclic, ds, add = ctx.cyclic, ctx.summands[B], ctx.module.add[m1]
-    total = ctx.direct_sum(cyclic[m1], cyclic[next(bits(ds))])
-    return 0 if total is None else sum(1 << add[d] for d in bits(ds) if cyclic[add[d]] == total)
+def _second_summand(ctx: ModuleContext, m1: int, pool) -> list[int]:
+    """For each B, the m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an internal direct
+    sum.  Every d in B's class ds has dR = B, so the sum is decided once for the class."""
+    cyclic, add, A = ctx.cyclic, ctx.module.add[m1], ctx.cyclic[m1]
+    return [0 if (total := ctx.direct_sum(A, cyclic[next(bits(ds))])) is None
+            else sum(1 << add[d] for d in bits(ds) if cyclic[add[d]] == total)
+            for ds in map(ctx.summands.__getitem__, pool)]
 
 
 def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relation:
@@ -189,7 +191,8 @@ mitsch_le_sym = Relation("mitsch-sym", _everything, _mitsch_form(True, True), Ma
                          _module_regular)
 corollary_gb_le = Relation("gb", _everything, _mitsch_form(False, True), MapPair,
                            _module_regular)
-direct_sum_le = Relation("dsum", _summands, (lambda ctx, m1, A: -1, _second_summand),
+direct_sum_le = Relation("dsum", _summands, (lambda ctx, m1, pool: [-1] * len(pool),
+                                              _second_summand),
                          DirectSumWitness, _both_regular)
 # The star family: R and/or S must be *-rings.
 right_star_le = _idempotent_form("rstar", False, True)
@@ -219,7 +222,7 @@ def evaluate(ctx: ModuleContext, tag: str, m1: int, m2: int) -> OrderVerdict:
     M = ctx.module
     for m in (m1, m2):
         if not (0 <= m < M.size):
-            raise ValueError(f"element {m} out of range for {M.name}")
+            raise ValueError(f"element {shown(m)} out of range for {M.name}")
     try:
         rel = RELATIONS[tag]
     except KeyError:

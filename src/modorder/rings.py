@@ -35,7 +35,8 @@ def checked_table(table, rows: int, cols: int, bound: int, label: str) -> list[l
         if row and (set(map(type, row)) != {int} or min(row) < 0 or max(row) >= bound):
             j, v = next((j, v) for j, v in enumerate(row)
                         if type(v) is not int or not 0 <= v < bound)
-            raise AxiomError(f"{label}[{i}][{j}] = {v!r} is not in 0..{bound - 1}")
+            shown_v = shown(v) if type(v) is int else repr(v)
+            raise AxiomError(f"{label}[{i}][{j}] = {shown_v} is not in 0..{bound - 1}")
     return [list(row) for row in table]
 
 
@@ -254,6 +255,21 @@ class FiniteRing:
         """The mask of {b : b*a = v}, indexed by a, then v."""
         return preimage_masks(zip(*self.mul), self.size)
 
+    @cached_property
+    def regular(self) -> int:
+        """The mask of the a with axa = a for some x, i.e. a <= a in Hartwig's order."""
+        return sum(hartwig_minus_le.row(self, a, 1 << a) for a in range(self.size))  # 0 or 1 << a
+
+    @cached_property
+    def rickart(self) -> RickartCert:
+        """``is_rickart``'s certificate, one per ring: callers must not mutate it."""
+        return _rickart_cert(self, self.idempotent_pool)
+
+    @cached_property
+    def rickart_star(self) -> RickartCert:
+        """``is_rickart_star``'s certificate, one per ring: callers must not mutate it."""
+        return _rickart_cert(self, self.projection_pool)
+
 
 def preimage_masks(tables, size: int) -> tuple[tuple[int, ...], ...]:
     """For each value table t, the mask of {x : t[x] = v} by v."""
@@ -394,26 +410,23 @@ def ring_from_spec(spec: dict) -> FiniteRing:
 # -- element-level predicates and relations -----------------------------------
 
 
-def _hartwig_part(ring: FiniteRing, a: int, x: int) -> int:
-    """Hartwig's minus order: the b with xa = xb and ax = bx, for axa = a."""
-    ax, xa = ring.mul[a][x], ring.mul[x][a]
-    if ring.mul[ax][a] != a:
-        return 0
-    return ring.row_preimages[x][xa] & ring.column_preimages[x][ax]
+def _hartwig_part(ring: FiniteRing, a: int, pool) -> list[int]:
+    """Hartwig's minus order: for each x, the b with xa = xb and ax = bx, for axa = a."""
+    mul, rows, cols, a_times = ring.mul, ring.row_preimages, ring.column_preimages, ring.mul[a]
+    return [rows[x][mul[x][a]] & cols[x][a_times[x]] if mul[a_times[x]][a] == a else 0
+            for x in pool]
 
 
-def _annih_p(ring: FiniteRing, a: int, p: int) -> int:
-    """The b with pa = pb, for an idempotent p with l(a) = R(1-p)."""
-    if ring.left_ideals[ring.sub(ring.one, p)] != ring.left_anns[a]:
-        return 0
-    return ring.row_preimages[p][ring.mul[p][a]]
+def _annih_p(ring: FiniteRing, a: int, pool) -> list[int]:
+    """For each idempotent p, the b with pa = pb, for l(a) = R(1-p)."""
+    mul, rows, ideals, lann = ring.mul, ring.row_preimages, ring.left_ideals, ring.left_anns[a]
+    return [rows[p][mul[p][a]] if ideals[ring.sub(ring.one, p)] == lann else 0 for p in pool]
 
 
-def _annih_q(ring: FiniteRing, a: int, q: int) -> int:
-    """The b with aq = bq, for an idempotent q with r(a) = (1-q)R."""
-    if ring.right_ideals[ring.sub(ring.one, q)] != ring.right_anns[a]:
-        return 0
-    return ring.column_preimages[q][ring.mul[a][q]]
+def _annih_q(ring: FiniteRing, a: int, pool) -> list[int]:
+    """For each idempotent q, the b with aq = bq, for r(a) = (1-q)R."""
+    mul, cols, ideals, rann = ring.mul, ring.column_preimages, ring.right_ideals, ring.right_anns[a]
+    return [cols[q][mul[a][q]] if ideals[ring.sub(ring.one, q)] == rann else 0 for q in pool]
 
 
 # The ring-level relations, each called as relation(ring, a, b).
@@ -473,12 +486,12 @@ def _rickart_cert(ring: FiniteRing, gens) -> RickartCert:
 
 def is_rickart(ring: FiniteRing) -> RickartCert:
     """Every one-sided annihilator of an element is a principal ideal on an idempotent."""
-    return _rickart_cert(ring, ring.idempotent_pool)
+    return ring.rickart
 
 
 def is_rickart_star(ring: FiniteRing) -> RickartCert:
     """Every one-sided annihilator is generated by a projection."""
-    return _rickart_cert(ring, ring.projection_pool)
+    return ring.rickart_star
 
 
 def is_proper_star(ring: FiniteRing) -> bool:

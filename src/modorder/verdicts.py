@@ -15,6 +15,8 @@ drive its decision (``row``), its witness search (``firsts``) and its replay.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 
@@ -114,12 +116,12 @@ class Relation(NamedTuple):
     """One order relation, defined once for the decision, the witness and the replay.
 
     ``pools(ctx, x)`` gives the pools of witness parts for row x, or None where the
-    relation is undefined (a star order without its involution).  ``parts[i](ctx, x, p)``
-    is the mask of the y at which clause part i holds for p in pool i (-1: every y).
-    It holds at (x, y) when each pool has a p covering y; the first ones are the parts
-    from which ``witness`` builds the witness (as its first fields).  ``hypothesis``
-    says whether the theorem covers (x, y) (None: no assumption).  ``ctx`` is a module
-    context, or a ring for ring-level relations.
+    relation is undefined (a star order without its involution).  ``parts[i](ctx, x, pool)``
+    lists, for each p of ``pool`` in order (pool i, or the one-element pool of a replay),
+    the mask of the y at which clause part i holds for p (-1: every y).  It holds at (x, y)
+    when each pool has a p covering y; the first ones are the parts from which ``witness``
+    builds the witness (as its first fields).  ``hypothesis`` says whether the theorem
+    covers (x, y) (None: no assumption).  ``ctx`` is a module context, or a ring.
     """
 
     tag: str
@@ -133,17 +135,12 @@ class Relation(NamedTuple):
 
     def row(self, ctx, x: int, todo: int) -> int | None:
         """The mask of the y in ``todo`` at which the relation holds (None: not
-        applicable); each pool runs only until its parts cover every y still alive."""
+        applicable): the y that each pool's parts cover, pool by pool, until none is left."""
         pools = self.pools(ctx, x)
         if pools is None:
             return None
         for pool, part in zip(pools, self.parts):
-            left = todo
-            for p in pool:
-                if not left:
-                    break
-                left &= ~part(ctx, x, p)
-            todo ^= left
+            todo &= reduce(or_, part(ctx, x, pool), 0) if todo else 0
         return todo
 
     def firsts(self, ctx, x: int, row: int) -> dict[int, tuple]:
@@ -152,10 +149,10 @@ class Relation(NamedTuple):
         found = {y: [] for y in bits(row)}
         for pool, part in zip(self.pools(ctx, x), self.parts):
             left = row
-            for p in pool:
+            for p, mask in zip(pool, part(ctx, x, pool)):
                 if not left:
                     break
-                for y in bits(part(ctx, x, p) & left):
+                for y in bits(mask & left):
                     found[y].append(p)
                     left ^= 1 << y
         return {y: tuple(parts) for y, parts in found.items()}
@@ -187,7 +184,7 @@ class Relation(NamedTuple):
         built = len(parts) == len(pools) and self.witness(*parts)
         if type(built) is not type(w) or built != w:
             return False
-        return all(p in pool and part(ctx, x, p) >> y & 1
+        return all(p in pool and part(ctx, x, (p,))[0] >> y & 1
                    for p, pool, part in zip(parts, pools, self.parts))
 
 

@@ -69,6 +69,28 @@ def brute_dsum_rows(add, action):
             for m1 in range(n)]
 
 
+def vn_regular_mask(mul):
+    """The mask of the a with a*x*a = a for some x, every x tried."""
+    n = len(mul)
+    return sum(1 << a for a in range(n) if any(mul[mul[a][x]][a] == a for x in range(n)))
+
+
+def rickart_from_tables(mul, zero, gens):
+    """(holds, witnesses, failure) as a Rickart certificate over ``gens`` has them: for each
+    a in turn, the first e in gens with eR = r(a) and the first with Re = l(a), until some
+    a has none."""
+    n, witnesses = len(mul), {}
+    for a in range(n):
+        right = {x for x in range(n) if mul[a][x] == zero}
+        left = {x for x in range(n) if mul[x][a] == zero}
+        p = next((e for e in gens if set(mul[e]) == right), None)
+        q = next((e for e in gens if {row[e] for row in mul} == left), None)
+        if p is None or q is None:
+            return False, witnesses, a
+        witnesses[a] = (p, q)
+    return True, witnesses, None
+
+
 def zn_tables(n):
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[a * b % n for b in range(n)] for a in range(n)]
@@ -231,5 +253,5 @@ def transitive_reduction_scan(cells):
 def first_parts(rel, target, x, y):
     """At a cell (x, y) where the relation ``rel`` holds, the first element of each of its
     pools whose clause part covers y, by one scan of the pools per cell."""
-    return tuple(next(p for p in pool if part(target, x, p) >> y & 1)
+    return tuple(next(p for p in pool if part(target, x, (p,))[0] >> y & 1)
                  for pool, part in zip(rel.pools(target, x), rel.parts))

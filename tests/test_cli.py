@@ -120,6 +120,28 @@ def test_oversized_spec_number_is_refused_by_name(child_env, tmp_path, digits, m
     assert proc.stderr == f"error: {prefix}{message}\n"
 
 
+@pytest.mark.parametrize("operand", ["m1", "m2"])
+@pytest.mark.parametrize("zeros", [1000, 5000])
+def test_oversized_operand_is_refused_by_its_digits(child_env, operand, zeros):
+    """An element operand past 20 digits is refused by argparse, naming the operand and
+    counting its digits: int() refuses one past 4300 digits, and neither is echoed."""
+    big = "1" + "0" * zeros
+    pair = (big, "2") if operand == "m1" else ("2", big)
+    proc = _cli_subprocess(child_env, "order", "--module", "Z6/Z30", "--rel", "dsum", *pair)
+    assert proc.returncode == 2 and proc.stdout == "" and len(proc.stderr) < 600
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        f"modorder order: error: argument {operand}: element <{zeros + 1} digits> out of range"]
+
+
+def test_oversized_tables_entry_is_refused_by_its_cell(child_env, tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_text('{"kind": "tables", "add": [[0, 1], [1, 0]], '
+                    '"mul": [[0, 0], [0, 1' + "0" * 1000 + ']]}')
+    proc = _cli_subprocess(child_env, "ring", "--ring", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: mul[1][1] = <1001 digits> is not in 0..1\n"
+
+
 def test_non_utf8_spec_file_is_named(tmp_path):
     path = tmp_path / "ring.json"
     path.write_bytes(b'{"kind": "Zn", "n": \xff}')

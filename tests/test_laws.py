@@ -5,7 +5,8 @@ import weakref
 import modorder as mo
 import pytest
 
-from modorder import laws
+from modorder import laws, orders
+from modorder.homs import smash
 from modorder.laws import RelationMatrix
 
 
@@ -141,6 +142,25 @@ def test_witness_constructions_report_a_failed_decomposition(module, refused, el
     assert r.to_json() == {"law": "witness-constructions", "member": ctx.name,
                            "outcome": "fail", "checks": checks,
                            "counterexample": {"kind": "decomposition", "element": element}}
+
+
+def test_witness_constructions_visit_the_regularity_witnesses(monkeypatch, corpus, z4_over_z4,
+                                                             klein_four):
+    """For each m, the law visits exactly the phi of M* whose REGULARITY part has bit m,
+    in the order of M*."""
+    visited = []
+
+    def recording_smash(M, S, m, phi):
+        visited.append((m, phi))
+        return smash(M, S, m, phi)
+    monkeypatch.setattr(laws, "smash", recording_smash)
+    (part,) = orders.REGULARITY.parts
+    for ctx in (*corpus.values(), z4_over_z4, klein_four):
+        visited.clear()
+        r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
+        expected = [(m, t) for m in range(ctx.module.size)
+                    for t, mask in zip(ctx.dual, part(ctx, m, ctx.dual)) if mask >> m & 1]
+        assert r.outcome == "pass" and visited == expected, ctx.name
 
 
 def test_ring_bridge(corpus):

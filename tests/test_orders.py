@@ -37,6 +37,14 @@ def test_regular_element_out_of_range(z4_over_z4):
             mo.is_regular_element(z4_over_z4, m)
 
 
+def test_oversized_element_is_counted_not_echoed(z6_over_z30):
+    message = r"^element <1001 digits> out of range for Z6/Z30$"
+    with pytest.raises(ValueError, match=message):
+        mo.is_regular_element(z6_over_z30, 10 ** 1000)
+    with pytest.raises(ValueError, match=message):
+        mo.evaluate(z6_over_z30, "dsum", 2, 10 ** 1000)
+
+
 def test_regular_module_corpus(corpus):
     for ctx in corpus.values():
         ok, bad = mo.is_regular_module(ctx)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import modorder as mo
 from modorder.rings import AxiomError, SpecError
 
-from oracles import zn_tables
+from oracles import rickart_from_tables, vn_regular_mask, zn_tables
 
 
 # -- constructors ---------------------------------------------------------------
@@ -204,6 +204,14 @@ def test_oversized_numbers_are_counted_not_echoed(build, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("digits", [1001, 5001])
+def test_oversized_table_entry_is_an_axiom_error(digits):
+    """A table entry too long for str() (past 4300 digits) or for a line is counted."""
+    with pytest.raises(AxiomError) as exc:
+        mo.build_ring_from_tables([[0, 1], [1, 0]], [[0, 0], [0, 10 ** (digits - 1)]])
+    assert str(exc.value) == f"mul[1][1] = <{digits} digits> is not in 0..1"
+
+
 def test_shown_counts_digits_exactly():
     from modorder.rings import shown
     assert shown(10 ** 20 - 1) == "9" * 20 and shown(-7) == "-7"
@@ -326,6 +334,34 @@ def test_rickart_star():
     assert not mo.is_rickart_star(mo.build_zn(4)).holds
     assert mo.is_rickart_star(mo.build_matrix_ring(3)).holds
     assert not mo.is_rickart_star(mo.build_matrix_ring(2)).holds
+
+
+def _fact_rings(corpus, oracle_contexts):
+    """The rings of the corpus members and of ORACLE_RINGS, with the corpus members'
+    endomorphism rings."""
+    contexts = (*corpus.values(), *oracle_contexts.values())
+    return [*{id(r): r for ctx in contexts for r in (ctx.module.ring, ctx.endos)}.values()]
+
+
+def test_ring_regular_mask_matches_witnesses_and_brute_force(corpus, oracle_contexts):
+    """R.regular holds the a with an inner inverse, as vn_regular_witness finds one and
+    as a scan of every x does."""
+    for r in _fact_rings(corpus, oracle_contexts):
+        witnessed = sum(1 << a for a in range(r.size) if mo.vn_regular_witness(r, a) is not None)
+        assert r.regular == witnessed == vn_regular_mask(r.mul), r.name
+
+
+def test_rickart_certificates_are_rebuilt_alike_and_shared(corpus, oracle_contexts):
+    """is_rickart and is_rickart_star give the certificate rebuilt from the tables, and the
+    same object on every call."""
+    for r in [*_fact_rings(corpus, oracle_contexts), mo.build_zn(4), mo.build_matrix_ring(3)]:
+        checks = [(mo.is_rickart, r.idempotent_pool)]
+        if r.involution is not None:
+            checks.append((mo.is_rickart_star, r.projection_pool))
+        for is_cert, gens in checks:
+            cert = is_cert(r)
+            assert tuple(cert) == rickart_from_tables(r.mul, r.zero, gens), (r.name, is_cert)
+            assert is_cert(r) is cert
 
 
 def test_proper_star_z10():

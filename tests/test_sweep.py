@@ -85,8 +85,8 @@ def _relations(ctx):
 
 
 def test_row_on_todo_is_the_full_row_masked(contexts):
-    """A pool stops once its parts cover every y still alive; that never changes the
-    verdict at a y that is asked about."""
+    """A row asked for the y in ``todo`` decides only those; the cells left out never change
+    the verdict at a y that is asked about."""
     rng = random.Random(0)
     for ctx in contexts:
         for rel, target, n in _relations(ctx):
