@@ -1,13 +1,14 @@
 """Paired benchmark runs: a committed revision (the parent) against the working tree.
 
     python3 scripts/bench_pairs.py --rev HEAD --workload suite-products \\
-        --workload suite-cyclic --pairs 10 --seconds 20 --label pr17
+        --workload suite-cyclic --label pr17
 
 The committed files of revision R are exported with ``git archive`` into a
-temporary directory, so the repository's own state is never touched.  Pair i
-runs the unedited ``perfbench/run.py --seed 900+i --trace 0`` once in that
-export and once in the working tree, each from its own root; the parent runs
-first in odd pairs and the change in even ones.  Standard library only.
+temporary directory, so the repository's own state is never touched.  Pair i,
+for i = 1..10, runs the unedited ``perfbench/run.py --seed 900+i --trace 0`` for
+the ``run_seconds`` of ``BENCHMARK.json`` once in that export and once in the
+working tree, each from its own root; the parent runs first in odd pairs and
+the change in even ones.  Standard library only.
 
 ``BENCH_<label>.json``, written at the root of the working tree after every
 pair, holds for each workload each pair's end-to-end metrics and ``correct``
@@ -32,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 901
+PAIRS = 10  # the fewest that can show a gain in 9 of 10
 
 
 def git(*args: str) -> bytes:
@@ -101,18 +103,17 @@ def main() -> int:
     parser.add_argument("--rev", required=True, help="the parent revision")
     parser.add_argument("--workload", action="append", required=True,
                         help="a perfbench workload (repeat for several)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     args = parser.parse_args()
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     out_path = ROOT / f"BENCH_{args.label}.json"
     record = {
         "rev": git("rev-parse", args.rev).decode().strip(),
         "change": git("rev-parse", "HEAD").decode().strip()
                   + (" (with uncommitted changes)" if git("status", "--porcelain", "src")
                      else ""),
-        "seconds": args.seconds, "first_seed": FIRST_SEED,
+        "seconds": seconds, "first_seed": FIRST_SEED,
         "python": platform.python_version(), "machine": platform.machine(),
         "workloads": {},
     }
@@ -122,17 +123,17 @@ def main() -> int:
         for workload in args.workload:
             pairs = []
             entry = record["workloads"][workload] = {"pairs": pairs, "summary": {}}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = FIRST_SEED + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run(parent_root if side == "parent" else ROOT, workload,
-                                     seed, args.seconds)
+                                     seed, seconds)
                 pairs.append(pair)
                 entry["summary"] = summary(pairs, metrics)
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
-                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
+                print(f"{workload} pair {i + 1}/{PAIRS} seed {seed}: "
                       + "  ".join(f"{name} {pair['parent']['metrics'].get(name, float('nan')):.4g}"
                                   f" -> {pair['change']['metrics'].get(name, float('nan')):.4g}"
                                   for name in ("pass_s", "op_p50_ms")), flush=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 from functools import reduce
 
@@ -60,10 +61,14 @@ def _ring(token: str, kind: str, typed: str) -> FiniteRing:
 
 
 def element(token: str) -> int:
-    """An element operand; past 20 digits, beyond every cap, refused by their count."""
-    if len(digits := token.lstrip("+-")) > 20 and digits.isdecimal():
+    """An element operand; a long one is shown by its digit count or truncated, not echoed."""
+    digits = token.strip().lstrip("+-").replace("_", "").lstrip("0")  # as int() reads them
+    if len(digits) > 20 and digits.isdecimal():  # beyond every cap
         raise argparse.ArgumentTypeError(f"element <{len(digits)} digits> out of range")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid element value: {reprlib.repr(token)}") from None
 
 
 def _number(digits: str, kind: str, typed: str) -> int:

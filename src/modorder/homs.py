@@ -18,7 +18,7 @@ HOM_BUDGET is refused with SpecError.
 from __future__ import annotations
 
 from functools import cache, cached_property, partial, reduce
-from operator import and_, or_
+from operator import and_
 
 from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, direct_sum, right_ann
 from .rings import (MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, greedy_generators,
@@ -200,10 +200,15 @@ class ModuleContext:
         return tuple(dual(self.module, self.ring_module))
 
     @cached_property
+    def regularity_witnesses(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For each m, the phi of M* with m = m.phi(m), in order: bit m of REGULARITY's part."""
+        return tuple(tuple(t for t in self.dual if row[t[m]] == m)
+                     for m, row in enumerate(self.module.action))
+
+    @cached_property
     def regular(self) -> int:
         """The mask of the regular elements, the m with m = m.phi(m) for some phi in M*."""
-        from .orders import REGULARITY  # the relation table lives with the orders
-        return reduce(or_, (REGULARITY.row(self, m, 1 << m) for m in range(self.module.size)), 0)
+        return sum(1 << m for m, phis in enumerate(self.regularity_witnesses) if phis)
 
     @cached_property
     def is_regular(self) -> bool:

@@ -14,7 +14,7 @@ from . import orders
 from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
 from .rings import (RING_RELATIONS, AxiomError, SpecError, build_matrix_ring, build_product,
-                    build_zn, greedy_generators)
+                    build_zn, greedy_generators, hartwig_minus_le)
 from .verdicts import OrderVerdict, Relation, bits
 
 
@@ -202,7 +202,7 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     fail = partial(LawReport, "witness-constructions", idem.member, "fail")
     checks, whole = 0, frozenset(range(M.size))
     for m in bits(ctx.regular):
-        for phi in (t for t in ctx.dual if M.action[m][t[m]] == m):  # bit m of REGULARITY's part
+        for phi in ctx.regularity_witnesses[m]:
             checks += 1
             e = phi[m]
             if R.mul[e][e] != e:
@@ -314,7 +314,7 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
     law("subset-cyclic", lambda: check_subset_cyclic(ctx, matrix("minus-dual")))
     law("witness-constructions", lambda: check_witness_constructions(ctx, matrix("minus-idem")))
     law("ring-bridge", lambda: ctx.module.is_ring_as_module()
-        and R.regular == (1 << R.size) - 1
+        and all(hartwig_minus_le.row(R, a, 1 << a) for a in range(R.size))  # R regular
         and check_ring_bridge(ctx, matrix("minus-dual")))
     return reports
 

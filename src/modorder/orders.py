@@ -37,7 +37,7 @@ def _dual_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
 minus_le_dual = Relation("minus-dual", lambda ctx, m1: (ctx.dual,), (_dual_part,),
                          DualWitness)
 # Zelmanowitz regularity, m = m.phi(m) for some phi in M*, is m <= m.  ctx.regular
-# caches the mask of the m with bit m in REGULARITY.row(ctx, m, 1 << m).
+# caches the mask of the m with such a phi, read from ctx.regularity_witnesses.
 REGULARITY = minus_le_dual._replace(tag="regular")
 
 
@@ -66,7 +66,7 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozens
     endomorphism x -> m.phi(x), are submodules; mR (+) N = M is re-verified.
     """
     M, phi = ctx.module, tuple(phi)
-    if phi not in ctx.dual_masks or M.action[m][phi[m]] != m:
+    if phi not in ctx.regularity_witnesses[m]:
         raise ValueError(f"functional does not witness regularity of {m}")
     e = phi[m]
     assert M.ring.mul[e][e] == e

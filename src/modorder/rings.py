@@ -9,6 +9,7 @@ concurrent reads are safe.
 from __future__ import annotations
 
 import math
+import reprlib
 from functools import cached_property
 from itertools import product
 from typing import NamedTuple
@@ -35,7 +36,7 @@ def checked_table(table, rows: int, cols: int, bound: int, label: str) -> list[l
         if row and (set(map(type, row)) != {int} or min(row) < 0 or max(row) >= bound):
             j, v = next((j, v) for j, v in enumerate(row)
                         if type(v) is not int or not 0 <= v < bound)
-            shown_v = shown(v) if type(v) is int else repr(v)
+            shown_v = shown(v) if type(v) is int else reprlib.repr(v)  # truncated
             raise AxiomError(f"{label}[{i}][{j}] = {shown_v} is not in 0..{bound - 1}")
     return [list(row) for row in table]
 
@@ -254,16 +255,6 @@ class FiniteRing:
     def column_preimages(self) -> tuple[tuple[int, ...], ...]:
         """The mask of {b : b*a = v}, indexed by a, then v."""
         return preimage_masks(zip(*self.mul), self.size)
-
-    @cached_property
-    def regular(self) -> int:
-        """The mask of the a with axa = a for some x, i.e. a <= a in Hartwig's order."""
-        return sum(hartwig_minus_le.row(self, a, 1 << a) for a in range(self.size))  # 0 or 1 << a
-
-    @cached_property
-    def rickart(self) -> RickartCert:
-        """``is_rickart``'s certificate, one per ring: callers must not mutate it."""
-        return _rickart_cert(self, self.idempotent_pool)
 
     @cached_property
     def rickart_star(self) -> RickartCert:
@@ -486,7 +477,7 @@ def _rickart_cert(ring: FiniteRing, gens) -> RickartCert:
 
 def is_rickart(ring: FiniteRing) -> RickartCert:
     """Every one-sided annihilator of an element is a principal ideal on an idempotent."""
-    return ring.rickart
+    return _rickart_cert(ring, ring.idempotent_pool)
 
 
 def is_rickart_star(ring: FiniteRing) -> RickartCert:

@@ -121,25 +121,48 @@ def test_oversized_spec_number_is_refused_by_name(child_env, tmp_path, digits, m
 
 
 @pytest.mark.parametrize("operand", ["m1", "m2"])
-@pytest.mark.parametrize("zeros", [1000, 5000])
-def test_oversized_operand_is_refused_by_its_digits(child_env, operand, zeros):
+@pytest.mark.parametrize("token,message", [
+    ("1" + "0" * 1000, "element <1001 digits> out of range"),
+    ("1" + "0" * 5000, "element <5001 digits> out of range"),
+    (" 1" + "0" * 5000 + " ", "element <5001 digits> out of range"),
+    ("+0001" + "_000" * 1500, "element <4501 digits> out of range"),
+    ("x" * 5000, "invalid element value: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ("0" * 5000 + "3", "invalid element value: '000000000000...0000000000003'"),
+], ids=["1001", "5001", "blanks", "underscores", "letters", "zeros"])
+def test_oversized_operand_is_refused_by_its_digits(child_env, operand, token, message):
     """An element operand past 20 digits is refused by argparse, naming the operand and
-    counting its digits: int() refuses one past 4300 digits, and neither is echoed."""
-    big = "1" + "0" * zeros
-    pair = (big, "2") if operand == "m1" else ("2", big)
+    counting its digits (as int() reads them: padded, signed or with underscores); a
+    long token that int() refuses is truncated: neither is echoed."""
+    pair = (token, "2") if operand == "m1" else ("2", token)
     proc = _cli_subprocess(child_env, "order", "--module", "Z6/Z30", "--rel", "dsum", *pair)
     assert proc.returncode == 2 and proc.stdout == "" and len(proc.stderr) < 600
     assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
-        f"modorder order: error: argument {operand}: element <{zeros + 1} digits> out of range"]
+        f"modorder order: error: argument {operand}: {message}"]
 
 
-def test_oversized_tables_entry_is_refused_by_its_cell(child_env, tmp_path):
+def test_padded_operand_is_read_as_int_reads_it(child_env):
+    """Leading zeros, blanks and underscores do not count as digits of the value, and a
+    short token that is not a number is shown whole."""
+    _, out, _ = run_cli("order", "--module", "Z6/Z30", "--rel", "dsum", "0" * 30 + "2",
+                        " 0_4 ", "--json")
+    assert json.loads(out)["operands"] == [2, 4]
+    proc = _cli_subprocess(child_env, "order", "--module", "Z6/Z30", "--rel", "dsum", "2", "abc")
+    assert proc.returncode == 2 and proc.stderr.endswith(
+        "modorder order: error: argument m2: invalid element value: 'abc'\n")
+
+
+@pytest.mark.parametrize("entry,shown", [
+    (10 ** 1000, "<1001 digits>"),
+    ("x" * 5000, "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+], ids=["digits", "string"])
+def test_oversized_tables_entry_is_refused_by_its_cell(child_env, tmp_path, entry, shown):
+    """A bad table entry is named by its cell and shown by its digit count or truncated."""
     path = tmp_path / "ring.json"
-    path.write_text('{"kind": "tables", "add": [[0, 1], [1, 0]], '
-                    '"mul": [[0, 0], [0, 1' + "0" * 1000 + ']]}')
+    path.write_text(json.dumps({"kind": "tables", "add": [[0, 1], [1, 0]],
+                                "mul": [[0, 0], [0, entry]]}))
     proc = _cli_subprocess(child_env, "ring", "--ring", str(path))
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: mul[1][1] = <1001 digits> is not in 0..1\n"
+    assert proc.stderr == f"error: mul[1][1] = {shown} is not in 0..1\n"
 
 
 def test_non_utf8_spec_file_is_named(tmp_path):

@@ -161,6 +161,7 @@ def test_witness_constructions_visit_the_regularity_witnesses(monkeypatch, corpu
         expected = [(m, t) for m in range(ctx.module.size)
                     for t, mask in zip(ctx.dual, part(ctx, m, ctx.dual)) if mask >> m & 1]
         assert r.outcome == "pass" and visited == expected, ctx.name
+        assert ctx.regular == sum({1 << m for m, _ in expected}), ctx.name
 
 
 def test_ring_bridge(corpus):
