@@ -25,19 +25,32 @@ from .rings import (MAX_RING_SIZE, FiniteRing, AxiomError, RING_RELATIONS, SpecE
 from .verdicts import witness_to_json
 
 
+class _Token(str):
+    """A token whose repr, as argparse's invalid-choice message shows it, is truncated."""
+
+    def __repr__(self):
+        return reprlib.repr(str(self))
+
+
+def _path(path: str) -> str:
+    """A file name for a message: whole up to 255 characters, truncated (reprlib) beyond."""
+    return path if len(path) <= 255 else reprlib.repr(path)
+
+
 def _load_json(path):
+    name = _path(path)
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SpecError(f"{path}: {exc.strerror}") from None
+        raise SpecError(f"{name}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
-        raise SpecError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+        raise SpecError(f"{name}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                         f"{exc.msg}") from None
     except UnicodeDecodeError:
-        raise SpecError(f"{path}: not UTF-8 text") from None
+        raise SpecError(f"{name}: not UTF-8 text") from None
     except ValueError:  # json.load's int() refuses an integer past Python's digit limit
-        raise SpecError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} "
+        raise SpecError(f"{name}: an integer has more than {sys.get_int_max_str_digits()} "
                         f"digits, beyond cap {MAX_RING_SIZE}") from None
 
 
@@ -57,7 +70,8 @@ def _ring(token: str, kind: str, typed: str) -> FiniteRing:
         return reduce(build_product, (_ring(part, kind, typed) for part in token.split("x")))
     if token.startswith("Z") and token[1:].isdecimal():
         return build_zn(_number(token[1:], kind, typed))
-    raise SpecError(f"cannot interpret {kind} {typed!r} (no such file, not a builtin)")
+    raise SpecError(f"cannot interpret {kind} {reprlib.repr(typed)} "
+                    "(no such file, not a builtin)")
 
 
 def element(token: str) -> int:
@@ -75,8 +89,8 @@ def _number(digits: str, kind: str, typed: str) -> int:
     """A builtin token's number; past 20 digits, beyond every cap, ``typed`` is refused
     with the digits counted (int() refuses past 4300)."""
     if len(digits) > 20:
-        raise SpecError(f"{kind} {typed.replace(digits, f'<{len(digits)} digits>')!r} "
-                        f"is beyond cap {MAX_RING_SIZE}")
+        shown = reprlib.repr(typed.replace(digits, f"<{len(digits)} digits>"))
+        raise SpecError(f"{kind} {shown} is beyond cap {MAX_RING_SIZE}")
     return int(digits)
 
 
@@ -90,7 +104,8 @@ def parse_module_arg(token: str) -> FiniteModule:
     if all(part[:1] == "Z" and part[1:].isdecimal() for part in (m_part, n_part)):
         return build_zm_over_zn(*(_number(part[1:], "module", token)
                                   for part in (m_part, n_part)))
-    raise SpecError(f"cannot interpret module {token!r} (no such file, not a builtin)")
+    raise SpecError(f"cannot interpret module {reprlib.repr(token)} "
+                    "(no such file, not a builtin)")
 
 
 def _fmt_set(values) -> str:
@@ -168,11 +183,7 @@ def cmd_order(args) -> int:
     if args.rel in RING_RELATIONS:
         if not args.ring:
             raise SpecError(f"relation {args.rel} needs --ring")
-        ring = parse_ring_arg(args.ring)
-        for m in (args.m1, args.m2):
-            if not (0 <= m < ring.size):
-                raise SpecError(f"element {m} out of range for {ring.name}")
-        verdict = RING_RELATIONS[args.rel](ring, args.m1, args.m2)
+        verdict = RING_RELATIONS[args.rel](parse_ring_arg(args.ring), args.m1, args.m2)
     else:
         if not args.module:
             raise SpecError(f"relation {args.rel} needs --module")
@@ -249,7 +260,7 @@ def cmd_hasse(args) -> int:
             with open(args.out, "w") as fh:
                 fh.write(dot)
         except OSError as exc:
-            raise SpecError(f"{args.out}: {exc.strerror}") from None
+            raise SpecError(f"{_path(args.out)}: {exc.strerror}") from None
         print(f"wrote {args.out}: {len(poset.elements)} nodes, "
               f"{len(poset.covers)} edges")
     else:
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="decide one relation on a pair")
     p.add_argument("--module", help="module for module-level relations")
     p.add_argument("--ring", help="ring for hartwig / ring-annih")
-    p.add_argument("--rel", required=True,
+    p.add_argument("--rel", required=True, type=_Token,
                    choices=sorted(orders.RELATIONS) + list(RING_RELATIONS))
     p.add_argument("m1", type=element)
     p.add_argument("m2", type=element)
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hasse", help="emit the Hasse diagram of a verified order")
     p.add_argument("--module", required=True)
-    p.add_argument("--rel", required=True, choices=sorted(orders.RELATIONS))
+    p.add_argument("--rel", required=True, type=_Token, choices=sorted(orders.RELATIONS))
     p.add_argument("--out", help="write DOT here instead of stdout")
     p.add_argument("--json", action="store_true")
 

@@ -4,25 +4,33 @@ Homs are extended one generator at a time.  The greedy generators of M are
 taken from its elements in order of decreasing |xR|, ties by index, so a
 cyclic module, R_R included, needs one step: its first candidate generates
 it.  With A the submodule that the earlier generators span, a hom h on A
-extends to A + gR along each image u of the next generator g by
-a + g.r -> h(a) + u.r, and is dropped on the first element given two values.
-A well-defined extension is a hom: A is a submodule, so sums and multiples of
-elements a + g.r keep that form, and h is additive and right-linear on A.  So
-no completed table needs a re-check, and none is missed, as every hom
-restricts to a hom on A.  Before each step the work of extending the list of
-partial homs, len(partial) * |N| copied tables of |M| entries plus at most
-|A| * |R| lookups each, is bounded, and a search whose bound exceeds
-HOM_BUDGET is refused with SpecError.
+extends to A + gR along an image u of the next generator g by
+a + g.r -> h(a) + u.r if and only if u passes the conductor test: u.r = h(g.r)
+for every r in the conductor {r : g.r in A}.  Only if: g.r in A has the value
+h(g.r) and, as 0 + g.r, the value u.r.  If: when a + g.r = a' + g.r', s = r - r'
+has g.s = a' - a in A, so u.s = h(a') - h(a) and h(a) + u.r = h(a') + u.r'.  (For
+a cyclic piece this is Hom_R(R/I, N) = {u in N : uI = 0}; Anderson & Fuller,
+Rings and Categories of Modules.)  A well-defined extension is a hom: A is a
+submodule, so sums and multiples of elements a + g.r keep that form, and h is
+additive and right-linear on A.  So no completed table needs a re-check, and
+none is missed, as every hom restricts to a hom on A.  The conductor, and one
+(a, r) for each element of A + gR outside A, are found once per step; each u
+then costs one lookup per element of the conductor, and an accepted u one
+copied table with its new entries written.  Before each step the work of
+extending the list of partial homs, len(partial) * |N| copied tables of |M|
+entries plus at most |A| * |R| lookups each, is bounded, and a search whose
+bound exceeds HOM_BUDGET is refused with SpecError.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property, partial, reduce
+from itertools import compress
 from operator import and_
 
 from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, direct_sum, right_ann
-from .rings import (MAX_RING_SIZE, AxiomError, FiniteRing, SpecError, greedy_generators,
-                    preimage_masks, same_ring)
+from .rings import MAX_RING_SIZE, FiniteRing, SpecError, same_ring
+from .tables import AxiomError, greedy_generators, preimage_masks
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
 
@@ -38,30 +46,36 @@ def is_hom(M: FiniteModule, N: FiniteModule, t) -> bool:
 
 def _chain(M: FiniteModule):
     """Each greedy generator g of M, walking the x by decreasing |xR| then by index, with
-    the submodule A that the earlier ones span."""
+    the submodule A that the earlier ones span, the conductor as the pairs (r, g.r) with
+    g.r in A, and one (a, r) with z = a + g.r for each z of A + gR outside A."""
     span = {M.zero}
     for x in sorted(range(M.size), key=lambda x: -len(set(M.action[x]))):
         if x not in span:
-            yield x, span
-            span = {M.add[xr][a] for xr in set(M.action[x]) for a in span}
+            conductor, new = [], {}
+            for r, xr in enumerate(M.action[x]):
+                if xr in span:
+                    conductor.append((r, xr))
+                elif xr not in new:  # a coset xr + A that no earlier r reached
+                    new.update((M.add[xr][a], (a, r)) for a in span)
+            yield x, span, conductor, new
+            span = span | new.keys()
 
 
 def generating_set(M: FiniteModule) -> list[int]:
     """Greedy generators: each one strictly enlarges the submodule the earlier ones span."""
-    return [g for g, _ in _chain(M)]
+    return [g for g, *_ in _chain(M)]
 
 
-def _extend(M: FiniteModule, N: FiniteModule, span: set[int], h: list[int], g: int, u: int):
-    """h, known on the submodule span, extended by a + g.r -> h(a) + u.r; None on conflict."""
-    t = h.copy()
-    for gr, ur in set(zip(M.action[g], N.action[u])):
-        add_gr, add_ur = M.add[gr], N.add[ur]
-        for a in span:
-            z, v = add_gr[a], add_ur[h[a]]
-            if t[z] < 0:
-                t[z] = v
-            elif t[z] != v:
-                return None
+def _extend(N: FiniteModule, conductor, new, h: list[int], u: int):
+    """h, known on the submodule A, extended by a + g.r -> h(a) + u.r for the conductor and
+    the new elements of one _chain step; None unless u.r = h(g.r) on the conductor."""
+    ur = N.action[u]
+    for r, gr in conductor:
+        if ur[r] != h[gr]:
+            return None
+    t, add = h.copy(), N.add
+    for z, (a, r) in new.items():
+        t[z] = add[h[a]][ur[r]]
     return t
 
 
@@ -70,13 +84,13 @@ def hom_group(M: FiniteModule, N: FiniteModule) -> list[tuple[int, ...]]:
     if not same_ring(M.ring, N.ring):
         raise ValueError("hom_group needs modules over the same ring")
     partial = [[N.zero if x == M.zero else -1 for x in range(M.size)]]
-    for g, span in _chain(M):
+    for g, span, conductor, new in _chain(M):
         steps = len(partial) * N.size * (M.size + len(span) * M.ring.size)
         if steps > HOM_BUDGET:
             raise SpecError(f"Hom({M.name}, {N.name}) needs up to {steps} steps to extend "
                             f"along generator {g}, beyond budget {HOM_BUDGET}")
         partial = [t for h in partial for u in range(N.size)
-                   if (t := _extend(M, N, span, h, g, u)) is not None]
+                   if (t := _extend(N, conductor, new, h, u)) is not None]
     return sorted(map(tuple, partial))
 
 
@@ -135,8 +149,8 @@ class EndoRing(FiniteRing):
     @cached_property
     def kernels(self) -> tuple[frozenset[int], ...]:
         """ker f = {x : f(x) = 0}, indexed by f."""
-        zero = self.module.zero
-        return tuple(frozenset(x for x, v in enumerate(t) if v == zero) for t in self.maps)
+        elements, is_zero = range(self.module.size), self.module.zero.__eq__
+        return tuple(frozenset(compress(elements, map(is_zero, t))) for t in self.maps)
 
     @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
@@ -222,9 +236,9 @@ class ModuleContext:
     @cached_property
     def l_S(self) -> tuple[frozenset[int], ...]:
         """l_S(m) = {f in S : f(m) = 0}, the left annihilator in S, indexed by m."""
-        zero = self.module.zero
-        return tuple(frozenset(f for f, v in enumerate(col) if v == zero)
-                     for col in zip(*self.endos.maps))
+        S, is_zero = self.endos, self.module.zero.__eq__
+        return tuple(frozenset(compress(S.element_pool, map(is_zero, col)))
+                     for col in zip(*S.maps))
 
     @cached_property
     def r_R(self) -> tuple[frozenset[int], ...]:

@@ -14,7 +14,8 @@ from . import orders
 from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
 from .rings import (RING_RELATIONS, AxiomError, SpecError, build_matrix_ring, build_product,
-                    build_zn, greedy_generators, hartwig_minus_le)
+                    build_zn, hartwig_minus_le)
+from .tables import greedy_generators
 from .verdicts import OrderVerdict, Relation, bits
 
 

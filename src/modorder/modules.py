@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import reprlib
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 
-from .rings import (AxiomError, FiniteRing, SpecError, additive_group, build_zn,
-                    check_add_associative, check_additive, checked_table, greedy_generators,
-                    preimage_masks, ring_from_spec, shown, spec_field, spec_int, spec_size,
-                    spec_str)
+from .rings import (FiniteRing, SpecError, build_zn, ring_from_spec, spec_field, spec_int,
+                    spec_size, spec_str)
+from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
+                     checked_table, cyclic_tables, greedy_generators, preimage_masks, shown)
 
 MAX_MODULE_SIZE = 64
 
@@ -82,7 +83,7 @@ def cyclic_submodule(M: FiniteModule, m: int) -> frozenset[int]:
 
 def right_ann(M: FiniteModule, m: int) -> frozenset[int]:
     """r_R(m) = {r : m.r = 0}"""
-    return frozenset(r for r in range(M.ring.size) if M.action[m][r] == M.zero)
+    return frozenset(compress(M.ring.element_pool, map(M.zero.__eq__, M.action[m])))
 
 
 def direct_sum(M: FiniteModule, a, b) -> frozenset[int] | None:
@@ -107,10 +108,7 @@ def build_zm_over_zn(m: int, n: int) -> FiniteModule:
         raise SpecError("moduli must be positive")
     if n % m != 0:
         raise SpecError(f"action ill-defined: {shown(m)} does not divide {shown(n)}")
-    ring = build_zn(n)
-    add = [[(x + y) % m for y in range(m)] for x in range(m)]
-    action = [[x * r % m for r in range(n)] for x in range(m)]
-    return FiniteModule(ring, add, action, name=f"Z{m}/Z{n}")
+    return FiniteModule(build_zn(n), *cyclic_tables(m, n), name=f"Z{m}/Z{n}")
 
 
 def build_ring_as_module(ring: FiniteRing) -> FiniteModule:
@@ -144,4 +142,4 @@ def module_from_spec(spec: dict) -> FiniteModule:
         spec_size(spec, add, kind)
         return build_module_from_tables(ring_from_spec(ring), add, action,
                                         name=spec_str(spec, "name", kind))
-    raise SpecError(f"unknown module kind {kind!r}")
+    raise SpecError(f"unknown module kind {reprlib.repr(kind)}")

@@ -20,7 +20,7 @@ from operator import eq, ge, le
 
 from .homs import ModuleContext, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
-from .rings import shown
+from .tables import shown
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
                        OrderVerdict, Relation, bits)
 
@@ -219,10 +219,6 @@ EQUIVALENT_FAMILY = ("minus-dual", "minus-idem", "minus-relaxed", "minus-image",
 
 
 def evaluate(ctx: ModuleContext, tag: str, m1: int, m2: int) -> OrderVerdict:
-    M = ctx.module
-    for m in (m1, m2):
-        if not (0 <= m < M.size):
-            raise ValueError(f"element {shown(m)} out of range for {M.name}")
     try:
         rel = RELATIONS[tag]
     except KeyError:

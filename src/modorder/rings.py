@@ -8,114 +8,21 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
-import math
 import reprlib
 from functools import cached_property
-from itertools import product
+from itertools import chain, compress, product
 from typing import NamedTuple
 
+from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
+                     check_size, checked_table, cyclic_tables, greedy_generators, identity_of,
+                     preimage_masks, shown)
 from .verdicts import AnnihPair, InnerInverse, OrderVerdict, Relation
 
 MAX_RING_SIZE = 256
 
 
-class AxiomError(ValueError):
-    """A structure table violates one of its defining laws."""
-
-
 class SpecError(ValueError):
     """A ring/module definition is malformed."""
-
-
-def checked_table(table, rows: int, cols: int, bound: int, label: str) -> list[list[int]]:
-    """A copy of ``table``, checked to be ``rows`` lists of ``cols`` ints in 0..bound-1."""
-    if (not isinstance(table, (list, tuple)) or len(table) != rows
-            or not all(isinstance(row, (list, tuple)) and len(row) == cols for row in table)):
-        raise AxiomError(f"{label} table is not {rows}x{cols}")
-    for i, row in enumerate(table):  # a row of ints in range passes at C speed
-        if row and (set(map(type, row)) != {int} or min(row) < 0 or max(row) >= bound):
-            j, v = next((j, v) for j, v in enumerate(row)
-                        if type(v) is not int or not 0 <= v < bound)
-            shown_v = shown(v) if type(v) is int else reprlib.repr(v)  # truncated
-            raise AxiomError(f"{label}[{i}][{j}] = {shown_v} is not in 0..{bound - 1}")
-    return [list(row) for row in table]
-
-
-def _identity(table) -> int | None:
-    """The e with table[e][x] = x = table[x][e] for every x, if there is one."""
-    ident = list(range(len(table)))
-    return next((e for e, col in enumerate(zip(*table)) if table[e] == ident == list(col)), None)
-
-
-def shown(n: int) -> str:
-    """n for a message, or past 20 digits their count: str() refuses n past 4300 digits."""
-    if (size := abs(n)) < 10 ** 20:
-        return str(n)
-    k = int(math.log10(size)) + 1  # the float log is one off near some powers of ten
-    return f"<{k + (size >= 10 ** k) - (size < 10 ** (k - 1))} digits>"
-
-
-def _check_size(n: int, cap: int, kind: str) -> None:
-    if n > cap:
-        raise AxiomError(f"{kind} size {shown(n)} exceeds cap {cap}")
-
-
-def additive_group(add, cap: int, kind: str) -> tuple[list[list[int]], int, list[int]]:
-    """Check ``add`` as the addition of an abelian group on 0..n-1, n <= cap: shape and
-    range, a zero, negatives and commutativity (associativity is left to the caller's
-    validate).  Returns a copy of the table, the zero and the negatives."""
-    if not isinstance(add, (list, tuple)):
-        raise AxiomError(f"{kind} add table is not a list of rows")
-    n = len(add)
-    _check_size(n, cap, kind)
-    add = checked_table(add, n, n, n, f"{kind} add")
-    zero = _identity(add)
-    if zero is None:  # also when the carrier is empty
-        raise AxiomError(f"{kind} has no additive identity")
-    neg = [row.index(zero) if zero in row else None for row in add]
-    if None in neg:
-        raise AxiomError(f"{kind} element {neg.index(None)} has no additive inverse")
-    if add != [list(col) for col in zip(*add)]:
-        a, b = next((a, b) for a in range(n) for b in range(a) if add[a][b] != add[b][a])
-        raise AxiomError(f"{kind} addition not commutative at (a,b)=({a},{b})")
-    return add, zero, neg
-
-
-def greedy_generators(table, elements, identity: int) -> tuple[int, ...]:
-    """Each of ``elements`` (in order, ``identity`` last) not reached from those before it
-    by ``table`` with one of them at a time, in O(n |G|).  In a finite group, such as the
-    additive group or the units under *, they generate all of ``elements``: x<G> = <G>."""
-    span, gens = set(), []
-    for x in sorted(elements, key=identity.__eq__):
-        if x not in span:
-            gens.append(x)
-            todo = [x]
-            while todo:
-                y = todo.pop()
-                if y not in span:
-                    span.add(y)
-                    todo += [table[y][g] for g in gens]
-    return tuple(gens)
-
-
-def check_add_associative(add, gens, label: str) -> None:
-    """Light's test: (a+g)+c = a+(g+c) for all a, c and every generator g in ``gens``
-    (see ``FiniteRing.validate`` for why that suffices)."""
-    for g, a in product(gens, range(len(add))):
-        a_plus, ag_plus = add[a], add[add[a][g]]
-        if ag_plus != [a_plus[v] for v in add[g]]:
-            c = next(c for c, v in enumerate(add[g]) if ag_plus[c] != a_plus[v])
-            raise AxiomError(f"{label} not associative at (a,b,c)=({a},{g},{c})")
-
-
-def check_additive(maps, dom_add, cod_add, gens, law: str) -> None:
-    """f(x+g) = f(x)+f(g) for each value table f = maps[i], all x and every generator g
-    of ``dom_add``, or AxiomError(law.format(f=i, x=x, g=g)); this makes f additive."""
-    for g, (i, f) in product(gens, enumerate(maps)):
-        plus_fg = cod_add[f[g]]
-        if [f[v] for v in dom_add[g]] != [plus_fg[v] for v in f]:
-            x = next(x for x, v in enumerate(dom_add[g]) if f[v] != plus_fg[f[x]])
-            raise AxiomError(law.format(f=i, x=x, g=g))
 
 
 class FiniteRing:
@@ -133,7 +40,7 @@ class FiniteRing:
         self.size = n = len(self.add)
         self.mul = checked_table(mul, n, n, n, "mul")
         self.name = name or f"ring{n}"
-        self.one = _identity(self.mul)
+        self.one = identity_of(self.mul)
         if self.one is None:
             raise AxiomError("no multiplicative identity")
         if involution is None and self.is_commutative():
@@ -161,8 +68,9 @@ class FiniteRing:
         add, mul, gens = self.add, self.mul, self.additive_generators
         check_add_associative(add, gens, "addition")
         check_additive(mul, add, add, gens, "left distributivity fails at (a,b,c)=({f},{x},{g})")
-        check_additive(list(zip(*mul)), add, add, gens,
-                       "right distributivity fails at (a,b,c)=({f},{x},{g})")
+        if not self.is_commutative():  # else the right law is the left one, cell for cell
+            check_additive(list(zip(*mul)), add, add, gens,
+                           "right distributivity fails at (a,b,c)=({f},{x},{g})")
         for a, b, c in product(gens, repeat=3):
             if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                 raise AxiomError(f"multiplication not associative at (a,b,c)=({a},{b},{c})")
@@ -179,6 +87,11 @@ class FiniteRing:
     # -- basic structure ----------------------------------------------------------
 
     def is_commutative(self) -> bool:
+        return self._commutative
+
+    @cached_property
+    def _commutative(self) -> bool:
+        """Whether mul equals its transpose, found once per ring."""
         return self.mul == [list(col) for col in zip(*self.mul)]
 
     def sub(self, a: int, b: int) -> int:
@@ -227,13 +140,13 @@ class FiniteRing:
     @cached_property
     def left_anns(self) -> tuple[frozenset[int], ...]:
         """l(a) = {x : x*a = 0}, indexed by a."""
-        return tuple(frozenset(x for x, v in enumerate(col) if v == self.zero)
+        return tuple(frozenset(compress(self.element_pool, map(self.zero.__eq__, col)))
                      for col in zip(*self.mul))
 
     @cached_property
     def right_anns(self) -> tuple[frozenset[int], ...]:
         """r(a) = {x : a*x = 0}, indexed by a."""
-        return tuple(frozenset(x for x, v in enumerate(row) if v == self.zero)
+        return tuple(frozenset(compress(self.element_pool, map(self.zero.__eq__, row)))
                      for row in self.mul)
 
     @cached_property
@@ -262,17 +175,6 @@ class FiniteRing:
         return _rickart_cert(self, self.projection_pool)
 
 
-def preimage_masks(tables, size: int) -> tuple[tuple[int, ...], ...]:
-    """For each value table t, the mask of {x : t[x] = v} by v."""
-    out = []
-    for t in tables:
-        masks = [0] * size
-        for x, v in enumerate(t):
-            masks[v] |= 1 << x
-        out.append(tuple(masks))
-    return tuple(out)
-
-
 # -- constructors ------------------------------------------------------------
 
 
@@ -285,25 +187,24 @@ def build_zn(n: int) -> FiniteRing:
     """Integers mod n.  n = 1 gives the zero ring (zero = one)."""
     if n < 1:
         raise SpecError("modulus must be positive")
-    _check_size(n, MAX_RING_SIZE, "ring")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[a * b % n for b in range(n)] for a in range(n)]
-    return FiniteRing(add, mul, name=f"Z{n}")
+    check_size(n, MAX_RING_SIZE, "ring")
+    return FiniteRing(*cyclic_tables(n, n), name=f"Z{n}")
 
 
 def build_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Componentwise product; element (x, y) sits at index x*|r2| + y."""
     n2 = r2.size
-    size = r1.size * n2
-    _check_size(size, MAX_RING_SIZE, "ring")
-    add = [[r1.add[i // n2][j // n2] * n2 + r2.add[i % n2][j % n2]
-            for j in range(size)] for i in range(size)]
-    mul = [[r1.mul[i // n2][j // n2] * n2 + r2.mul[i % n2][j % n2]
-            for j in range(size)] for i in range(size)]
+    check_size(r1.size * n2, MAX_RING_SIZE, "ring")
+
+    def table(t1, t2):  # row (x, y): row y of t2 shifted by t1[x][x'] * n2, for each x'
+        shifted = [[[v * n2 + w for w in row] for row in t2] for v in range(r1.size)]
+        return [list(chain.from_iterable(shifted[v][y] for v in row))
+                for row in t1 for y in range(n2)]
     involution = None
     if r1.involution is not None and r2.involution is not None:
-        involution = [r1.involution[i // n2] * n2 + r2.involution[i % n2] for i in range(size)]
-    return FiniteRing(add, mul, involution=involution, name=f"{r1.name}x{r2.name}")
+        involution = [v * n2 + w for v in r1.involution for w in r2.involution]
+    return FiniteRing(table(r1.add, r2.add), table(r1.mul, r2.mul), involution=involution,
+                      name=f"{r1.name}x{r2.name}")
 
 
 def _is_prime(p: int) -> bool:
@@ -359,7 +260,7 @@ def spec_int(spec, key: str, kind: str) -> int:
     """``spec[key]`` as an int, or a SpecError naming the kind of spec and the key."""
     value = spec_field(spec, key, kind)
     if type(value) is not int:
-        raise SpecError(f"{kind} spec field {key!r} must be an integer, not {value!r}")
+        raise SpecError(f"{kind} spec field {key!r} must be an integer, not {reprlib.repr(value)}")
     return value
 
 
@@ -367,7 +268,7 @@ def spec_str(spec, key: str, kind: str) -> str | None:
     """``spec[key]`` as a str, None when absent, or a SpecError naming the kind and the key."""
     value = spec.get(key)
     if key in spec and not isinstance(value, str):
-        raise SpecError(f"{kind} spec field {key!r} must be a string, not {value!r}")
+        raise SpecError(f"{kind} spec field {key!r} must be a string, not {reprlib.repr(value)}")
     return value
 
 
@@ -395,7 +296,7 @@ def ring_from_spec(spec: dict) -> FiniteRing:
         spec_size(spec, add, kind)
         return build_ring_from_tables(add, mul, involution=spec.get("involution"),
                                       name=spec_str(spec, "name", kind))
-    raise SpecError(f"unknown ring kind {kind!r}")
+    raise SpecError(f"unknown ring kind {reprlib.repr(kind)}")
 
 
 # -- element-level predicates and relations -----------------------------------

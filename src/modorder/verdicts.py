@@ -19,6 +19,8 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
+from .tables import shown
+
 
 class DualWitness(NamedTuple):
     """A functional m -> R, given by its value table over module indices."""
@@ -131,6 +133,11 @@ class Relation(NamedTuple):
     hypothesis: Callable | None = None
 
     def __call__(self, ctx, x: int, y: int) -> OrderVerdict:
+        """The verdict at (x, y); ValueError for an operand outside 0..size-1."""
+        carrier = ctx if hasattr(ctx, "size") else ctx.module  # a ring, End(M) too, or M
+        for m in (x, y):
+            if not 0 <= m < carrier.size:
+                raise ValueError(f"element {shown(m)} out of range for {carrier.name}")
         return self.verdict(ctx, x, y, self.row(ctx, x, 1 << y))
 
     def row(self, ctx, x: int, todo: int) -> int | None:

@@ -140,6 +140,48 @@ def test_oversized_operand_is_refused_by_its_digits(child_env, operand, token, m
         f"modorder order: error: argument {operand}: {message}"]
 
 
+@pytest.mark.parametrize("argv,shown", [
+    (("module", "--module", "x" * 5000),
+     "error: cannot interpret module 'xxxxxxxxxxxx...xxxxxxxxxxxxx' (no such file, not a builtin)"),
+    (("ring", "--ring", "x" * 5000),
+     "error: cannot interpret ring 'xxxxxxxxxxxx...xxxxxxxxxxxxx' (no such file, not a builtin)"),
+    (("hasse", "--module", "Z6/Z6", "--rel", "x" * 5000),
+     "modorder hasse: error: argument --rel: invalid choice: 'xxxxxxxxxxxx...xxxxxxxxxxxxx' "
+     "(choose from "),
+    (("verify", "--corpus", "x" * 5000),
+     "error: 'xxxxxxxxxxxx...xxxxxxxxxxxxx': File name too long"),
+], ids=["module", "ring", "rel", "corpus"])
+def test_long_token_is_truncated_not_echoed(child_env, argv, shown):
+    """A long token that names nothing is shown truncated in its error line."""
+    proc = _cli_subprocess(child_env, *argv)
+    assert proc.returncode == 2 and proc.stdout == "" and len(proc.stderr) < 500
+    assert [line for line in proc.stderr.splitlines() if "error:" in line][0].startswith(shown)
+
+
+@pytest.mark.parametrize("flag,spec,message", [
+    ("--ring", {"kind": "x" * 5000}, "unknown ring kind 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ("--module", {"kind": ["x" * 5000]}, "unknown module kind ['xxxxxxxxxxxx...xxxxxxxxxxxxx']"),
+    ("--ring", {"kind": "Zn", "n": "x" * 5000},
+     "Zn spec field 'n' must be an integer, not 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+])
+def test_long_spec_value_is_truncated_not_echoed(tmp_path, flag, spec, message):
+    """A long value in a spec file is shown truncated in the error that names its field."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(flag[2:], flag, str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_short_tokens_are_shown_whole(child_env, tmp_path):
+    """Tokens of ordinary length keep their messages: the relation as argparse shows it,
+    and a corpus file's path unquoted."""
+    proc = _cli_subprocess(child_env, "order", "--module", "Z6/Z30", "--rel", "dsumx", "1", "2")
+    assert proc.returncode == 2 and ("argument --rel: invalid choice: 'dsumx' (choose from "
+                                     "'dsum', 'gb', ") in proc.stderr
+    path = tmp_path / "missing.json"
+    code, out, err = run_cli("verify", "--corpus", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: No such file or directory\n")
+
+
 def test_padded_operand_is_read_as_int_reads_it(child_env):
     """Leading zeros, blanks and underscores do not count as digits of the value, and a
     short token that is not a number is shown whole."""

@@ -272,6 +272,38 @@ def test_ring_module_homs_match_brute_force(factors):
     assert mo.hom_group(M, M) == brute_homs(ring.add, ring.mul, ring.add, ring.mul, ring.size)
 
 
+def direct_sum_tables(a, b, n):
+    """Z_a (+) Z_b over Z_n, for a and b dividing n: (x, y) at index x*b + y."""
+    pairs = [divmod(i, b) for i in range(a * b)]
+    add = [[(x + u) % a * b + (y + v) % b for u, v in pairs] for x, y in pairs]
+    action = [[x * r % a * b + y * r % b for r in range(n)] for x, y in pairs]
+    return add, action
+
+
+@pytest.mark.parametrize("a,b,n,meets", [(4, 2, 4, True), (2, 4, 4, True), (4, 4, 4, False),
+                                          (2, 6, 6, True), (3, 3, 3, False)])
+def test_conductor_test_on_direct_sums(a, b, n, meets):
+    """M* and End(M) of two-generator modules against filtering every function.  Where
+    the second generator g meets the span A of the first outside 0 (g.2 = (2, 0) in
+    Z4+Z2, g = (1, 1)), the conductor test compares u.r with values of h, not with 0."""
+    add, action = direct_sum_tables(a, b, n)
+    M = mo.build_module_from_tables(mo.build_zn(n), add, action, name=f"Z{a}+Z{b}/Z{n}")
+    steps = list(homs._chain(M))
+    assert len(steps) == 2
+    assert any(gr != M.zero for _, gr in steps[1][2]) == meets  # (r, g.r) with g.r in A
+    R = M.ring
+    assert mo.hom_group(M, M) == brute_homs(add, action, add, action, M.size)
+    assert mo.dual(M) == brute_homs(add, action, R.add, R.mul, R.size)
+
+
+def test_f2_power_refused_at_third_generator():
+    """F2^6 over Z2 keeps its generators in index order; the third step is over budget."""
+    M = mo.build_module_from_tables(mo.build_zn(2), *f2_power_tables(6), name="F2^6")
+    with pytest.raises(mo.SpecError, match=r"^Hom\(F2\^6, F2\^6\) needs up to 18874368 steps "
+                       r"to extend along generator 4, beyond budget 16777216$"):
+        mo.hom_group(M, M)
+
+
 def test_dual_matches_brute_force_klein(klein_four):
     add, action = klein_four_tables()
     radd = [[0, 1], [1, 0]]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import modorder as mo
@@ -43,6 +45,28 @@ def test_oversized_element_is_counted_not_echoed(z6_over_z30):
         mo.is_regular_element(z6_over_z30, 10 ** 1000)
     with pytest.raises(ValueError, match=message):
         mo.evaluate(z6_over_z30, "dsum", 2, 10 ** 1000)
+
+
+@pytest.mark.parametrize("relation,context,x,y,shown", [
+    (mo.hartwig_minus_le, lambda: mo.build_zn(6), 1, 100, "100 out of range for Z6"),
+    (mo.hartwig_minus_le, lambda: mo.build_zn(6), 1, -1, "-1 out of range for Z6"),
+    (mo.minus_le_dual, lambda: mo.ModuleContext(mo.build_zm_over_zn(6, 30)), 40, 2,
+     "40 out of range for Z6/Z30"),
+    (mo.ring_minus_le_annih, lambda: mo.build_zn(6), 10 ** 1000, 0,
+     "<1001 digits> out of range for Z6"),
+])
+def test_relation_called_directly_checks_operands(relation, context, x, y, shown):
+    """A relation object refuses an operand outside 0..size-1 as evaluate does."""
+    with pytest.raises(ValueError, match=f"^element {re.escape(shown)}$"):
+        relation(context(), x, y)
+
+
+def test_ring_relation_on_endomorphism_ring_ranges_over_s(klein_four):
+    """S = End(F2^2) has 16 elements and M has 4: S's operands range over S."""
+    S = klein_four.endos
+    assert S.size == 16 and mo.hartwig_minus_le(S, 15, 15).applicable
+    with pytest.raises(ValueError, match="^element 16 out of range for End"):
+        mo.hartwig_minus_le(S, 16, 0)
 
 
 def test_regular_module_corpus(corpus):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import modorder as mo
 from modorder.rings import AxiomError, SpecError
 
-from oracles import rickart_from_tables, vn_regular_mask, zn_tables
+from oracles import rickart_from_tables, vn_regular_mask, zm_over_zn_tables, zn_tables
 
 
 # -- constructors ---------------------------------------------------------------
@@ -156,9 +156,10 @@ def test_from_tables_bad_involution():
         mo.build_ring_from_tables(add, mul, involution=[0, 2, 1, 3])
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, -1, 3])
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 3, [1], {}])
 def test_checked_table_names_first_bad_cell(bad):
-    """The row check falls back to a scan that names the first bad cell in its row."""
+    """The whole-table check falls back to a scan that names the first bad cell, also
+    one that is unhashable."""
     from modorder.rings import checked_table
     with pytest.raises(AxiomError) as exc:
         checked_table([[0, 1, 2], [1, bad, 7]], 2, 3, 3, "t")
@@ -229,6 +230,26 @@ def test_ring_from_spec_roundtrip():
         mo.ring_from_spec({"kind": "nope"})
     with pytest.raises(SpecError):
         mo.ring_from_spec({"kind": "tables", "size": 2})
+
+
+def test_builders_match_definitional_tables():
+    """The tables built from row slices are the definitions, cell for cell: Z_n, Z_m over
+    Z_n, and products, with the involution of a noncommutative factor."""
+    for n in range(1, 41):
+        r = mo.build_zn(n)
+        assert [r.add, r.mul] == list(zn_tables(n)), n
+        for m in range(1, n + 1):
+            if n % m == 0:
+                module = mo.build_zm_over_zn(m, n)
+                assert [module.add, module.action] == list(zm_over_zn_tables(m, n)), (m, n)
+    for r1, r2 in [(mo.build_zn(3), mo.build_zn(4)), (mo.build_zn(6), mo.build_zn(1)),
+                   (mo.build_matrix_ring(2), mo.build_zn(3)),
+                   (mo.build_zn(2), mo.build_matrix_ring(2))]:
+        p, n2 = mo.build_product(r1, r2), r2.size
+        pairs = [divmod(i, n2) for i in range(p.size)]
+        for table, t1, t2 in [(p.add, r1.add, r2.add), (p.mul, r1.mul, r2.mul)]:
+            assert table == [[t1[a][c] * n2 + t2[b][d] for c, d in pairs] for a, b in pairs]
+        assert p.involution == [r1.involution[a] * n2 + r2.involution[b] for a, b in pairs]
 
 
 # -- ring-wide invariants -------------------------------------------------------
