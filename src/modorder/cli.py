@@ -223,6 +223,8 @@ def _load_corpus(token: str):
 
 
 def cmd_verify(args) -> int:
+    if args.laws and not any(args.laws in law for law in laws.LAW_IDS):
+        raise SpecError(f"--laws {reprlib.repr(args.laws)} matches no law id")
     corpus = _load_corpus(args.corpus)
     reports = laws.run_suite(corpus, args.laws)
     failed = 0

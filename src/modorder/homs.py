@@ -30,7 +30,7 @@ from operator import and_
 
 from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, direct_sum, right_ann
 from .rings import MAX_RING_SIZE, FiniteRing, SpecError, same_ring
-from .tables import AxiomError, greedy_generators, preimage_masks
+from .tables import AxiomError, preimage_masks
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
 
@@ -44,11 +44,14 @@ def is_hom(M: FiniteModule, N: FiniteModule, t) -> bool:
                     for x in range(M.size) for r in range(M.ring.size)))
 
 
-def _chain(M: FiniteModule):
+def _chain(M: FiniteModule) -> tuple:
     """Each greedy generator g of M, walking the x by decreasing |xR| then by index, with
     the submodule A that the earlier ones span, the conductor as the pairs (r, g.r) with
-    g.r in A, and one (a, r) with z = a + g.r for each z of A + gR outside A."""
-    span = {M.zero}
+    g.r in A, and one (a, r) with z = a + g.r for each z of A + gR outside A.  Walked once
+    per module object and kept on it: hom_group and generating_set read the same steps."""
+    if (steps := vars(M).get("_hom_chain")) is not None:
+        return steps
+    steps, span = [], {M.zero}
     for x in sorted(range(M.size), key=lambda x: -len(set(M.action[x]))):
         if x not in span:
             conductor, new = [], {}
@@ -57,8 +60,10 @@ def _chain(M: FiniteModule):
                     conductor.append((r, xr))
                 elif xr not in new:  # a coset xr + A that no earlier r reached
                     new.update((M.add[xr][a], (a, r)) for a in span)
-            yield x, span, conductor, new
+            steps.append((x, span, conductor, new))
             span = span | new.keys()
+    M._hom_chain = steps = tuple(steps)
+    return steps
 
 
 def generating_set(M: FiniteModule) -> list[int]:
@@ -80,9 +85,13 @@ def _extend(N: FiniteModule, conductor, new, h: list[int], u: int):
 
 
 def hom_group(M: FiniteModule, N: FiniteModule) -> list[tuple[int, ...]]:
-    """Value tables of all right-linear maps M -> N, sorted; SpecError beyond HOM_BUDGET."""
+    """Value tables of all right-linear maps M -> N, sorted; SpecError beyond HOM_BUDGET.
+    Hom(M, M) is searched once per module object and kept on it: End(M) reads it, and so
+    does M* where M is R_R."""
     if not same_ring(M.ring, N.ring):
         raise ValueError("hom_group needs modules over the same ring")
+    if N is M and (found := vars(M).get("_endomorphisms")) is not None:
+        return list(found)
     partial = [[N.zero if x == M.zero else -1 for x in range(M.size)]]
     for g, span, conductor, new in _chain(M):
         steps = len(partial) * N.size * (M.size + len(span) * M.ring.size)
@@ -91,7 +100,10 @@ def hom_group(M: FiniteModule, N: FiniteModule) -> list[tuple[int, ...]]:
                             f"along generator {g}, beyond budget {HOM_BUDGET}")
         partial = [t for h in partial for u in range(N.size)
                    if (t := _extend(N, conductor, new, h, u)) is not None]
-    return sorted(map(tuple, partial))
+    found = sorted(map(tuple, partial))
+    if N is M:
+        M._endomorphisms = tuple(found)
+    return found
 
 
 def dual(M: FiniteModule, ring_module: FiniteModule | None = None) -> list[tuple[int, ...]]:
@@ -154,8 +166,11 @@ class EndoRing(FiniteRing):
 
     @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
-        """The mask of {x : f(x) = v}, indexed by f, then v in M."""
-        return preimage_masks(self.maps, self.module.size)
+        """The mask of {x : f(x) = v}, indexed by f, then v in M (R_R: f is x -> f(1)x,
+        so the ring's row_preimages of f(1))."""
+        M = self.module
+        return (tuple(M.ring.row_preimages[t[M.ring.one]] for t in self.maps)
+                if M.action is M.ring.mul else preimage_masks(self.maps, M.size))
 
 
 def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
@@ -203,10 +218,15 @@ class ModuleContext:
         # modules.direct_sum on M, memoized per pair; it holds the module, not the context,
         # so a dropped context is freed by reference counting alone
         self.direct_sum = cache(partial(direct_sum, module))
+        # laws.relation_matrix's rows with the relation that built them, by clause parts
+        # and the pools of row 0
+        self.rows = {}
 
     @cached_property
     def ring_module(self) -> FiniteModule:
-        return build_ring_as_module(self.module.ring)
+        """R_R: the module itself where it is R_R, so that M* and End(M) are one search."""
+        M = self.module
+        return M if M.action is M.ring.mul else build_ring_as_module(M.ring)
 
     @cached_property
     def dual(self) -> tuple[tuple[int, ...], ...]:
@@ -242,21 +262,26 @@ class ModuleContext:
 
     @cached_property
     def r_R(self) -> tuple[frozenset[int], ...]:
-        """r_R(m) = {r in R : m.r = 0}, the right annihilator in R, indexed by m."""
-        return tuple(right_ann(self.module, m) for m in range(self.module.size))
+        """r_R(m) = {r in R : m.r = 0}, the right annihilator in R, indexed by m (R_R: the
+        ring's right_anns)."""
+        M = self.module
+        return (M.ring.right_anns if M.action is M.ring.mul
+                else tuple(right_ann(M, m) for m in range(M.size)))
 
     @cached_property
     def dual_masks(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
         """For each functional t of M*: the masks {x : t(x) = r}, indexed by r in R, and
-        the masks {y : y.v = x.v for every v in tM}, indexed by x.  Agreement at v and w
-        gives it at v + w, so it is checked on additive generators of tM only."""
-        M, R, cols, agree = self.module, self.module.ring, self.module.column_preimages, {}
-        for image in set(map(frozenset, self.dual)):
-            gens = greedy_generators(R.add, image, R.zero)
-            agree[image] = tuple(reduce(and_, (cols[v][M.action[x][v]] for v in gens))
-                                 for x in range(M.size))
-        return {t: (pre, agree[frozenset(t)])
-                for t, pre in zip(self.dual, preimage_masks(self.dual, M.ring.size))}
+        the masks {y : y.v = x.v for every v in tM}, indexed by x.  Agreement at v gives it
+        at v.r, and at v and w it gives it at v + w; tM is the right ideal that the t(g)
+        span, g in generating_set(M), so it is checked at those t(g) only: the preimage
+        masks along the action's column t(g), ANDed column by column."""
+        M, R, cols = self.module, self.module.ring, self.module.column_preimages
+        gens, by_column = generating_set(M) or [M.zero], list(zip(*M.action))
+        pres = (tuple(R.row_preimages[t[R.one]] for t in self.dual) if M.action is R.mul
+                else preimage_masks(self.dual, R.size))  # R_R: t is x -> t(1)x
+        return {t: (pre, tuple(reduce(partial(map, and_), [
+                    list(map(cols[t[g]].__getitem__, by_column[t[g]])) for g in gens])))
+                for t, pre in zip(self.dual, pres)}
 
     @cached_property
     def cyclic(self) -> tuple[frozenset[int], ...]:
@@ -279,5 +304,8 @@ class ModuleContext:
 
     @cached_property
     def multiples(self) -> tuple[frozenset[int], ...]:
-        """Ma = {x.a : x in M}, indexed by a in R: additive subgroups, not submodules."""
-        return tuple(frozenset(col) for col in zip(*self.module.action))
+        """Ma = {x.a : x in M}, indexed by a in R: additive subgroups, not submodules (R_R:
+        the ring's left_ideals)."""
+        M = self.module
+        return (M.ring.left_ideals if M.action is M.ring.mul
+                else tuple(frozenset(col) for col in zip(*M.action)))

@@ -160,6 +160,11 @@ def _second_summand(ctx: ModuleContext, m1: int, pool) -> list[int]:
             for ds in map(ctx.summands.__getitem__, pool)]
 
 
+# The clause parts of minus-idem and the star family, one tuple: where their pools agree,
+# laws.relation_matrix builds their rows once.
+_IDEMPOTENT_PARTS = _annihilator_form(eq)
+
+
 def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relation:
     """Annihilator-equality form, f and/or a upgraded to projections (needs involutions)."""
     def pools(ctx: ModuleContext, m1: int):
@@ -169,7 +174,7 @@ def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relati
         return (S.projection_pool if f_projection else S.idempotent_pool,
                 R.projection_pool if a_projection else R.idempotent_pool)
 
-    return Relation(tag, pools, _annihilator_form(eq),
+    return Relation(tag, pools, _IDEMPOTENT_PARTS,
                     partial(IdemPair, f_projection=f_projection, a_projection=a_projection),
                     _m1_regular)
 

@@ -139,7 +139,9 @@ class FiniteRing:
 
     @cached_property
     def left_anns(self) -> tuple[frozenset[int], ...]:
-        """l(a) = {x : x*a = 0}, indexed by a."""
+        """l(a) = {x : x*a = 0}, indexed by a; right_anns itself when R is commutative."""
+        if self.is_commutative():
+            return self.right_anns
         return tuple(frozenset(compress(self.element_pool, map(self.zero.__eq__, col)))
                      for col in zip(*self.mul))
 
@@ -151,7 +153,9 @@ class FiniteRing:
 
     @cached_property
     def left_ideals(self) -> tuple[frozenset[int], ...]:
-        """R*e, indexed by e."""
+        """R*e, indexed by e; right_ideals itself when R is commutative."""
+        if self.is_commutative():
+            return self.right_ideals
         return tuple(frozenset(col) for col in zip(*self.mul))
 
     @cached_property
@@ -166,7 +170,10 @@ class FiniteRing:
 
     @cached_property
     def column_preimages(self) -> tuple[tuple[int, ...], ...]:
-        """The mask of {b : b*a = v}, indexed by a, then v."""
+        """The mask of {b : b*a = v}, indexed by a, then v; row_preimages itself when R is
+        commutative."""
+        if self.is_commutative():
+            return self.row_preimages
         return preimage_masks(zip(*self.mul), self.size)
 
     @cached_property

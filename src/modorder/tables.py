@@ -106,14 +106,17 @@ def check_additive(maps, dom_add, cod_add, gens, law: str) -> None:
 
 
 def preimage_masks(tables, size: int) -> tuple[tuple[int, ...], ...]:
-    """For each value table t, the mask of {x : t[x] = v} by v."""
-    out, bits = [], []
-    for t in tables:
-        bits += [1 << x for x in range(len(bits), len(t))]
-        masks = [0] * size
-        for bit, v in zip(bits, t):
-            masks[v] |= bit
-        out.append(tuple(masks))
+    """For each value table t, the mask of {x : t[x] = v} by v; equal tables (the columns
+    r and r + m of Z_m over Z_n) share one tuple of masks."""
+    out, bits, seen = [], [], {}
+    for t in map(tuple, tables):
+        if t not in seen:
+            bits += [1 << x for x in range(len(bits), len(t))]
+            masks = [0] * size
+            for bit, v in zip(bits, t):
+                masks[v] |= bit
+            seen[t] = tuple(masks)
+        out.append(seen[t])
     return tuple(out)
 
 

@@ -290,6 +290,25 @@ def test_verify_law_filter_json():
     assert records and all("equiv" in r["law"] for r in records)
 
 
+@pytest.mark.parametrize("laws, shown", [("nothing", "'nothing'"),
+                                         ("y" * 300, "'yyyyyyyyyyyy...yyyyyyyyyyyyy'")])
+def test_verify_refuses_filter_matching_no_law(child_env, laws, shown):
+    """A --laws filter that no law id contains is a usage error, not an empty pass."""
+    proc = subprocess.run([sys.executable, "-m", "modorder.cli", "verify", "--corpus", "paper",
+                           "--laws", laws], capture_output=True, text=True, env=child_env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: --laws {shown} matches no law id\n"
+
+
+def test_verify_empty_corpus_file_still_passes(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text("[]")
+    for extra in ((), ("--laws", "equiv")):
+        code, out, err = run_cli("verify", "--corpus", str(path), *extra)
+        assert (code, out, err) == (0, "summary: 0/0 passed, 0 not-applicable, 0 failed\n", "")
+
+
 def test_verify_corrupted_fixture(tmp_path):
     add, action = klein_four_tables()
     action[2][1] = 3  # break unitality

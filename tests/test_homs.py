@@ -41,6 +41,15 @@ def test_cyclic_hom_search_extends_once_per_image(monkeypatch):
     assert len(calls) == M.size == 16
 
 
+def test_chain_is_walked_once_per_module():
+    """hom_group, End(M)'s tables and generating_set read one walk of the chain."""
+    M = mo.build_zm_over_zn(6, 30)
+    steps = homs._chain(M)
+    mo.endo_ring(M), mo.dual(M)
+    assert homs._chain(M) is steps
+    assert mo.generating_set(M) == [g for g, *_ in steps] == [1]
+
+
 def test_dual_of_paper_module(z6_over_z30):
     functionals = z6_over_z30.dual
     assert len(functionals) == 6

@@ -269,6 +269,12 @@ def test_reports_are_reproducible(z6_over_z30):
     assert a == b
 
 
+def test_member_laws_report_every_law_id_in_order(corpus):
+    """LAW_IDS, which the CLI's --laws filter is checked against, is the suite's laws."""
+    for ctx in corpus.values():
+        assert tuple(r.law for r in mo.member_laws(ctx)) == laws.LAW_IDS
+
+
 def test_empty_corpus():
     assert mo.run_suite([]) == []
 

@@ -1,0 +1,202 @@
+"""Families that are one computation on one table are computed once and shared, and each
+shared object still equals its own definition.
+
+- A commutative ring's left annihilators, left ideals and column preimages are its right
+  ones, as the same objects; a noncommutative ring keeps both sides.
+- R_R is its own ring module, so M* and End(M) read one Hom(M, M) search, and its r_R,
+  multiples and fibre masks are the ring's families.
+- minus-idem and the three star orders share one clause-parts tuple, and their rows are
+  built once per (parts, pools).
+"""
+
+from functools import reduce
+
+import pytest
+
+import modorder as mo
+from modorder import homs, orders
+from modorder.orders import RELATIONS
+from modorder.tables import preimage_masks
+
+from oracles import ORACLE_RINGS, brute_homs, klein_four_tables
+
+
+def _ring(name: str) -> mo.FiniteRing:
+    if name == "M2(Z2)":
+        return mo.build_matrix_ring(2)
+    return reduce(mo.build_product, [mo.build_zn(int(f[1:])) for f in name.split("x")])
+
+
+def _masks(sets):
+    return tuple(sum(1 << b for b in s) for s in sets)
+
+
+def _assert_ring_families_defined(R: mo.FiniteRing):
+    els, mul, zero = range(R.size), R.mul, R.zero
+    assert R.left_anns == tuple(frozenset(x for x in els if mul[x][a] == zero) for a in els)
+    assert R.right_anns == tuple(frozenset(x for x in els if mul[a][x] == zero) for a in els)
+    assert R.left_ideals == tuple(frozenset(mul[x][a] for x in els) for a in els)
+    assert R.right_ideals == tuple(frozenset(mul[a][x] for x in els) for a in els)
+    assert R.row_preimages == tuple(
+        _masks([[b for b in els if mul[a][b] == v] for v in els]) for a in els)
+    assert R.column_preimages == tuple(
+        _masks([[b for b in els if mul[b][a] == v] for v in els]) for a in els)
+
+
+COMMUTATIVE = ("Z6", "Z2xZ3", *(name for name in ORACLE_RINGS if name != "M2(Z2)"))
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE)
+def test_commutative_ring_left_families_are_the_right_ones(name):
+    R = _ring(name)
+    assert R.is_commutative()
+    assert R.left_anns is R.right_anns
+    assert R.left_ideals is R.right_ideals
+    assert R.column_preimages is R.row_preimages
+    _assert_ring_families_defined(R)
+
+
+def test_noncommutative_ring_keeps_both_sides():
+    R = mo.build_matrix_ring(2)
+    assert not R.is_commutative()
+    assert R.left_anns != R.right_anns
+    assert R.left_ideals != R.right_ideals
+    assert R.column_preimages != R.row_preimages
+    _assert_ring_families_defined(R)
+
+
+def test_endo_ring_of_commutative_ring_module_shares_its_families():
+    S = mo.ModuleContext(mo.build_ring_as_module(_ring("Z2xZ3"))).endos
+    assert S.is_commutative()
+    assert S.left_anns is S.right_anns and S.column_preimages is S.row_preimages
+    _assert_ring_families_defined(S)
+
+
+def _ring_module_contexts():
+    """R_R of every member of the default corpus that is one, and of ORACLE_RINGS, fresh."""
+    members = [ctx.module for ctx in mo.default_corpus() if ctx.module.is_ring_as_module()]
+    members += [mo.build_ring_as_module(_ring(name)) for name in ORACLE_RINGS]
+    return [mo.ModuleContext(M) for M in members]
+
+
+def _counting_extend(monkeypatch):
+    calls, extend = [], homs._extend
+    monkeypatch.setattr(homs, "_extend", lambda *args: calls.append(args) or extend(*args))
+    return calls
+
+
+def test_ring_module_searches_hom_once(monkeypatch):
+    """M* and End(M) of R_R are one search of |R| candidates (R_R has one generator), and
+    both equal every additive, linear map found by filtering."""
+    contexts = _ring_module_contexts()
+    assert {"Z6/Z6", "Z10/Z10", "Z2xZ3_R", "M2(Z2)_R"} <= {ctx.name for ctx in contexts}
+    for ctx in contexts:
+        M, R = ctx.module, ctx.module.ring
+        calls = _counting_extend(monkeypatch)
+        dual, endos = ctx.dual, ctx.endos.maps
+        assert len(calls) == R.size, ctx.name
+        assert ctx.ring_module is M
+        assert list(dual) == list(endos) == brute_homs(R.add, R.mul, R.add, R.mul, R.size)
+
+
+def test_module_over_larger_ring_searches_twice(monkeypatch):
+    """Z6/Z30 is not R_R: Hom(M, M) and Hom(M, Z30) are two searches of one generator."""
+    ctx = mo.ModuleContext(mo.build_zm_over_zn(6, 30))
+    calls = _counting_extend(monkeypatch)
+    ctx.dual, ctx.endos
+    assert len(calls) == ctx.module.size + ctx.module.ring.size == 36
+    assert ctx.ring_module is not ctx.module
+
+
+def test_ring_module_families_are_the_rings():
+    for ctx in _ring_module_contexts():
+        M, R, S = ctx.module, ctx.module.ring, ctx.endos
+        assert ctx.r_R is R.right_anns and ctx.multiples is R.left_ideals
+        assert ctx.r_R == tuple(mo.right_ann(M, m) for m in range(M.size))
+        assert ctx.multiples == tuple(frozenset(M.action[x][a] for x in range(M.size))
+                                      for a in range(R.size))
+        assert S.preimages == preimage_masks(S.maps, M.size), ctx.name
+
+
+def _small_contexts():
+    contexts = mo.default_corpus()
+    contexts.append(mo.ModuleContext(mo.build_module_from_tables(
+        mo.build_zn(2), *klein_four_tables(), name="F2^2")))
+    contexts.append(mo.ModuleContext(mo.build_ring_as_module(_ring("Z2xZ2xZ4"))))
+    contexts.append(mo.ModuleContext(mo.build_zm_over_zn(4, 8)))
+    return contexts
+
+
+def test_dual_masks_match_their_definition():
+    """For each t of M*: the fibres {x : t(x) = r}, and {y : y.v = x.v for every v in tM},
+    the agreement read at the t(g) of the module generators g only."""
+    for ctx in _small_contexts():
+        M, R = ctx.module, ctx.module.ring
+        assert set(ctx.dual_masks) == set(ctx.dual)
+        for t, (fibres, agree) in ctx.dual_masks.items():
+            image = set(t)
+            assert fibres == _masks([[x for x in range(M.size) if t[x] == r]
+                                     for r in range(R.size)]), (ctx.name, t)
+            assert agree == _masks([[y for y in range(M.size)
+                                     if all(M.action[y][v] == M.action[x][v] for v in image)]
+                                    for x in range(M.size)]), (ctx.name, t)
+
+
+IDEMPOTENT_FORMS = ("minus-idem", "rstar", "lstar", "star")
+
+
+@pytest.mark.parametrize("build, shared", [
+    (lambda: mo.build_zm_over_zn(6, 30), True),
+    (lambda: mo.build_ring_as_module(_ring("Z2xZ3")), True),
+    (lambda: mo.build_ring_as_module(_ring("M2(Z2)")), False),
+], ids=["Z6/Z30", "Z2xZ3_R", "M2(Z2)_R"])
+def test_idempotent_form_rows_match_fresh_rows(build, shared):
+    """Each of the four matrices has the rows that its own relation's row gives, and its
+    own relation.  Under identity involutions every idempotent is a projection, so the
+    four read one row set; over M2(Z2) the transpose has fewer projections, and rstar's
+    rows differ from minus-idem's."""
+    ctx = mo.ModuleContext(build())
+    n = ctx.module.size
+    matrices = {tag: mo.relation_matrix(ctx, tag) for tag in IDEMPOTENT_FORMS}
+    for tag, matrix in matrices.items():
+        rel = RELATIONS[tag]
+        assert matrix.rel is rel
+        assert matrix.rows == [rel.row(ctx, x, (1 << n) - 1) for x in range(n)], tag
+    parts = {rel.parts for rel in map(RELATIONS.get, IDEMPOTENT_FORMS)}
+    assert len(parts) == 1
+    keys = [key for key in ctx.rows if key[0] in parts]
+    assert len(keys) == (1 if shared else 3)  # M2(Z2)'s lstar and star have no involution
+    if not shared:
+        assert matrices["rstar"].rows != matrices["minus-idem"].rows
+    for tag in IDEMPOTENT_FORMS:  # the witnesses keep each relation's projection flags
+        matrix = matrices[tag]
+        x, y = next(((x, y) for x, row in enumerate(matrix.rows) if row
+                     for y in range(n) if row >> y & 1), (None, None))
+        if x is not None:
+            witness = matrix.verdict(x, y).witness
+            assert (witness.f_projection, witness.a_projection) == (
+                tag in ("lstar", "star"), tag in ("rstar", "star"))
+
+
+def test_row_memo_reads_rows_only_where_every_rows_pools_agree(monkeypatch):
+    """A relation with minus-idem's parts and its pools at row 0, but other pools at the
+    rows after it, builds its own rows."""
+    idem = RELATIONS["minus-idem"]
+    probe = idem._replace(tag="probe", pools=lambda ctx, x: idem.pools(ctx, x) if x == 0
+                          else (ctx.endos.idempotent_pool, ()))
+    monkeypatch.setitem(orders.RELATIONS, "probe", probe)
+    monkeypatch.setitem(orders._BY_TAG, "probe", probe)
+    ctx = mo.ModuleContext(mo.build_ring_as_module(_ring("Z2xZ3")))
+    n = ctx.module.size
+    shared = mo.relation_matrix(ctx, "minus-idem").rows
+    rows = mo.relation_matrix(ctx, "probe").rows
+    assert rows == [probe.row(ctx, x, (1 << n) - 1) for x in range(n)] != shared
+
+
+def test_equal_tables_share_preimage_masks():
+    """Columns r and r + 6 of Z6 over Z30 are one table, so they share one tuple of masks."""
+    M = mo.build_zm_over_zn(6, 30)
+    cols = M.column_preimages
+    assert all(cols[r] is cols[r % 6] for r in range(30))
+    assert cols == tuple(_masks([[x for x in range(M.size) if M.action[x][r] == v]
+                                 for v in range(M.size)]) for r in range(30))

@@ -92,3 +92,32 @@ def test_benchmark_reads_only_names_that_exist():
                 assert hasattr(bound[node.value.id], node.attr), f"{file}: {owner}.{node.attr}"
                 read.add(f"{owner}.{node.attr}")
     assert READ_TODAY <= read, READ_TODAY - read
+
+
+def test_suites_record_every_span_the_benchmark_expects():
+    """Each suite workload records a span for every entry point listed for it.  The
+    products draw is all R_R, so its members are traced apart from the cyclic ones: a
+    share that skipped homs.dual, homs.endo_ring or modules.cyclic_submodule for R_R would
+    leave a span missing here, as in a traced benchmark run."""
+    tracing = _load_tracing()
+    mods = {m: importlib.import_module("modorder." + m) for m in tracing.MODULES}
+    rings, modules = mods["rings"], mods["modules"]
+    groups = {
+        "suite-products": lambda: [
+            modules.build_ring_as_module(rings.build_product(rings.build_zn(2),
+                                                             rings.build_zn(3))),
+            modules.build_ring_as_module(rings.build_matrix_ring(2))],
+        "suite-cyclic": lambda: [modules.build_zm_over_zn(6, 30),
+                                 modules.build_zm_over_zn(6, 6)],
+    }
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for workload, members in groups.items():
+            tracer.trace_id = workload
+            mods["laws"].run_suite([mods["homs"].ModuleContext(M) for M in members()])
+    finally:
+        tracer.uninstall()
+    for workload in groups:
+        names = [rec[3] for rec in tracer.spans if rec[0] == workload]
+        assert tracing.missing_spans(workload, names) == [], workload
