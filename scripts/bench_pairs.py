@@ -8,14 +8,16 @@ temporary directory, so the repository's own state is never touched.  Pair i,
 for i = 1..10, runs the unedited ``perfbench/run.py --seed 900+i --trace 0`` for
 the ``run_seconds`` of ``BENCHMARK.json`` once in that export and once in the
 working tree, each from its own root; the parent runs first in odd pairs and
-the change in even ones.  Standard library only.
+the change in even ones.  After the pairs of a workload, one traced pair
+(``--trace 1``, seed 901, parent first) records each side's per-layer metrics.
+Standard library only.
 
 ``BENCH_<label>.json``, written at the root of the working tree after every
 pair, holds for each workload each pair's end-to-end metrics and ``correct``
 flags and, per metric of ``BENCHMARK.json``, each side's median and quartiles,
 the change/parent ratio of the medians, the pairs the change wins (ties count
 for neither side), the parent's IQR and whether the medians differ by more
-than it.
+than it, and under ``trace`` the traced pair's runs.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``perfbench/run.py`` run from ``root``: its JSON result line, or a
-    result with ``correct`` false and the exit code when it gave none."""
+def run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run from ``root``: its JSON result line, or a result with
+    ``correct`` false and the exit code when it gave none."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True,
                           timeout=10 * seconds + 600)
     lines = proc.stdout.strip().splitlines()
@@ -137,6 +140,13 @@ def main() -> int:
                       + "  ".join(f"{name} {pair['parent']['metrics'].get(name, float('nan')):.4g}"
                                   f" -> {pair['change']['metrics'].get(name, float('nan')):.4g}"
                                   for name in ("pass_s", "op_p50_ms")), flush=True)
+            entry["trace"] = {"seed": FIRST_SEED, "first": "parent"}
+            for side, root in (("parent", parent_root), ("change", ROOT)):
+                entry["trace"][side] = run(root, workload, FIRST_SEED, seconds, trace=1)
+            out_path.write_text(json.dumps(record, indent=1) + "\n")
+            print(f"{workload} traced pair seed {FIRST_SEED}: correct "
+                  f"{entry['trace']['parent']['correct']} -> {entry['trace']['change']['correct']}",
+                  flush=True)
     return 0
 
 

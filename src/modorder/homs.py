@@ -19,7 +19,8 @@ then costs one lookup per element of the conductor, and an accepted u one
 copied table with its new entries written.  Before each step the work of
 extending the list of partial homs, len(partial) * |N| copied tables of |M|
 entries plus at most |A| * |R| lookups each, is bounded, and a search whose
-bound exceeds HOM_BUDGET is refused with SpecError.
+bound exceeds HOM_BUDGET is refused with SpecError.  End(R_R) is R relabelled: every
+hom of R_R is x -> f(1)x, so EndoRing takes R's checked tables through f -> f(1).
 """
 
 from __future__ import annotations
@@ -132,12 +133,11 @@ def _hom_tables(M: FiniteModule, N: FiniteModule, maps, row):
 class EndoRing(FiniteRing):
     """S = End_R(M) presented as a FiniteRing, each element a value table over M.
 
-    Addition is pointwise; multiplication is composition with
-    (f.g)(x) = f(g(x)), so M is a left S-module via f.m = f(m).  All
-    ring-core predicates apply unchanged.  An identity involution is
-    installed automatically when S is commutative (inherited behaviour);
-    otherwise S carries an involution only if set explicitly.  The elements are
-    hom_group(module, module), in its order; AxiomError beyond MAX_RING_SIZE of them.
+    Addition is pointwise; multiplication is composition with (f.g)(x) = f(g(x)), so M
+    is a left S-module via f.m = f(m).  The elements are hom_group(module, module), in
+    its order; AxiomError beyond MAX_RING_SIZE of them.  S of R_R given no involution is
+    R relabelled, its laws checked once, on R; any other S is checked in full.  A
+    commutative S gets the identity involution, a noncommutative one only a given one.
     """
 
     def __init__(self, module: FiniteModule, involution=None):
@@ -145,38 +145,59 @@ class EndoRing(FiniteRing):
         self.maps = tuple(hom_group(module, module))
         if len(self.maps) > MAX_RING_SIZE:
             raise AxiomError(f"{name} has {len(self.maps)} elements, beyond cap {MAX_RING_SIZE}")
-        add, mul = _hom_tables(module, module, self.maps, lambda t, _, cols: [
-            map(t.__getitem__, col) for col in cols])
-        super().__init__(add, mul, involution=involution, name=name)
+        if module.action is module.ring.mul and involution is None:
+            self._relabel(module.ring, name)
+        else:
+            add, mul = _hom_tables(module, module, self.maps, lambda t, _, cols: [
+                map(t.__getitem__, col) for col in cols])
+            super().__init__(add, mul, involution=involution, name=name)
         self._index = {t: i for i, t in enumerate(self.maps)}
+
+    def _relabel(self, R: FiniteRing, name: str):
+        """S of R_R as R relabelled by p: f -> f(1).  Once each f is checked to be x -> f(1)x
+        and p a permutation, f + g is x -> (f(1) + g(1))x and fg is x -> f(1)g(1)x: S's
+        tables are R's conjugated by p, and each law of S is a law of R, already checked."""
+        p = [t[R.one] for t in self.maps]
+        if sorted(p) != list(R.element_pool) or any(
+                list(t) != R.mul[a] for t, a in zip(self.maps, p)):
+            raise AssertionError(f"{name}: a hom of R_R is not x -> f(1)x")
+        q = sorted(R.element_pool, key=p.__getitem__)  # q[p[i]] = i
+        self.add, self.mul = ([[q[v] for v in map(table[a].__getitem__, p)] for a in p]
+                              for table in (R.add, R.mul))
+        self.zero, self.one, self.neg = q[R.zero], q[R.one], [q[R.neg[a]] for a in p]
+        self.size, self.name, self._commutative = R.size, name, R.is_commutative()
+        self.involution = list(R.element_pool) if self._commutative else None
 
     def index_of(self, table) -> int:
         return self._index[tuple(table)]
 
+    def _at_one(self, family: str) -> tuple | None:
+        """R_R: the ring's ``family`` at f(1), indexed by f, as f is x -> f(1)x; else None."""
+        R = self.module.ring
+        return (tuple(getattr(R, family)[t[R.one]] for t in self.maps)
+                if self.module.action is R.mul else None)
+
     @cached_property
     def images(self) -> tuple[frozenset[int], ...]:
-        """fM, indexed by f."""
-        return tuple(frozenset(t) for t in self.maps)
+        """fM, indexed by f (R_R: the ring's right_ideals of f(1))."""
+        return self._at_one("right_ideals") or tuple(frozenset(t) for t in self.maps)
 
     @cached_property
     def kernels(self) -> tuple[frozenset[int], ...]:
-        """ker f = {x : f(x) = 0}, indexed by f."""
+        """ker f = {x : f(x) = 0}, indexed by f (R_R: the ring's right_anns of f(1))."""
         elements, is_zero = range(self.module.size), self.module.zero.__eq__
-        return tuple(frozenset(compress(elements, map(is_zero, t))) for t in self.maps)
+        return self._at_one("right_anns") or tuple(
+            frozenset(compress(elements, map(is_zero, t))) for t in self.maps)
 
     @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
-        """The mask of {x : f(x) = v}, indexed by f, then v in M (R_R: f is x -> f(1)x,
-        so the ring's row_preimages of f(1))."""
-        M = self.module
-        return (tuple(M.ring.row_preimages[t[M.ring.one]] for t in self.maps)
-                if M.action is M.ring.mul else preimage_masks(self.maps, M.size))
+        """The mask of {x : f(x) = v}, indexed by f, then v in M (R_R: the ring's
+        row_preimages of f(1))."""
+        return self._at_one("row_preimages") or preimage_masks(self.maps, self.module.size)
 
 
 def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
-    """S = End(M).  A commutative S gets the identity involution for free;
-    a noncommutative S carries one only if an explicit permutation is given
-    (it is validated against the ring laws like any other involution)."""
+    """S = End(M) (see EndoRing); a given involution is checked against the ring laws."""
     return EndoRing(M, involution=involution)
 
 
@@ -299,8 +320,11 @@ class ModuleContext:
 
     @cached_property
     def orbits(self) -> tuple[frozenset[int], ...]:
-        """Sm = {f(m) : f in S}, indexed by m: additive subgroups, not submodules."""
-        return tuple(frozenset(col) for col in zip(*self.endos.maps))
+        """Sm = {f(m) : f in S}, indexed by m: additive subgroups, not submodules (R_R: Rm,
+        the ring's left_ideals)."""
+        M = self.module
+        return (M.ring.left_ideals if M.action is M.ring.mul
+                else tuple(frozenset(col) for col in zip(*self.endos.maps)))
 
     @cached_property
     def multiples(self) -> tuple[frozenset[int], ...]:

@@ -371,12 +371,12 @@ class RickartCert(NamedTuple):
 
 
 def _rickart_cert(ring: FiniteRing, gens) -> RickartCert:
-    right, left = ring.right_ideals, ring.left_ideals
+    # the first e of gens with eR = I, and with Re = I, by the ideal I
+    first_right = {ring.right_ideals[e]: e for e in reversed(gens)}
+    first_left = {ring.left_ideals[e]: e for e in reversed(gens)}
     witnesses = {}
     for a in range(ring.size):
-        rann, lann = ring.right_anns[a], ring.left_anns[a]
-        p = next((e for e in gens if right[e] == rann), None)
-        q = next((e for e in gens if left[e] == lann), None)
+        p, q = first_right.get(ring.right_anns[a]), first_left.get(ring.left_anns[a])
         if p is None or q is None:
             return RickartCert(False, witnesses, failure=a)
         witnesses[a] = (p, q)

@@ -351,3 +351,112 @@ def test_enumerated_homs_pass_reference_check(corpus, oracle_contexts):
             assert mo.is_hom(M, ctx.ring_module, phi), (ctx.name, phi)
         for f in ctx.endos.maps:
             assert mo.is_hom(M, M, f), (ctx.name, f)
+
+
+# -- End(R_R): R relabelled by p: f -> f(1) -----------------------------------------
+
+RELABELLED = ("Z1", "Z6", "Z2xZ2xZ4", "Z3xZ9", "Z2xZ2xZ2xZ2", "M2(Z2)")
+
+
+def _ring_module(name):
+    ring = (mo.build_matrix_ring(2) if name == "M2(Z2)" else
+            reduce(mo.build_product, [mo.build_zn(int(f[1:])) for f in name.split("x")]))
+    return mo.build_ring_as_module(ring)
+
+
+def _relabelling(M, S):
+    """p[i] = f_i(1), and q with q[p[i]] = i."""
+    p = [f[M.ring.one] for f in S.maps]
+    return p, [p.index(a) for a in range(M.size)]
+
+
+@pytest.mark.parametrize("name", RELABELLED)
+def test_relabelled_endo_ring_tables_match_definitions(name):
+    """S's + and composition tables, built from R's through p, are the pointwise sums and
+    compositions of the maps; on Z2xZ2xZ4, Z3xZ9 and M2(Z2) p is not its own inverse."""
+    M = _ring_module(name)
+    S = mo.EndoRing(M)
+    compose = definitional_tables(S.maps, M.add, lambda x, y: tuple(x[v] for v in y), S.maps)
+    assert [S.add, S.mul] == compose
+    p, q = _relabelling(M, S)
+    assert sorted(p) == list(range(M.size))
+    assert (name in ("Z1", "Z6")) == (p == list(range(M.size)))
+
+
+@pytest.mark.parametrize("name", RELABELLED)
+def test_relabelled_endo_ring_matches_validated_ring(name):
+    """zero, one, neg, the involution and commutativity are those that a full
+    FiniteRing.__init__ finds on the same tables."""
+    S = mo.EndoRing(_ring_module(name))
+    fresh = mo.FiniteRing(S.add, S.mul)
+    assert (S.zero, S.one, S.neg, S.involution, S.is_commutative()) == (
+        fresh.zero, fresh.one, fresh.neg, fresh.involution, fresh.is_commutative())
+    assert S.size == fresh.size and S.name == f"End({S.module.name})"
+
+
+def _spy_ring_init(monkeypatch):
+    """The rings that FiniteRing.__init__ built, and those whose validate() ran."""
+    built, validated = [], []
+    init, validate = mo.FiniteRing.__init__, mo.FiniteRing.validate
+    monkeypatch.setattr(mo.FiniteRing, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    monkeypatch.setattr(mo.FiniteRing, "validate",
+                        lambda self: validated.append(self) or validate(self))
+    return built, validated
+
+
+def test_only_plain_ring_modules_skip_ring_validation(monkeypatch, klein_four):
+    """R_R without an involution is relabelled; every other module, and R_R given an
+    involution, still builds S through FiniteRing.__init__ and its validate()."""
+    relabelled = [_ring_module(name) for name in RELABELLED]
+    full = [mo.build_zm_over_zn(6, 30), mo.build_zm_over_zn(4, 8), klein_four.module]
+    z6 = _ring_module("Z6")
+    built, validated = _spy_ring_init(monkeypatch)
+    for M in relabelled:
+        mo.EndoRing(M)
+    assert built == validated == []
+    for M in full:
+        S = mo.EndoRing(M)
+        assert built[-1] is validated[-1] is S, M.name
+    S = mo.EndoRing(z6, involution=list(range(z6.size)))
+    assert built[-1] is validated[-1] is S
+    assert len(built) == len(validated) == len(full) + 1
+
+
+@pytest.mark.parametrize("tamper", ["not left multiplication", "p repeats", "p misses"])
+def test_relabelling_checks_every_hom(monkeypatch, tamper):
+    """A Hom(R_R, R_R) that is not the left multiplications, each once, is an internal
+    fault: AssertionError, with no ring built from it."""
+    M = _ring_module("Z2xZ2xZ4")
+    maps = [list(f) for f in mo.hom_group(M, M)]
+    if tamper == "not left multiplication":  # f(1) kept, so p is still a permutation
+        f = maps[5]
+        x = next(x for x in range(M.size) if x != M.ring.one and f[x] != f[M.ring.one])
+        f[x] = f[M.ring.one]
+    elif tamper == "p repeats":
+        maps[1] = maps[2]
+    else:
+        del maps[3]
+    monkeypatch.setattr(homs, "hom_group", lambda *_: sorted(map(tuple, maps)))
+    with pytest.raises(AssertionError):
+        mo.EndoRing(M)
+
+
+def test_ring_module_with_involution_is_checked():
+    """An involution given for End(R_R) is checked like any other: on M2(Z2)_R the
+    identity is not anti-multiplicative, a non-self-inverse permutation is refused, and
+    the transpose carried over by p is accepted."""
+    M = _ring_module("M2(Z2)")
+    p, q = _relabelling(M, mo.EndoRing(M))
+    with pytest.raises(mo.AxiomError, match="anti-multiplicative"):
+        mo.EndoRing(M, involution=list(range(M.size)))
+    cycle = [*range(1, M.size), 0]
+    with pytest.raises(mo.AxiomError, match="self-inverse"):
+        mo.EndoRing(M, involution=cycle)
+    transpose = [q[M.ring.involution[a]] for a in p]
+    S = mo.EndoRing(M, involution=transpose)
+    assert S.involution == transpose and S.projection_pool == tuple(
+        sorted(q[a] for a in M.ring.projection_pool))
+    assert mo.EndoRing(_ring_module("Z6"), involution=list(range(6))).involution == list(range(6))
+    with pytest.raises(mo.AxiomError):
+        mo.EndoRing(_ring_module("Z6"), involution=[1, 0, 2, 3, 4, 5])

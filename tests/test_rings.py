@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modorder as mo
+from modorder import rings
 from modorder.rings import AxiomError, SpecError
 
 from oracles import rickart_from_tables, vn_regular_mask, zm_over_zn_tables, zn_tables
@@ -384,6 +385,15 @@ def test_rickart_certificates_are_rebuilt_alike(corpus, oracle_contexts):
             cert = mo.is_rickart_star(r)
             assert tuple(cert) == rickart_from_tables(r.mul, r.zero, r.projection_pool), r.name
             assert mo.is_rickart_star(r) is cert
+
+
+def test_rickart_certificate_keeps_first_generator_in_pool_order(corpus, oracle_contexts):
+    """Over a pool in descending order, each witness is still the first generator of its
+    ideal in that order, as a scan of the pool finds it; M2(Z2) has ideals with several
+    idempotent generators."""
+    for r in [*_fact_rings(corpus, oracle_contexts), mo.build_zn(4), mo.build_matrix_ring(3)]:
+        pool = r.idempotent_pool[::-1]
+        assert tuple(rings._rickart_cert(r, pool)) == rickart_from_tables(r.mul, r.zero, pool)
 
 
 def test_proper_star_z10():
