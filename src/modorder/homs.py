@@ -19,8 +19,8 @@ then costs one lookup per element of the conductor, and an accepted u one
 copied table with its new entries written.  Before each step the work of
 extending the list of partial homs, len(partial) * |N| copied tables of |M|
 entries plus at most |A| * |R| lookups each, is bounded, and a search whose
-bound exceeds HOM_BUDGET is refused with SpecError.  End(R_R) is R relabelled: every
-hom of R_R is x -> f(1)x, so EndoRing takes R's checked tables through f -> f(1).
+bound exceeds HOM_BUDGET is refused with SpecError.  Every hom of a cyclic gR is
+g.r -> f(g).r, so EndoRing reads S's tables off M's through f -> f(g), unchecked.
 """
 
 from __future__ import annotations
@@ -135,9 +135,11 @@ class EndoRing(FiniteRing):
 
     Addition is pointwise; multiplication is composition with (f.g)(x) = f(g(x)), so M
     is a left S-module via f.m = f(m).  The elements are hom_group(module, module), in
-    its order; AxiomError beyond MAX_RING_SIZE of them.  S of R_R given no involution is
-    R relabelled, its laws checked once, on R; any other S is checked in full.  A
-    commutative S gets the identity involution, a noncommutative one only a given one.
+    its order; AxiomError beyond MAX_RING_SIZE of them.  S of a module with one greedy
+    generator g, given no involution, is derived, its tables read off M's through f -> f(g)
+    and unchecked, as S is a ring of maps; any other S is built from the homs and checked
+    in full.  A commutative S gets the identity involution, a noncommutative one only a
+    given one.
     """
 
     def __init__(self, module: FiniteModule, involution=None):
@@ -145,28 +147,33 @@ class EndoRing(FiniteRing):
         self.maps = tuple(hom_group(module, module))
         if len(self.maps) > MAX_RING_SIZE:
             raise AxiomError(f"{name} has {len(self.maps)} elements, beyond cap {MAX_RING_SIZE}")
-        if module.action is module.ring.mul and involution is None:
-            self._relabel(module.ring, name)
+        if len(gens := generating_set(module)) == 1 and involution is None:
+            self._derive(module, gens[0], name)
         else:
             add, mul = _hom_tables(module, module, self.maps, lambda t, _, cols: [
                 map(t.__getitem__, col) for col in cols])
             super().__init__(add, mul, involution=involution, name=name)
         self._index = {t: i for i, t in enumerate(self.maps)}
 
-    def _relabel(self, R: FiniteRing, name: str):
-        """S of R_R as R relabelled by p: f -> f(1).  Once each f is checked to be x -> f(1)x
-        and p a permutation, f + g is x -> (f(1) + g(1))x and fg is x -> f(1)g(1)x: S's
-        tables are R's conjugated by p, and each law of S is a law of R, already checked."""
-        p = [t[R.one] for t in self.maps]
-        if sorted(p) != list(R.element_pool) or any(
-                list(t) != R.mul[a] for t, a in zip(self.maps, p)):
-            raise AssertionError(f"{name}: a hom of R_R is not x -> f(1)x")
-        q = sorted(R.element_pool, key=p.__getitem__)  # q[p[i]] = i
-        self.add, self.mul = ([[q[v] for v in map(table[a].__getitem__, p)] for a in p]
-                              for table in (R.add, R.mul))
-        self.zero, self.one, self.neg = q[R.zero], q[R.one], [q[R.neg[a]] for a in p]
-        self.size, self.name, self._commutative = R.size, name, R.is_commutative()
-        self.involution = list(R.element_pool) if self._commutative else None
+    def _derive(self, M: FiniteModule, g: int, name: str):
+        """S of a cyclic M = gR through u: f -> f(g), as Hom_R(gR, M) = {u : u.r_R(g) = 0}
+        by g.r -> u.r.  Once u is checked to be a bijection onto that set and each f to be
+        g.r -> u_f.r, f + h is g.r -> (u_f + u_h).r and fh is g.r -> u_f.(r_h r) for any r_h
+        with g.r_h = u_h: S's tables are read off M's, and S is a ring of maps."""
+        g_times, zero, u = M.action[g], M.zero, [t[g] for t in self.maps]
+        killed = set.intersection(*({x for x, row in enumerate(M.action) if row[r] == zero}
+                                    for r in right_ann(M, g)))  # the u with u.r_R(g) = 0
+        at_x, u_times = list(zip(*self.maps)), list(zip(*map(M.action.__getitem__, u)))
+        if sorted(u) != sorted(killed) or list(map(at_x.__getitem__, g_times)) != u_times:
+            raise AssertionError(f"{name}: a hom of {M.name} is not g.r -> f(g).r")
+        q = [0] * M.size  # q[u[i]] = i
+        for i, v in enumerate(u):
+            q[v] = i
+        rs = list(map(dict(zip(g_times, M.ring.element_pool)).__getitem__, u))  # g.rs[i] = u[i]
+        self._install([[q[v] for v in map(M.add[a].__getitem__, u)] for a in u],
+                      [[q[v] for v in map(M.action[a].__getitem__, rs)] for a in u],
+                      q[zero], q[g], [q[M.neg[a]] for a in u], name=name,
+                      commutative=M.ring.is_commutative() or None)
 
     def index_of(self, table) -> int:
         return self._index[tuple(table)]

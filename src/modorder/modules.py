@@ -9,7 +9,8 @@ from itertools import compress, product
 from .rings import (FiniteRing, SpecError, build_zn, ring_from_spec, spec_field, spec_int,
                     spec_size, spec_str)
 from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
-                     checked_table, cyclic_tables, greedy_generators, preimage_masks, shown)
+                     check_size, checked_table, cyclic_tables, greedy_generators,
+                     preimage_masks, shown)
 
 MAX_MODULE_SIZE = 64
 
@@ -19,22 +20,31 @@ class FiniteModule:
 
     ``action`` is a size x |R| table: ``action[m][r]`` is m.r.  Construction
     checks the abelian-group laws of the addition and the four action laws
-    m(r+s) = mr + ms, (m+n)r = mr + nr, m(rs) = (mr)s and m1 = m.
+    m(r+s) = mr + ms, (m+n)r = mr + nr, m(rs) = (mr)s and m1 = m, except on R_R (its
+    ring's laws); builders of modules by theorem use ``_derived``, which checks nothing.
     """
 
     def __init__(self, ring: FiniteRing, add, action, *, name=None):
-        self.ring, self.add, self.action = ring, add, action
-        if self.is_ring_as_module():
+        if add == ring.add and action == ring.mul:
             # R_R's module laws are the ring's additive-group, distributivity
-            # and associativity laws, which the ring checked in full.
-            self.add, self.action = ring.add, ring.mul
-            self.size, self.zero, self.neg = ring.size, ring.zero, ring.neg
+            # and associativity laws, which hold for the ring.
+            self._install(ring, ring.add, ring.mul, ring.zero, ring.neg, name)
         else:
-            self.add, self.zero, self.neg = additive_group(add, MAX_MODULE_SIZE, "module")
-            self.size = len(self.add)
-            self.action = checked_table(action, self.size, ring.size, self.size, "action")
+            add, zero, neg = additive_group(add, MAX_MODULE_SIZE, "module")
+            action = checked_table(action, len(add), ring.size, len(add), "action")
+            self._install(ring, add, action, zero, neg, name)
             self.validate()
-        self.name = name or f"module{self.size}"
+
+    @classmethod
+    def _derived(cls, ring: FiniteRing, add, action, zero, neg, *, name) -> FiniteModule:
+        """A module by theorem, from a builder's closed-form tables, installed unchecked."""
+        module = cls.__new__(cls)
+        module._install(ring, add, action, zero, neg, name)
+        return module
+
+    def _install(self, ring, add, action, zero, neg, name):
+        self.ring, self.add, self.action, self.zero, self.neg = ring, add, action, zero, neg
+        self.size, self.name = len(add), name or f"module{len(add)}"
 
     def is_ring_as_module(self) -> bool:
         """Whether this is R_R: its tables are its ring's own add and mul."""
@@ -108,7 +118,12 @@ def build_zm_over_zn(m: int, n: int) -> FiniteModule:
         raise SpecError("moduli must be positive")
     if n % m != 0:
         raise SpecError(f"action ill-defined: {shown(m)} does not divide {shown(n)}")
-    return FiniteModule(build_zn(n), *cyclic_tables(m, n), name=f"Z{m}/Z{n}")
+    ring, name = build_zn(n), f"Z{m}/Z{n}"
+    if m == n:
+        return FiniteModule(ring, ring.add, ring.mul, name=name)
+    check_size(m, MAX_MODULE_SIZE, "module")
+    return FiniteModule._derived(ring, *cyclic_tables(m, n), 0, [-x % m for x in range(m)],
+                                 name=name)
 
 
 def build_ring_as_module(ring: FiniteRing) -> FiniteModule:

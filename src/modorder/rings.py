@@ -36,18 +36,31 @@ class FiniteRing:
     """
 
     def __init__(self, add, mul, *, involution=None, name=None):
-        self.add, self.zero, self.neg = additive_group(add, MAX_RING_SIZE, "ring")
-        self.size = n = len(self.add)
-        self.mul = checked_table(mul, n, n, n, "mul")
-        self.name = name or f"ring{n}"
-        self.one = identity_of(self.mul)
-        if self.one is None:
+        add, zero, neg = additive_group(add, MAX_RING_SIZE, "ring")
+        n = len(add)
+        mul = checked_table(mul, n, n, n, "mul")
+        if (one := identity_of(mul)) is None:
             raise AxiomError("no multiplicative identity")
-        if involution is None and self.is_commutative():
-            involution = list(range(n))
-        self.involution = (None if involution is None
-                           else checked_table([involution], 1, n, n, "involution")[0])
+        if involution is not None:
+            involution = checked_table([involution], 1, n, n, "involution")[0]
+        self._install(add, mul, zero, one, neg, involution=involution, name=name)
         self.validate()
+
+    @classmethod
+    def _derived(cls, add, mul, zero, one, neg, **known) -> FiniteRing:
+        """A ring by theorem, from a builder's closed-form tables, installed unchecked."""
+        ring = cls.__new__(cls)
+        ring._install(add, mul, zero, one, neg, **known)
+        return ring
+
+    def _install(self, add, mul, zero, one, neg, *, involution=None, name=None, commutative=None):
+        """Set the tables and elements, and commutativity where known (else found on first use)."""
+        self.add, self.mul, self.zero, self.one, self.neg = add, mul, zero, one, neg
+        self.size, self.name = len(add), name or f"ring{len(add)}"
+        if commutative is not None:
+            self._commutative = commutative
+        self.involution = (list(range(self.size)) if involution is None and self.is_commutative()
+                           else involution)
 
     @cached_property
     def additive_generators(self) -> tuple[int, ...]:
@@ -195,7 +208,8 @@ def build_zn(n: int) -> FiniteRing:
     if n < 1:
         raise SpecError("modulus must be positive")
     check_size(n, MAX_RING_SIZE, "ring")
-    return FiniteRing(*cyclic_tables(n, n), name=f"Z{n}")
+    return FiniteRing._derived(*cyclic_tables(n, n), 0, 1 % n, [-x % n for x in range(n)],
+                               commutative=True, name=f"Z{n}")
 
 
 def build_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
@@ -210,8 +224,10 @@ def build_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     involution = None
     if r1.involution is not None and r2.involution is not None:
         involution = [v * n2 + w for v in r1.involution for w in r2.involution]
-    return FiniteRing(table(r1.add, r2.add), table(r1.mul, r2.mul), involution=involution,
-                      name=f"{r1.name}x{r2.name}")
+    return FiniteRing._derived(
+        table(r1.add, r2.add), table(r1.mul, r2.mul), r1.zero * n2 + r2.zero, r1.one * n2 + r2.one,
+        [v * n2 + w for v in r1.neg for w in r2.neg], involution=involution,
+        commutative=r1.is_commutative() and r2.is_commutative(), name=f"{r1.name}x{r2.name}")
 
 
 def _is_prime(p: int) -> bool:
@@ -238,7 +254,9 @@ def build_matrix_ring(p: int) -> FiniteRing:
                 (x[2] * y[0] + x[3] * y[2]) % p, (x[2] * y[1] + x[3] * y[3]) % p)
             for y in mats] for x in mats]
     transpose = [enc(x[0], x[2], x[1], x[3]) for x in mats]
-    return FiniteRing(add, mul, involution=transpose, name=f"M2(Z{p})")
+    neg = [enc(*(-v % p for v in x)) for x in mats]
+    return FiniteRing._derived(add, mul, 0, enc(1, 0, 0, 1), neg, involution=transpose,
+                               commutative=False, name=f"M2(Z{p})")
 
 
 def build_ring_from_tables(add, mul, *, involution=None, name=None) -> FiniteRing:

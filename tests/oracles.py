@@ -255,3 +255,12 @@ def first_parts(rel, target, x, y):
     pools whose clause part covers y, by one scan of the pools per cell."""
     return tuple(next(p for p in pool if part(target, x, (p,))[0] >> y & 1)
                  for pool, part in zip(rel.pools(target, x), rel.parts))
+
+
+def relabel(table, rows, cols, values):
+    """The table with row i moved to rows[i], column j to cols[j], entry v to values[v]."""
+    out = [[0] * len(cols) for _ in rows]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[rows[i]][cols[j]] = values[v]
+    return out

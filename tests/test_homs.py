@@ -353,7 +353,7 @@ def test_enumerated_homs_pass_reference_check(corpus, oracle_contexts):
             assert mo.is_hom(M, M, f), (ctx.name, f)
 
 
-# -- End(R_R): R relabelled by p: f -> f(1) -----------------------------------------
+# -- End of a cyclic module gR, derived through u: f -> f(g); on R_R, R relabelled --------
 
 RELABELLED = ("Z1", "Z6", "Z2xZ2xZ4", "Z3xZ9", "Z2xZ2xZ2xZ2", "M2(Z2)")
 
@@ -372,8 +372,9 @@ def _relabelling(M, S):
 
 @pytest.mark.parametrize("name", RELABELLED)
 def test_relabelled_endo_ring_tables_match_definitions(name):
-    """S's + and composition tables, built from R's through p, are the pointwise sums and
-    compositions of the maps; on Z2xZ2xZ4, Z3xZ9 and M2(Z2) p is not its own inverse."""
+    """S's + and composition tables, read off R's through f -> f(g), are the pointwise sums
+    and compositions of the maps; S is R relabelled by p: f -> f(1), and on Z2xZ2xZ4,
+    Z3xZ9 and M2(Z2) p is not its own inverse."""
     M = _ring_module(name)
     S = mo.EndoRing(M)
     compose = definitional_tables(S.maps, M.add, lambda x, y: tuple(x[v] for v in y), S.maps)
@@ -394,52 +395,29 @@ def test_relabelled_endo_ring_matches_validated_ring(name):
     assert S.size == fresh.size and S.name == f"End({S.module.name})"
 
 
-def _spy_ring_init(monkeypatch):
-    """The rings that FiniteRing.__init__ built, and those whose validate() ran."""
-    built, validated = [], []
-    init, validate = mo.FiniteRing.__init__, mo.FiniteRing.validate
-    monkeypatch.setattr(mo.FiniteRing, "__init__",
-                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-    monkeypatch.setattr(mo.FiniteRing, "validate",
-                        lambda self: validated.append(self) or validate(self))
-    return built, validated
-
-
-def test_only_plain_ring_modules_skip_ring_validation(monkeypatch, klein_four):
-    """R_R without an involution is relabelled; every other module, and R_R given an
-    involution, still builds S through FiniteRing.__init__ and its validate()."""
-    relabelled = [_ring_module(name) for name in RELABELLED]
-    full = [mo.build_zm_over_zn(6, 30), mo.build_zm_over_zn(4, 8), klein_four.module]
-    z6 = _ring_module("Z6")
-    built, validated = _spy_ring_init(monkeypatch)
-    for M in relabelled:
-        mo.EndoRing(M)
-    assert built == validated == []
-    for M in full:
-        S = mo.EndoRing(M)
-        assert built[-1] is validated[-1] is S, M.name
-    S = mo.EndoRing(z6, involution=list(range(z6.size)))
-    assert built[-1] is validated[-1] is S
-    assert len(built) == len(validated) == len(full) + 1
-
-
-@pytest.mark.parametrize("tamper", ["not left multiplication", "p repeats", "p misses"])
-def test_relabelling_checks_every_hom(monkeypatch, tamper):
-    """A Hom(R_R, R_R) that is not the left multiplications, each once, is an internal
-    fault: AssertionError, with no ring built from it."""
-    M = _ring_module("Z2xZ2xZ4")
+@pytest.mark.parametrize("tamper", ["not determined by f(g)", "u repeats", "u misses"])
+@pytest.mark.parametrize("name", ["Z2xZ2xZ4", "Z6/Z30", "Z4/Z8"])
+def test_relabelling_checks_every_hom(monkeypatch, name, tamper):
+    """A Hom(gR, gR) that is not g.r -> u.r for each u with u.r_R(g) = 0, each once, is an
+    internal fault: AssertionError, before any table of S is built."""
+    M = (mo.build_zm_over_zn(*map(int, name[1:].split("/Z"))) if "/" in name
+         else _ring_module(name))
+    [g] = mo.generating_set(M)
     maps = [list(f) for f in mo.hom_group(M, M)]
-    if tamper == "not left multiplication":  # f(1) kept, so p is still a permutation
-        f = maps[5]
-        x = next(x for x in range(M.size) if x != M.ring.one and f[x] != f[M.ring.one])
-        f[x] = f[M.ring.one]
-    elif tamper == "p repeats":
+    if tamper == "not determined by f(g)":  # f(g) kept, so u is still a bijection
+        f = maps[-1]
+        x = next(x for x in range(M.size) if x != g and f[x] != f[g])
+        f[x] = f[g]
+    elif tamper == "u repeats":
         maps[1] = maps[2]
     else:
         del maps[3]
     monkeypatch.setattr(homs, "hom_group", lambda *_: sorted(map(tuple, maps)))
+    installed = []
+    monkeypatch.setattr(mo.FiniteRing, "_install", lambda *args, **_: installed.append(args))
     with pytest.raises(AssertionError):
         mo.EndoRing(M)
+    assert installed == []
 
 
 def test_ring_module_with_involution_is_checked():

@@ -38,8 +38,8 @@ from modorder.laws import RelationMatrix
 from modorder.verdicts import bits
 
 from oracles import (equivalence_scan, involution_violations, module_law_violations,
-                     partial_order_scan, ring_law_violations, transitive_reduction_scan,
-                     unit_invariance_scan, zm_over_zn_tables)
+                     partial_order_scan, relabel, ring_law_violations,
+                     transitive_reduction_scan, unit_invariance_scan, zm_over_zn_tables)
 
 RINGS = ["Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12",
          "Z2xZ2", "Z2xZ3", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ6", "M2(Z2)"]
@@ -120,15 +120,6 @@ RING_SOURCES = st.one_of(
     st.booleans().map(near_ring_tables),
     st.lists(st.lists(st.integers(0, 7), min_size=2, max_size=2),
              min_size=2, max_size=2).map(f2_algebra_tables))
-
-
-def relabel(table, rows, cols, values):
-    """The table with row i moved to rows[i], column j to cols[j], entry v to values[v]."""
-    out = [[0] * len(cols) for _ in rows]
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            out[rows[i]][cols[j]] = values[v]
-    return out
 
 
 def corrupt(data, tables, bound):
