@@ -13,8 +13,11 @@ the change in even ones.  After the pairs of a workload, one traced pair
 Standard library only.
 
 ``BENCH_<label>.json``, written at the root of the working tree after every
-pair, holds for each workload each pair's end-to-end metrics and ``correct``
-flags and, per metric of ``BENCHMARK.json``, each side's median and quartiles,
+pair, holds the line count of each side's ``src/modorder``, and for each
+workload each pair's end-to-end metrics, ``correct`` flags and the per-pass
+speed factors that the run prints (the machine's calibration: reference
+seconds per measured second) and, per metric of ``BENCHMARK.json``, each
+side's median and quartiles,
 the change/parent ratio of the medians, the pairs the change wins (ties count
 for neither side), the parent's IQR and whether the medians differ by more
 than it, and under ``trace`` the traced pair's runs.
@@ -26,6 +29,7 @@ import argparse
 import io
 import json
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -61,9 +65,17 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) ->
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "exit": proc.returncode, "metrics": {}}
+    factors = re.search(r"\bspeed_factors=(\[[^\]]*\])", proc.stdout)
     return {"correct": result["correct"] and proc.returncode == 0,
             "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            **({"speed_factors": json.loads(factors[1])} if factors else {})}
+
+
+def src_lines(root: Path) -> int:
+    """The lines of ``src/modorder/*.py`` under ``root``."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (root / "src" / "modorder").glob("*.py"))
 
 
 def spread(values: list[float]) -> dict:
@@ -111,18 +123,19 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     out_path = ROOT / f"BENCH_{args.label}.json"
-    record = {
-        "rev": git("rev-parse", args.rev).decode().strip(),
-        "change": git("rev-parse", "HEAD").decode().strip()
-                  + (" (with uncommitted changes)" if git("status", "--porcelain", "src")
-                     else ""),
-        "seconds": seconds, "first_seed": FIRST_SEED,
-        "python": platform.python_version(), "machine": platform.machine(),
-        "workloads": {},
-    }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_root = Path(tmp)
         export(args.rev, parent_root)
+        record = {
+            "rev": git("rev-parse", args.rev).decode().strip(),
+            "change": git("rev-parse", "HEAD").decode().strip()
+                      + (" (with uncommitted changes)" if git("status", "--porcelain", "src")
+                         else ""),
+            "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
+            "seconds": seconds, "first_seed": FIRST_SEED,
+            "python": platform.python_version(), "machine": platform.machine(),
+            "workloads": {},
+        }
         for workload in args.workload:
             pairs = []
             entry = record["workloads"][workload] = {"pairs": pairs, "summary": {}}

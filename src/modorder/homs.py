@@ -25,11 +25,11 @@ g.r -> f(g).r, so EndoRing reads S's tables off M's through f -> f(g), unchecked
 
 from __future__ import annotations
 
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress
 from operator import and_
 
-from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, direct_sum, right_ann
+from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, right_ann
 from .rings import MAX_RING_SIZE, FiniteRing, SpecError, same_ring
 from .tables import AxiomError, preimage_masks
 
@@ -243,9 +243,6 @@ class ModuleContext:
         self.module = module
         self.name = name or module.name
         self.endo_involution = endo_involution
-        # modules.direct_sum on M, memoized per pair; it holds the module, not the context,
-        # so a dropped context is freed by reference counting alone
-        self.direct_sum = cache(partial(direct_sum, module))
         # laws.relation_matrix's rows with the relation that built them, by clause parts
         # and the pools of row 0
         self.rows = {}
@@ -317,13 +314,13 @@ class ModuleContext:
         return tuple(cyclic_submodule(self.module, m) for m in range(self.module.size))
 
     @cached_property
-    def summands(self) -> dict[tuple[int, ...], int]:
-        """Each distinct mR as a sorted tuple, in order of first m, with the mask of its m."""
-        out = {}
-        for m, cyc in enumerate(self.cyclic):
-            key = tuple(sorted(cyc))
-            out[key] = out.get(key, 0) | 1 << m
-        return out
+    def summands(self) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
+        """Each distinct mR as a sorted tuple, in order of first m; for each m, the index
+        of mR among them (the class of m); and for each m, |mR|."""
+        first, classes = {}, []
+        for cyc in self.cyclic:
+            classes.append(first.setdefault(cyc, len(first)))
+        return (tuple(tuple(sorted(cyc)) for cyc in first), classes, list(map(len, self.cyclic)))
 
     @cached_property
     def orbits(self) -> tuple[frozenset[int], ...]:

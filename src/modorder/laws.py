@@ -210,7 +210,7 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     """
     M, S, R = ctx.module, ctx.endos, ctx.module.ring
     fail = partial(LawReport, "witness-constructions", idem.member, "fail")
-    checks, whole = 0, frozenset(range(M.size))
+    checks = 0
     for m in bits(ctx.regular):
         for phi in ctx.regularity_witnesses[m]:
             checks += 1
@@ -220,7 +220,7 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
             s = smash(M, S, m, phi)
             if S.mul[s][s] != s:
                 return fail({"kind": "smash-idempotent", "element": m, "f": s}, checks)
-            if orders.kernel_summand(ctx, m, s, whole) is None:  # the scan checked phi
+            if orders.kernel_summand(ctx, m, s) is None:  # the scan checked phi
                 return fail({"kind": "decomposition", "element": m}, checks)
     for m1, row in enumerate(idem.parts):
         for m2, (f, a) in row.items():

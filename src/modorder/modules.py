@@ -96,17 +96,10 @@ def right_ann(M: FiniteModule, m: int) -> frozenset[int]:
     return frozenset(compress(M.ring.element_pool, map(M.zero.__eq__, M.action[m])))
 
 
-def direct_sum(M: FiniteModule, a, b) -> frozenset[int] | None:
-    """A + B when A intersect B = {0}, an internal direct sum; None otherwise.  A and B
-    are sets of elements of M."""
-    if set(a).intersection(b) != {M.zero}:
-        return None
-    return frozenset(M.add[x][y] for x in a for y in b)
-
-
 def is_direct_sum(M: FiniteModule, a, b, target) -> bool:
     """A + B = target with A intersect B = {0}, for sets of elements of M."""
-    return direct_sum(M, a, b) == target
+    return (set(a).intersection(b) == {M.zero}
+            and frozenset(M.add[x][y] for x in a for y in b) == target)
 
 
 # -- constructors ----------------------------------------------------------------

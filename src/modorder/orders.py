@@ -70,17 +70,19 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozens
         raise ValueError(f"functional does not witness regularity of {m}")
     e = phi[m]
     assert M.ring.mul[e][e] == e
-    n_set = kernel_summand(ctx, m, smash(M, ctx.endos, m, phi), frozenset(range(M.size)))
+    n_set = kernel_summand(ctx, m, smash(M, ctx.endos, m, phi))
     if n_set is None:
         raise AssertionError(f"decomposition failed for m={m}")
     return e, n_set
 
 
-def kernel_summand(ctx: ModuleContext, m: int, s: int, whole: frozenset[int]):
-    """N = {n : m.phi(n) = 0}, the kernel of s = smash(M, S, m, phi), if M = mR (+) N
-    (``whole`` is the set of all of M); None otherwise."""
-    n_set = ctx.endos.kernels[s]
-    return n_set if ctx.direct_sum(ctx.cyclic[m], n_set) == whole else None
+def kernel_summand(ctx: ModuleContext, m: int, s: int):
+    """N = {n : m.phi(n) = 0}, the kernel of s = smash(M, S, m, phi), if M = mR (+) N;
+    None otherwise.  Decided by sizes: |mR + N| = |mR|.|N| / |mR meet N|, so mR meet N = 0
+    and |mR|.|N| = |M| give mR + N = M.  Both are checked; neither is assumed."""
+    a_set, n_set = ctx.cyclic[m], ctx.endos.kernels[s]
+    split = len(a_set & n_set) == 1 and len(a_set) * len(n_set) == ctx.module.size
+    return n_set if split else None
 
 
 # -- hypotheses and pools -----------------------------------------------------------
@@ -148,16 +150,22 @@ def _mitsch_form(f_fixes_m1: bool, a_fixes_m1: bool):
 
 def _summands(ctx: ModuleContext, m1: int):
     """A = m1 R, and every distinct cyclic submodule as a candidate B."""
-    return (tuple(sorted(ctx.cyclic[m1])),), tuple(ctx.summands)
+    every, classes, _ = ctx.summands
+    return (every[classes[m1]],), every
 
 
 def _second_summand(ctx: ModuleContext, m1: int, pool) -> list[int]:
     """For each B, the m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an internal direct
-    sum.  Every d in B's class ds has dR = B, so the sum is decided once for the class."""
-    cyclic, add, A = ctx.cyclic, ctx.module.add[m1], ctx.cyclic[m1]
-    return [0 if (total := ctx.direct_sum(A, cyclic[next(bits(ds))])) is None
-            else sum(1 << add[d] for d in bits(ds) if cyclic[add[d]] == total)
-            for ds in map(ctx.summands.__getitem__, pool)]
+    sum, decided by sizes: m2 = m1 + d is kept iff |m2 R| = |m1 R|.|dR|.  With A = m1 R
+    and B = dR, m2.r = m1.r + d.r puts m2 R in A + B, and |A + B| = |A||B| / |A meet B|; so
+    the equation forces A meet B = 0 and m2 R = A + B, and a direct sum satisfies it, on
+    every finite module.  One pass over d puts each kept m2 in the class of dR."""
+    every, classes, sizes = ctx.summands
+    k, masks = sizes[m1], [0] * len(every)
+    for m2, c, size in zip(ctx.module.add[m1], classes, sizes):
+        if sizes[m2] == k * size:
+            masks[c] |= 1 << m2
+    return masks if pool is every else [masks[every.index(b)] for b in pool]
 
 
 # The clause parts of minus-idem and the star family, one tuple: where their pools agree,

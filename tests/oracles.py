@@ -103,6 +103,14 @@ def zm_over_zn_tables(m, n):
     return add, action
 
 
+def direct_sum_tables(a, b, n):
+    """Z_a (+) Z_b over Z_n, for a and b dividing n: (x, y) at index x*b + y."""
+    pairs = [divmod(i, b) for i in range(a * b)]
+    add = [[(x + u) % a * b + (y + v) % b for u, v in pairs] for x, y in pairs]
+    action = [[x * r % a * b + y * r % b for r in range(n)] for x, y in pairs]
+    return add, action
+
+
 def f2_power_tables(k):
     """F2^k over Z2: xor addition, action by 0/1."""
     n = 2 ** k

@@ -5,8 +5,8 @@ import pytest
 import modorder as mo
 from modorder import homs
 
-from oracles import (ORACLE_RINGS, brute_homs, f2_power_tables, klein_four_tables,
-                     zm_over_zn_tables)
+from oracles import (ORACLE_RINGS, brute_homs, direct_sum_tables, f2_power_tables,
+                     klein_four_tables, zm_over_zn_tables)
 
 
 def test_generating_set_cyclic():
@@ -279,14 +279,6 @@ def test_ring_module_homs_match_brute_force(factors):
     ring = mo.build_product(*map(mo.build_zn, factors))
     M = mo.build_ring_as_module(ring)
     assert mo.hom_group(M, M) == brute_homs(ring.add, ring.mul, ring.add, ring.mul, ring.size)
-
-
-def direct_sum_tables(a, b, n):
-    """Z_a (+) Z_b over Z_n, for a and b dividing n: (x, y) at index x*b + y."""
-    pairs = [divmod(i, b) for i in range(a * b)]
-    add = [[(x + u) % a * b + (y + v) % b for u, v in pairs] for x, y in pairs]
-    action = [[x * r % a * b + y * r % b for r in range(n)] for x, y in pairs]
-    return add, action
 
 
 @pytest.mark.parametrize("a,b,n,meets", [(4, 2, 4, True), (2, 4, 4, True), (4, 4, 4, False),

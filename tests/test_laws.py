@@ -129,15 +129,18 @@ def test_witness_constructions(corpus):
 
 @pytest.mark.parametrize("module,refused,element,checks", [
     ((10, 10), None, 0, 1), ((10, 10), 5, 5, 17), ((6, 30), 3, 3, 10)])
-def test_witness_constructions_report_a_failed_decomposition(module, refused, element, checks):
-    """A direct-sum memo that refuses every mR (+) N, or those with mR = refused R, fails
+def test_witness_constructions_report_a_failed_decomposition(module, refused, element, checks,
+                                                              monkeypatch):
+    """A kernel_summand that refuses every mR (+) N, or those with mR = refused R, fails
     the law at the first witness of the first such regular m."""
     ctx = mo.ModuleContext(mo.build_zm_over_zn(*module))
-    direct_sum = ctx.direct_sum
+    kernel_summand = orders.kernel_summand
 
-    def faulty(a, b):
-        return direct_sum(a, b) if refused is not None and a != ctx.cyclic[refused] else None
-    ctx.direct_sum = faulty
+    def faulty(ctx, m, s):
+        if refused is None or ctx.cyclic[m] == ctx.cyclic[refused]:
+            return None
+        return kernel_summand(ctx, m, s)
+    monkeypatch.setattr(orders, "kernel_summand", faulty)
     r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
     assert r.to_json() == {"law": "witness-constructions", "member": ctx.name,
                            "outcome": "fail", "checks": checks,

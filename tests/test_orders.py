@@ -3,10 +3,10 @@ import re
 import pytest
 
 import modorder as mo
-from modorder.orders import EQUIVALENT_FAMILY
+from modorder.orders import EQUIVALENT_FAMILY, kernel_summand
 
 from oracles import (ORACLE_RINGS, brute_dsum_rows, brute_homs, brute_minus_dual,
-                     is_direct_sum, is_submodule)
+                     direct_sum_tables, is_direct_sum, is_submodule)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -354,16 +354,24 @@ def test_minus_dual_matches_oracle_where_an_image_needs_two_generators():
 # cyclic benchmark draw holds.
 DSUM_MEMBERS = tuple(dict.fromkeys(("Z6/Z6", "Z10/Z10", "Z6/Z30", "Z2xZ3", "M2(Z2)",
                                      *ORACLE_RINGS, "Z40/Z40", "Z42/Z42", "Z44/Z44")))
+# Members beyond R_R and regular cyclic ones: Z4/Z8, Z8/Z8 and Z9/Z9 are not regular,
+# and F2^2 and the direct sums Za+Zb/Zn of oracles.direct_sum_tables are not cyclic
+# (Z4+Z2/Z4 and Z4+Z4/Z4 not regular either).
+DSUM_WIDE = ("Z4/Z8", "Z8/Z8", "Z9/Z9", "F2^2", "Z4+Z2/Z4", "Z2+Z6/Z6", "Z4+Z4/Z4",
+             "Z3+Z3/Z3")
 
 
 @pytest.fixture(scope="module")
-def dsum_members(corpus, oracle_contexts):
-    wide = {f"Z{n}/Z{n}": mo.ModuleContext(mo.build_zm_over_zn(n, n), f"Z{n}/Z{n}")
-            for n in (40, 42, 44)}
-    return {**corpus, **oracle_contexts, **wide}
+def dsum_members(corpus, oracle_contexts, klein_four):
+    cyclic = {f"Z{m}/Z{n}": mo.ModuleContext(mo.build_zm_over_zn(m, n), f"Z{m}/Z{n}")
+              for m, n in ((40, 40), (42, 42), (44, 44), (4, 8), (8, 8), (9, 9))}
+    sums = {f"Z{a}+Z{b}/Z{n}": mo.ModuleContext(mo.build_module_from_tables(
+                mo.build_zn(n), *direct_sum_tables(a, b, n), name=f"Z{a}+Z{b}/Z{n}"))
+            for a, b, n in ((4, 2, 4), (2, 6, 6), (4, 4, 4), (3, 3, 3))}
+    return {**corpus, **oracle_contexts, **cyclic, **sums, "F2^2": klein_four}
 
 
-@pytest.mark.parametrize("name", DSUM_MEMBERS)
+@pytest.mark.parametrize("name", DSUM_MEMBERS + DSUM_WIDE)
 def test_dsum_rows_match_oracle(dsum_members, name):
     ctx = dsum_members[name]
     assert mo.relation_matrix(ctx, "dsum").rows == brute_dsum_rows(ctx.module.add,
@@ -371,25 +379,17 @@ def test_dsum_rows_match_oracle(dsum_members, name):
 
 
 @pytest.mark.parametrize("name", DSUM_MEMBERS)
-def test_direct_sum_memo_matches_oracle(dsum_members, name, monkeypatch):
-    """ctx.direct_sum agrees with the definition on every pair of cyclic submodules and on
-    every pair the witness law asks: (mR, ker(x -> m.phi(x))) for each regular m and each
-    phi in M* with m = m.phi(m), its kernel read from the tables."""
+def test_kernel_summand_matches_oracle(dsum_members, name):
+    """For every m and every s in S, not only the witness pairs of the witness law,
+    kernel_summand gives ker s exactly when M = mR (+) ker s by the definition, with ker s
+    read from the tables."""
     ctx = dsum_members[name]
-    M, memo, asked = ctx.module, ctx.direct_sum, []
-    monkeypatch.setattr(ctx, "direct_sum", lambda a, b: asked.append((a, b)) or memo(a, b))
-    assert mo.check_witness_constructions(
-        ctx, mo.relation_matrix(ctx, "minus-idem")).outcome == "pass"
-    assert set(asked) == {
-        (frozenset(M.action[m]), frozenset(x for x in range(M.size)
-                                           if M.action[m][phi[x]] == M.zero))
-        for m in range(M.size) for phi in ctx.dual if M.action[m][phi[m]] == m}
-    cyclic = set(map(frozenset, M.action))
-    targets = cyclic | {frozenset(range(M.size))}
-    for a, b in set(asked) | {(a, b) for a in cyclic for b in cyclic}:
-        total = memo(a, b)
-        for target in (targets | {total}) - {None}:
-            assert (total == target) == is_direct_sum(M.add, M.zero, a, b, target), (a, b)
+    M, whole = ctx.module, range(ctx.module.size)
+    for s, t in enumerate(ctx.endos.maps):
+        kernel = {x for x in whole if t[x] == M.zero}
+        for m in whole:
+            split = is_direct_sum(M.add, M.zero, M.action[m], kernel, whole)
+            assert kernel_summand(ctx, m, s) == (kernel if split else None), (m, s)
 
 
 from hypothesis import given, settings, strategies as st
@@ -403,6 +403,24 @@ def test_minus_is_partial_order_on_any_zn_over_zn(n):
     report = mo.check_partial_order(mo.relation_matrix(ctx, "minus-dual"),
                                     mo.regular_set(ctx))
     assert report.outcome == "pass", report.counterexample
+
+
+@st.composite
+def _direct_sum_shapes(draw):
+    """(a, b, n) with a and b dividing n <= 12, and a*b within the module cap."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    a = draw(st.sampled_from(divisors))
+    return a, draw(st.sampled_from([b for b in divisors if a * b <= 64])), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(_direct_sum_shapes())
+def test_dsum_rows_match_oracle_on_direct_sums(shape):
+    """The size rows of dsum equal the definition on Za (+) Zb over Zn, cyclic or not."""
+    add, action = direct_sum_tables(*shape)
+    M = mo.build_module_from_tables(mo.build_zn(shape[2]), add, action)
+    assert mo.relation_matrix(mo.ModuleContext(M), "dsum").rows == brute_dsum_rows(add, action)
 
 
 def test_evaluate_rejects_bad_input(z6_over_z6):

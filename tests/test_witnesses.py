@@ -59,9 +59,12 @@ def test_answers_digest():
     assert h.hexdigest() == ANSWERS_SHA256
 
 
-def _tampered(ctx, w):
-    """Copies of a witness with one part swapped for a non-pool element or one flag flipped."""
-    S, R = ctx.endos, ctx.module.ring
+def _tampered(ctx, v):
+    """Copies of v's witness with one part swapped for a non-pool element or one flag
+    flipped; a direct-sum witness also with its second summand swapped for each other
+    class B' of the pool, which cannot cover m2, as only B = (m2 - m1)R can (a replay of
+    the part on the one-element pool (B',))."""
+    S, R, w = ctx.endos, ctx.module.ring, v.witness
     if isinstance(w, DualWitness):  # maps 0 to 1, so it is no functional
         yield w._replace(table=tuple((x + 1) % R.size for x in w.table))
     elif isinstance(w, IdemPair):
@@ -75,6 +78,11 @@ def _tampered(ctx, w):
     elif isinstance(w, DirectSumWitness):
         yield w._replace(first=w.second, second=w.first)
         yield w._replace(first=tuple(reversed(w.first)))
+        m1, m2 = v.operands
+        assert w.second == tuple(sorted(ctx.cyclic[ctx.module.sub(m2, m1)]))
+        pool = mo.direct_sum_le.pools(ctx, m1)[1]
+        assert w.second in pool and len(pool) > 1
+        yield from (w._replace(second=b) for b in pool if b != w.second)
     else:
         raise AssertionError(f"no tampering for {w!r}")
 
@@ -85,7 +93,7 @@ def test_replay_rejects_tampered_module_witnesses(z6_over_z30):
     verdicts.append(mo.is_regular_element(ctx, 2))
     for v in verdicts:
         assert v.holds and mo.revalidate(ctx, v), v.relation
-        for w in _tampered(ctx, v.witness):
+        for w in _tampered(ctx, v):
             assert not mo.revalidate(ctx, v._replace(witness=w)), (v.relation, w)
         assert not mo.revalidate(ctx, v._replace(hypothesis_ok=not v.hypothesis_ok))
 
