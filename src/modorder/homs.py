@@ -182,12 +182,7 @@ class EndoRing(FiniteRing):
         """R_R: the ring's ``family`` at f(1), indexed by f, as f is x -> f(1)x; else None."""
         R = self.module.ring
         return (tuple(getattr(R, family)[t[R.one]] for t in self.maps)
-                if self.module.action is R.mul else None)
-
-    @cached_property
-    def images(self) -> tuple[frozenset[int], ...]:
-        """fM, indexed by f (R_R: the ring's right_ideals of f(1))."""
-        return self._at_one("right_ideals") or tuple(frozenset(t) for t in self.maps)
+                if self.module.is_ring_as_module() else None)
 
     @cached_property
     def kernels(self) -> tuple[frozenset[int], ...]:
@@ -232,10 +227,10 @@ def dual_as_module(M: FiniteModule) -> FiniteModule:
 class ModuleContext:
     """One module together with its lazily computed dual and endomorphism ring.
 
-    Also memoizes the element-indexed families (annihilators, cyclic
-    submodules, orbits, multiples) and the mask of regular elements that every
-    order relation keeps probing.  Contexts are cheap to create; the heavy parts
-    build on first use and are immutable afterwards.
+    Also memoizes the element-indexed families (annihilators, cyclic submodules, the
+    fibre masks of M*) and the mask of regular elements that every order relation keeps
+    probing.  Contexts are cheap to create; the heavy parts build on first use and are
+    immutable afterwards.
     """
 
     def __init__(self, module: FiniteModule, name: str | None = None,
@@ -251,7 +246,7 @@ class ModuleContext:
     def ring_module(self) -> FiniteModule:
         """R_R: the module itself where it is R_R, so that M* and End(M) are one search."""
         M = self.module
-        return M if M.action is M.ring.mul else build_ring_as_module(M.ring)
+        return M if M.is_ring_as_module() else build_ring_as_module(M.ring)
 
     @cached_property
     def dual(self) -> tuple[tuple[int, ...], ...]:
@@ -290,7 +285,7 @@ class ModuleContext:
         """r_R(m) = {r in R : m.r = 0}, the right annihilator in R, indexed by m (R_R: the
         ring's right_anns)."""
         M = self.module
-        return (M.ring.right_anns if M.action is M.ring.mul
+        return (M.ring.right_anns if M.is_ring_as_module()
                 else tuple(right_ann(M, m) for m in range(M.size)))
 
     @cached_property
@@ -302,7 +297,7 @@ class ModuleContext:
         masks along the action's column t(g), ANDed column by column."""
         M, R, cols = self.module, self.module.ring, self.module.column_preimages
         gens, by_column = generating_set(M) or [M.zero], list(zip(*M.action))
-        pres = (tuple(R.row_preimages[t[R.one]] for t in self.dual) if M.action is R.mul
+        pres = (tuple(R.row_preimages[t[R.one]] for t in self.dual) if M.is_ring_as_module()
                 else preimage_masks(self.dual, R.size))  # R_R: t is x -> t(1)x
         return {t: (pre, tuple(reduce(partial(map, and_), [
                     list(map(cols[t[g]].__getitem__, by_column[t[g]])) for g in gens])))
@@ -321,19 +316,3 @@ class ModuleContext:
         for cyc in self.cyclic:
             classes.append(first.setdefault(cyc, len(first)))
         return (tuple(tuple(sorted(cyc)) for cyc in first), classes, list(map(len, self.cyclic)))
-
-    @cached_property
-    def orbits(self) -> tuple[frozenset[int], ...]:
-        """Sm = {f(m) : f in S}, indexed by m: additive subgroups, not submodules (R_R: Rm,
-        the ring's left_ideals)."""
-        M = self.module
-        return (M.ring.left_ideals if M.action is M.ring.mul
-                else tuple(frozenset(col) for col in zip(*self.endos.maps)))
-
-    @cached_property
-    def multiples(self) -> tuple[frozenset[int], ...]:
-        """Ma = {x.a : x in M}, indexed by a in R: additive subgroups, not submodules (R_R:
-        the ring's left_ideals)."""
-        M = self.module
-        return (M.ring.left_ideals if M.action is M.ring.mul
-                else tuple(frozenset(col) for col in zip(*M.action)))

@@ -294,7 +294,8 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
     reg_dom = orders.regular_set(ctx)
     n, R = ctx.module.size, ctx.module.ring
 
-    def matrix(tag):  # a matrix that several laws read, built once
+    def matrix(tag):  # one object for a matrix several laws read: ctx.rows keeps the rows,
+        # and this saves re-keying them, which hashes row 0's pools (minus-dual: all of M*)
         if tag not in shared:
             shared[tag] = relation_matrix(ctx, tag)
         return shared[tag]
@@ -321,10 +322,9 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
                                   (ctx.regular, (1 << n) - 1)))
     for tag in ("minus-relaxed", "minus-image", "jones", "mitsch", "gb"):
         law(f"equiv/minus-dual~{tag}", lambda: regular and check_equivalence(
-            matrix("minus-dual"), matrix(tag) if tag == "mitsch" else relation_matrix(ctx, tag)))
+            matrix("minus-dual"), matrix(tag)))
     law("equiv/mitsch~mitsch-sym",
         lambda: check_equivalence(matrix("mitsch"), relation_matrix(ctx, "mitsch-sym")))
-    shared.pop("mitsch", None)  # peak memory counts the matrices alive at once
     law("equiv/minus-dual~dsum",
         lambda: check_equivalence(matrix("minus-dual"), relation_matrix(ctx, "dsum"),
                                   (ctx.regular, ctx.regular)))

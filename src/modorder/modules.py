@@ -47,8 +47,8 @@ class FiniteModule:
         self.size, self.name = len(add), name or f"module{len(add)}"
 
     def is_ring_as_module(self) -> bool:
-        """Whether this is R_R: its tables are its ring's own add and mul."""
-        return self.add == self.ring.add and self.action == self.ring.mul
+        """Whether this is R_R (__init__ installs the ring's own tables when they are equal)."""
+        return self.action is self.ring.mul
 
     def validate(self):
         """Check every module law where an additive generator of M or R is involved, as
@@ -72,7 +72,7 @@ class FiniteModule:
     @cached_property
     def column_preimages(self) -> tuple[tuple[int, ...], ...]:
         """The mask of {x : x.r = v}, indexed by r in R, then v in M (R_R: the ring's)."""
-        if self.action is self.ring.mul:
+        if self.is_ring_as_module():
             return self.ring.column_preimages
         return preimage_masks(zip(*self.action), self.size)
 

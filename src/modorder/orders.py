@@ -7,6 +7,8 @@ verified by the law suite, never assumed here.  The same parts drive the
 decision of one query (:func:`evaluate`) or one matrix row
 (``laws.relation_matrix``), the witness search (the first hit of each pool,
 so verdicts are deterministic) and the witness replay (:func:`revalidate`).
+A clause may be decided by an identity proved beside it (``dsum`` by sizes, the image and
+relaxed gates by fibre bits), its set definition then kept as a test oracle.
 
 Theorem-hypothesis violations (a non-regular operand where the
 characterization assumes regularity) do not abort: the raw existential is
@@ -16,7 +18,7 @@ still decided and the verdict carries ``hypothesis_ok=False``.
 from __future__ import annotations
 
 from functools import partial
-from operator import eq, ge, le
+from operator import eq, getitem
 
 from .homs import ModuleContext, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
@@ -125,15 +127,13 @@ def _fibre_form(f_gate, a_gate):
     return f_part, a_part
 
 
-def _annihilator_form(same):
-    """l_S(f) ~ l_S(m1) and r_R(a) ~ r_R(m1), for ~ equality or (relaxed) inclusion."""
-    return _fibre_form(lambda ctx, m1: (same, ctx.endos.left_anns, ctx.l_S[m1]),
-                       lambda ctx, m1: (same, ctx.module.ring.right_anns, ctx.r_R[m1]))
-
-
-# The image form: m1 R <= f M and S m1 <= M a replace the annihilator gates.
-_image_form = _fibre_form(lambda ctx, m1: (ge, ctx.endos.images, ctx.cyclic[m1]),
-                          lambda ctx, m1: (ge, ctx.multiples, ctx.orbits[m1]))
+# The image form, m1 R <= f M and S m1 <= M a, gated by one fibre bit each.  fM is a
+# submodule, as f(x).r = f(x.r), and m1 is in m1 R (M is unital), so m1 R <= fM iff m1 is
+# in fM, iff S.preimages[f][m1] != 0.  Ma is an S-submodule, as f(x.a) = f(x).a and
+# x.a + y.a = (x + y).a, and m1 = id(m1) is in S m1, so S m1 <= Ma iff m1 is in Ma, iff
+# M.column_preimages[a][m1] != 0.  Neither step needs regularity or idempotents.
+_image_form = _fibre_form(lambda ctx, m1: (getitem, ctx.endos.preimages, m1),
+                          lambda ctx, m1: (getitem, ctx.module.column_preimages, m1))
 
 
 def _mitsch_form(f_fixes_m1: bool, a_fixes_m1: bool):
@@ -168,9 +168,17 @@ def _second_summand(ctx: ModuleContext, m1: int, pool) -> list[int]:
     return masks if pool is every else [masks[every.index(b)] for b in pool]
 
 
-# The clause parts of minus-idem and the star family, one tuple: where their pools agree,
-# laws.relation_matrix builds their rows once.
-_IDEMPOTENT_PARTS = _annihilator_form(eq)
+# The clause parts of minus-idem and the star family, l_S(f) = l_S(m1) and r_R(a) =
+# r_R(m1), one tuple: where their pools agree, laws.relation_matrix builds their rows once.
+_IDEMPOTENT_PARTS = _fibre_form(lambda ctx, m1: (eq, ctx.endos.left_anns, ctx.l_S[m1]),
+                                lambda ctx, m1: (eq, ctx.module.ring.right_anns, ctx.r_R[m1]))
+
+# The relaxed form, l_S(f) <= l_S(m1) and r_R(a) <= r_R(m1), over idempotent f and a, is
+# mitsch-sym's parts.  For idempotent f, l_S(f) = S(1 - f), and l_S(m1) is a left ideal
+# of S, so the inclusion holds iff (1 - f)(m1) = 0, iff f(m1) = m1; and then the fibre
+# of f at f(m1) is the fibre at m1.  For idempotent a, r_R(a) = (1 - a)R, and r_R(m1) is
+# a right ideal, so the inclusion holds iff m1.a = m1.
+_FIXING = _mitsch_form(True, True)
 
 
 def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relation:
@@ -191,17 +199,14 @@ def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relati
 
 # The minus order, three more characterizations.
 minus_le_idem = _idempotent_form("minus-idem", False, False)
-minus_le_relaxed = Relation("minus-relaxed", _idempotents, _annihilator_form(le),
-                            IdemPair, _module_regular)
-minus_le_image = Relation("minus-image", _idempotents, _image_form, IdemPair,
-                          _module_regular)
+minus_le_relaxed = Relation("minus-relaxed", _idempotents, _FIXING, IdemPair, _module_regular)
+minus_le_image = Relation("minus-image", _idempotents, _image_form, IdemPair, _module_regular)
 # Jones / Mitsch style and the direct-sum order.
 jones_le = Relation("jones", _idempotents, _mitsch_form(False, False), IdemPair,
                     _module_regular)
 mitsch_le = Relation("mitsch", _everything, _mitsch_form(True, False), MapPair,
                      _module_regular)
-mitsch_le_sym = Relation("mitsch-sym", _everything, _mitsch_form(True, True), MapPair,
-                         _module_regular)
+mitsch_le_sym = Relation("mitsch-sym", _everything, _FIXING, MapPair, _module_regular)
 corollary_gb_le = Relation("gb", _everything, _mitsch_form(False, True), MapPair,
                            _module_regular)
 direct_sum_le = Relation("dsum", _summands, (lambda ctx, m1, pool: [-1] * len(pool),

@@ -4,7 +4,9 @@ Everything here works on raw tables and full enumeration; nothing imports
 the enumeration or search code under test.
 """
 
+from functools import reduce
 from itertools import product
+from operator import or_
 
 # Rings whose R_R the tests check against oracles: the Boolean ring Z2^6, two products
 # that are not von Neumann regular, and M2(Z2), which is not commutative.
@@ -67,6 +69,61 @@ def brute_dsum_rows(add, action):
                 for d in range(n) if add[m1][d] == m2  # d = m2 - m1
                 if is_direct_sum(add, zero, cyclic[m1], cyclic[d], cyclic[m2]))
             for m1 in range(n)]
+
+
+def _idempotent_parts(action, mul, maps, f_gate, a_gate):
+    """For each m1: for each idempotent f of S (an index into ``maps``, the value tables
+    of End(M)) the mask of the m2 with f m1 = f m2 if f_gate(m1, f) holds, else 0; and for
+    each idempotent a of R the mask of the m2 with m1 a = m2 a if a_gate(m1, a), else 0."""
+    n = len(action)
+    f_pool = [f for f, t in enumerate(maps) if all(t[t[x]] == t[x] for x in range(n))]
+    a_pool = [a for a in range(len(mul)) if mul[a][a] == a]
+
+    def fibre(m1, value):  # the mask of the m2 with value(m2) = value(m1)
+        return sum(1 << m2 for m2 in range(n) if value(m2) == value(m1))
+    return [({f: fibre(m1, maps[f].__getitem__) if f_gate(m1, f) else 0 for f in f_pool},
+             {a: fibre(m1, lambda m: action[m][a]) if a_gate(m1, a) else 0 for a in a_pool})
+            for m1 in range(n)]
+
+
+def image_parts(action, mul, maps):
+    """minus-image's parts by their set definitions: m1R <= fM and Sm1 <= Ma."""
+    images = [set(t) for t in maps]
+    multiples = [{row[a] for row in action} for a in range(len(mul))]
+    return _idempotent_parts(action, mul, maps, lambda m1, f: set(action[m1]) <= images[f],
+                             lambda m1, a: {t[m1] for t in maps} <= multiples[a])
+
+
+def relaxed_parts(add, action, mul, maps):
+    """minus-relaxed's parts by their set definitions: l_S(f) <= l_S(m1), with l_S(f) the
+    g of S with g f = 0, that is, with fM in ker g; and r_R(a) <= r_R(m1)."""
+    n = len(action)
+    zero = next(e for e in range(n) if all(add[e][x] == x for x in range(n)))
+    rzero = next(r for r, row in enumerate(mul) if all(v == r for v in row))  # r.s = r
+    kernels = [{x for x in range(n) if g[x] == zero} for g in maps]
+    l_f = [{g for g, ker in enumerate(kernels) if set(t) <= ker} for t in maps]
+    r_a = [{r for r, v in enumerate(row) if v == rzero} for row in mul]
+    l_m = [{g for g, t in enumerate(maps) if t[m] == zero} for m in range(n)]
+    r_m = [{r for r, v in enumerate(row) if v == zero} for row in action]
+    return _idempotent_parts(action, mul, maps, lambda m1, f: l_f[f] <= l_m[m1],
+                             lambda m1, a: r_a[a] <= r_m[m1])
+
+
+def _rows(parts):
+    return [reduce(or_, f_parts.values(), 0) & reduce(or_, a_parts.values(), 0)
+            for f_parts, a_parts in parts]
+
+
+def brute_image_rows(action, mul, maps):
+    """For each m1, the mask of the m2 with some idempotent pair (f, a) of S and R such
+    that m1R <= fM, Sm1 <= Ma, f m1 = f m2 and m1 a = m2 a."""
+    return _rows(image_parts(action, mul, maps))
+
+
+def brute_relaxed_rows(add, action, mul, maps):
+    """For each m1, the mask of the m2 with some idempotent pair (f, a) of S and R such
+    that l_S(f) <= l_S(m1), r_R(a) <= r_R(m1), f m1 = f m2 and m1 a = m2 a."""
+    return _rows(relaxed_parts(add, action, mul, maps))
 
 
 def vn_regular_mask(mul):

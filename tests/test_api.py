@@ -1,7 +1,10 @@
 """The public names of the package root, pinned: removing or adding one is a decision
-that edits this list (and CHANGES.md lists every removal)."""
+that edits this list (and CHANGES.md lists every removal).  And no dead code in src/: no
+unused import, no module-level private name that nothing reads."""
 
+import ast
 import types
+from pathlib import Path
 
 import modorder as mo
 
@@ -31,3 +34,63 @@ def test_public_names_of_package_root():
     names = sorted(name for name, value in vars(mo).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+SRC = Path(mo.__file__).parent
+IMPORTS = (ast.Import, ast.ImportFrom)
+
+
+def _trees():
+    """Each module of src/modorder by stem: its syntax tree and its lines."""
+    return {path.stem: (ast.parse(text := path.read_text()), text.splitlines())
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(tree):
+    """Each module-level name that tree binds, with the statements that bind it."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.setdefault(node.name, []).append(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for target in targets for n in ast.walk(target)):
+                if isinstance(name, ast.Name):
+                    bound.setdefault(name.id, []).append(node)
+    return bound
+
+
+def _reads(nodes):
+    """The names read in nodes: loaded names, attributes and names imported elsewhere."""
+    found = set()
+    for n in (n for node in nodes for n in ast.walk(node)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def test_src_has_no_unused_imports_or_unread_private_names():
+    """Every import outside __init__.py's re-exports is read in its module (a line marked
+    noqa keeps a binding that others wrap), and every module-level private name is read
+    somewhere in src/ outside the statements that define it."""
+    trees, unused = _trees(), []
+    for stem, (tree, lines) in trees.items():
+        read = _reads(node for node in tree.body if not isinstance(node, IMPORTS))
+        for node in tree.body:
+            if (stem == "__init__" or not isinstance(node, IMPORTS)
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa" in lines[node.lineno - 1]):
+                continue
+            unused += [f"{stem}: import {alias.name}" for alias in node.names
+                       if (alias.asname or alias.name).split(".")[0] not in read]
+    statements = [(node, _reads([node])) for tree, _ in trees.values() for node in tree.body]
+    for stem, (tree, _) in trees.items():
+        for name, nodes in _definitions(tree).items():
+            if name.startswith("_") and not name.startswith("__") and not any(
+                    name in read for node, read in statements if node not in nodes):
+                unused.append(f"{stem}: {name} is never read")
+    assert unused == []

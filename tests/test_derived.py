@@ -93,6 +93,23 @@ def test_derived_modules_and_endo_rings_match_the_validated_path():
             S.validate()
 
 
+def test_ring_as_module_holds_exactly_when_the_tables_are_the_rings():
+    """is_ring_as_module() is one identity test, as __init__ installs the ring's own tables
+    whenever the given ones equal them: R_R built directly, as Z6/Z6, from a tables spec,
+    and relabelled (by the identity, and by a shift) through the validated path."""
+    R, z6 = _ring("Z2xZ4"), mo.build_zn(6)
+    spec = {"kind": "tables", "name": "Z6", "ring": {"kind": "Zn", "n": 6},
+            "add": [list(row) for row in z6.add], "action": [list(row) for row in z6.mul]}
+    ident, shift = list(range(R.size)), [(x + 1) % R.size for x in range(R.size)]
+    modules = [mo.build_ring_as_module(R), mo.build_zm_over_zn(6, 6),
+               mo.build_zm_over_zn(3, 6), mo.module_from_spec(spec)]
+    modules += [mo.build_module_from_tables(R, relabel(R.add, s, s, s),
+                                            relabel(R.mul, s, ident, s)) for s in (ident, shift)]
+    assert [M.is_ring_as_module() for M in modules] == [True, True, False, True, True, False]
+    for M in modules:
+        assert M.is_ring_as_module() == (M.add == M.ring.add and M.action == M.ring.mul)
+
+
 # -- answers do not depend on index order ---------------------------------------------
 
 INVARIANCE_MEMBERS = ("Z6/Z30", "Z4/Z8", "Z2xZ4", "Z3xZ9", "M2(Z2)")

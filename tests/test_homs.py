@@ -176,18 +176,6 @@ def test_context_families_match_definitions(corpus, klein_four):
             assert ctx.l_S[m] == {f for f in range(S.size) if S.maps[f][m] == M.zero}
             assert ctx.r_R[m] == {r for r in range(R.size) if M.action[m][r] == M.zero}
             assert ctx.cyclic[m] == {M.action[m][r] for r in range(R.size)}
-            assert ctx.orbits[m] == {S.maps[f][m] for f in range(S.size)}
-        for a in range(R.size):
-            assert ctx.multiples[a] == {M.action[x][a] for x in range(M.size)}
-        for f in range(S.size):
-            assert S.images[f] == {S.maps[f][x] for x in range(M.size)}
-
-
-def test_image_orbit_and_times(z6_over_z30):
-    assert z6_over_z30.orbits[1] == frozenset(range(6))
-    assert z6_over_z30.multiples[0] == {0}
-    assert z6_over_z30.multiples[5] == frozenset(range(6))
-    assert z6_over_z30.endos.images[z6_over_z30.endos.zero] == {0}
 
 
 def test_is_hom_reference_check():

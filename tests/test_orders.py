@@ -1,12 +1,15 @@
 import re
+from math import gcd
 
 import pytest
 
 import modorder as mo
 from modorder.orders import EQUIVALENT_FAMILY, kernel_summand
+from modorder.rings import MAX_RING_SIZE
 
-from oracles import (ORACLE_RINGS, brute_dsum_rows, brute_homs, brute_minus_dual,
-                     direct_sum_tables, is_direct_sum, is_submodule)
+from oracles import (ORACLE_RINGS, brute_dsum_rows, brute_homs, brute_image_rows,
+                     brute_minus_dual, brute_relaxed_rows, direct_sum_tables, is_direct_sum,
+                     is_submodule)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -378,6 +381,29 @@ def test_dsum_rows_match_oracle(dsum_members, name):
                                                                     ctx.module.action)
 
 
+def _image_and_relaxed(ctx):
+    """minus-image's and minus-relaxed's rows, each with its set definition's rows."""
+    M, maps = ctx.module, ctx.endos.maps
+    return ((mo.relation_matrix(ctx, "minus-image").rows,
+             brute_image_rows(M.action, M.ring.mul, maps)),
+            (mo.relation_matrix(ctx, "minus-relaxed").rows,
+             brute_relaxed_rows(M.add, M.action, M.ring.mul, maps)))
+
+
+@pytest.mark.parametrize("name", DSUM_MEMBERS + DSUM_WIDE)
+def test_image_and_relaxed_rows_match_oracle(dsum_members, name):
+    """The fibre-bit gates give the rows of the set definitions m1R <= fM, Sm1 <= Ma and
+    l_S(f) <= l_S(m1), r_R(a) <= r_R(m1), on members that are not regular, not cyclic, or
+    (F2^2, M2(Z2)) have a noncommutative S."""
+    for rows, oracle in _image_and_relaxed(dsum_members[name]):
+        assert rows == oracle
+
+
+def test_relaxed_form_reads_mitsch_sym_parts():
+    """For idempotent f and a the relaxed gates are f m1 = m1 and m1 a = m1."""
+    assert mo.minus_le_relaxed.parts is mo.mitsch_le_sym.parts
+
+
 @pytest.mark.parametrize("name", DSUM_MEMBERS)
 def test_kernel_summand_matches_oracle(dsum_members, name):
     """For every m and every s in S, not only the witness pairs of the witness law,
@@ -421,6 +447,16 @@ def test_dsum_rows_match_oracle_on_direct_sums(shape):
     add, action = direct_sum_tables(*shape)
     M = mo.build_module_from_tables(mo.build_zn(shape[2]), add, action)
     assert mo.relation_matrix(mo.ModuleContext(M), "dsum").rows == brute_dsum_rows(add, action)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_direct_sum_shapes().filter(  # |End(Za (+) Zb)| = ab gcd(a, b)^2 within the cap on S
+    lambda shape: shape[0] * shape[1] * gcd(*shape[:2]) ** 2 <= MAX_RING_SIZE))
+def test_image_and_relaxed_rows_match_oracle_on_direct_sums(shape):
+    add, action = direct_sum_tables(*shape)
+    M = mo.build_module_from_tables(mo.build_zn(shape[2]), add, action)
+    for rows, oracle in _image_and_relaxed(mo.ModuleContext(M)):
+        assert rows == oracle
 
 
 def test_evaluate_rejects_bad_input(z6_over_z6):

@@ -4,7 +4,7 @@ shared object still equals its own definition.
 - A commutative ring's left annihilators, left ideals and column preimages are its right
   ones, as the same objects; a noncommutative ring keeps both sides.
 - R_R is its own ring module, so M* and End(M) read one Hom(M, M) search, and its r_R,
-  multiples, orbits, fibre masks and S's images and kernels are the ring's families.
+  fibre masks and S's kernels are the ring's families.
 - minus-idem and the three star orders share one clause-parts tuple, and their rows are
   built once per (parts, pools).
 """
@@ -111,26 +111,20 @@ def test_module_over_larger_ring_searches_twice(monkeypatch):
 def test_ring_module_families_are_the_rings():
     for ctx in _ring_module_contexts():
         M, R, S = ctx.module, ctx.module.ring, ctx.endos
-        assert ctx.r_R is R.right_anns and ctx.multiples is R.left_ideals
+        assert ctx.r_R is R.right_anns
         assert ctx.r_R == tuple(mo.right_ann(M, m) for m in range(M.size))
-        assert ctx.multiples == tuple(frozenset(M.action[x][a] for x in range(M.size))
-                                      for a in range(R.size))
         assert S.preimages == preimage_masks(S.maps, M.size), ctx.name
 
 
-def test_ring_module_images_kernels_orbits_are_the_rings():
-    """R_R: fM = f(1)R, ker f = r(f(1)) and Sm = Rm, as the ring's own frozensets, each
-    equal to its definition from S.maps."""
+def test_ring_module_kernels_are_the_rings():
+    """R_R: ker f = r(f(1)), as the ring's own frozensets, equal to its definition from
+    S.maps."""
     for ctx in _ring_module_contexts():
         M, R, S = ctx.module, ctx.module.ring, ctx.endos
-        at_one = [f[R.one] for f in S.maps]
-        assert all(S.images[i] is R.right_ideals[a] and S.kernels[i] is R.right_anns[a]
-                   for i, a in enumerate(at_one)), ctx.name
-        assert ctx.orbits is R.left_ideals
-        assert S.images == tuple(frozenset(f) for f in S.maps)
+        assert all(S.kernels[i] is R.right_anns[f[R.one]]
+                   for i, f in enumerate(S.maps)), ctx.name
         assert S.kernels == tuple(frozenset(x for x in range(M.size) if f[x] == M.zero)
                                   for f in S.maps)
-        assert ctx.orbits == tuple(frozenset(f[m] for f in S.maps) for m in range(M.size))
 
 
 def _small_contexts():

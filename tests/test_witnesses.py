@@ -11,6 +11,8 @@ from modorder.rings import RING_RELATIONS, revalidate_ring
 from modorder.verdicts import (AnnihPair, DirectSumWitness, DualWitness, IdemPair,
                                InnerInverse, MapPair, OrderVerdict)
 
+from oracles import image_parts, relaxed_parts
+
 TAGS = ("minus-dual", "minus-idem", "minus-relaxed", "minus-image", "jones", "mitsch",
         "mitsch-sym", "gb", "dsum", "rstar", "lstar", "star")
 
@@ -59,12 +61,25 @@ def test_answers_digest():
     assert h.hexdigest() == ANSWERS_SHA256
 
 
+def _definitional_parts(ctx, tag):
+    """The clause parts of minus-image or minus-relaxed by their set definitions, for each
+    m1 (a dict by pool element for f and one for a); None for any other relation."""
+    M, maps = ctx.module, ctx.endos.maps
+    if tag == "minus-image":
+        return image_parts(M.action, M.ring.mul, maps)
+    if tag == "minus-relaxed":
+        return relaxed_parts(M.add, M.action, M.ring.mul, maps)
+    return None
+
+
 def _tampered(ctx, v):
     """Copies of v's witness with one part swapped for a non-pool element or one flag
-    flipped; a direct-sum witness also with its second summand swapped for each other
-    class B' of the pool, which cannot cover m2, as only B = (m2 - m1)R can (a replay of
-    the part on the one-element pool (B',))."""
-    S, R, w = ctx.endos, ctx.module.ring, v.witness
+    flipped; a minus-image or minus-relaxed witness also with f, and separately a, swapped
+    for each other pool element whose part misses m2 by the set definition; a direct-sum
+    witness also with its second summand swapped for each other class B' of the pool,
+    which cannot cover m2, as only B = (m2 - m1)R can (a replay of the part on the
+    one-element pool (B',))."""
+    S, R, w, (m1, m2) = ctx.endos, ctx.module.ring, v.witness, v.operands
     if isinstance(w, DualWitness):  # maps 0 to 1, so it is no functional
         yield w._replace(table=tuple((x + 1) % R.size for x in w.table))
     elif isinstance(w, IdemPair):
@@ -72,13 +87,17 @@ def _tampered(ctx, v):
         yield w._replace(a=next(a for a in range(R.size) if R.mul[a][a] != a))
         yield w._replace(f_projection=not w.f_projection)
         yield w._replace(a_projection=not w.a_projection)
+        if (parts := _definitional_parts(ctx, v.relation)) is not None:
+            f_parts, a_parts = parts[m1]
+            assert f_parts[w.f] >> m2 & 1 and a_parts[w.a] >> m2 & 1
+            yield from (w._replace(f=f) for f, mask in f_parts.items() if not mask >> m2 & 1)
+            yield from (w._replace(a=a) for a, mask in a_parts.items() if not mask >> m2 & 1)
     elif isinstance(w, MapPair):
         yield w._replace(f=S.size)
         yield w._replace(a=R.size)
     elif isinstance(w, DirectSumWitness):
         yield w._replace(first=w.second, second=w.first)
         yield w._replace(first=tuple(reversed(w.first)))
-        m1, m2 = v.operands
         assert w.second == tuple(sorted(ctx.cyclic[ctx.module.sub(m2, m1)]))
         pool = mo.direct_sum_le.pools(ctx, m1)[1]
         assert w.second in pool and len(pool) > 1
@@ -93,7 +112,10 @@ def test_replay_rejects_tampered_module_witnesses(z6_over_z30):
     verdicts.append(mo.is_regular_element(ctx, 2))
     for v in verdicts:
         assert v.holds and mo.revalidate(ctx, v), v.relation
-        for w in _tampered(ctx, v):
+        tampered = list(_tampered(ctx, v))
+        if v.relation in ("minus-image", "minus-relaxed"):  # f in {0, 1, 3}, six values of a
+            assert len(tampered) == 4 + 3 + 6, v.relation
+        for w in tampered:
             assert not mo.revalidate(ctx, v._replace(witness=w)), (v.relation, w)
         assert not mo.revalidate(ctx, v._replace(hypothesis_ok=not v.hypothesis_ok))
 
