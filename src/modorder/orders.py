@@ -7,8 +7,9 @@ verified by the law suite, never assumed here.  The same parts drive the
 decision of one query (:func:`evaluate`) or one matrix row
 (``laws.relation_matrix``), the witness search (the first hit of each pool,
 so verdicts are deterministic) and the witness replay (:func:`revalidate`).
-A clause may be decided by an identity proved beside it (``dsum`` by sizes, the image and
-relaxed gates by fibre bits), its set definition then kept as a test oracle.
+A clause may be decided by an identity proved beside it (``dsum`` by sizes, the image
+gates by fibre bits, the relaxed gates by the Jones clauses), its set definition then
+kept as a test oracle.
 
 Theorem-hypothesis violations (a non-regular operand where the
 characterization assumes regularity) do not abort: the raw existential is
@@ -173,12 +174,12 @@ def _second_summand(ctx: ModuleContext, m1: int, pool) -> list[int]:
 _IDEMPOTENT_PARTS = _fibre_form(lambda ctx, m1: (eq, ctx.endos.left_anns, ctx.l_S[m1]),
                                 lambda ctx, m1: (eq, ctx.module.ring.right_anns, ctx.r_R[m1]))
 
-# The relaxed form, l_S(f) <= l_S(m1) and r_R(a) <= r_R(m1), over idempotent f and a, is
-# mitsch-sym's parts.  For idempotent f, l_S(f) = S(1 - f), and l_S(m1) is a left ideal
-# of S, so the inclusion holds iff (1 - f)(m1) = 0, iff f(m1) = m1; and then the fibre
-# of f at f(m1) is the fibre at m1.  For idempotent a, r_R(a) = (1 - a)R, and r_R(m1) is
-# a right ideal, so the inclusion holds iff m1.a = m1.
-_FIXING = _mitsch_form(True, True)
+# The Jones form, m1 = f m2 = m2 a, over idempotent f and a.  It gives f m1 = f f m2 = f m2 =
+# m1 and m1 a = m2 a a = m2 a = m1, so a part that also asks for those (mitsch-sym's) has the
+# same masks on these pools.  The relaxed form, l_S(f) <= l_S(m1) and r_R(a) <= r_R(m1), asks
+# just that: as l_S(f) = S(1 - f) and l_S(m1) is a left ideal, it holds iff (1 - f)(m1) = 0,
+# iff f m1 = m1, and as r_R(a) = (1 - a)R, iff m1 a = m1.  So both read one parts tuple.
+_JONES = _mitsch_form(False, False)
 
 
 def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relation:
@@ -199,14 +200,14 @@ def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relati
 
 # The minus order, three more characterizations.
 minus_le_idem = _idempotent_form("minus-idem", False, False)
-minus_le_relaxed = Relation("minus-relaxed", _idempotents, _FIXING, IdemPair, _module_regular)
+minus_le_relaxed = Relation("minus-relaxed", _idempotents, _JONES, IdemPair, _module_regular)
 minus_le_image = Relation("minus-image", _idempotents, _image_form, IdemPair, _module_regular)
 # Jones / Mitsch style and the direct-sum order.
-jones_le = Relation("jones", _idempotents, _mitsch_form(False, False), IdemPair,
-                    _module_regular)
+jones_le = Relation("jones", _idempotents, _JONES, IdemPair, _module_regular)
 mitsch_le = Relation("mitsch", _everything, _mitsch_form(True, False), MapPair,
                      _module_regular)
-mitsch_le_sym = Relation("mitsch-sym", _everything, _FIXING, MapPair, _module_regular)
+mitsch_le_sym = Relation("mitsch-sym", _everything, _mitsch_form(True, True), MapPair,
+                         _module_regular)
 corollary_gb_le = Relation("gb", _everything, _mitsch_form(False, True), MapPair,
                            _module_regular)
 direct_sum_le = Relation("dsum", _summands, (lambda ctx, m1, pool: [-1] * len(pool),

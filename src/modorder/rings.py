@@ -389,9 +389,10 @@ class RickartCert(NamedTuple):
 
 
 def _rickart_cert(ring: FiniteRing, gens) -> RickartCert:
-    # the first e of gens with eR = I, and with Re = I, by the ideal I
-    first_right = {ring.right_ideals[e]: e for e in reversed(gens)}
-    first_left = {ring.left_ideals[e]: e for e in reversed(gens)}
+    # the first e of gens with eR = I, and with Re = I, by the ideal I, built at gens only
+    first_right = {frozenset(ring.mul[e]): e for e in reversed(gens)}
+    first_left = first_right if ring.is_commutative() else {
+        frozenset(row[e] for row in ring.mul): e for e in reversed(gens)}
     witnesses = {}
     for a in range(ring.size):
         p, q = first_right.get(ring.right_anns[a]), first_left.get(ring.left_anns[a])

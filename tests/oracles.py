@@ -322,6 +322,25 @@ def first_parts(rel, target, x, y):
                  for pool, part in zip(rel.pools(target, x), rel.parts))
 
 
+def witness_chain_scan(maps, action, rel, target, rows, checks):
+    """The equality chain m1 = f m1 = f m2 = m1 a = m2 a of the witness-constructions law,
+    cell by cell at the first witness (f, a) of each related pair, as the law scanned it
+    before it checked pool elements row by row; ``checks`` counts on from the regularity
+    witnesses.  Returns (outcome, counterexample, checks)."""
+    parts = [{m2: first_parts(rel, target, m1, m2) for m2 in range(len(rows)) if row >> m2 & 1}
+             if row else {} for m1, row in enumerate(rows)]
+    for m1, row in enumerate(parts):
+        for m2, (f, a) in row.items():
+            checks += 1
+            t = maps[f]
+            chain = (t[m1] == m1 and t[m2] == m1
+                     and action[m1][a] == m1 and action[m2][a] == m1)
+            if not chain:
+                ce = {"kind": "equality-chain", "pair": [m1, m2], "f": f, "a": a}
+                return "fail", ce, checks
+    return "pass", None, checks
+
+
 def relabel(table, rows, cols, values):
     """The table with row i moved to rows[i], column j to cols[j], entry v to values[v]."""
     out = [[0] * len(cols) for _ in rows]

@@ -8,6 +8,9 @@ import pytest
 from modorder import laws, orders
 from modorder.homs import smash
 from modorder.laws import RelationMatrix
+from modorder.verdicts import Relation, bits
+
+from oracles import first_parts, witness_chain_scan
 
 
 @functools.cache
@@ -165,6 +168,87 @@ def test_witness_constructions_visit_the_regularity_witnesses(monkeypatch, corpu
                     for t, mask in zip(ctx.dual, part(ctx, m, ctx.dual)) if mask >> m & 1]
         assert r.outcome == "pass" and visited == expected, ctx.name
         assert ctx.regular == sum({1 << m for m, _ in expected}), ctx.name
+
+
+def _chain_scan(ctx, idem):
+    """The witness-constructions report that the cell-by-cell chain scan gives, counting on
+    from one check per regularity witness."""
+    outcome, ce, checks = witness_chain_scan(ctx.endos.maps, ctx.module.action, idem.rel,
+                                             idem.target, idem.rows,
+                                             sum(map(len, ctx.regularity_witnesses)))
+    return laws.LawReport("witness-constructions", idem.member, outcome, ce, checks)
+
+
+def test_witness_constructions_pass_without_the_witness_parts(monkeypatch, corpus,
+                                                              oracle_contexts, z4_over_z4,
+                                                              klein_four):
+    """A passing law reads neither RelationMatrix.parts nor Relation.firsts, and counts
+    what the cell-by-cell scan counts."""
+    contexts, reads = (*corpus.values(), *oracle_contexts.values(), z4_over_z4, klein_four), []
+    with monkeypatch.context() as patch:
+        patch.setattr(RelationMatrix, "parts", property(reads.append))
+        patch.setattr(Relation, "firsts", lambda *args: reads.append(args))
+        reports = [mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
+                   for ctx in contexts]
+    assert reads == []
+    for ctx, r in zip(contexts, reports):
+        assert r.outcome == "pass", ctx.name
+        assert r == _chain_scan(ctx, mo.relation_matrix(ctx, "minus-idem")), ctx.name
+
+
+def _tampered_idem(ctx, m1, f, y):
+    """minus-idem's matrix with the part of f in the S-pool also covering y in row m1."""
+    f_part, a_part = orders.minus_le_idem.parts
+
+    def tampered(target, x, pool):
+        return [mask | (x == m1 and p == f) << y
+                for p, mask in zip(pool, f_part(target, x, pool))]
+    rel, n = orders.minus_le_idem._replace(parts=(tampered, a_part)), ctx.module.size
+    return RelationMatrix(ctx.name, "minus-idem", n,
+                          [rel.row(ctx, x, (1 << n) - 1) for x in range(n)], rel, ctx)
+
+
+@pytest.mark.parametrize("name", ["Z6/Z6", "Z10/Z10", "Z6/Z30", "Z2xZ3", "M2(Z2)"])
+def test_witness_constructions_on_a_tampered_part(corpus, name):
+    """A minus-idem part of f that also covers a related y with f y != m1 breaks the row
+    pass, and the law scans the cells.  When an earlier pool element covers y, f is not
+    y's witness, and the law passes with the untampered count; when f comes before every
+    element that covers y, the law fails.  Each time it reports what the cell-by-cell
+    scan reports."""
+    ctx = corpus[name]
+    idem = mo.relation_matrix(ctx, "minus-idem")
+    maps, pool = ctx.endos.maps, ctx.endos.idempotent_pool
+
+    def tamper(before):  # an (m1, f, y) with f y != m1, f before or after y's witness
+        return _tampered_idem(ctx, *next(
+            (m1, f, y) for m1, row in enumerate(idem.rows) for y in bits(row) for f in pool
+            if maps[f][y] != m1 and before == (
+                pool.index(f) < pool.index(first_parts(idem.rel, ctx, m1, y)[0]))))
+    later, first = tamper(False), tamper(True)
+    reports = [mo.check_witness_constructions(ctx, tampered) for tampered in (later, first)]
+    assert "parts" in vars(later) and "parts" in vars(first)  # each was scanned cell by cell
+    assert reports == [_chain_scan(ctx, later), _chain_scan(ctx, first)]
+    assert reports[0] == mo.check_witness_constructions(ctx, idem)
+    assert reports[1].outcome == "fail" and reports[1].counterexample["kind"] == "equality-chain"
+
+
+def test_witness_constructions_decide_each_smash_once(monkeypatch, corpus, oracle_contexts,
+                                                      z4_over_z4, klein_four):
+    """kernel_summand is called once for each distinct (m, s), s = x -> m.phi(x) over the
+    regularity witnesses phi of m, in the order the witnesses first give s."""
+    calls, kernel_summand = [], orders.kernel_summand
+
+    def recording(ctx, m, s):
+        calls.append((m, s))
+        return kernel_summand(ctx, m, s)
+    monkeypatch.setattr(orders, "kernel_summand", recording)
+    for ctx in (*corpus.values(), *oracle_contexts.values(), z4_over_z4, klein_four):
+        calls.clear()
+        r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
+        pairs = [(m, smash(ctx.module, ctx.endos, m, phi))
+                 for m, phis in enumerate(ctx.regularity_witnesses) for phi in phis]
+        assert r.outcome == "pass" and calls == list(dict.fromkeys(pairs)), ctx.name
+        assert len(calls) < len(pairs), ctx.name
 
 
 def test_ring_bridge(corpus):

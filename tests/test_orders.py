@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 import modorder as mo
+from modorder import orders
 from modorder.orders import EQUIVALENT_FAMILY, kernel_summand
 from modorder.rings import MAX_RING_SIZE
 
@@ -399,9 +400,21 @@ def test_image_and_relaxed_rows_match_oracle(dsum_members, name):
         assert rows == oracle
 
 
-def test_relaxed_form_reads_mitsch_sym_parts():
-    """For idempotent f and a the relaxed gates are f m1 = m1 and m1 a = m1."""
-    assert mo.minus_le_relaxed.parts is mo.mitsch_le_sym.parts
+@pytest.mark.parametrize("name", DSUM_MEMBERS + DSUM_WIDE)
+def test_relaxed_form_shares_the_jones_parts(dsum_members, name):
+    """minus-relaxed and jones read one parts tuple, and one row set.  On the idempotent
+    pools, mitsch-sym's parts, which also ask for f m1 = m1 and m1 a = m1, give jones's
+    mask at every f and a and every m1, as f m2 = m1 gives f m1 = m1 for idempotent f, and
+    m2 a = m1 gives m1 a = m1 for idempotent a."""
+    assert mo.minus_le_relaxed.parts is mo.jones_le.parts is orders._JONES
+    ctx = dsum_members[name]
+    pools = (ctx.endos.idempotent_pool, ctx.module.ring.idempotent_pool)
+    for m1 in range(ctx.module.size):
+        for pool, fixing, jones in zip(pools, mo.mitsch_le_sym.parts, mo.jones_le.parts):
+            assert fixing(ctx, m1, pool) == jones(ctx, m1, pool), m1
+    relaxed, jones = (mo.relation_matrix(ctx, tag) for tag in ("minus-relaxed", "jones"))
+    assert relaxed.rows == jones.rows
+    assert [key for key in ctx.rows if key[0] is orders._JONES] == [(orders._JONES, pools)]
 
 
 @pytest.mark.parametrize("name", DSUM_MEMBERS)
