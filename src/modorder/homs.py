@@ -166,14 +166,17 @@ class EndoRing(FiniteRing):
         at_x, u_times = list(zip(*self.maps)), list(zip(*map(M.action.__getitem__, u)))
         if sorted(u) != sorted(killed) or list(map(at_x.__getitem__, g_times)) != u_times:
             raise AssertionError(f"{name}: a hom of {M.name} is not g.r -> f(g).r")
-        q = [0] * M.size  # q[u[i]] = i
+        q = [0] * M.size  # q[u[i]] = i, kept for smash
         for i, v in enumerate(u):
             q[v] = i
+        self.by_generator = g, q
         rs = list(map(dict(zip(g_times, M.ring.element_pool)).__getitem__, u))  # g.rs[i] = u[i]
         self._install([[q[v] for v in map(M.add[a].__getitem__, u)] for a in u],
                       [[q[v] for v in map(M.action[a].__getitem__, rs)] for a in u],
                       q[zero], q[g], [q[M.neg[a]] for a in u], name=name,
                       commutative=M.ring.is_commutative() or None)
+
+    by_generator = None  # (g, the index of the f with f(g) = v, by v) where S was derived
 
     def index_of(self, table) -> int:
         return self._index[tuple(table)]
@@ -205,8 +208,12 @@ def endo_ring(M: FiniteModule, involution=None) -> EndoRing:
 
 def smash(M: FiniteModule, S: EndoRing, m: int, phi) -> int:
     """Index in S of the endomorphism x -> m.phi(x), for phi the value table of a
-    functional: phi followed by the hom r -> m.r from R_R to M, so it lies in S."""
-    return S.index_of(map(M.action[m].__getitem__, phi))
+    functional: phi followed by the hom r -> m.r from R_R to M, so it lies in S.  Where S
+    was derived from one generator g, it is the f with f(g) = m.phi(g)."""
+    if S.by_generator is None:
+        return S.index_of(map(M.action[m].__getitem__, phi))
+    g, index = S.by_generator
+    return index[M.action[m][phi[g]]]
 
 
 def dual_as_module(M: FiniteModule) -> FiniteModule:
@@ -229,8 +236,9 @@ class ModuleContext:
 
     Also memoizes the element-indexed families (annihilators, cyclic submodules, the
     fibre masks of M*) and the mask of regular elements that every order relation keeps
-    probing.  Contexts are cheap to create; the heavy parts build on first use and are
-    immutable afterwards.
+    probing, and (``clause_memo``, see ``Relation``) the ORs of the relations' columns.
+    Contexts are cheap to create; the heavy parts build on first use and are immutable
+    afterwards.
     """
 
     def __init__(self, module: FiniteModule, name: str | None = None,
@@ -238,9 +246,6 @@ class ModuleContext:
         self.module = module
         self.name = name or module.name
         self.endo_involution = endo_involution
-        # laws.relation_matrix's rows with the relation that built them, by clause parts
-        # and the pools of row 0
-        self.rows = {}
 
     @cached_property
     def ring_module(self) -> FiniteModule:

@@ -8,6 +8,7 @@ pure functions of their inputs, so reruns produce identical output.
 from __future__ import annotations
 
 from functools import cached_property, partial
+from operator import and_, invert, mul, or_
 from typing import NamedTuple
 
 from . import orders
@@ -62,25 +63,20 @@ class RelationMatrix:
 
 
 def relation_matrix(ctx: ModuleContext, tag: str) -> RelationMatrix:
-    """A module relation's matrix over ctx's module, or a ring relation's over its ring, one
-    ``row`` per x; read from ``orders._BY_TAG``, as a profiler may rebind ``RELATIONS``.
-    Rows are fixed by the clause parts and each row's pools, so they are kept on the context
-    by (parts, pools of row 0) with the relation that built them, and read again by one with
-    the same parts and pools function (minus-relaxed and jones share both) or the same pools
-    at every row (minus-idem and the star orders, where every idempotent is a projection)."""
+    """A module relation's matrix over ctx's module, or a ring relation's over its ring, from
+    the relation's ``rows``; read from ``orders._BY_TAG``, as a profiler may rebind
+    ``RELATIONS``.  The ORs behind the rows are kept on the context (on the ring, for a ring
+    relation) by part and pool, so that a second call, or a relation with the same part and
+    an equal pool (minus-relaxed and jones, mitsch-sym and mitsch or gb, minus-idem and the
+    star orders where every idempotent is a projection), builds no column again."""
     if tag in orders.RELATIONS:
-        rel, target, n = orders._BY_TAG[tag], ctx, ctx.module.size
+        rel, target = orders._BY_TAG[tag], ctx
     elif tag in RING_RELATIONS:
-        rel, target, n = RING_RELATIONS[tag], ctx.module.ring, ctx.module.ring.size
+        rel, target = RING_RELATIONS[tag], ctx.module.ring
     else:
         raise ValueError(f"unknown relation {tag!r}")
-    key = (rel.parts, rel.pools(target, 0))
-    owner, rows = ctx.rows.get(key, (rel, None))
-    if rows is None or owner.pools is not rel.pools and any(
-            rel.pools(target, x) != owner.pools(target, x) for x in range(1, n)):
-        rows = tuple(rel.row(target, x, (1 << n) - 1) for x in range(n))
-        ctx.rows.setdefault(key, (rel, rows))
-    return RelationMatrix(ctx.name, tag, n, list(rows), rel, target)
+    rows = rel.rows(target)
+    return RelationMatrix(ctx.name, tag, len(rows), rows, rel, target)
 
 
 # -- individual law checks ---------------------------------------------------------
@@ -208,10 +204,10 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     m1 = f m1 = f m2 = m1 a = m2 a.
 
     Both steps for s = x -> m.phi(x) depend on (m, s) alone: each distinct s of an m is
-    decided once.  The chain is checked on each pool element p whose part meets row m1, the
-    cells' first witnesses among them: p maps m1 and the m2 it covers there to m1.  This holds
-    on working code, as for idempotent f, 1 - f in l_S(f) = l_S(m1) gives f m1 = m1, and a
-    likewise.  Only if some p fails are the witnesses scanned cell by cell.
+    decided once.  The chain is checked on the columns of ``idem``'s parts, the cells' first
+    witnesses among them: each p maps m1, and the m2 in row m1 that it covers at m1, to m1.
+    This holds on working code, as for idempotent f, 1 - f in l_S(f) = l_S(m1) gives f m1 =
+    m1, and a likewise.  Only if some p fails are the witnesses scanned cell by cell.
     """
     M, S, R = ctx.module, ctx.endos, ctx.module.ring
     fail = partial(LawReport, "witness-constructions", idem.member, "fail")
@@ -232,15 +228,14 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
                 return fail({"kind": "decomposition", "element": m}, checks)
             split.add(s)
     fibres = (S.preimages, M.column_preimages)  # {x : p(x) = v} as a mask, by p then v
+    own = [1 << m1 for m1 in range(idem.size)]
 
-    def chained(m1, row):
-        rel, target, bit = idem.rel, idem.target, 1 << m1
-        for pool, part, fibre in zip(rel.pools(target, m1), rel.parts, fibres):
-            for p, mask in zip(pool, part(target, m1, pool)):
-                if (cover := mask & row) and (cover | bit) & ~fibre[p][m1]:
-                    return False
-        return True
-    if all(chained(m1, row) for m1, row in enumerate(idem.rows) if row):
+    def chained(column, fibre):  # no m1 at which p covers an m2 of the row, p m1 or p m2 != m1
+        covers = list(map(and_, column, idem.rows))
+        return not any(map(mul, map(bool, covers),
+                           map(and_, map(or_, covers, own), map(invert, fibre))))
+    if all(chained(column, fibre[p]) for (pool, columns), fibre
+           in zip(idem.rel.columns(idem.target), fibres) for p, column in zip(pool, columns)):
         return LawReport("witness-constructions", idem.member, "pass", None,
                          checks + sum(row.bit_count() for row in idem.rows if row))
     for m1, row in enumerate(idem.parts):
@@ -315,8 +310,7 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
     reg_dom = orders.regular_set(ctx)
     n, R = ctx.module.size, ctx.module.ring
 
-    def matrix(tag):  # one object for a matrix several laws read: ctx.rows keeps the rows,
-        # and this saves re-keying them, which hashes row 0's pools (minus-dual: all of M*)
+    def matrix(tag):  # one object, with its verdicts and parts, for a matrix several laws read
         if tag not in shared:
             shared[tag] = relation_matrix(ctx, tag)
         return shared[tag]

@@ -19,25 +19,31 @@ still decided and the verdict carries ``hypothesis_ok=False``.
 from __future__ import annotations
 
 from functools import partial
-from operator import eq, getitem
+from operator import itemgetter
 
 from .homs import ModuleContext, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
 from .tables import shown
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
-                       OrderVerdict, Relation, bits)
+                       OrderVerdict, Relation, bits, equal_keys, fibre_columns, fixed_points)
 
 
 # -- the definitional form and regularity ---------------------------------------------
 
 
-def _dual_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
-    """m1 t = m2 t and t(m1) = t(m2) given m1 = m1.t(m1): fibres of t and of x -> x.v, v in tM."""
-    act, masks = ctx.module.action[m1], ctx.dual_masks
-    return [masks[t][0][t[m1]] & masks[t][1][m1] if act[t[m1]] == m1 else 0 for t in pool]
+def _dual_part(ctx: ModuleContext, pool) -> list[list[int]]:
+    """For each t, at each m1 = m1.t(m1): the m2 with m1 t = m2 t and t(m1) = t(m2), fibres of
+    t and of x -> x.v, v in tM.  Read off each m1's regularity witnesses."""
+    masks, columns = ctx.dual_masks, {t: [0] * ctx.module.size for t in pool}
+    for m1, phis in enumerate(ctx.regularity_witnesses):
+        for t in phis:
+            if (column := columns.get(t)) is not None:
+                fibres, agree = masks[t]
+                column[m1] = fibres[t[m1]] & agree[m1]
+    return list(columns.values())
 
 
-minus_le_dual = Relation("minus-dual", lambda ctx, m1: (ctx.dual,), (_dual_part,),
+minus_le_dual = Relation("minus-dual", lambda ctx: (ctx.dual,), (_dual_part,),
                          DualWitness)
 # Zelmanowitz regularity, m = m.phi(m) for some phi in M*, is m <= m.  ctx.regular
 # caches the mask of the m with such a phi, read from ctx.regularity_witnesses.
@@ -103,28 +109,26 @@ def _module_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:
     return ctx.is_regular
 
 
-def _idempotents(ctx: ModuleContext, m1: int):
+def _idempotents(ctx: ModuleContext):
     return ctx.endos.idempotent_pool, ctx.module.ring.idempotent_pool
 
 
-def _everything(ctx: ModuleContext, m1: int):
+def _everything(ctx: ModuleContext):
     return ctx.endos.element_pool, ctx.module.ring.element_pool
 
 
-# -- clause parts: for each p of a pool, the mask of the m2 at which it holds ---------
+# -- clause parts: for each p of a pool, a column: at each m1, the mask of the m2 ------
 
 
 def _fibre_form(f_gate, a_gate):
     """f in S and a in R that pass their gates, with f m1 = f m2 and m1 a = m2 a.  A gate
-    gives (test, family, value) for m1, and p passes it where test(family[p], value)."""
-    def f_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
-        (test, family, value), pre, maps = f_gate(ctx, m1), ctx.endos.preimages, ctx.endos.maps
-        return [pre[f][maps[f][m1]] if test(family[f], value) else 0 for f in pool]
+    gives, for ctx, the m1 at which p passes it, by p and p's table (see fibre_columns)."""
+    def f_part(ctx: ModuleContext, pool) -> list[list[int]]:
+        return fibre_columns(pool, ctx.endos.preimages, ctx.endos.maps.__getitem__, f_gate(ctx))
 
-    def a_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
-        (test, family, value), M = a_gate(ctx, m1), ctx.module
-        pre, act = M.column_preimages, M.action[m1]
-        return [pre[a][act[a]] if test(family[a], value) else 0 for a in pool]
+    def a_part(ctx: ModuleContext, pool) -> list[list[int]]:
+        return fibre_columns(pool, ctx.module.column_preimages, lambda a: list(map(
+            itemgetter(a), ctx.module.action)), a_gate(ctx))
     return f_part, a_part
 
 
@@ -133,58 +137,78 @@ def _fibre_form(f_gate, a_gate):
 # in fM, iff S.preimages[f][m1] != 0.  Ma is an S-submodule, as f(x.a) = f(x).a and
 # x.a + y.a = (x + y).a, and m1 = id(m1) is in S m1, so S m1 <= Ma iff m1 is in Ma, iff
 # M.column_preimages[a][m1] != 0.  Neither step needs regularity or idempotents.
-_image_form = _fibre_form(lambda ctx, m1: (getitem, ctx.endos.preimages, m1),
-                          lambda ctx, m1: (getitem, ctx.module.column_preimages, m1))
+_image_form = _fibre_form(lambda ctx: lambda f, image: set(image),
+                          lambda ctx: lambda a, image: set(image))
+
+# The Mitsch-form sides, m1 = f m2 and m1 = m2 a, with m1 = f m1 or m1 = m1 a where asked.
+# The column of f is S.preimages[f], the m2 with f m2 = m1 by m1; where f fixes m1 that is
+# the fibre of m1, so the fixing sides are the fibre form gated to the fixed points.  Each
+# side is one function, so the relations that read it share its ORs.
+_f_fixing, _a_fixing_each = _fibre_form(lambda ctx: fixed_points, lambda ctx: fixed_points)
 
 
-def _mitsch_form(f_fixes_m1: bool, a_fixes_m1: bool):
-    """m1 = f m2 = m2 a, plus m1 = f m1 and m1 = m1 a where asked."""
-    def f_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
-        pre, maps = ctx.endos.preimages, ctx.endos.maps
-        return [0 if f_fixes_m1 and maps[f][m1] != m1 else pre[f][m1] for f in pool]
-
-    def a_part(ctx: ModuleContext, m1: int, pool) -> list[int]:
-        pre, act = ctx.module.column_preimages, ctx.module.action[m1]
-        return [0 if a_fixes_m1 and act[a] != m1 else pre[a][m1] for a in pool]
-    return f_part, a_part
+def _a_fixing(ctx: ModuleContext, pool) -> list[list[int]]:
+    """The fixing a side, built once for each distinct column of the action, all that it
+    reads of a (r and r + m of Z_m/Z_n share one)."""
+    pre, first = ctx.module.column_preimages, {}
+    for a in pool:
+        first.setdefault(id(pre[a]), a)
+    built = dict(zip(first, _a_fixing_each(ctx, list(first.values()))))
+    return [built[id(pre[a])] for a in pool]
 
 
-def _summands(ctx: ModuleContext, m1: int):
-    """A = m1 R, and every distinct cyclic submodule as a candidate B."""
+def _f_any(ctx: ModuleContext, pool):
+    return [ctx.endos.preimages[f] for f in pool]
+
+
+def _a_any(ctx: ModuleContext, pool):
+    return [ctx.module.column_preimages[a] for a in pool]
+
+
+def _summands(ctx: ModuleContext):
+    """Every distinct cyclic submodule, as a candidate A = m1 R and as a candidate B."""
+    return (ctx.summands[0],) * 2
+
+
+def _first_summand(ctx: ModuleContext, pool) -> list[list[int]]:
+    """For each A, every m2 (-1) at the m1 with m1 R = A, else 0."""
     every, classes, _ = ctx.summands
-    return (every[classes[m1]],), every
+    return [[-(c == i) for c in classes] for i in map(every.index, pool)]
 
 
-def _second_summand(ctx: ModuleContext, m1: int, pool) -> list[int]:
-    """For each B, the m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an internal direct
-    sum, decided by sizes: m2 = m1 + d is kept iff |m2 R| = |m1 R|.|dR|.  With A = m1 R
-    and B = dR, m2.r = m1.r + d.r puts m2 R in A + B, and |A + B| = |A||B| / |A meet B|; so
-    the equation forces A meet B = 0 and m2 R = A + B, and a direct sum satisfies it, on
-    every finite module.  One pass over d puts each kept m2 in the class of dR."""
+def _second_summand(ctx: ModuleContext, pool) -> list[list[int]]:
+    """For each B, at each m1, the m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an
+    internal direct sum, decided by sizes: m2 = m1 + d is kept iff |m2 R| = |m1 R|.|dR|.
+    With A = m1 R and B = dR, m2.r = m1.r + d.r puts m2 R in A + B, and |A + B| = |A||B| /
+    |A meet B|; so the equation forces A meet B = 0 and m2 R = A + B, and a direct sum
+    satisfies it, on every finite module.  One pass over (m1, d) puts each kept m2 in the
+    column of the class of dR."""
     every, classes, sizes = ctx.summands
-    k, masks = sizes[m1], [0] * len(every)
-    for m2, c, size in zip(ctx.module.add[m1], classes, sizes):
-        if sizes[m2] == k * size:
-            masks[c] |= 1 << m2
-    return masks if pool is every else [masks[every.index(b)] for b in pool]
+    columns = [[0] * len(classes) for _ in every]
+    for m1, (sums, k) in enumerate(zip(ctx.module.add, sizes)):
+        for m2, c, size in zip(sums, classes, sizes):
+            if sizes[m2] == k * size:
+                columns[c][m1] |= 1 << m2
+    return columns if pool is every else [columns[every.index(b)] for b in pool]
 
 
 # The clause parts of minus-idem and the star family, l_S(f) = l_S(m1) and r_R(a) =
-# r_R(m1), one tuple: where their pools agree, laws.relation_matrix builds their rows once.
-_IDEMPOTENT_PARTS = _fibre_form(lambda ctx, m1: (eq, ctx.endos.left_anns, ctx.l_S[m1]),
-                                lambda ctx, m1: (eq, ctx.module.ring.right_anns, ctx.r_R[m1]))
+# r_R(m1), one tuple: where their pools are equal, they share its ORs.
+_IDEMPOTENT_PARTS = _fibre_form(
+    lambda ctx: equal_keys(ctx.endos.left_anns.__getitem__, ctx.l_S),
+    lambda ctx: equal_keys(ctx.module.ring.right_anns.__getitem__, ctx.r_R))
 
 # The Jones form, m1 = f m2 = m2 a, over idempotent f and a.  It gives f m1 = f f m2 = f m2 =
-# m1 and m1 a = m2 a a = m2 a = m1, so a part that also asks for those (mitsch-sym's) has the
-# same masks on these pools.  The relaxed form, l_S(f) <= l_S(m1) and r_R(a) <= r_R(m1), asks
-# just that: as l_S(f) = S(1 - f) and l_S(m1) is a left ideal, it holds iff (1 - f)(m1) = 0,
-# iff f m1 = m1, and as r_R(a) = (1 - a)R, iff m1 a = m1.  So both read one parts tuple.
-_JONES = _mitsch_form(False, False)
+# m1 and m1 a = m2 a a = m2 a = m1, so the fixing sides have the same columns on these
+# pools.  The relaxed form, l_S(f) <= l_S(m1) and r_R(a) <= r_R(m1), asks just that: as
+# l_S(f) = S(1 - f) and l_S(m1) is a left ideal, it holds iff (1 - f)(m1) = 0, iff f m1 =
+# m1, and as r_R(a) = (1 - a)R, iff m1 a = m1.  So both read one parts tuple.
+_JONES = (_f_any, _a_any)
 
 
 def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relation:
     """Annihilator-equality form, f and/or a upgraded to projections (needs involutions)."""
-    def pools(ctx: ModuleContext, m1: int):
+    def pools(ctx: ModuleContext):
         S, R = ctx.endos, ctx.module.ring
         if (f_projection and S.involution is None) or (a_projection and R.involution is None):
             return None
@@ -204,14 +228,11 @@ minus_le_relaxed = Relation("minus-relaxed", _idempotents, _JONES, IdemPair, _mo
 minus_le_image = Relation("minus-image", _idempotents, _image_form, IdemPair, _module_regular)
 # Jones / Mitsch style and the direct-sum order.
 jones_le = Relation("jones", _idempotents, _JONES, IdemPair, _module_regular)
-mitsch_le = Relation("mitsch", _everything, _mitsch_form(True, False), MapPair,
-                     _module_regular)
-mitsch_le_sym = Relation("mitsch-sym", _everything, _mitsch_form(True, True), MapPair,
+mitsch_le = Relation("mitsch", _everything, (_f_fixing, _a_any), MapPair, _module_regular)
+mitsch_le_sym = Relation("mitsch-sym", _everything, (_f_fixing, _a_fixing), MapPair,
                          _module_regular)
-corollary_gb_le = Relation("gb", _everything, _mitsch_form(False, True), MapPair,
-                           _module_regular)
-direct_sum_le = Relation("dsum", _summands, (lambda ctx, m1, pool: [-1] * len(pool),
-                                              _second_summand),
+corollary_gb_le = Relation("gb", _everything, (_f_any, _a_fixing), MapPair, _module_regular)
+direct_sum_le = Relation("dsum", _summands, (_first_summand, _second_summand),
                          DirectSumWitness, _both_regular)
 # The star family: R and/or S must be *-rings.
 right_star_le = _idempotent_form("rstar", False, True)

@@ -11,12 +11,14 @@ from __future__ import annotations
 import reprlib
 from functools import cached_property
 from itertools import chain, compress, product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
                      check_size, checked_table, cyclic_tables, greedy_generators, identity_of,
                      preimage_masks, shown)
-from .verdicts import AnnihPair, InnerInverse, OrderVerdict, Relation
+from .verdicts import (AnnihPair, InnerInverse, OrderVerdict, Relation, equal_keys,
+                       fibre_columns)
 
 MAX_RING_SIZE = 256
 
@@ -327,31 +329,38 @@ def ring_from_spec(spec: dict) -> FiniteRing:
 # -- element-level predicates and relations -----------------------------------
 
 
-def _hartwig_part(ring: FiniteRing, a: int, pool) -> list[int]:
-    """Hartwig's minus order: for each x, the b with xa = xb and ax = bx, for axa = a."""
-    mul, rows, cols, a_times = ring.mul, ring.row_preimages, ring.column_preimages, ring.mul[a]
-    return [rows[x][mul[x][a]] & cols[x][a_times[x]] if mul[a_times[x]][a] == a else 0
-            for x in pool]
+def _hartwig_part(ring: FiniteRing, pool) -> list[list[int]]:
+    """Hartwig's minus order: for each x, at each a with axa = a, the b with xa = xb and
+    ax = bx.  Read off each a's inner inverses, the x with (ax)a = a."""
+    table, rows, cols = ring.mul, ring.row_preimages, ring.column_preimages
+    columns = {x: [0] * ring.size for x in pool}
+    for a, a_times in enumerate(table):
+        axa = map(itemgetter(a), map(table.__getitem__, a_times))
+        for x in compress(ring.element_pool, map(a.__eq__, axa)):
+            if (column := columns.get(x)) is not None:
+                column[a] = rows[x][table[x][a]] & cols[x][a_times[x]]
+    return list(columns.values())
 
 
-def _annih_p(ring: FiniteRing, a: int, pool) -> list[int]:
-    """For each idempotent p, the b with pa = pb, for l(a) = R(1-p)."""
-    mul, rows, ideals, lann = ring.mul, ring.row_preimages, ring.left_ideals, ring.left_anns[a]
-    return [rows[p][mul[p][a]] if ideals[ring.sub(ring.one, p)] == lann else 0 for p in pool]
+def _annih_p(ring: FiniteRing, pool) -> list[list[int]]:
+    """For each idempotent p, at each a with l(a) = R(1-p), the b with pa = pb."""
+    return fibre_columns(pool, ring.row_preimages, ring.mul.__getitem__, equal_keys(
+        lambda p: ring.left_ideals[ring.sub(ring.one, p)], ring.left_anns))
 
 
-def _annih_q(ring: FiniteRing, a: int, pool) -> list[int]:
-    """For each idempotent q, the b with aq = bq, for r(a) = (1-q)R."""
-    mul, cols, ideals, rann = ring.mul, ring.column_preimages, ring.right_ideals, ring.right_anns[a]
-    return [cols[q][mul[a][q]] if ideals[ring.sub(ring.one, q)] == rann else 0 for q in pool]
+def _annih_q(ring: FiniteRing, pool) -> list[list[int]]:
+    """For each idempotent q, at each a with r(a) = (1-q)R, the b with aq = bq."""
+    return fibre_columns(pool, ring.column_preimages, lambda q: list(map(itemgetter(q), ring.mul)),
+                         equal_keys(lambda q: ring.right_ideals[ring.sub(ring.one, q)],
+                                    ring.right_anns))
 
 
 # The ring-level relations, each called as relation(ring, a, b).
-hartwig_minus_le = Relation("hartwig", lambda ring, a: (ring.element_pool,),
+hartwig_minus_le = Relation("hartwig", lambda ring: (ring.element_pool,),
                             (_hartwig_part,), InnerInverse)
 # Annihilator form of the ring minus order: idempotents p, q with
 # l(a) = R(1-p), r(a) = (1-q)R, pa = pb and aq = bq.
-ring_minus_le_annih = Relation("ring-annih", lambda ring, a: (ring.idempotent_pool,) * 2,
+ring_minus_le_annih = Relation("ring-annih", lambda ring: (ring.idempotent_pool,) * 2,
                                (_annih_p, _annih_q), AnnihPair)
 
 RING_RELATIONS = {rel.tag: rel for rel in (hartwig_minus_le, ring_minus_le_annih)}

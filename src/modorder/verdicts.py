@@ -8,15 +8,17 @@ missing involution) rule the question out entirely, and ``hypothesis_ok``
 records whether the theorem hypotheses behind the characterization were
 satisfied by the operands.
 
-Each relation is one :class:`Relation` entry whose mask-valued clause parts
-drive its decision (``row``), its witness search (``firsts``) and its replay.
+Each relation is one :class:`Relation` entry whose clause parts, a column of masks per
+pool element, drive its decision (``rows``), its witness search (``firsts``) and its
+replay.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import reduce
-from operator import or_
+from functools import partial, reduce
+from itertools import compress
+from operator import and_, eq, or_
 from typing import NamedTuple
 
 from .tables import shown
@@ -114,16 +116,46 @@ def bits(mask: int):
         mask ^= low
 
 
+def fibre_columns(pool, fibres, images, passing) -> list[list[int]]:
+    """For each p of pool, the column that at each x of passing(p, image), image = images(p)
+    the table of x -> p(x), is fibres[p][image[x]], the y in x's fibre; else 0."""
+    columns = []
+    for p in pool:
+        column, fibre, image = [0] * len(fibres[p]), fibres[p], images(p)
+        for x in passing(p, image):
+            column[x] = fibre[image[x]]
+        columns.append(column)
+    return columns
+
+
+def fixed_points(p, image):
+    return compress(range(len(image)), map(eq, image, range(len(image))))
+
+
+def equal_keys(key: Callable, of_elements) -> Callable:
+    """(p, image) -> the x with of_elements[x] = key(p), found in one pass over of_elements."""
+    where = {}
+    for x, value in enumerate(of_elements):
+        where.setdefault(value, []).append(x)
+    return lambda p, image: where.get(key(p), ())
+
+
+def _carrier(ctx):
+    return ctx if hasattr(ctx, "size") else ctx.module  # a ring, End(M) too, or M
+
+
 class Relation(NamedTuple):
     """One order relation, defined once for the decision, the witness and the replay.
 
-    ``pools(ctx, x)`` gives the pools of witness parts for row x, or None where the
-    relation is undefined (a star order without its involution).  ``parts[i](ctx, x, pool)``
-    lists, for each p of ``pool`` in order (pool i, or the one-element pool of a replay),
-    the mask of the y at which clause part i holds for p (-1: every y).  It holds at (x, y)
-    when each pool has a p covering y; the first ones are the parts from which ``witness``
-    builds the witness (as its first fields).  ``hypothesis`` says whether the theorem
-    covers (x, y) (None: no assumption).  ``ctx`` is a module context, or a ring.
+    ``pools(ctx)`` gives the pools of witness parts, or None where the relation is
+    undefined (a star order without its involution).  ``parts[i](ctx, pool)`` gives, for
+    each p of ``pool`` in order (pool i, or the one-element pool of a replay), a column:
+    for each x, the mask of the y at which clause part i holds for p (-1: every y).  It
+    holds at (x, y) when each pool has a p covering y; the first ones are the parts from
+    which ``witness`` builds the witness (as its first fields).  ``hypothesis`` says whether
+    the theorem covers (x, y) (None: no assumption).  ``ctx`` is a module context, or a
+    ring; it keeps the OR of each part's columns over each pool, and the columns once the
+    witnesses are read, so relations that share a part and an equal pool share them.
     """
 
     tag: str
@@ -134,32 +166,52 @@ class Relation(NamedTuple):
 
     def __call__(self, ctx, x: int, y: int) -> OrderVerdict:
         """The verdict at (x, y); ValueError for an operand outside 0..size-1."""
-        carrier = ctx if hasattr(ctx, "size") else ctx.module  # a ring, End(M) too, or M
+        carrier = _carrier(ctx)
         for m in (x, y):
             if not 0 <= m < carrier.size:
                 raise ValueError(f"element {shown(m)} out of range for {carrier.name}")
-        return self.verdict(ctx, x, y, self.row(ctx, x, 1 << y))
+        return self.verdict(ctx, x, y, self.rows(ctx)[x])
 
-    def row(self, ctx, x: int, todo: int) -> int | None:
-        """The mask of the y in ``todo`` at which the relation holds (None: not
-        applicable): the y that each pool's parts cover, pool by pool, until none is left."""
-        pools = self.pools(ctx, x)
+    def _memo(self, ctx, part, pool) -> list:
+        """[pool, the OR of its columns, the columns or None], kept on ctx with no reference
+        back to it, so that dropping a context frees it at once.  A pool is compared, not
+        hashed (M*'s holds every table of M*); equal columns (r and r + m of Z_m/Z_n) are
+        one object, ORed once."""
+        memo = vars(ctx).get("clause_memo") or vars(ctx).setdefault("clause_memo", {})
+        for entry in memo.get(part, ()):
+            if entry[0] is pool or entry[0] == pool:
+                return entry
+        distinct = {id(col): col for col in part(ctx, pool)}.values()
+        entry = [pool, list(reduce(partial(map, or_), distinct, [0] * _carrier(ctx).size)), None]
+        memo.setdefault(part, []).append(entry)
+        return entry
+
+    def rows(self, ctx) -> list[int | None]:
+        """Each x's mask of the y related to it: the AND over the parts of their ORs (None
+        throughout: not applicable)."""
+        pools = self.pools(ctx)
         if pools is None:
-            return None
-        for pool, part in zip(pools, self.parts):
-            todo &= reduce(or_, part(ctx, x, pool), 0) if todo else 0
-        return todo
+            return [None] * _carrier(ctx).size
+        return list(reduce(partial(map, and_), [
+            self._memo(ctx, part, pool)[1] for part, pool in zip(self.parts, pools)]))
+
+    def columns(self, ctx) -> list[tuple]:
+        """(pool, its columns) for each part."""
+        entries = [self._memo(ctx, part, pool) for part, pool in zip(self.parts, self.pools(ctx))]
+        for entry, part in zip(entries, self.parts):
+            entry[2] = entry[2] or part(ctx, entry[0])
+        return [(pool, columns) for pool, _, columns in entries]
 
     def firsts(self, ctx, x: int, row: int) -> dict[int, tuple]:
         """The witness parts at each y of ``row``, a mask of cells where the relation
-        holds: the first p of each pool whose part covers y, in one scan of each pool."""
+        holds: the first p of each pool whose column covers y at x, in one scan of each pool."""
         found = {y: [] for y in bits(row)}
-        for pool, part in zip(self.pools(ctx, x), self.parts):
+        for pool, columns in self.columns(ctx):
             left = row
-            for p, mask in zip(pool, part(ctx, x, pool)):
+            for p, column in zip(pool, columns):
                 if not left:
                     break
-                for y in bits(mask & left):
+                for y in bits(column[x] & left):
                     found[y].append(p)
                     left ^= 1 << y
         return {y: tuple(parts) for y, parts in found.items()}
@@ -180,18 +232,18 @@ class Relation(NamedTuple):
         """Check a positive verdict's witness against this relation: the hypothesis flag
         the search records, exactly the witness the search builds from its parts (its
         type, as records compare equal to any tuple of equal fields, and its projection
-        flags), and each part in its pool, covering y."""
+        flags), and each part in its pool, its column covering y at x."""
         if not verdict.holds:
             return True
         x, y = verdict.operands
-        w, pools = verdict.witness, self.pools(ctx, x)
+        w, pools = verdict.witness, self.pools(ctx)
         if pools is None or verdict.hypothesis_ok != self.covers(ctx, x, y):
             return False
         parts = w[:len(pools)] if isinstance(w, tuple) else ()
         built = len(parts) == len(pools) and self.witness(*parts)
         if type(built) is not type(w) or built != w:
             return False
-        return all(p in pool and part(ctx, x, (p,))[0] >> y & 1
+        return all(p in pool and part(ctx, (p,))[0][x] >> y & 1
                    for p, pool, part in zip(parts, pools, self.parts))
 
 

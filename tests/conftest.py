@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 from functools import reduce
@@ -18,6 +19,20 @@ def child_env():
     src = str(Path(__file__).parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+@pytest.fixture(scope="session")
+def products_strata():
+    """The R_R of every member in the strata of the suite-products benchmark workload."""
+    spec = json.loads((Path(__file__).parent.parent / "perfbench" / "workloads.json")
+                      .read_text())["suite-products"]
+    contexts = []
+    for member in (m for stratum in spec["strata"] for m in stratum):
+        ring = (mo.build_matrix_ring(int(member[6:-1])) if member.startswith("RR:M2(")
+                else reduce(mo.build_product, [mo.build_zn(int(f[1:]))
+                                               for f in member[3:].split("x")]))
+        contexts.append(mo.ModuleContext(mo.build_ring_as_module(ring), member))
+    return contexts
 
 
 @pytest.fixture(scope="session")

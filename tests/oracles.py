@@ -7,6 +7,7 @@ the enumeration or search code under test.
 from functools import reduce
 from itertools import product
 from operator import or_
+from typing import NamedTuple
 
 # Rings whose R_R the tests check against oracles: the Boolean ring Z2^6, two products
 # that are not von Neumann regular, and M2(Z2), which is not commutative.
@@ -315,22 +316,13 @@ def transitive_reduction_scan(cells):
             and not any(k != i and k != j and cells[i][k] and cells[k][j] for k in range(n))]
 
 
-def first_parts(rel, target, x, y):
-    """At a cell (x, y) where the relation ``rel`` holds, the first element of each of its
-    pools whose clause part covers y, by one scan of the pools per cell."""
-    return tuple(next(p for p in pool if part(target, x, (p,))[0] >> y & 1)
-                 for pool, part in zip(rel.pools(target, x), rel.parts))
-
-
-def witness_chain_scan(maps, action, rel, target, rows, checks):
+def witness_chain_scan(maps, action, parts, rows, checks):
     """The equality chain m1 = f m1 = f m2 = m1 a = m2 a of the witness-constructions law,
-    cell by cell at the first witness (f, a) of each related pair, as the law scanned it
-    before it checked pool elements row by row; ``checks`` counts on from the regularity
-    witnesses.  Returns (outcome, counterexample, checks)."""
-    parts = [{m2: first_parts(rel, target, m1, m2) for m2 in range(len(rows)) if row >> m2 & 1}
-             if row else {} for m1, row in enumerate(rows)]
-    for m1, row in enumerate(parts):
-        for m2, (f, a) in row.items():
+    cell by cell at the first witness (f, a) of each related pair, from ``parts`` as
+    ``definitional_parts`` gives them; ``checks`` counts on from the regularity witnesses.
+    Returns (outcome, counterexample, checks)."""
+    for m1, (row, firsts) in enumerate(zip(rows, definitional_firsts(parts, rows))):
+        for m2, (f, a) in firsts.items():
             checks += 1
             t = maps[f]
             chain = (t[m1] == m1 and t[m2] == m1
@@ -339,6 +331,134 @@ def witness_chain_scan(maps, action, rel, target, rows, checks):
                 ce = {"kind": "equality-chain", "pair": [m1, m2], "f": f, "a": a}
                 return "fail", ce, checks
     return "pass", None, checks
+
+
+# -- every relation by its set definition ------------------------------------------------
+
+
+class Tables(NamedTuple):
+    """A module's tables and its ring's, End(M)'s value tables and M*'s in their orders,
+    and the involutions of R and of End(M) (None: absent)."""
+
+    add: list
+    action: list
+    mul: list
+    maps: list
+    functionals: list
+    r_inv: list | None
+    s_inv: list | None
+
+
+def module_tables(ctx) -> Tables:
+    M = ctx.module
+    return Tables(M.add, M.action, M.ring.mul, list(ctx.endos.maps), list(ctx.dual),
+                  M.ring.involution, ctx.endos.involution)
+
+
+def _identity(table):
+    return next(e for e in range(len(table)) if all(table[e][x] == x for x in range(len(table))))
+
+
+def _module_clauses(tag, t):
+    """Each pool of the module relation ``tag`` in ascending order, with its clause
+    (m1, m2, p) -> bool, by the definition; None where an involution it needs is absent."""
+    add, action, mul, maps = t.add, t.action, t.mul, t.maps
+    elements, zero = range(len(add)), _identity(add)
+    rzero = next(r for r, row in enumerate(mul) if all(v == r for v in row))  # r.s = r
+    every_s, every_r = list(range(len(maps))), list(range(len(mul)))
+    idem_s = [f for f, tf in enumerate(maps) if all(tf[tf[x]] == tf[x] for x in elements)]
+    idem_r = [a for a in every_r if mul[a][a] == a]
+    l_f = [{g for g, tg in enumerate(maps) if all(tg[v] == zero for v in tf)} for tf in maps]
+    l_m = [{g for g, tg in enumerate(maps) if tg[m] == zero} for m in elements]
+    r_a = [{r for r in every_r if mul[a][r] == rzero} for a in every_r]
+    r_m = [{r for r in every_r if action[m][r] == zero} for m in elements]
+
+    def f_eq(m1, m2, f):
+        return maps[f][m1] == maps[f][m2]
+
+    def a_eq(m1, m2, a):
+        return action[m1][a] == action[m2][a]
+    annihilator = ((lambda m1, m2, f: l_f[f] == l_m[m1] and f_eq(m1, m2, f)),
+                   (lambda m1, m2, a: r_a[a] == r_m[m1] and a_eq(m1, m2, a)))
+    if tag in ("minus-idem", "rstar", "lstar", "star"):
+        f_proj, a_proj = tag in ("lstar", "star"), tag in ("rstar", "star")
+        if (f_proj and t.s_inv is None) or (a_proj and t.r_inv is None):
+            return None
+        return ([f for f in idem_s if not f_proj or t.s_inv[f] == f],
+                [a for a in idem_r if not a_proj or t.r_inv[a] == a]), annihilator
+    if tag == "minus-relaxed":
+        return (idem_s, idem_r), ((lambda m1, m2, f: l_f[f] <= l_m[m1] and f_eq(m1, m2, f)),
+                                  (lambda m1, m2, a: r_a[a] <= r_m[m1] and a_eq(m1, m2, a)))
+    if tag == "minus-image":
+        images, multiples = [set(tf) for tf in maps], [{row[a] for row in action} for a in every_r]
+        orbits, cyclic = [{tg[m] for tg in maps} for m in elements], [set(row) for row in action]
+        return (idem_s, idem_r), (
+            (lambda m1, m2, f: cyclic[m1] <= images[f] and f_eq(m1, m2, f)),
+            (lambda m1, m2, a: orbits[m1] <= multiples[a] and a_eq(m1, m2, a)))
+    if tag == "minus-dual":
+        agree = {tf: [tuple(action[m][v] for v in sorted(set(tf))) for m in elements]
+                 for tf in t.functionals}  # m1 tM = m2 tM pointwise
+        return (t.functionals,), ((lambda m1, m2, tf: action[m1][tf[m1]] == m1
+                                   and tf[m1] == tf[m2] and agree[tf][m1] == agree[tf][m2]),)
+    if tag == "dsum":
+        cyclic = [tuple(sorted(set(row))) for row in action]
+        classes = list(dict.fromkeys(cyclic))
+        return (classes, classes), (
+            (lambda m1, m2, a_set: a_set == cyclic[m1]),
+            (lambda m1, m2, b_set: b_set == cyclic[add[m1].index(m2)]  # (m2 - m1) R
+             and is_direct_sum(add, zero, cyclic[m1], b_set, cyclic[m2])))
+    f_fixing = lambda m1, m2, f: maps[f][m1] == m1 == maps[f][m2]  # noqa: E731
+    a_fixing = lambda m1, m2, a: action[m1][a] == m1 == action[m2][a]  # noqa: E731
+    f_onto = lambda m1, m2, f: maps[f][m2] == m1  # noqa: E731
+    a_onto = lambda m1, m2, a: action[m2][a] == m1  # noqa: E731
+    return {"jones": ((idem_s, idem_r), (f_onto, a_onto)),
+            "mitsch": ((every_s, every_r), (f_fixing, a_onto)),
+            "mitsch-sym": ((every_s, every_r), (f_fixing, a_fixing)),
+            "gb": ((every_s, every_r), (f_onto, a_fixing))}[tag]
+
+
+def _ring_clauses(tag, add, mul):
+    """The pools and clauses of the ring relation ``tag`` over the ring (add, mul)."""
+    elements, zero, one = range(len(mul)), _identity(add), _identity(mul)
+    if tag == "hartwig":  # x an inner inverse of a, with xa = xb and ax = bx
+        return (list(elements),), ((lambda a, b, x: mul[mul[a][x]][a] == a
+                                     and mul[x][a] == mul[x][b] and mul[a][x] == mul[b][x]),)
+    idem = [p for p in elements if mul[p][p] == p]
+    comp = [next(c for c in elements if add[c][p] == one) for p in elements]  # 1 - p
+    left = [{x for x in elements if mul[x][a] == zero} for a in elements]
+    right = [{x for x in elements if mul[a][x] == zero} for a in elements]
+    return (idem, idem), (
+        (lambda a, b, p: left[a] == {mul[r][comp[p]] for r in elements}
+         and mul[p][a] == mul[p][b]),
+        (lambda a, b, q: right[a] == {mul[comp[q]][r] for r in elements}
+         and mul[a][q] == mul[b][q]))
+
+
+def definitional_parts(tag, tables=None, ring=None):
+    """For each x, for each pool of the relation ``tag`` in ascending order, {p: the mask of
+    the y at which p's clause holds at (x, y)}, by the definition: over a module's Tables,
+    or over a ring's (add, mul) for hartwig and ring-annih; None where not applicable."""
+    if ring is not None:
+        pools_clauses, n = _ring_clauses(tag, *ring), len(ring[0])
+    else:
+        pools_clauses, n = _module_clauses(tag, tables), len(tables.add)
+    if pools_clauses is None:
+        return None
+    pools, clauses = pools_clauses
+    return [[{p: sum(1 << y for y in range(n) if clause(x, y, p)) for p in pool}
+             for pool, clause in zip(pools, clauses)] for x in range(n)]
+
+
+def definitional_rows(parts):
+    """Each x's mask of the y at which every pool has a p whose clause holds."""
+    return [reduce(lambda acc, masks: acc & reduce(or_, masks.values(), 0), row, -1)
+            for row in parts]
+
+
+def definitional_firsts(parts, rows):
+    """For each x, {y: the first p of each pool whose clause holds at (x, y)}, y in row x."""
+    return [{y: tuple(next(p for p, mask in masks.items() if mask >> y & 1) for masks in pools)
+             for y in range(len(rows)) if rows[x] >> y & 1} for x, pools in enumerate(parts)]
 
 
 def relabel(table, rows, cols, values):

@@ -10,7 +10,8 @@ from modorder.homs import smash
 from modorder.laws import RelationMatrix
 from modorder.verdicts import Relation, bits
 
-from oracles import first_parts, witness_chain_scan
+from oracles import (definitional_firsts, definitional_parts, definitional_rows, module_tables,
+                     witness_chain_scan)
 
 
 @functools.cache
@@ -165,16 +166,22 @@ def test_witness_constructions_visit_the_regularity_witnesses(monkeypatch, corpu
         visited.clear()
         r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
         expected = [(m, t) for m in range(ctx.module.size)
-                    for t, mask in zip(ctx.dual, part(ctx, m, ctx.dual)) if mask >> m & 1]
+                    for t, column in zip(ctx.dual, part(ctx, ctx.dual)) if column[m] >> m & 1]
         assert r.outcome == "pass" and visited == expected, ctx.name
         assert ctx.regular == sum({1 << m for m, _ in expected}), ctx.name
 
 
-def _chain_scan(ctx, idem):
-    """The witness-constructions report that the cell-by-cell chain scan gives, counting on
-    from one check per regularity witness."""
-    outcome, ce, checks = witness_chain_scan(ctx.endos.maps, ctx.module.action, idem.rel,
-                                             idem.target, idem.rows,
+def _chain_scan(ctx, idem, tamper=None):
+    """The witness-constructions report that the cell-by-cell chain scan gives at the first
+    witnesses of minus-idem's set definition, with the clause of f also covering y in row
+    m1 where ``tamper`` is (m1, f, y), counting on from one check per regularity witness."""
+    parts = definitional_parts("minus-idem", module_tables(ctx))
+    if tamper is not None:
+        m1, f, y = tamper
+        parts[m1][0][f] |= 1 << y
+    rows = definitional_rows(parts)
+    assert rows == idem.rows
+    outcome, ce, checks = witness_chain_scan(ctx.endos.maps, ctx.module.action, parts, rows,
                                              sum(map(len, ctx.regularity_witnesses)))
     return laws.LawReport("witness-constructions", idem.member, outcome, ce, checks)
 
@@ -196,38 +203,56 @@ def test_witness_constructions_pass_without_the_witness_parts(monkeypatch, corpu
         assert r == _chain_scan(ctx, mo.relation_matrix(ctx, "minus-idem")), ctx.name
 
 
+def test_witness_constructions_read_the_columns_once(corpus):
+    """The law reads minus-idem's columns from the context, built once for each part and
+    pool after the ORs: a second law on the same context builds none."""
+    built, parts = [], orders.minus_le_idem.parts
+    spies = tuple(lambda ctx, pool, part=part: built.append(part) or part(ctx, pool)
+                  for part in parts)
+    rel = orders.minus_le_idem._replace(parts=spies)
+    for name in ("Z6/Z30", "M2(Z2)"):
+        ctx, built[:] = mo.ModuleContext(corpus[name].module), []
+        idem = RelationMatrix(ctx.name, "minus-idem", ctx.module.size, rel.rows(ctx), rel, ctx)
+        first = mo.check_witness_constructions(ctx, idem)
+        assert built == list(parts) * 2, ctx.name  # the ORs, then the columns
+        assert mo.check_witness_constructions(ctx, idem) == first
+        assert built == list(parts) * 2 and first.outcome == "pass", ctx.name
+
+
 def _tampered_idem(ctx, m1, f, y):
-    """minus-idem's matrix with the part of f in the S-pool also covering y in row m1."""
+    """minus-idem's matrix with the column of f in the S-pool also covering y in row m1."""
     f_part, a_part = orders.minus_le_idem.parts
 
-    def tampered(target, x, pool):
-        return [mask | (x == m1 and p == f) << y
-                for p, mask in zip(pool, f_part(target, x, pool))]
-    rel, n = orders.minus_le_idem._replace(parts=(tampered, a_part)), ctx.module.size
-    return RelationMatrix(ctx.name, "minus-idem", n,
-                          [rel.row(ctx, x, (1 << n) - 1) for x in range(n)], rel, ctx)
+    def tampered(target, pool):
+        return [[mask | (x == m1 and p == f) << y for x, mask in enumerate(column)]
+                for p, column in zip(pool, f_part(target, pool))]
+    rel = orders.minus_le_idem._replace(parts=(tampered, a_part))
+    return RelationMatrix(ctx.name, "minus-idem", ctx.module.size, rel.rows(ctx), rel, ctx)
 
 
 @pytest.mark.parametrize("name", ["Z6/Z6", "Z10/Z10", "Z6/Z30", "Z2xZ3", "M2(Z2)"])
 def test_witness_constructions_on_a_tampered_part(corpus, name):
-    """A minus-idem part of f that also covers a related y with f y != m1 breaks the row
-    pass, and the law scans the cells.  When an earlier pool element covers y, f is not
-    y's witness, and the law passes with the untampered count; when f comes before every
-    element that covers y, the law fails.  Each time it reports what the cell-by-cell
-    scan reports."""
+    """A minus-idem column of f that also covers a related y with f y != m1 at m1 breaks the
+    column pass, and the law scans the cells.  When an earlier pool element covers y, f is
+    not y's witness, and the law passes with the untampered count; when f comes before
+    every element that covers y, the law fails.  Each time it reports what the
+    cell-by-cell scan of the set definition, tampered alike, reports."""
     ctx = corpus[name]
     idem = mo.relation_matrix(ctx, "minus-idem")
     maps, pool = ctx.endos.maps, ctx.endos.idempotent_pool
+    firsts = definitional_firsts(definitional_parts("minus-idem", module_tables(ctx)),
+                                 idem.rows)
 
     def tamper(before):  # an (m1, f, y) with f y != m1, f before or after y's witness
-        return _tampered_idem(ctx, *next(
-            (m1, f, y) for m1, row in enumerate(idem.rows) for y in bits(row) for f in pool
-            if maps[f][y] != m1 and before == (
-                pool.index(f) < pool.index(first_parts(idem.rel, ctx, m1, y)[0]))))
+        return next((m1, f, y) for m1, row in enumerate(idem.rows) for y in bits(row)
+                    for f in pool if maps[f][y] != m1
+                    and before == (pool.index(f) < pool.index(firsts[m1][y][0])))
     later, first = tamper(False), tamper(True)
-    reports = [mo.check_witness_constructions(ctx, tampered) for tampered in (later, first)]
-    assert "parts" in vars(later) and "parts" in vars(first)  # each was scanned cell by cell
-    assert reports == [_chain_scan(ctx, later), _chain_scan(ctx, first)]
+    tampered = [_tampered_idem(ctx, *at) for at in (later, first)]
+    reports = [mo.check_witness_constructions(ctx, matrix) for matrix in tampered]
+    assert all("parts" in vars(matrix) for matrix in tampered)  # each scanned cell by cell
+    assert reports == [_chain_scan(ctx, matrix, at) for matrix, at in zip(tampered,
+                                                                            (later, first))]
     assert reports[0] == mo.check_witness_constructions(ctx, idem)
     assert reports[1].outcome == "fail" and reports[1].counterexample["kind"] == "equality-chain"
 
@@ -280,6 +305,26 @@ def test_context_is_freed_by_reference_counting(build):
         ref = weakref.ref(ctx)
         del ctx, matrix
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mo.build_zm_over_zn(6, 30),
+    lambda: mo.build_ring_as_module(mo.build_product(mo.build_zn(2), mo.build_zn(3))),
+    lambda: mo.build_ring_as_module(mo.build_matrix_ring(2)),
+], ids=["Z6/Z30", "Z2xZ3_R", "M2(Z2)_R"])
+def test_suite_frees_context_and_module_without_the_cycle_collector(build):
+    """With the cycle collector off, the context and its module are freed as soon as the
+    suite is done and the context is dropped: the memo of the relations' ORs and columns
+    on the context, and the ring's, refer to no object that refers back."""
+    gc.disable()
+    try:
+        ctx = mo.ModuleContext(build())
+        mo.run_suite([ctx])
+        refs = weakref.ref(ctx), weakref.ref(ctx.module)
+        del ctx
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 

@@ -6,11 +6,12 @@ import pytest
 import modorder as mo
 from modorder import orders
 from modorder.orders import EQUIVALENT_FAMILY, kernel_summand
-from modorder.rings import MAX_RING_SIZE
+from modorder.rings import MAX_RING_SIZE, RING_RELATIONS
 
 from oracles import (ORACLE_RINGS, brute_dsum_rows, brute_homs, brute_image_rows,
-                     brute_minus_dual, brute_relaxed_rows, direct_sum_tables, is_direct_sum,
-                     is_submodule)
+                     brute_minus_dual, brute_relaxed_rows, definitional_firsts,
+                     definitional_parts, definitional_rows, direct_sum_tables, is_direct_sum,
+                     is_submodule, module_tables)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -402,19 +403,51 @@ def test_image_and_relaxed_rows_match_oracle(dsum_members, name):
 
 @pytest.mark.parametrize("name", DSUM_MEMBERS + DSUM_WIDE)
 def test_relaxed_form_shares_the_jones_parts(dsum_members, name):
-    """minus-relaxed and jones read one parts tuple, and one row set.  On the idempotent
-    pools, mitsch-sym's parts, which also ask for f m1 = m1 and m1 a = m1, give jones's
-    mask at every f and a and every m1, as f m2 = m1 gives f m1 = m1 for idempotent f, and
-    m2 a = m1 gives m1 a = m1 for idempotent a."""
+    """minus-relaxed and jones read one parts tuple, and one OR for each part.  On the
+    idempotent pools, mitsch-sym's parts, which also ask for f m1 = m1 and m1 a = m1, give
+    jones's columns, as f m2 = m1 gives f m1 = m1 for idempotent f, and m2 a = m1 gives
+    m1 a = m1 for idempotent a."""
     assert mo.minus_le_relaxed.parts is mo.jones_le.parts is orders._JONES
-    ctx = dsum_members[name]
+    ctx = mo.ModuleContext(dsum_members[name].module)
     pools = (ctx.endos.idempotent_pool, ctx.module.ring.idempotent_pool)
-    for m1 in range(ctx.module.size):
-        for pool, fixing, jones in zip(pools, mo.mitsch_le_sym.parts, mo.jones_le.parts):
-            assert fixing(ctx, m1, pool) == jones(ctx, m1, pool), m1
+    for pool, fixing, jones in zip(pools, mo.mitsch_le_sym.parts, mo.jones_le.parts):
+        assert list(map(list, fixing(ctx, pool))) == list(map(list, jones(ctx, pool)))
     relaxed, jones = (mo.relation_matrix(ctx, tag) for tag in ("minus-relaxed", "jones"))
     assert relaxed.rows == jones.rows
-    assert [key for key in ctx.rows if key[0] is orders._JONES] == [(orders._JONES, pools)]
+    assert [[entry[0] for entry in ctx.clause_memo[part]] for part in orders._JONES] == [
+        [pool] for pool in pools]
+
+
+def _definitional_matrices(ctx):
+    """(tag, matrix, parts by the set definition) for every module and ring relation."""
+    tables, R = module_tables(ctx), ctx.module.ring
+    for tag in (*mo.RELATIONS, *RING_RELATIONS):
+        parts = (definitional_parts(tag, ring=(R.add, R.mul)) if tag in RING_RELATIONS
+                 else definitional_parts(tag, tables))
+        yield tag, mo.relation_matrix(ctx, tag), parts
+
+
+def _assert_matrices_are_their_definitions(ctx):
+    """Each matrix's rows and first witnesses, in pool order, are its set definition's."""
+    for tag, matrix, parts in _definitional_matrices(ctx):
+        if parts is None:
+            assert not matrix.applicable, (ctx.name, tag)
+            continue
+        rows = definitional_rows(parts)
+        assert matrix.rows == rows, (ctx.name, tag)
+        assert matrix.parts == definitional_firsts(parts, rows), (ctx.name, tag)
+
+
+@pytest.mark.parametrize("name", DSUM_MEMBERS + DSUM_WIDE)
+def test_matrices_are_their_definitions(dsum_members, name):
+    _assert_matrices_are_their_definitions(mo.ModuleContext(dsum_members[name].module))
+
+
+def test_matrices_are_their_definitions_on_the_products_strata(products_strata):
+    assert len(products_strata) == 31
+    for ctx in products_strata:
+        _assert_matrices_are_their_definitions(ctx)
+
 
 
 @pytest.mark.parametrize("name", DSUM_MEMBERS)
@@ -470,6 +503,16 @@ def test_image_and_relaxed_rows_match_oracle_on_direct_sums(shape):
     M = mo.build_module_from_tables(mo.build_zn(shape[2]), add, action)
     for rows, oracle in _image_and_relaxed(mo.ModuleContext(M)):
         assert rows == oracle
+
+
+@settings(max_examples=10, deadline=None)
+@given(_direct_sum_shapes().filter(
+    lambda shape: shape[0] * shape[1] * gcd(*shape[:2]) ** 2 <= MAX_RING_SIZE))
+def test_matrices_are_their_definitions_on_direct_sums(shape):
+    """Every matrix, rows and first witnesses, is its set definition on Za (+) Zb over Zn."""
+    add, action = direct_sum_tables(*shape)
+    M = mo.build_module_from_tables(mo.build_zn(shape[2]), add, action)
+    _assert_matrices_are_their_definitions(mo.ModuleContext(M))
 
 
 def test_evaluate_rejects_bad_input(z6_over_z6):

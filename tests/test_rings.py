@@ -1,8 +1,5 @@
-import json
 import random
 import time
-from functools import reduce
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +9,6 @@ from modorder import rings
 from modorder.rings import AxiomError, SpecError
 
 from oracles import rickart_from_tables, vn_regular_mask, zm_over_zn_tables, zn_tables
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # -- constructors ---------------------------------------------------------------
@@ -377,31 +372,21 @@ def test_hartwig_diagonal_matches_witnesses_and_brute_force(corpus, oracle_conte
     with an inner inverse, as vn_regular_witness finds one and as a scan of every x
     does."""
     for r in _fact_rings(corpus, oracle_contexts):
-        diagonal = sum(mo.hartwig_minus_le.row(r, a, 1 << a) for a in range(r.size))
+        diagonal = sum(row & 1 << a for a, row in enumerate(mo.hartwig_minus_le.rows(r)))
         witnessed = sum(1 << a for a in range(r.size) if mo.vn_regular_witness(r, a) is not None)
         assert diagonal == witnessed == vn_regular_mask(r.mul), r.name
 
 
-def _products_strata():
-    """The R_R of every member in the strata of the suite-products benchmark workload."""
-    spec = json.loads((PERFBENCH / "workloads.json").read_text())["suite-products"]
-    for member in (m for stratum in spec["strata"] for m in stratum):
-        ring = (mo.build_matrix_ring(int(member[6:-1])) if member.startswith("RR:M2(")
-                else reduce(mo.build_product, [mo.build_zn(int(f[1:]))
-                                               for f in member[3:].split("x")]))
-        yield mo.ModuleContext(mo.build_ring_as_module(ring), member)
-
-
-def test_ring_bridge_gate_is_module_regularity(corpus, oracle_contexts):
+def test_ring_bridge_gate_is_module_regularity(corpus, oracle_contexts, products_strata):
     """The ring-bridge law is gated on R_R being a regular module: every phi in M* is
     x -> phi(1)x, so m = m.phi(m) iff m = m.phi(1).m, and R_R is regular iff every a has
     a <= a in Hartwig's order, i.e. iff R is von Neumann regular."""
     rr = [ctx for ctx in (*corpus.values(), *oracle_contexts.values())
           if ctx.module.is_ring_as_module()]
     seen = set()
-    for ctx in (*rr, *_products_strata()):
+    for ctx in (*rr, *products_strata):
         R = ctx.module.ring
-        diagonal = all(mo.hartwig_minus_le.row(R, a, 1 << a) for a in range(R.size))
+        diagonal = all(row >> a & 1 for a, row in enumerate(mo.hartwig_minus_le.rows(R)))
         assert ctx.is_regular == diagonal, ctx.name
         seen.add(diagonal)
     assert seen == {True, False}

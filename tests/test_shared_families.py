@@ -5,8 +5,8 @@ shared object still equals its own definition.
   ones, as the same objects; a noncommutative ring keeps both sides.
 - R_R is its own ring module, so M* and End(M) read one Hom(M, M) search, and its r_R,
   fibre masks and S's kernels are the ring's families.
-- minus-idem and the three star orders share one clause-parts tuple, and their rows are
-  built once per (parts, pools).
+- minus-idem and the three star orders share one clause-parts tuple, and the context keeps
+  one OR of columns for each part and pool, built once.
 """
 
 from functools import reduce
@@ -17,6 +17,7 @@ import modorder as mo
 from modorder import homs, orders
 from modorder.orders import RELATIONS
 from modorder.tables import preimage_masks
+from modorder.verdicts import bits
 
 from oracles import ORACLE_RINGS, brute_homs, klein_four_tables
 
@@ -160,46 +161,80 @@ IDEMPOTENT_FORMS = ("minus-idem", "rstar", "lstar", "star")
     (lambda: mo.build_ring_as_module(_ring("M2(Z2)")), False),
 ], ids=["Z6/Z30", "Z2xZ3_R", "M2(Z2)_R"])
 def test_idempotent_form_rows_match_fresh_rows(build, shared):
-    """Each of the four matrices has the rows that its own relation's row gives, and its
-    own relation.  Under identity involutions every idempotent is a projection, so the
-    four read one row set; over M2(Z2) the transpose has fewer projections, and rstar's
-    rows differ from minus-idem's."""
+    """Each of the four matrices has the rows that its own relation gives on a fresh
+    context, and its own relation.  Under identity involutions every idempotent is a
+    projection, so the four read one OR for each part; over M2(Z2) the transpose has fewer
+    projections, and rstar's rows differ from minus-idem's."""
     ctx = mo.ModuleContext(build())
-    n = ctx.module.size
     matrices = {tag: mo.relation_matrix(ctx, tag) for tag in IDEMPOTENT_FORMS}
     for tag, matrix in matrices.items():
         rel = RELATIONS[tag]
         assert matrix.rel is rel
-        assert matrix.rows == [rel.row(ctx, x, (1 << n) - 1) for x in range(n)], tag
+        assert matrix.rows == rel.rows(mo.ModuleContext(ctx.module)), tag
     parts = {rel.parts for rel in map(RELATIONS.get, IDEMPOTENT_FORMS)}
     assert len(parts) == 1
-    keys = [key for key in ctx.rows if key[0] in parts]
-    assert len(keys) == (1 if shared else 3)  # M2(Z2)'s lstar and star have no involution
+    f_part, a_part = parts.pop()
+    # M2(Z2)'s lstar and star have no involution on S, and rstar's a-pool is R's projections
+    assert [len(ctx.clause_memo[part]) for part in (f_part, a_part)] == [1, 1 if shared else 2]
     if not shared:
         assert matrices["rstar"].rows != matrices["minus-idem"].rows
     for tag in IDEMPOTENT_FORMS:  # the witnesses keep each relation's projection flags
         matrix = matrices[tag]
         x, y = next(((x, y) for x, row in enumerate(matrix.rows) if row
-                     for y in range(n) if row >> y & 1), (None, None))
+                     for y in bits(row)), (None, None))
         if x is not None:
             witness = matrix.verdict(x, y).witness
             assert (witness.f_projection, witness.a_projection) == (
                 tag in ("lstar", "star"), tag in ("rstar", "star"))
 
 
-def test_row_memo_reads_rows_only_where_every_rows_pools_agree(monkeypatch):
-    """A relation with minus-idem's parts and its pools at row 0, but other pools at the
-    rows after it, builds its own rows."""
+def test_memo_keeps_one_or_for_each_part_and_pool(monkeypatch):
+    """A relation with minus-idem's parts but another a-pool of the same length builds its
+    own ORs beside minus-idem's, and leaves minus-idem's rows as they were."""
     idem = RELATIONS["minus-idem"]
-    probe = idem._replace(tag="probe", pools=lambda ctx, x: idem.pools(ctx, x) if x == 0
-                          else (ctx.endos.idempotent_pool, ()))
+    ctx = mo.ModuleContext(mo.build_ring_as_module(_ring("Z2xZ3")))
+    S, R = ctx.endos, ctx.module.ring
+    other = tuple(R.element_pool[:len(R.idempotent_pool)])
+    assert other != R.idempotent_pool
+    probe = idem._replace(tag="probe", pools=lambda ctx: (S.idempotent_pool, other))
     monkeypatch.setitem(orders.RELATIONS, "probe", probe)
     monkeypatch.setitem(orders._BY_TAG, "probe", probe)
-    ctx = mo.ModuleContext(mo.build_ring_as_module(_ring("Z2xZ3")))
-    n = ctx.module.size
     shared = mo.relation_matrix(ctx, "minus-idem").rows
-    rows = mo.relation_matrix(ctx, "probe").rows
-    assert rows == [probe.row(ctx, x, (1 << n) - 1) for x in range(n)] != shared
+    assert mo.relation_matrix(ctx, "probe").rows == probe.rows(mo.ModuleContext(ctx.module))
+    assert mo.relation_matrix(ctx, "probe").rows != shared
+    assert mo.relation_matrix(ctx, "minus-idem").rows == shared
+    assert [[entry[0] for entry in ctx.clause_memo[part]] for part in idem.parts] == [
+        [S.idempotent_pool], [R.idempotent_pool, other]]
+
+
+class _CountedTable(tuple):
+    """A value table that counts the times it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+@pytest.mark.parametrize("build", [lambda: mo.build_zm_over_zn(6, 30),
+                                   lambda: mo.build_ring_as_module(_ring("M2(Z2)"))],
+                         ids=["Z6/Z30", "M2(Z2)_R"])
+def test_second_minus_dual_matrix_builds_no_column(monkeypatch, build):
+    """A second minus-dual matrix, as hasse and find_converse_gap ask for, reads the OR kept
+    on the context: it calls no part and hashes no table of M*."""
+    ctx = mo.ModuleContext(build())
+    ctx.dual = tuple(map(_CountedTable, ctx.dual))
+    calls, (part,) = [], orders.minus_le_dual.parts
+    spy = orders._BY_TAG["minus-dual"]._replace(
+        parts=(lambda ctx, pool: calls.append(pool) or part(ctx, pool),))
+    monkeypatch.setitem(orders._BY_TAG, "minus-dual", spy)
+    first = mo.relation_matrix(ctx, "minus-dual").rows
+    assert calls == [ctx.dual]
+    _CountedTable.hashes = 0
+    assert mo.relation_matrix(ctx, "minus-dual").rows == first
+    assert calls == [ctx.dual] and _CountedTable.hashes == 0
+    assert first == RELATIONS["minus-dual"].rows(mo.ModuleContext(ctx.module))
 
 
 def test_equal_tables_share_preimage_masks():

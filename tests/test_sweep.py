@@ -1,8 +1,7 @@
 """Whole relation matrices against single queries, cell by cell, and the two routines
-behind both: ``Relation.row`` (the decision) and ``Relation.firsts`` (the witnesses)."""
+behind both: ``Relation.rows`` (the decision) and ``Relation.firsts`` (the witnesses)."""
 
 import functools
-import random
 
 import pytest
 
@@ -11,7 +10,8 @@ from modorder import laws, orders
 from modorder.rings import RING_RELATIONS
 from modorder.verdicts import bits
 
-from oracles import first_parts, klein_four_tables
+from oracles import (definitional_firsts, definitional_parts, definitional_rows,
+                     klein_four_tables, module_tables)
 
 MODULE_TAGS = tuple(orders.RELATIONS)
 
@@ -77,38 +77,29 @@ def test_sweep_parts_are_the_witness_parts(z6_over_z30):
 
 
 def _relations(ctx):
-    """(relation, target, size) for every module tag over ctx and every ring tag over its
-    ring."""
+    """(relation, target) for every module tag over ctx and every ring tag over its ring."""
     ring = ctx.module.ring
-    return ([(orders._BY_TAG[tag], ctx, ctx.module.size) for tag in MODULE_TAGS]
-            + [(rel, ring, ring.size) for rel in RING_RELATIONS.values()])
-
-
-def test_row_on_todo_is_the_full_row_masked(contexts):
-    """A row asked for the y in ``todo`` decides only those; the cells left out never change
-    the verdict at a y that is asked about."""
-    rng = random.Random(0)
-    for ctx in contexts:
-        for rel, target, n in _relations(ctx):
-            everything = (1 << n) - 1
-            for x in range(n):
-                full = rel.row(target, x, everything)
-                for todo in (0, 1 << x, *(rng.getrandbits(n) for _ in range(6))):
-                    expected = None if full is None else full & todo
-                    assert rel.row(target, x, todo) == expected, (ctx.name, rel.tag, x, todo)
+    return ([(orders._BY_TAG[tag], ctx) for tag in MODULE_TAGS]
+            + [(rel, ring) for rel in RING_RELATIONS.values()])
 
 
 def test_first_is_the_least_covering_part_of_each_pool(contexts, oracle_contexts):
     """At each holding cell, ``firsts`` on the whole row gives the parts of the single
-    query's witness, each the first element of its pool whose part covers y."""
+    query's witness, each the first element of its pool whose clause holds there by the
+    set definition."""
     for ctx in (*contexts, *oracle_contexts.values()):
-        for rel, target, n in _relations(ctx):
-            for x in range(n):
-                row = rel.row(target, x, (1 << n) - 1)
+        tables, ring = module_tables(ctx), ctx.module.ring
+        for rel, target in _relations(ctx):
+            parts = (definitional_parts(rel.tag, tables) if target is ctx
+                     else definitional_parts(rel.tag, ring=(ring.add, ring.mul)))
+            if parts is None:
+                assert rel.pools(target) is None, (ctx.name, rel.tag)
+                continue
+            expected = definitional_firsts(parts, definitional_rows(parts))
+            for x, row in enumerate(rel.rows(target)):
                 found = rel.firsts(target, x, row) if row else {}
-                assert list(found) == list(bits(row or 0)), (ctx.name, rel.tag, x)
+                assert found == expected[x], (ctx.name, rel.tag, x)
                 for y, parts in found.items():
-                    assert parts == first_parts(rel, target, x, y), (ctx.name, rel.tag, x, y)
                     assert rel.witness(*parts) == rel(target, x, y).witness
 
 

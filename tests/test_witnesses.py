@@ -99,7 +99,7 @@ def _tampered(ctx, v):
         yield w._replace(first=w.second, second=w.first)
         yield w._replace(first=tuple(reversed(w.first)))
         assert w.second == tuple(sorted(ctx.cyclic[ctx.module.sub(m2, m1)]))
-        pool = mo.direct_sum_le.pools(ctx, m1)[1]
+        pool = mo.direct_sum_le.pools(ctx)[1]
         assert w.second in pool and len(pool) > 1
         yield from (w._replace(second=b) for b in pool if b != w.second)
     else:
