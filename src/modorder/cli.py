@@ -121,7 +121,6 @@ def _emit(payload):
 
 def cmd_ring(args) -> int:
     ring = parse_ring_arg(args.ring)
-    rick = is_rickart(ring)
     info = {
         "name": ring.name,
         "size": ring.size,
@@ -129,7 +128,7 @@ def cmd_ring(args) -> int:
         "idempotents": sorted(ring.idempotents()),
         "units": sorted(ring.units()),
         "involution": ring.involution is not None,
-        "rickart": rick.holds,
+        "rickart": is_rickart(ring).holds,
     }
     if ring.involution is not None:
         info["projections"] = sorted(ring.projections())

@@ -26,8 +26,8 @@ g.r -> f(g).r, so EndoRing reads S's tables off M's through f -> f(g), unchecked
 from __future__ import annotations
 
 from functools import cached_property, partial, reduce
-from itertools import compress
-from operator import and_
+from itertools import compress, repeat
+from operator import and_, eq
 
 from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, right_ann
 from .rings import MAX_RING_SIZE, FiniteRing, SpecError, same_ring
@@ -190,9 +190,9 @@ class EndoRing(FiniteRing):
     @cached_property
     def kernels(self) -> tuple[frozenset[int], ...]:
         """ker f = {x : f(x) = 0}, indexed by f (R_R: the ring's right_anns of f(1))."""
-        elements, is_zero = range(self.module.size), self.module.zero.__eq__
+        elements, zero = range(self.module.size), repeat(self.module.zero)
         return self._at_one("right_anns") or tuple(
-            frozenset(compress(elements, map(is_zero, t))) for t in self.maps)
+            frozenset(compress(elements, map(eq, t, zero))) for t in self.maps)
 
     @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
@@ -236,7 +236,7 @@ class ModuleContext:
 
     Also memoizes the element-indexed families (annihilators, cyclic submodules, the
     fibre masks of M*) and the mask of regular elements that every order relation keeps
-    probing, and (``clause_memo``, see ``Relation``) the ORs of the relations' columns.
+    probing, and (``clause_memo``, see ``Relation``) the relations' columns and their ORs.
     Contexts are cheap to create; the heavy parts build on first use and are immutable
     afterwards.
     """
@@ -281,8 +281,8 @@ class ModuleContext:
     @cached_property
     def l_S(self) -> tuple[frozenset[int], ...]:
         """l_S(m) = {f in S : f(m) = 0}, the left annihilator in S, indexed by m."""
-        S, is_zero = self.endos, self.module.zero.__eq__
-        return tuple(frozenset(compress(S.element_pool, map(is_zero, col)))
+        S, zero = self.endos, repeat(self.module.zero)
+        return tuple(frozenset(compress(S.element_pool, map(eq, col, zero)))
                      for col in zip(*S.maps))
 
     @cached_property

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import reprlib
 from functools import cached_property
-from itertools import compress, product
+from itertools import compress, product, repeat
+from operator import eq
 
 from .rings import (FiniteRing, SpecError, build_zn, ring_from_spec, spec_field, spec_int,
                     spec_size, spec_str)
@@ -93,7 +94,7 @@ def cyclic_submodule(M: FiniteModule, m: int) -> frozenset[int]:
 
 def right_ann(M: FiniteModule, m: int) -> frozenset[int]:
     """r_R(m) = {r : m.r = 0}"""
-    return frozenset(compress(M.ring.element_pool, map(M.zero.__eq__, M.action[m])))
+    return frozenset(compress(M.ring.element_pool, map(eq, M.action[m], repeat(M.zero))))
 
 
 def is_direct_sum(M: FiniteModule, a, b, target) -> bool:

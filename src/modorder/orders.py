@@ -23,6 +23,7 @@ from operator import itemgetter
 
 from .homs import ModuleContext, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
+from .modules import right_ann
 from .tables import shown
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
                        OrderVerdict, Relation, bits, equal_keys, fibre_columns, fixed_points)
@@ -192,11 +193,12 @@ def _second_summand(ctx: ModuleContext, pool) -> list[list[int]]:
     return columns if pool is every else [columns[every.index(b)] for b in pool]
 
 
-# The clause parts of minus-idem and the star family, l_S(f) = l_S(m1) and r_R(a) =
-# r_R(m1), one tuple: where their pools are equal, they share its ORs.
+# The clause parts of minus-idem and the star family, l_S(f) = l_S(m1) and r_R(a) = r_R(m1),
+# one tuple: where their pools are equal, they share its ORs.  r(a) is built at pool a only.
 _IDEMPOTENT_PARTS = _fibre_form(
     lambda ctx: equal_keys(ctx.endos.left_anns.__getitem__, ctx.l_S),
-    lambda ctx: equal_keys(ctx.module.ring.right_anns.__getitem__, ctx.r_R))
+    lambda ctx: equal_keys(ctx.r_R.__getitem__ if ctx.module.is_ring_as_module()
+                           else partial(right_ann, ctx.ring_module), ctx.r_R))
 
 # The Jones form, m1 = f m2 = m2 a, over idempotent f and a.  It gives f m1 = f f m2 = f m2 =
 # m1 and m1 a = m2 a a = m2 a = m1, so the fixing sides have the same columns on these

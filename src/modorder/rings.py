@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import reprlib
 from functools import cached_property
-from itertools import chain, compress, product
-from operator import itemgetter
+from itertools import chain, compress, product, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
@@ -118,16 +118,14 @@ class FiniteRing:
         return self.involution[a]
 
     def idempotents(self) -> frozenset[int]:
-        return frozenset(e for e in range(self.size) if self.mul[e][e] == e)
+        return frozenset(self.idempotent_pool)
 
     def units(self) -> frozenset[int]:
         return frozenset(self.unit_pool)
 
     def projections(self) -> frozenset[int]:
         """Self-adjoint idempotents; requires an involution."""
-        if self.involution is None:
-            raise ValueError(f"{self.name} has no involution; projections undefined")
-        return frozenset(e for e in self.idempotents() if self.involution[e] == e)
+        return frozenset(self.projection_pool)
 
     @cached_property
     def element_pool(self) -> range:
@@ -137,18 +135,19 @@ class FiniteRing:
     @cached_property
     def idempotent_pool(self) -> tuple[int, ...]:
         """The idempotents in ascending order, as a witness pool."""
-        return tuple(sorted(self.idempotents()))
+        return tuple(e for e, row in enumerate(self.mul) if row[e] == e)
 
     @cached_property
     def unit_pool(self) -> tuple[int, ...]:
-        """The units in ascending order: 1 in row u and in column u, as uv = 1 = wu gives v = w."""
-        return tuple(u for u, (row, col) in enumerate(zip(self.mul, zip(*self.mul)))
-                     if self.one in row and self.one in col)
+        """The units in ascending order: 1 in row u, as a finite ring is Dedekind-finite."""
+        return tuple(u for u, row in enumerate(self.mul) if self.one in row)
 
     @cached_property
     def projection_pool(self) -> tuple[int, ...]:
         """The projections in ascending order, as a witness pool."""
-        return tuple(sorted(self.projections()))
+        if self.involution is None:
+            raise ValueError(f"{self.name} has no involution; projections undefined")
+        return tuple(e for e in self.idempotent_pool if self.involution[e] == e)
 
     # -- annihilators and principal one-sided ideals, per element -------------------
 
@@ -157,13 +156,13 @@ class FiniteRing:
         """l(a) = {x : x*a = 0}, indexed by a; right_anns itself when R is commutative."""
         if self.is_commutative():
             return self.right_anns
-        return tuple(frozenset(compress(self.element_pool, map(self.zero.__eq__, col)))
+        return tuple(frozenset(compress(self.element_pool, map(eq, col, repeat(self.zero))))
                      for col in zip(*self.mul))
 
     @cached_property
     def right_anns(self) -> tuple[frozenset[int], ...]:
         """r(a) = {x : a*x = 0}, indexed by a."""
-        return tuple(frozenset(compress(self.element_pool, map(self.zero.__eq__, row)))
+        return tuple(frozenset(compress(self.element_pool, map(eq, row, repeat(self.zero))))
                      for row in self.mul)
 
     @cached_property
@@ -397,15 +396,27 @@ class RickartCert(NamedTuple):
     failure: int | None = None
 
 
+def _first_generators(rows, zero, gens):
+    """Row a of mul -> the first e of gens with eR = r(a), or None (columns: Re = l(a)).  As R
+    has 1, eR <= r(a) iff ae = 0, so eR = r(a) iff also |eR| = |r(a)|, the zeros of row a."""
+    by_size = {}  # the gens e by |eR| = |R| / |r(e)|, as x -> ex is additive, in order
+    for e in gens:
+        by_size.setdefault(len(rows) // rows[e].count(zero), []).append(e)
+
+    def first(row):  # among the gens of size |r(a)|, the first e with ae = 0
+        for e in by_size.get(row.count(zero), ()):
+            if row[e] == zero:
+                return e
+    return first
+
+
 def _rickart_cert(ring: FiniteRing, gens) -> RickartCert:
-    # the first e of gens with eR = I, and with Re = I, by the ideal I, built at gens only
-    first_right = {frozenset(ring.mul[e]): e for e in reversed(gens)}
-    first_left = first_right if ring.is_commutative() else {
-        frozenset(row[e] for row in ring.mul): e for e in reversed(gens)}
+    cols = ring.mul if ring.is_commutative() else list(zip(*ring.mul))
+    right = _first_generators(ring.mul, ring.zero, gens)
+    left = right if cols is ring.mul else _first_generators(cols, ring.zero, gens)
     witnesses = {}
-    for a in range(ring.size):
-        p, q = first_right.get(ring.right_anns[a]), first_left.get(ring.left_anns[a])
-        if p is None or q is None:
+    for a, (row, col) in enumerate(zip(ring.mul, cols)):
+        if (p := right(row)) is None or (q := p if left is right else left(col)) is None:
             return RickartCert(False, witnesses, failure=a)
         witnesses[a] = (p, q)
     return RickartCert(True, witnesses)

@@ -154,8 +154,8 @@ class Relation(NamedTuple):
     holds at (x, y) when each pool has a p covering y; the first ones are the parts from
     which ``witness`` builds the witness (as its first fields).  ``hypothesis`` says whether
     the theorem covers (x, y) (None: no assumption).  ``ctx`` is a module context, or a
-    ring; it keeps the OR of each part's columns over each pool, and the columns once the
-    witnesses are read, so relations that share a part and an equal pool share them.
+    ring; it keeps each part's columns over each pool and their OR, so relations that share
+    a part and an equal pool share them.
     """
 
     tag: str
@@ -172,17 +172,17 @@ class Relation(NamedTuple):
                 raise ValueError(f"element {shown(m)} out of range for {carrier.name}")
         return self.verdict(ctx, x, y, self.rows(ctx)[x])
 
-    def _memo(self, ctx, part, pool) -> list:
-        """[pool, the OR of its columns, the columns or None], kept on ctx with no reference
-        back to it, so that dropping a context frees it at once.  A pool is compared, not
-        hashed (M*'s holds every table of M*); equal columns (r and r + m of Z_m/Z_n) are
-        one object, ORed once."""
+    def _memo(self, ctx, part, pool) -> tuple:
+        """(pool, the OR of its columns, the columns), kept on ctx with no reference back to it,
+        so that dropping a context frees it.  A pool is compared, not hashed (M*'s holds every
+        table of M*); equal columns (r and r + m of Z_m/Z_n) are one object, ORed once."""
         memo = vars(ctx).get("clause_memo") or vars(ctx).setdefault("clause_memo", {})
         for entry in memo.get(part, ()):
             if entry[0] is pool or entry[0] == pool:
                 return entry
-        distinct = {id(col): col for col in part(ctx, pool)}.values()
-        entry = [pool, list(reduce(partial(map, or_), distinct, [0] * _carrier(ctx).size)), None]
+        columns = part(ctx, pool)
+        entry = pool, list(reduce(partial(map, or_), {id(col): col for col in columns}.values(),
+                                  [0] * _carrier(ctx).size)), columns
         memo.setdefault(part, []).append(entry)
         return entry
 
@@ -196,11 +196,8 @@ class Relation(NamedTuple):
             self._memo(ctx, part, pool)[1] for part, pool in zip(self.parts, pools)]))
 
     def columns(self, ctx) -> list[tuple]:
-        """(pool, its columns) for each part."""
-        entries = [self._memo(ctx, part, pool) for part, pool in zip(self.parts, self.pools(ctx))]
-        for entry, part in zip(entries, self.parts):
-            entry[2] = entry[2] or part(ctx, entry[0])
-        return [(pool, columns) for pool, _, columns in entries]
+        """(pool, its columns) for each part, as the ORs were built from them."""
+        return [self._memo(ctx, part, pool)[::2] for part, pool in zip(self.parts, self.pools(ctx))]
 
     def firsts(self, ctx, x: int, row: int) -> dict[int, tuple]:
         """The witness parts at each y of ``row``, a mask of cells where the relation

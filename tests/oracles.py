@@ -149,6 +149,26 @@ def rickart_from_tables(mul, zero, gens):
     return True, witnesses, None
 
 
+def units_from_tables(mul, one):
+    """The u with uv = 1 = vu for some v, in ascending order, every v tried."""
+    n = len(mul)
+    return tuple(u for u in range(n) if any(mul[u][v] == one == mul[v][u] for v in range(n)))
+
+
+def triangular_tables(p):
+    """The upper triangular 2x2 matrices ((a, b), (0, d)) over Z_p, at index (a*p + b)*p + d:
+    a noncommutative ring."""
+    mats = list(product(range(p), repeat=3))  # in index order
+
+    def enc(a, b, d):
+        return (a * p + b) * p + d
+    add = [[enc((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % p) for y in mats]
+           for x in mats]
+    mul = [[enc(x[0] * y[0] % p, (x[0] * y[1] + x[1] * y[2]) % p, x[2] * y[2] % p) for y in mats]
+           for x in mats]
+    return add, mul
+
+
 def zn_tables(n):
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[a * b % n for b in range(n)] for a in range(n)]

@@ -8,7 +8,8 @@ import modorder as mo
 from modorder import rings
 from modorder.rings import AxiomError, SpecError
 
-from oracles import rickart_from_tables, vn_regular_mask, zm_over_zn_tables, zn_tables
+from oracles import (rickart_from_tables, triangular_tables, units_from_tables, vn_regular_mask,
+                     zm_over_zn_tables, zn_tables)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -393,21 +394,57 @@ def test_ring_bridge_gate_is_module_regularity(corpus, oracle_contexts, products
 
 
 def test_rickart_star_builds_ideals_at_its_pool_only():
-    """The certificate reads eR at the projections only: Z60's right_ideals stay unbuilt."""
-    ring = mo.build_zn(60)
-    assert ring.rickart_star.holds is False and "right_ideals" not in vars(ring)
+    """The certificates count zeros: Z60's and Z61's right_ideals, right_anns and left_anns
+    stay unbuilt, whether the certificate holds or fails."""
+    for n, holds in ((60, False), (61, True)):
+        ring = mo.build_zn(n)
+        assert ring.rickart_star.holds is holds and mo.is_rickart(ring).holds is holds
+        assert {"right_ideals", "right_anns", "left_anns"}.isdisjoint(vars(ring)), n
 
 
-def test_rickart_certificates_are_rebuilt_alike(corpus, oracle_contexts):
-    """is_rickart and is_rickart_star give the certificate rebuilt from the tables;
-    is_rickart_star, which every star law reads, gives the same object on every call."""
-    for r in [*_fact_rings(corpus, oracle_contexts), mo.build_zn(4), mo.build_matrix_ring(3)]:
+def _certificate_rings(products_strata):
+    """Every Z_n with n <= 64, the rings of the suite-products strata, M2(Z2) and M2(Z3)
+    under the transpose, and T2(Z2), upper triangular and noncommutative, with no involution."""
+    t2 = mo.build_ring_from_tables(*triangular_tables(2), name="T2(Z2)")
+    assert not t2.is_commutative() and t2.involution is None
+    return [*map(mo.build_zn, range(1, 65)), *(ctx.module.ring for ctx in products_strata),
+            mo.build_matrix_ring(3), t2]
+
+
+def test_pools_match_their_definitions(products_strata):
+    """Units, the u with 1 in row u, are the two-sided invertibles; idempotents and
+    projections are read off the diagonal and the involution; each set is its pool's."""
+    for r in _certificate_rings(products_strata):
+        els = range(r.size)
+        assert r.unit_pool == units_from_tables(r.mul, r.one), r.name
+        assert r.idempotent_pool == tuple(e for e in els if r.mul[e][e] == e), r.name
+        assert r.units() == set(r.unit_pool) and r.idempotents() == set(r.idempotent_pool)
+        if r.involution is not None:
+            assert r.projection_pool == tuple(e for e in r.idempotent_pool
+                                              if r.involution[e] == e), r.name
+            assert r.projections() == set(r.projection_pool)
+        else:
+            with pytest.raises(ValueError, match="no involution"):
+                r.projections()
+
+
+def test_rickart_certificates_are_rebuilt_alike(corpus, oracle_contexts, products_strata):
+    """is_rickart and is_rickart_star, found by counting zeros (eR = r(a) iff ae = 0 and
+    |eR| = |r(a)|), give the certificate rebuilt from the ideals as sets, witnesses and
+    failure alike; both outcomes occur on both pools.  is_rickart_star, which every star law
+    reads, gives the same object on every call."""
+    outcomes = set()
+    for r in [*_fact_rings(corpus, oracle_contexts), *_certificate_rings(products_strata)]:
         cert = mo.is_rickart(r)
         assert tuple(cert) == rickart_from_tables(r.mul, r.zero, r.idempotent_pool), r.name
+        outcomes.add(("idempotent", cert.holds))
         if r.involution is not None:
             cert = mo.is_rickart_star(r)
             assert tuple(cert) == rickart_from_tables(r.mul, r.zero, r.projection_pool), r.name
             assert mo.is_rickart_star(r) is cert
+            outcomes.add(("projection", cert.holds))
+    assert outcomes == {(pool, holds) for pool in ("idempotent", "projection")
+                        for holds in (True, False)}
 
 
 def test_rickart_certificate_keeps_first_generator_in_pool_order(corpus, oracle_contexts):
