@@ -175,30 +175,21 @@ class EndoRing(FiniteRing):
                       [[q[v] for v in map(M.action[a].__getitem__, rs)] for a in u],
                       q[zero], q[g], [q[M.neg[a]] for a in u], name=name,
                       commutative=M.ring.is_commutative() or None)
+        self._factors = rs if M.ring.is_commutative() else None  # f(g.r) = g.r_f.r = g.r.r_f
 
     by_generator = None  # (g, the index of the f with f(g) = v, by v) where S was derived
+    _factors = None  # the r_f with f = x -> x.r_f, by f, where S was derived, R commutative
 
     def index_of(self, table) -> int:
         return self._index[tuple(table)]
 
-    def _at_one(self, family: str) -> tuple | None:
-        """R_R: the ring's ``family`` at f(1), indexed by f, as f is x -> f(1)x; else None."""
-        R = self.module.ring
-        return (tuple(getattr(R, family)[t[R.one]] for t in self.maps)
-                if self.module.is_ring_as_module() else None)
-
-    @cached_property
-    def kernels(self) -> tuple[frozenset[int], ...]:
-        """ker f = {x : f(x) = 0}, indexed by f (R_R: the ring's right_anns of f(1))."""
-        elements, zero = range(self.module.size), repeat(self.module.zero)
-        return self._at_one("right_anns") or tuple(
-            frozenset(compress(elements, map(eq, t, zero))) for t in self.maps)
-
     @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
-        """The mask of {x : f(x) = v}, indexed by f, then v in M (R_R: the ring's
-        row_preimages of f(1))."""
-        return self._at_one("row_preimages") or preimage_masks(self.maps, self.module.size)
+        """The mask of {x : f(x) = v}, indexed by f, then v in M; ker f is the mask at
+        v = 0.  Where f is x -> x.r_f, M's column_preimages at r_f, the same objects."""
+        if self._factors is None:
+            return preimage_masks(self.maps, self.module.size)
+        return tuple(map(self.module.column_preimages.__getitem__, self._factors))
 
 
 def endo_ring(M: FiniteModule, involution=None) -> EndoRing:

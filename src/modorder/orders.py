@@ -69,30 +69,30 @@ def is_regular_module(ctx: ModuleContext):
 
 
 def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozenset[int]]:
-    """e = phi(m) and N = {n : m.phi(n) = 0}; decomposes M as mR (+) N.
-
-    phi, the value table of a functional, must witness regularity of m (rejected
-    otherwise).  The returned e is idempotent.  mR and N, the kernel of the
-    endomorphism x -> m.phi(x), are submodules; mR (+) N = M is re-verified.
-    """
+    """e = phi(m), idempotent, and N = {n : m.phi(n) = 0}, the kernel of x -> m.phi(x), with
+    M = mR (+) N re-verified.  ValueError unless m is an element of M and phi, the value
+    table of a functional, witnesses its regularity."""
     M, phi = ctx.module, tuple(phi)
+    if not 0 <= m < M.size:
+        raise ValueError(f"element {shown(m)} out of range for {M.name}")
     if phi not in ctx.regularity_witnesses[m]:
         raise ValueError(f"functional does not witness regularity of {m}")
     e = phi[m]
     assert M.ring.mul[e][e] == e
-    n_set = kernel_summand(ctx, m, smash(M, ctx.endos, m, phi))
-    if n_set is None:
+    n_mask = kernel_summand(ctx, m, smash(M, ctx.endos, m, phi))
+    if n_mask is None:
         raise AssertionError(f"decomposition failed for m={m}")
-    return e, n_set
+    return e, frozenset(bits(n_mask))
 
 
 def kernel_summand(ctx: ModuleContext, m: int, s: int):
-    """N = {n : m.phi(n) = 0}, the kernel of s = smash(M, S, m, phi), if M = mR (+) N;
-    None otherwise.  Decided by sizes: |mR + N| = |mR|.|N| / |mR meet N|, so mR meet N = 0
-    and |mR|.|N| = |M| give mR + N = M.  Both are checked; neither is assumed."""
-    a_set, n_set = ctx.cyclic[m], ctx.endos.kernels[s]
-    split = len(a_set & n_set) == 1 and len(a_set) * len(n_set) == ctx.module.size
-    return n_set if split else None
+    """The mask of N = ker s, the zero fibre of S.preimages[s], if M = mR (+) N; else None.
+    By sizes: |mR + N| = |mR|.|N| / |mR meet N|, and |mR meet N| = |mR| / |s(m)R| as s maps
+    mR onto s(m)R; so |s(m)R| = |mR| and |mR|.|N| = |M| give M = mR (+) N, both checked."""
+    M, S, cyclic = ctx.module, ctx.endos, ctx.cyclic
+    n_mask, size = S.preimages[s][M.zero], len(cyclic[m])
+    split = len(cyclic[S.maps[s][m]]) == size and size * n_mask.bit_count() == M.size
+    return n_mask if split else None
 
 
 # -- hypotheses and pools -----------------------------------------------------------

@@ -374,6 +374,8 @@ def vn_regular_witness(ring: FiniteRing, a: int):
 
 def idempotent_annih_identity(ring: FiniteRing, p: int) -> bool:
     """R(1-p) = l(p) and (1-p)R = r(p); must hold for every idempotent p."""
+    if not 0 <= p < ring.size:
+        raise ValueError(f"element {shown(p)} out of range for {ring.name}")
     if ring.mul[p][p] != p:
         raise ValueError(f"{p} is not idempotent in {ring.name}")
     comp = ring.sub(ring.one, p)

@@ -112,6 +112,39 @@ def test_regular_decomposition_rejects_non_witness(z6_over_z30):
         mo.regular_decomposition(z6_over_z30, 2, phi)
 
 
+@pytest.mark.parametrize("m", [-1, 6])
+def test_regular_decomposition_rejects_out_of_range_element(corpus, m):
+    """-1 is not read as the last element, and |M| gives no IndexError: both name m."""
+    ctx = corpus["Z6/Z6"]
+    phi = ctx.regularity_witnesses[5][0]
+    with pytest.raises(ValueError, match=f"^element {m} out of range for Z6/Z6$"):
+        mo.regular_decomposition(ctx, m, phi)
+
+
+def test_kernel_summand_is_the_kernel_of_m_phi(corpus, klein_four):
+    """At every regular m and witness phi, N is {n : m.phi(n) = 0}, as a mask, and
+    regular_decomposition returns it as a frozenset."""
+    for ctx in (*corpus.values(), klein_four):
+        M = ctx.module
+        for m in mo.regular_set(ctx):
+            for phi in ctx.regularity_witnesses[m]:
+                kernel = {n for n in range(M.size) if M.action[m][phi[n]] == M.zero}
+                s = mo.smash(M, ctx.endos, m, phi)
+                assert kernel_summand(ctx, m, s) == sum(1 << n for n in kernel), (ctx.name, m)
+                assert mo.regular_decomposition(ctx, m, phi) == (phi[m], kernel)
+
+
+def test_kernel_summand_refuses_the_identity_unless_mr_is_m(corpus, klein_four):
+    """ker 1 = {0}, so M = mR (+) ker 1 exactly when mR = M."""
+    for ctx in (*corpus.values(), klein_four):
+        M, one = ctx.module, ctx.endos.one
+        proper = [m for m in range(M.size) if len(ctx.cyclic[m]) < M.size]
+        assert all(kernel_summand(ctx, m, one) is None for m in proper), ctx.name
+        assert all(kernel_summand(ctx, m, one) == 1 << M.zero
+                   for m in range(M.size) if m not in proper), ctx.name
+    assert klein_four.module.size == 4 and all(len(c) < 4 for c in klein_four.cyclic)
+
+
 # -- the minus order, each characterization on its worked examples ------------------
 
 
@@ -453,15 +486,16 @@ def test_matrices_are_their_definitions_on_the_products_strata(products_strata):
 @pytest.mark.parametrize("name", DSUM_MEMBERS)
 def test_kernel_summand_matches_oracle(dsum_members, name):
     """For every m and every s in S, not only the witness pairs of the witness law,
-    kernel_summand gives ker s exactly when M = mR (+) ker s by the definition, with ker s
-    read from the tables."""
+    kernel_summand gives the mask of ker s exactly when M = mR (+) ker s by the definition,
+    with ker s read from the tables."""
     ctx = dsum_members[name]
     M, whole = ctx.module, range(ctx.module.size)
     for s, t in enumerate(ctx.endos.maps):
         kernel = {x for x in whole if t[x] == M.zero}
         for m in whole:
             split = is_direct_sum(M.add, M.zero, M.action[m], kernel, whole)
-            assert kernel_summand(ctx, m, s) == (kernel if split else None), (m, s)
+            assert kernel_summand(ctx, m, s) == (sum(1 << x for x in kernel) if split
+                                                 else None), (m, s)
 
 
 from hypothesis import given, settings, strategies as st

@@ -305,6 +305,13 @@ def test_idempotent_identity_rejects_non_idempotent():
         mo.idempotent_annih_identity(r, 2)
 
 
+@pytest.mark.parametrize("p", [-1, 6])
+def test_idempotent_identity_rejects_out_of_range_element(p):
+    """-1 is not read as the last element, and |R| gives no IndexError: both name p."""
+    with pytest.raises(ValueError, match=f"^element {p} out of range for Z6$"):
+        mo.idempotent_annih_identity(mo.build_zn(6), p)
+
+
 def test_z10_annihilator_values():
     r = mo.build_zn(10)
     assert r.left_anns[2] == {0, 5}

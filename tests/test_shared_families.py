@@ -3,8 +3,10 @@ shared object still equals its own definition.
 
 - A commutative ring's left annihilators, left ideals and column preimages are its right
   ones, as the same objects; a noncommutative ring keeps both sides.
-- R_R is its own ring module, so M* and End(M) read one Hom(M, M) search, and its r_R,
-  fibre masks and S's kernels are the ring's families.
+- R_R is its own ring module, so M* and End(M) read one Hom(M, M) search, and its r_R is
+  the ring's.
+- S of a cyclic gR over a commutative R has each f = x -> x.r_f, so f's fibre masks, ker f
+  the one at 0, are M's column_preimages at r_f; any other S reads them off its maps.
 - minus-idem and the three star orders share one clause-parts tuple, and the context keeps
   one OR of columns for each part and pool, built once.
 """
@@ -117,15 +119,52 @@ def test_ring_module_families_are_the_rings():
         assert S.preimages == preimage_masks(S.maps, M.size), ctx.name
 
 
-def test_ring_module_kernels_are_the_rings():
-    """R_R: ker f = r(f(1)), as the ring's own frozensets, equal to its definition from
-    S.maps."""
-    for ctx in _ring_module_contexts():
-        M, R, S = ctx.module, ctx.module.ring, ctx.endos
-        assert all(S.kernels[i] is R.right_anns[f[R.one]]
-                   for i, f in enumerate(S.maps)), ctx.name
-        assert S.kernels == tuple(frozenset(x for x in range(M.size) if f[x] == M.zero)
-                                  for f in S.maps)
+def _cyclic_over_commutative():
+    """Every Z_m/Z_n with 1 < m | n <= 64, and the commutative R_R of the default corpus and
+    of ORACLE_RINGS, fresh."""
+    modules = [mo.build_zm_over_zn(m, n) for n in range(2, 65) for m in range(2, n + 1)
+               if n % m == 0]
+    modules += [ctx.module for ctx in _ring_module_contexts() if ctx.module.ring.is_commutative()]
+    return [mo.ModuleContext(M) for M in modules]
+
+
+def _spied_preimage_masks(monkeypatch):
+    calls, masks = [], homs.preimage_masks
+    monkeypatch.setattr(homs, "preimage_masks",
+                        lambda tables, size: calls.append((tables, size)) or masks(tables, size))
+    return calls
+
+
+def test_endo_fibres_of_a_cyclic_module_over_a_commutative_ring_are_ms_columns(monkeypatch):
+    """S of gR over a commutative R: each f is x -> x.r_f with g.r_f = f(g), so its fibre
+    masks are M's column_preimages at r_f, the same object, and equal their definition."""
+    calls, contexts = _spied_preimage_masks(monkeypatch), _cyclic_over_commutative()
+    assert len(contexts) > 200 and {"Z6/Z30", "Z64/Z64", "Z2xZ3_R"} <= {c.name for c in contexts}
+    for ctx in contexts:
+        M, S = ctx.module, ctx.endos
+        (g,) = homs.generating_set(M)
+        for f, t in enumerate(S.maps):
+            r_f = M.action[g].index(t[g])
+            assert list(t) == [M.action[x][r_f] for x in range(M.size)], (ctx.name, f)
+            assert S.preimages[f] is M.column_preimages[r_f], (ctx.name, f)
+        assert S.preimages == preimage_masks(S.maps, M.size), ctx.name
+    assert calls == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mo.ModuleContext(mo.build_ring_as_module(_ring("M2(Z2)"))),
+    lambda: mo.ModuleContext(mo.build_module_from_tables(mo.build_zn(2), *klein_four_tables(),
+                                                         name="F2^2")),
+    lambda: mo.ModuleContext(mo.build_zm_over_zn(6, 30), endo_involution=list(range(6))),
+    lambda: mo.ModuleContext(mo.build_zm_over_zn(1, 5)),
+], ids=["M2(Z2)_R", "F2^2", "Z6/Z30-involution", "Z1/Z5"])
+def test_other_endo_fibres_are_read_off_the_maps(monkeypatch, build):
+    """A noncommutative R, a non-cyclic M, an S given an involution and the zero module,
+    which has no greedy generator, take preimage_masks over S.maps, once."""
+    calls, ctx = _spied_preimage_masks(monkeypatch), build()
+    S = ctx.endos
+    assert S.preimages == preimage_masks(S.maps, ctx.module.size)
+    assert S.preimages is S.preimages and calls == [(S.maps, ctx.module.size)]
 
 
 def _small_contexts():
