@@ -16,7 +16,7 @@ from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
 from .rings import RING_RELATIONS, AxiomError, SpecError, build_matrix_ring, build_product, build_zn
 from .tables import greedy_generators
-from .verdicts import OrderVerdict, Relation, bits
+from .verdicts import OrderVerdict, Relation, bits, check_elements
 
 
 class LawReport(NamedTuple):
@@ -53,7 +53,9 @@ class RelationMatrix:
                              for x, mask in enumerate(self.rows)]
 
     def verdict(self, x: int, y: int) -> OrderVerdict:
-        """The verdict at (x, y), with its witness where the relation holds."""
+        """The verdict at (x, y), with its witness where the relation holds; ValueError for an
+        operand outside 0..size-1."""
+        check_elements(self.target, x, y)
         return self.rel.verdict(self.target, x, y, self.rows[x])
 
     @cached_property
@@ -67,8 +69,9 @@ def relation_matrix(ctx: ModuleContext, tag: str) -> RelationMatrix:
     the relation's ``rows``; read from ``orders._BY_TAG``, as a profiler may rebind
     ``RELATIONS``.  The ORs behind the rows are kept on the context (on the ring, for a ring
     relation) by part and pool, so that a second call, or a relation with the same part and
-    an equal pool (minus-relaxed and jones, mitsch-sym and mitsch or gb, minus-idem and the
-    star orders where every idempotent is a projection), builds no column again."""
+    an equal pool (jones, minus-relaxed and minus-image; mitsch, mitsch-sym and gb;
+    minus-idem and the star orders where every idempotent is a projection), builds no column
+    again."""
     if tag in orders.RELATIONS:
         rel, target = orders._BY_TAG[tag], ctx
     elif tag in RING_RELATIONS:

@@ -7,9 +7,9 @@ verified by the law suite, never assumed here.  The same parts drive the
 decision of one query (:func:`evaluate`) or one matrix row
 (``laws.relation_matrix``), the witness search (the first hit of each pool,
 so verdicts are deterministic) and the witness replay (:func:`revalidate`).
-A clause may be decided by an identity proved beside it (``dsum`` by sizes, the image
-gates by fibre bits, the relaxed gates by the Jones clauses), its set definition then
-kept as a test oracle.
+A clause may be decided by an identity proved beside it (``dsum`` by sizes, minus-image
+and minus-relaxed by the Jones clauses, mitsch-sym and gb by the Mitsch clauses), its set
+definition then kept as a test oracle.
 
 Theorem-hypothesis violations (a non-regular operand where the
 characterization assumes regularity) do not abort: the raw existential is
@@ -24,9 +24,8 @@ from operator import itemgetter
 from .homs import ModuleContext, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
 from .modules import right_ann
-from .tables import shown
-from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair,
-                       OrderVerdict, Relation, bits, equal_keys, fibre_columns, fixed_points)
+from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair, OrderVerdict, Relation,
+                       bits, check_elements, equal_keys, fibre_columns, fixed_points)
 
 
 # -- the definitional form and regularity ---------------------------------------------
@@ -53,8 +52,7 @@ REGULARITY = minus_le_dual._replace(tag="regular")
 
 def is_regular_element(ctx: ModuleContext, m: int) -> OrderVerdict:
     """Zelmanowitz regularity: some phi in M* with m = m.phi(m)."""
-    if not 0 <= m < ctx.module.size:
-        raise ValueError(f"element {shown(m)} out of range for {ctx.module.name}")
+    check_elements(ctx, m)
     return REGULARITY.verdict(ctx, m, m, ctx.regular)
 
 
@@ -73,8 +71,7 @@ def regular_decomposition(ctx: ModuleContext, m: int, phi) -> tuple[int, frozens
     M = mR (+) N re-verified.  ValueError unless m is an element of M and phi, the value
     table of a functional, witnesses its regularity."""
     M, phi = ctx.module, tuple(phi)
-    if not 0 <= m < M.size:
-        raise ValueError(f"element {shown(m)} out of range for {M.name}")
+    check_elements(ctx, m)
     if phi not in ctx.regularity_witnesses[m]:
         raise ValueError(f"functional does not witness regularity of {m}")
     e = phi[m]
@@ -121,41 +118,9 @@ def _everything(ctx: ModuleContext):
 # -- clause parts: for each p of a pool, a column: at each m1, the mask of the m2 ------
 
 
-def _fibre_form(f_gate, a_gate):
-    """f in S and a in R that pass their gates, with f m1 = f m2 and m1 a = m2 a.  A gate
-    gives, for ctx, the m1 at which p passes it, by p and p's table (see fibre_columns)."""
-    def f_part(ctx: ModuleContext, pool) -> list[list[int]]:
-        return fibre_columns(pool, ctx.endos.preimages, ctx.endos.maps.__getitem__, f_gate(ctx))
-
-    def a_part(ctx: ModuleContext, pool) -> list[list[int]]:
-        return fibre_columns(pool, ctx.module.column_preimages, lambda a: list(map(
-            itemgetter(a), ctx.module.action)), a_gate(ctx))
-    return f_part, a_part
-
-
-# The image form, m1 R <= f M and S m1 <= M a, gated by one fibre bit each.  fM is a
-# submodule, as f(x).r = f(x.r), and m1 is in m1 R (M is unital), so m1 R <= fM iff m1 is
-# in fM, iff S.preimages[f][m1] != 0.  Ma is an S-submodule, as f(x.a) = f(x).a and
-# x.a + y.a = (x + y).a, and m1 = id(m1) is in S m1, so S m1 <= Ma iff m1 is in Ma, iff
-# M.column_preimages[a][m1] != 0.  Neither step needs regularity or idempotents.
-_image_form = _fibre_form(lambda ctx: lambda f, image: set(image),
-                          lambda ctx: lambda a, image: set(image))
-
-# The Mitsch-form sides, m1 = f m2 and m1 = m2 a, with m1 = f m1 or m1 = m1 a where asked.
-# The column of f is S.preimages[f], the m2 with f m2 = m1 by m1; where f fixes m1 that is
-# the fibre of m1, so the fixing sides are the fibre form gated to the fixed points.  Each
-# side is one function, so the relations that read it share its ORs.
-_f_fixing, _a_fixing_each = _fibre_form(lambda ctx: fixed_points, lambda ctx: fixed_points)
-
-
-def _a_fixing(ctx: ModuleContext, pool) -> list[list[int]]:
-    """The fixing a side, built once for each distinct column of the action, all that it
-    reads of a (r and r + m of Z_m/Z_n share one)."""
-    pre, first = ctx.module.column_preimages, {}
-    for a in pool:
-        first.setdefault(id(pre[a]), a)
-    built = dict(zip(first, _a_fixing_each(ctx, list(first.values()))))
-    return [built[id(pre[a])] for a in pool]
+def _f_fixing(ctx: ModuleContext, pool) -> list[list[int]]:
+    """Mitsch's f side, m1 = f m1 = f m2: where f fixes m1, the fibre of m1 under f."""
+    return fibre_columns(pool, ctx.endos.preimages, ctx.endos.maps.__getitem__, fixed_points)
 
 
 def _f_any(ctx: ModuleContext, pool):
@@ -195,17 +160,19 @@ def _second_summand(ctx: ModuleContext, pool) -> list[list[int]]:
 
 # The clause parts of minus-idem and the star family, l_S(f) = l_S(m1) and r_R(a) = r_R(m1),
 # one tuple: where their pools are equal, they share its ORs.  r(a) is built at pool a only.
-_IDEMPOTENT_PARTS = _fibre_form(
-    lambda ctx: equal_keys(ctx.endos.left_anns.__getitem__, ctx.l_S),
-    lambda ctx: equal_keys(ctx.r_R.__getitem__ if ctx.module.is_ring_as_module()
-                           else partial(right_ann, ctx.ring_module), ctx.r_R))
+def _f_annihilator(ctx: ModuleContext, pool) -> list[list[int]]:
+    return fibre_columns(pool, ctx.endos.preimages, ctx.endos.maps.__getitem__,
+                         equal_keys(ctx.endos.left_anns.__getitem__, ctx.l_S))
 
-# The Jones form, m1 = f m2 = m2 a, over idempotent f and a.  It gives f m1 = f f m2 = f m2 =
-# m1 and m1 a = m2 a a = m2 a = m1, so the fixing sides have the same columns on these
-# pools.  The relaxed form, l_S(f) <= l_S(m1) and r_R(a) <= r_R(m1), asks just that: as
-# l_S(f) = S(1 - f) and l_S(m1) is a left ideal, it holds iff (1 - f)(m1) = 0, iff f m1 =
-# m1, and as r_R(a) = (1 - a)R, iff m1 a = m1.  So both read one parts tuple.
-_JONES = (_f_any, _a_any)
+
+def _a_annihilator(ctx: ModuleContext, pool) -> list[list[int]]:
+    r_a = (ctx.r_R.__getitem__ if ctx.module.is_ring_as_module()
+           else partial(right_ann, ctx.ring_module))
+    return fibre_columns(pool, ctx.module.column_preimages, lambda a: list(map(
+        itemgetter(a), ctx.module.action)), equal_keys(r_a, ctx.r_R))
+
+
+_IDEMPOTENT_PARTS = (_f_annihilator, _a_annihilator)
 
 
 def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relation:
@@ -224,16 +191,27 @@ def _idempotent_form(tag: str, f_projection: bool, a_projection: bool) -> Relati
 
 # -- the relation table ----------------------------------------------------------------
 
+# The Jones and Mitsch forms.
+jones_le = Relation("jones", _idempotents, (_f_any, _a_any), IdemPair, _module_regular)
+mitsch_le = Relation("mitsch", _everything, (_f_fixing, _a_any), MapPair, _module_regular)
 # The minus order, three more characterizations.
 minus_le_idem = _idempotent_form("minus-idem", False, False)
-minus_le_relaxed = Relation("minus-relaxed", _idempotents, _JONES, IdemPair, _module_regular)
-minus_le_image = Relation("minus-image", _idempotents, _image_form, IdemPair, _module_regular)
-# Jones / Mitsch style and the direct-sum order.
-jones_le = Relation("jones", _idempotents, _JONES, IdemPair, _module_regular)
-mitsch_le = Relation("mitsch", _everything, (_f_fixing, _a_any), MapPair, _module_regular)
-mitsch_le_sym = Relation("mitsch-sym", _everything, (_f_fixing, _a_fixing), MapPair,
-                         _module_regular)
-corollary_gb_le = Relation("gb", _everything, (_f_any, _a_fixing), MapPair, _module_regular)
+# minus-relaxed, l_S(f) <= l_S(m1) and r_R(a) <= r_R(m1), and minus-image, m1 R <= fM and
+# S m1 <= Ma, each with f m1 = f m2 and m1 a = m2 a over idempotent f and a, are Jones's parts.
+# Each f clause holds iff f m1 = m1: l_S(f) = S(1 - f) and l_S(m1) is a left ideal, and fM =
+# {x : f x = x} is a submodule holding m1 R iff it holds m1.  Each a clause holds iff m1 a = m1:
+# r_R(a) = (1 - a)R, and Ma = {x : x a = x} is an S-submodule, holding S m1 iff it holds m1.
+# f m1 = m1 with f m1 = f m2 is m1 = f m2 (which gives f m1 = f f m2 = m1); so on the a side.
+minus_le_relaxed = jones_le._replace(tag="minus-relaxed")
+minus_le_image = jones_le._replace(tag="minus-image")
+# mitsch-sym (m1 = f m1 = f m2 = m2 a = m1 a) and gb (m1 = f m2 = m2 a = m1 a) accept the
+# (f, a) that mitsch (m1 = f m1 = f m2 = m2 a) does, on every module, as f is R-linear: from
+# mitsch's, m1 a = f(m2) a = f(m2 a) = f(m1) = m1; from gb's, f m1 = f(m2 a) = f(m2) a = m1 a
+# = m1.  Each accepts a product of an f set and an a set, so equal pair sets give equal first
+# f and a: the three share one parts tuple, with the same rows, witnesses and replays.
+mitsch_le_sym = mitsch_le._replace(tag="mitsch-sym")
+corollary_gb_le = mitsch_le._replace(tag="gb")
+# The direct-sum order.
 direct_sum_le = Relation("dsum", _summands, (_first_summand, _second_summand),
                          DirectSumWitness, _both_regular)
 # The star family: R and/or S must be *-rings.

@@ -17,8 +17,8 @@ from typing import NamedTuple
 from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
                      check_size, checked_table, cyclic_tables, greedy_generators, identity_of,
                      preimage_masks, shown)
-from .verdicts import (AnnihPair, InnerInverse, OrderVerdict, Relation, equal_keys,
-                       fibre_columns)
+from .verdicts import (AnnihPair, InnerInverse, OrderVerdict, Relation, check_elements,
+                       equal_keys, fibre_columns)
 
 MAX_RING_SIZE = 256
 
@@ -342,23 +342,22 @@ def _hartwig_part(ring: FiniteRing, pool) -> list[list[int]]:
 
 
 def _annih_p(ring: FiniteRing, pool) -> list[list[int]]:
-    """For each idempotent p, at each a with l(a) = R(1-p), the b with pa = pb."""
-    return fibre_columns(pool, ring.row_preimages, ring.mul.__getitem__, equal_keys(
-        lambda p: ring.left_ideals[ring.sub(ring.one, p)], ring.left_anns))
+    """For each idempotent p, at each a with l(a) = R(1-p), which is l(p), the b with pa = pb."""
+    return fibre_columns(pool, ring.row_preimages, ring.mul.__getitem__,
+                         equal_keys(ring.left_anns.__getitem__, ring.left_anns))
 
 
 def _annih_q(ring: FiniteRing, pool) -> list[list[int]]:
-    """For each idempotent q, at each a with r(a) = (1-q)R, the b with aq = bq."""
+    """For each idempotent q, at each a with r(a) = (1-q)R, which is r(q), the b with aq = bq."""
     return fibre_columns(pool, ring.column_preimages, lambda q: list(map(itemgetter(q), ring.mul)),
-                         equal_keys(lambda q: ring.right_ideals[ring.sub(ring.one, q)],
-                                    ring.right_anns))
+                         equal_keys(ring.right_anns.__getitem__, ring.right_anns))
 
 
 # The ring-level relations, each called as relation(ring, a, b).
 hartwig_minus_le = Relation("hartwig", lambda ring: (ring.element_pool,),
                             (_hartwig_part,), InnerInverse)
-# Annihilator form of the ring minus order: idempotents p, q with
-# l(a) = R(1-p), r(a) = (1-q)R, pa = pb and aq = bq.
+# Annihilator form of the ring minus order: idempotents p, q with l(a) = R(1-p), r(a) =
+# (1-q)R, pa = pb and aq = bq, gated by R(1-p) = l(p), (1-q)R = r(q) (idempotent_annih_identity).
 ring_minus_le_annih = Relation("ring-annih", lambda ring: (ring.idempotent_pool,) * 2,
                                (_annih_p, _annih_q), AnnihPair)
 
@@ -374,8 +373,7 @@ def vn_regular_witness(ring: FiniteRing, a: int):
 
 def idempotent_annih_identity(ring: FiniteRing, p: int) -> bool:
     """R(1-p) = l(p) and (1-p)R = r(p); must hold for every idempotent p."""
-    if not 0 <= p < ring.size:
-        raise ValueError(f"element {shown(p)} out of range for {ring.name}")
+    check_elements(ring, p)
     if ring.mul[p][p] != p:
         raise ValueError(f"{p} is not idempotent in {ring.name}")
     comp = ring.sub(ring.one, p)

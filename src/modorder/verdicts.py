@@ -144,6 +144,14 @@ def _carrier(ctx):
     return ctx if hasattr(ctx, "size") else ctx.module  # a ring, End(M) too, or M
 
 
+def check_elements(ctx, *elements) -> None:
+    """ValueError for an element outside 0..size-1 of ctx (a ring or a module) or its module."""
+    carrier = _carrier(ctx)
+    for m in elements:
+        if not 0 <= m < carrier.size:
+            raise ValueError(f"element {shown(m)} out of range for {carrier.name}")
+
+
 class Relation(NamedTuple):
     """One order relation, defined once for the decision, the witness and the replay.
 
@@ -166,10 +174,7 @@ class Relation(NamedTuple):
 
     def __call__(self, ctx, x: int, y: int) -> OrderVerdict:
         """The verdict at (x, y); ValueError for an operand outside 0..size-1."""
-        carrier = _carrier(ctx)
-        for m in (x, y):
-            if not 0 <= m < carrier.size:
-                raise ValueError(f"element {shown(m)} out of range for {carrier.name}")
+        check_elements(ctx, x, y)
         return self.verdict(ctx, x, y, self.rows(ctx)[x])
 
     def _memo(self, ctx, part, pool) -> tuple:

@@ -10,8 +10,8 @@ from modorder.homs import smash
 from modorder.laws import RelationMatrix
 from modorder.verdicts import Relation, bits
 
-from oracles import (definitional_firsts, definitional_parts, definitional_rows, module_tables,
-                     witness_chain_scan)
+from oracles import (ORACLE_RINGS, definitional_firsts, definitional_parts, definitional_rows,
+                     module_tables, witness_chain_scan)
 
 
 @functools.cache
@@ -26,6 +26,16 @@ def test_partial_order_passes_on_regular_members(corpus):
     for ctx in corpus.values():
         report = mo.check_partial_order(_minus_matrix(ctx), mo.regular_set(ctx))
         assert report.outcome == "pass", (ctx.name, report.counterexample)
+
+
+@pytest.mark.parametrize("tag, carrier", [("minus-dual", "Z6/Z6"), ("hartwig", "Z6")])
+@pytest.mark.parametrize("x, y", [(-1, 5), (6, 0), (0, -1), (0, 6)])
+def test_matrix_verdict_refuses_an_element_out_of_range(z6_over_z6, tag, carrier, x, y):
+    """As a relation's own call does: -1 is not read as the last element, nor 6 as an
+    IndexError or a negative shift."""
+    matrix, bad = mo.relation_matrix(z6_over_z6, tag), x if y in range(6) else y
+    with pytest.raises(ValueError, match=rf"^element {bad} out of range for {carrier}$"):
+        matrix.verdict(x, y)
 
 
 def test_partial_order_fault_injection(z6_over_z6):
@@ -341,6 +351,27 @@ def test_suite_builds_no_annihilator_family_of_the_ring():
             assert {"right_anns", "left_anns"}.isdisjoint(vars(ctx.module.ring)), ctx.name
             if (m, n) in ((1, 61), (3, 39)):
                 assert reports["partial-order/rstar"] == "pass", ctx.name
+
+
+def test_ring_bridge_builds_no_ideal_family_of_the_ring(monkeypatch):
+    """On R_R of the default corpus and of ORACLE_RINGS, the suite builds neither principal
+    ideal family and subtracts nothing in R: ring-annih gates by l(p) = R(1-p) and r(q) =
+    (1-q)R, annihilators of the pool's idempotents.  On the regular ones (Z6, Z10, Z2xZ3,
+    M2(Z2), Z2^6) the ring-bridge law reads ring-annih's matrix and passes."""
+    monkeypatch.setattr(mo.FiniteRing, "sub", None)
+    rings = {ctx.module.ring.name: ctx.module.ring for ctx in mo.default_corpus()
+             if ctx.module.is_ring_as_module()}
+    rings |= {name: mo.build_matrix_ring(2) if name == "M2(Z2)" else functools.reduce(
+        mo.build_product, [mo.build_zn(int(f[1:])) for f in name.split("x")])
+        for name in ORACLE_RINGS if name not in rings}
+    bridged = []
+    for ring in rings.values():
+        reports = {r.law: r.outcome for r in mo.run_suite([
+            mo.ModuleContext(mo.build_ring_as_module(ring), ring.name)])}
+        assert {"left_ideals", "right_ideals"}.isdisjoint(vars(ring)), ring.name
+        assert reports["ring-bridge"] != "fail", ring.name
+        bridged += [ring.name] * (reports["ring-bridge"] == "pass")
+    assert len(bridged) == 5, bridged
 
 
 def test_run_suite_default_corpus(corpus):

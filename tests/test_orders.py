@@ -1,4 +1,5 @@
 import re
+from itertools import product
 from math import gcd
 
 import pytest
@@ -427,7 +428,7 @@ def _image_and_relaxed(ctx):
 
 @pytest.mark.parametrize("name", DSUM_MEMBERS + DSUM_WIDE)
 def test_image_and_relaxed_rows_match_oracle(dsum_members, name):
-    """The fibre-bit gates give the rows of the set definitions m1R <= fM, Sm1 <= Ma and
+    """The Jones parts give the rows of the set definitions m1R <= fM, Sm1 <= Ma and
     l_S(f) <= l_S(m1), r_R(a) <= r_R(m1), on members that are not regular, not cyclic, or
     (F2^2, M2(Z2)) have a noncommutative S."""
     for rows, oracle in _image_and_relaxed(dsum_members[name]):
@@ -436,19 +437,39 @@ def test_image_and_relaxed_rows_match_oracle(dsum_members, name):
 
 @pytest.mark.parametrize("name", DSUM_MEMBERS + DSUM_WIDE)
 def test_relaxed_form_shares_the_jones_parts(dsum_members, name):
-    """minus-relaxed and jones read one parts tuple, and one OR for each part.  On the
-    idempotent pools, mitsch-sym's parts, which also ask for f m1 = m1 and m1 a = m1, give
-    jones's columns, as f m2 = m1 gives f m1 = m1 for idempotent f, and m2 a = m1 gives
-    m1 a = m1 for idempotent a."""
-    assert mo.minus_le_relaxed.parts is mo.jones_le.parts is orders._JONES
+    """minus-image and minus-relaxed read jones's parts tuple, and mitsch-sym and gb read
+    mitsch's, each group with the same rows.  After all 12 matrices, the memo holds the ORs
+    of exactly the parts that RELATIONS names, none of a part that no relation reads."""
+    assert mo.minus_le_image.parts is mo.minus_le_relaxed.parts is mo.jones_le.parts
+    assert mo.mitsch_le_sym.parts is mo.corollary_gb_le.parts is mo.mitsch_le.parts
     ctx = mo.ModuleContext(dsum_members[name].module)
-    pools = (ctx.endos.idempotent_pool, ctx.module.ring.idempotent_pool)
-    for pool, fixing, jones in zip(pools, mo.mitsch_le_sym.parts, mo.jones_le.parts):
-        assert list(map(list, fixing(ctx, pool))) == list(map(list, jones(ctx, pool)))
-    relaxed, jones = (mo.relation_matrix(ctx, tag) for tag in ("minus-relaxed", "jones"))
-    assert relaxed.rows == jones.rows
-    assert [[entry[0] for entry in ctx.clause_memo[part]] for part in orders._JONES] == [
-        [pool] for pool in pools]
+    rows = {tag: mo.relation_matrix(ctx, tag).rows for tag in mo.RELATIONS}
+    for group in (("jones", "minus-image", "minus-relaxed"), ("mitsch", "mitsch-sym", "gb")):
+        assert len({tuple(rows[tag]) for tag in group}) == 1, group
+    assert set(ctx.clause_memo) == {part for rel in mo.RELATIONS.values() for part in rel.parts}
+
+
+@pytest.mark.parametrize("name", ("Z4/Z8", "Z8/Z8", "F2^2", "Z6/Z30", "M2(Z2)"))
+def test_replay_accepts_exactly_the_set_definitions_pairs(dsum_members, name):
+    """A forged MapPair(f, a) replays for gb and mitsch-sym, and a forged IdemPair(f, a) for
+    minus-image, at (m1, m2) exactly when that relation's own set definition holds for (f, a)
+    there, for every f of S and a of R: the shared parts decide each pair as the definition
+    does, and minus-image refuses a pair off its idempotent pools."""
+    ctx = dsum_members[name]
+    tables, n = module_tables(ctx), ctx.module.size
+    pairs, outcomes = list(product(range(len(ctx.endos.maps)), ctx.module.ring.element_pool)), set()
+    for tag, witness in (("gb", mo.MapPair), ("mitsch-sym", mo.MapPair),
+                         ("minus-image", mo.IdemPair)):
+        rel = orders.RELATIONS[tag]
+        for m1, (f_masks, a_masks) in enumerate(definitional_parts(tag, tables)):
+            for m2 in range(n):
+                covered = rel.covers(ctx, m1, m2)
+                for f, a in pairs:
+                    verdict = mo.OrderVerdict(tag, (m1, m2), True, witness(f, a), covered)
+                    defined = bool(f_masks.get(f, 0) >> m2 & a_masks.get(a, 0) >> m2 & 1)
+                    assert mo.revalidate(ctx, verdict) == defined, (tag, m1, m2, f, a)
+                    outcomes.add((tag, defined))
+    assert len(outcomes) == 6, outcomes
 
 
 def _definitional_matrices(ctx):
