@@ -8,19 +8,25 @@ temporary directory, so the repository's own state is never touched.  Pair i,
 for i = 1..10, runs the unedited ``perfbench/run.py --seed 900+i --trace 0`` for
 the ``run_seconds`` of ``BENCHMARK.json`` once in that export and once in the
 working tree, each from its own root; the parent runs first in odd pairs and
-the change in even ones.  After the pairs of a workload, one traced pair
-(``--trace 1``, seed 901, parent first) records each side's per-layer metrics.
-Standard library only.
+the change in even ones.  Each side runs with ``PYTHONPYCACHEPREFIX`` set to its
+own fresh directory under the temporary directory, so that Python reads and
+writes bytecode only there: a ``__pycache__`` left in the working tree is never
+read, and the benchmark's priming run warms both sides alike.  The runs write
+bytecode there whatever ``PYTHONDONTWRITEBYTECODE`` says: under a prefix that
+no run writes, every command would compile the standard library from source.  After the pairs
+of a workload, one traced pair (``--trace 1``, seed 901, parent first) records
+each side's per-layer metrics.  Standard library only.
 
 ``BENCH_<label>.json``, written at the root of the working tree after every
-pair, holds the line count of each side's ``src/modorder``, and for each
-workload each pair's end-to-end metrics, ``correct`` flags and the per-pass
-speed factors that the run prints (the machine's calibration: reference
-seconds per measured second) and, per metric of ``BENCHMARK.json``, each
-side's median and quartiles,
-the change/parent ratio of the medians, the pairs the change wins (ties count
-for neither side), the parent's IQR and whether the medians differ by more
-than it, and under ``trace`` the traced pair's runs.
+pair, holds the line count of each side's ``src/modorder``, the value of
+``PYTHONDONTWRITEBYTECODE`` and whether the working tree held
+``src/modorder/__pycache__``, and for each workload each pair's end-to-end
+metrics, ``correct`` flags and the per-pass speed factors that the run prints
+(the machine's calibration: reference seconds per measured second) and, per
+metric of ``BENCHMARK.json``, each side's median and quartiles, the
+change/parent ratio of the medians, the pairs the change wins (ties count for
+neither side), the parent's IQR and whether the medians differ by more than
+it, and under ``trace`` the traced pair's runs.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import re
 import statistics
@@ -52,13 +59,17 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One ``perfbench/run.py`` run from ``root``: its JSON result line, or a result with
-    ``correct`` false and the exit code when it gave none."""
+def run(root: Path, pycache: Path, workload: str, seed: int, seconds: float,
+        trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run from ``root``, with its bytecode under ``pycache``: its
+    JSON result line, or a result with ``correct`` false and the exit code when it gave
+    none."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPYCACHEPREFIX": str(pycache),
+                               "PYTHONDONTWRITEBYTECODE": ""},
                           timeout=10 * seconds + 600)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -124,8 +135,10 @@ def main() -> int:
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     out_path = ROOT / f"BENCH_{args.label}.json"
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent_root = Path(tmp)
+        parent_root = Path(tmp, "parent")
         export(args.rev, parent_root)
+        sides = {"parent": (parent_root, Path(tmp, "pycache", "parent")),
+                 "change": (ROOT, Path(tmp, "pycache", "change"))}
         record = {
             "rev": git("rev-parse", args.rev).decode().strip(),
             "change": git("rev-parse", "HEAD").decode().strip()
@@ -134,6 +147,8 @@ def main() -> int:
             "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
             "seconds": seconds, "first_seed": FIRST_SEED,
             "python": platform.python_version(), "machine": platform.machine(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "src_pycache_in_tree": (ROOT / "src" / "modorder" / "__pycache__").is_dir(),
             "workloads": {},
         }
         for workload in args.workload:
@@ -144,8 +159,7 @@ def main() -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run(parent_root if side == "parent" else ROOT, workload,
-                                     seed, seconds)
+                    pair[side] = run(*sides[side], workload, seed, seconds)
                 pairs.append(pair)
                 entry["summary"] = summary(pairs, metrics)
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
@@ -154,8 +168,8 @@ def main() -> int:
                                   f" -> {pair['change']['metrics'].get(name, float('nan')):.4g}"
                                   for name in ("pass_s", "op_p50_ms")), flush=True)
             entry["trace"] = {"seed": FIRST_SEED, "first": "parent"}
-            for side, root in (("parent", parent_root), ("change", ROOT)):
-                entry["trace"][side] = run(root, workload, FIRST_SEED, seconds, trace=1)
+            for side, dirs in sides.items():
+                entry["trace"][side] = run(*dirs, workload, FIRST_SEED, seconds, trace=1)
             out_path.write_text(json.dumps(record, indent=1) + "\n")
             print(f"{workload} traced pair seed {FIRST_SEED}: correct "
                   f"{entry['trace']['parent']['correct']} -> {entry['trace']['change']['correct']}",

@@ -202,9 +202,8 @@ def cmd_order(args) -> int:
         if not verdict.hypothesis_ok:
             print("note: hypothesis violated (operand outside the regular domain)")
     if not verdict.applicable:
-        print(f"error: relation {args.rel!r} is not applicable on {args.module}: "
-              "the required involution is absent", file=sys.stderr)
-        return 2
+        raise ValueError(f"relation {args.rel!r} is not applicable on {args.module}: "
+                         "the required involution is absent")
     return 0 if verdict.holds else 1
 
 
@@ -226,11 +225,11 @@ def cmd_verify(args) -> int:
         raise SpecError(f"--laws {reprlib.repr(args.laws)} matches no law id")
     corpus = _load_corpus(args.corpus)
     reports = laws.run_suite(corpus, args.laws)
-    failed = 0
+    outcomes = [r.outcome for r in reports]
+    failed = outcomes.count("fail")
     if args.json:
         for r in reports:
             _emit(r.to_json())
-            failed += r.outcome == "fail"
     else:
         width = max((len(r.law) for r in reports), default=10) + 2
         for r in reports:
@@ -238,8 +237,6 @@ def cmd_verify(args) -> int:
             if r.outcome == "fail":
                 line += f"  {json.dumps(r.counterexample)}"
             print(line)
-            failed += r.outcome == "fail"
-        outcomes = [r.outcome for r in reports]
         print(f"summary: {outcomes.count('pass')}/{len(reports)} passed, "
               f"{outcomes.count('not-applicable')} not-applicable, {failed} failed")
     return 1 if failed else 0
@@ -247,11 +244,7 @@ def cmd_verify(args) -> int:
 
 def cmd_hasse(args) -> int:
     ctx = ModuleContext(parse_module_arg(args.module))
-    try:
-        poset = hasse_mod.build_poset(ctx, args.rel)
-    except hasse_mod.NotAPartialOrder as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    poset = hasse_mod.build_poset(ctx, args.rel)
     if args.json:
         _emit(hasse_mod.to_json_dict(poset))
         return 0

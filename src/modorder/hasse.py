@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 from .homs import ModuleContext
 from .laws import RelationMatrix, check_partial_order, relation_matrix
+from .rings import RING_RELATIONS
 from .verdicts import bits
 from . import orders
 
@@ -52,8 +53,11 @@ def build_poset(ctx: ModuleContext, tag: str,
 
     Reflexivity is demanded on the regular elements for minus-type relations
     (the definitional clause m1 = m1 phi m1 rules out the rest); antisymmetry
-    and transitivity are checked over the full matrix.
+    and transitivity are checked over the full matrix.  A ring relation needs M = R_R,
+    whose regular elements are R's: m = m.phi(m) reads m = m.t.m with t = phi(1).
     """
+    if tag in RING_RELATIONS and not ctx.module.is_ring_as_module():
+        raise ValueError(f"ring relation {tag!r} needs R_R; {ctx.name} is not")
     if matrix is None:
         matrix = relation_matrix(ctx, tag)
     if not matrix.applicable:

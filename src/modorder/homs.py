@@ -153,7 +153,6 @@ class EndoRing(FiniteRing):
             add, mul = _hom_tables(module, module, self.maps, lambda t, _, cols: [
                 map(t.__getitem__, col) for col in cols])
             super().__init__(add, mul, involution=involution, name=name)
-        self._index = {t: i for i, t in enumerate(self.maps)}
 
     def _derive(self, M: FiniteModule, g: int, name: str):
         """S of a cyclic M = gR through u: f -> f(g), as Hom_R(gR, M) = {u : u.r_R(g) = 0}
@@ -179,6 +178,7 @@ class EndoRing(FiniteRing):
 
     by_generator = None  # (g, the index of the f with f(g) = v, by v) where S was derived
     _factors = None  # the r_f with f = x -> x.r_f, by f, where S was derived, R commutative
+    _index = cached_property(lambda self: {t: i for i, t in enumerate(self.maps)})  # for index_of
 
     def index_of(self, table) -> int:
         return self._index[tuple(table)]

@@ -7,7 +7,7 @@ pure functions of their inputs, so reruns produce identical output.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from operator import and_, invert, mul, or_
 from typing import NamedTuple
 
@@ -308,15 +308,12 @@ LAW_IDS = ("partial-order/minus-dual", "partial-order/rstar", "partial-order/lst
 def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawReport]:
     """Every law, in a fixed order, for one corpus member; with ``law_filter``, only the
     laws whose id contains it, so that only the matrices those laws read are built."""
-    reports, shared = [], {}
+    reports = []
     regular, _ = orders.is_regular_module(ctx)
     reg_dom = orders.regular_set(ctx)
     n, R = ctx.module.size, ctx.module.ring
-
-    def matrix(tag):  # one object, with its verdicts and parts, for a matrix several laws read
-        if tag not in shared:
-            shared[tag] = relation_matrix(ctx, tag)
-        return shared[tag]
+    # one object per tag for every law, bound per call, as a profiler may rebind relation_matrix
+    matrix = cache(partial(relation_matrix, ctx))
 
     def law(name, check):
         """Run a law the filter keeps; a check that returns False is not applicable."""
@@ -332,7 +329,7 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
                        ("star", lambda: (R, ctx.endos))):
         law(f"partial-order/{tag}", lambda: regular and all(
             r.involution is not None and r.rickart_star.holds for r in rings())
-            and check_partial_order(relation_matrix(ctx, tag), reg_dom))
+            and check_partial_order(matrix(tag), reg_dom))
 
     # Theorem-by-theorem equivalences with the definitional form
     law("equiv/minus-dual~minus-idem",
@@ -342,9 +339,9 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
         law(f"equiv/minus-dual~{tag}", lambda: regular and check_equivalence(
             matrix("minus-dual"), matrix(tag)))
     law("equiv/mitsch~mitsch-sym",
-        lambda: check_equivalence(matrix("mitsch"), relation_matrix(ctx, "mitsch-sym")))
+        lambda: check_equivalence(matrix("mitsch"), matrix("mitsch-sym")))
     law("equiv/minus-dual~dsum",
-        lambda: check_equivalence(matrix("minus-dual"), relation_matrix(ctx, "dsum"),
+        lambda: check_equivalence(matrix("minus-dual"), matrix("dsum"),
                                   (ctx.regular, ctx.regular)))
 
     law("unit-invariance", lambda: regular and check_unit_invariance(ctx, matrix("minus-dual")))

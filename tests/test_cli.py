@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modorder as mo
 from modorder import cli
 from modorder.orders import RELATIONS
 
@@ -359,6 +362,28 @@ def test_hasse_star_without_involution(tmp_path):
     code, _, err = run_cli("hasse", "--module", str(path), "--rel", "star")
     assert code == 2
     assert "not applicable" in err
+
+
+def test_hasse_non_order_leaves_through_main(monkeypatch):
+    report = mo.LawReport("partial-order/minus-dual", "Z6/Z6", "fail",
+                          {"axiom": "antisymmetry", "pair": [2, 5]}, 20)
+
+    def refuse(ctx, tag):
+        raise mo.NotAPartialOrder(report)
+    monkeypatch.setattr(cli.hasse_mod, "build_poset", refuse)
+    code, out, err = run_cli("hasse", "--module", "Z6/Z6", "--rel", "minus-dual")
+    assert (code, out) == (2, "")
+    assert err == ("error: relation is not a partial order: "
+                   "{'axiom': 'antisymmetry', 'pair': [2, 5]}\n")
+
+
+def test_only_main_writes_errors():
+    """Every ``error:`` line and exit 2 come from main's one handler."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+               and node.attr == "stderr"}
+    assert writers == {"main"}
 
 
 def test_byte_identical_reruns(child_env):

@@ -69,6 +69,25 @@ def test_build_poset_rejects_non_order(z6_over_z6):
     assert exc.value.report.counterexample["axiom"] == "antisymmetry"
 
 
+@pytest.mark.parametrize("m, n", [(6, 30), (4, 8)])
+@pytest.mark.parametrize("tag", ["hartwig", "ring-annih"])
+def test_build_poset_refuses_a_ring_relation_off_r_r(tag, m, n):
+    """On Z6/Z30 the ring's 30 elements would take their domain from the module's 6, and
+    on Z4/Z8 the domain {0} would miss Z8's regular {0, 1, 3, 5, 7}."""
+    ctx = mo.ModuleContext(mo.build_zm_over_zn(m, n))
+    with pytest.raises(ValueError, match=f"ring relation '{tag}' needs R_R; Z{m}/Z{n} is not"):
+        mo.build_poset(ctx, tag)
+
+
+@pytest.mark.parametrize("tag", ["hartwig", "ring-annih"])
+def test_build_poset_of_a_ring_relation_on_r_r_takes_the_rings_regular_elements(tag):
+    """On R_R the module's regular elements are R's (Z30 is von Neumann regular)."""
+    ctx = mo.ModuleContext(mo.build_ring_as_module(mo.build_zn(30)))
+    poset = mo.build_poset(ctx, tag)
+    assert poset.elements == poset.domain == tuple(range(30))
+    assert poset.leq == tuple(mo.relation_matrix(ctx, tag).rows)
+
+
 def test_dot_output(z6_over_z6):
     poset = mo.build_poset(z6_over_z6, "minus-dual")
     dot = mo.to_dot(poset)

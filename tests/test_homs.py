@@ -126,6 +126,20 @@ def test_endo_ring_noncommutative(klein_four):
     s.validate()
 
 
+def test_table_index_is_built_on_the_first_index_of():
+    """S derived from one generator is looked up by generator value, so the suite builds no
+    table index there; an S that was not derived builds it on its first index_of."""
+    for M in (mo.build_zm_over_zn(6, 30),
+              mo.build_ring_as_module(mo.build_product(mo.build_zn(2), mo.build_zn(3)))):
+        ctx = mo.ModuleContext(M)
+        mo.run_suite([ctx])
+        assert ctx.endos.by_generator is not None and "_index" not in vars(ctx.endos)
+    s = mo.endo_ring(mo.build_module_from_tables(mo.build_zn(2), *klein_four_tables()))
+    assert s.by_generator is None and "_index" not in vars(s)
+    assert [s.index_of(iter(t)) for t in s.maps] == list(range(s.size))
+    assert "_index" in vars(s)
+
+
 def test_smash_examples(z6_over_z30):
     m, s = z6_over_z30.module, z6_over_z30.endos
     phi = next(p for p in z6_over_z30.dual if p[1] == 5)

@@ -98,7 +98,9 @@ def test_suites_record_every_span_the_benchmark_expects():
     """Each suite workload records a span for every entry point listed for it.  The
     products draw is all R_R, so its members are traced apart from the cyclic ones: a
     share that skipped homs.dual, homs.endo_ring or modules.cyclic_submodule for R_R would
-    leave a span missing here, as in a traced benchmark run."""
+    leave a span missing here, as in a traced benchmark run.  Every relation's matrix is
+    spanned by its tag, so a law that read relation_matrix through a binding made before
+    install (a module-level partial, say) would leave its tag out."""
     tracing = _load_tracing()
     mods = {m: importlib.import_module("modorder." + m) for m in tracing.MODULES}
     rings, modules = mods["rings"], mods["modules"]
@@ -121,3 +123,6 @@ def test_suites_record_every_span_the_benchmark_expects():
     for workload in groups:
         names = [rec[3] for rec in tracer.spans if rec[0] == workload]
         assert tracing.missing_spans(workload, names) == [], workload
+    tags = {name.partition(":")[2] for _, _, _, name, *_ in tracer.spans
+            if name.startswith("laws.relation_matrix:")}
+    assert tags == {*mods["orders"].RELATIONS, "hartwig", "ring-annih"}
