@@ -25,13 +25,14 @@ g.r -> f(g).r, so EndoRing reads S's tables off M's through f -> f(g), unchecked
 
 from __future__ import annotations
 
-from functools import cached_property, partial, reduce
+from functools import cached_property
 from itertools import compress, repeat
-from operator import and_, eq
+from operator import eq
 
 from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, right_ann
 from .rings import MAX_RING_SIZE, FiniteRing, SpecError, same_ring
 from .tables import AxiomError, preimage_masks
+from .verdicts import check_elements
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
 
@@ -201,6 +202,8 @@ def smash(M: FiniteModule, S: EndoRing, m: int, phi) -> int:
     """Index in S of the endomorphism x -> m.phi(x), for phi the value table of a
     functional: phi followed by the hom r -> m.r from R_R to M, so it lies in S.  Where S
     was derived from one generator g, it is the f with f(g) = m.phi(g)."""
+    if not 0 <= m < M.size:
+        check_elements(M, m)
     if S.by_generator is None:
         return S.index_of(map(M.action[m].__getitem__, phi))
     g, index = S.by_generator
@@ -285,19 +288,12 @@ class ModuleContext:
                 else tuple(right_ann(M, m) for m in range(M.size)))
 
     @cached_property
-    def dual_masks(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-        """For each functional t of M*: the masks {x : t(x) = r}, indexed by r in R, and
-        the masks {y : y.v = x.v for every v in tM}, indexed by x.  Agreement at v gives it
-        at v.r, and at v and w it gives it at v + w; tM is the right ideal that the t(g)
-        span, g in generating_set(M), so it is checked at those t(g) only: the preimage
-        masks along the action's column t(g), ANDed column by column."""
-        M, R, cols = self.module, self.module.ring, self.module.column_preimages
-        gens, by_column = generating_set(M) or [M.zero], list(zip(*M.action))
+    def dual_masks(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """For each functional t of M*, the masks {x : t(x) = r}, indexed by r in R."""
+        M, R = self.module, self.module.ring
         pres = (tuple(R.row_preimages[t[R.one]] for t in self.dual) if M.is_ring_as_module()
                 else preimage_masks(self.dual, R.size))  # R_R: t is x -> t(1)x
-        return {t: (pre, tuple(reduce(partial(map, and_), [
-                    list(map(cols[t[g]].__getitem__, by_column[t[g]])) for g in gens])))
-                for t, pre in zip(self.dual, pres)}
+        return dict(zip(self.dual, pres))
 
     @cached_property
     def cyclic(self) -> tuple[frozenset[int], ...]:

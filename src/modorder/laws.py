@@ -322,14 +322,22 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
         if not law_filter or law_filter in name:
             reports.append(check() or LawReport(name, ctx.name, "not-applicable"))
 
-    law("partial-order/minus-dual",
-        lambda: regular and check_partial_order(matrix("minus-dual"), reg_dom))
+    # check_partial_order reads only the rows, n and reg_dom, and its counterexamples name no
+    # relation: equal rows share one report, renamed
+    checked = {}
+
+    def partial_order(tag):
+        if (rows := tuple(matrix(tag).rows)) not in checked:
+            checked[rows] = check_partial_order(matrix(tag), reg_dom)
+        return checked[rows]._replace(law=f"partial-order/{tag}")
+
+    law("partial-order/minus-dual", lambda: regular and partial_order("minus-dual"))
     # Each star order takes projections in these rings; its laws need them Rickart *.
     for tag, rings in (("rstar", lambda: (R,)), ("lstar", lambda: (ctx.endos,)),
                        ("star", lambda: (R, ctx.endos))):
         law(f"partial-order/{tag}", lambda: regular and all(
             r.involution is not None and r.rickart_star.holds for r in rings())
-            and check_partial_order(matrix(tag), reg_dom))
+            and partial_order(tag))
 
     # Theorem-by-theorem equivalences with the definitional form
     law("equiv/minus-dual~minus-idem",

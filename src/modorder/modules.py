@@ -12,6 +12,7 @@ from .rings import (FiniteRing, SpecError, build_zn, ring_from_spec, spec_field,
 from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
                      check_size, checked_table, cyclic_tables, greedy_generators,
                      preimage_masks, shown)
+from .verdicts import check_elements
 
 MAX_MODULE_SIZE = 64
 
@@ -78,6 +79,8 @@ class FiniteModule:
         return preimage_masks(zip(*self.action), self.size)
 
     def act(self, m: int, r: int) -> int:
+        check_elements(self, m)
+        check_elements(self.ring, r)
         return self.action[m][r]
 
     def sub(self, x: int, y: int) -> int:
@@ -89,11 +92,15 @@ class FiniteModule:
 
 def cyclic_submodule(M: FiniteModule, m: int) -> frozenset[int]:
     """mR = {m.r : r in R}"""
+    if not 0 <= m < M.size:
+        check_elements(M, m)
     return frozenset(M.action[m])
 
 
 def right_ann(M: FiniteModule, m: int) -> frozenset[int]:
     """r_R(m) = {r : m.r = 0}"""
+    if not 0 <= m < M.size:
+        check_elements(M, m)
     return frozenset(compress(M.ring.element_pool, map(eq, M.action[m], repeat(M.zero))))
 
 

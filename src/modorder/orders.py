@@ -21,26 +21,33 @@ from __future__ import annotations
 from functools import partial
 from operator import itemgetter
 
-from .homs import ModuleContext, smash
+from .homs import ModuleContext, generating_set, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
 from .modules import right_ann
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair, OrderVerdict, Relation,
-                       bits, check_elements, equal_keys, fibre_columns, fixed_points)
+                       bits, check_elements, equal_keys, fibre_columns, fixed_points, or_columns)
 
 
 # -- the definitional form and regularity ---------------------------------------------
 
 
-def _dual_part(ctx: ModuleContext, pool) -> list[list[int]]:
-    """For each t, at each m1 = m1.t(m1): the m2 with m1 t = m2 t and t(m1) = t(m2), fibres of
-    t and of x -> x.v, v in tM.  Read off each m1's regularity witnesses."""
-    masks, columns = ctx.dual_masks, {t: [0] * ctx.module.size for t in pool}
-    for m1, phis in enumerate(ctx.regularity_witnesses):
+def _dual_part(ctx: ModuleContext, pool) -> tuple[list[int], list[list[int]]]:
+    """For each t, at each m1 = m1.t(m1) (read off m1's regularity witnesses): the m2 with
+    t(m1) = t(m2) and m1.v = m2.v for every v in tM.  tM is the right ideal that the t(g)
+    span, g in generating_set(M), and agreement at v and w carries to v.r and v + w, so it
+    is read at those t(g) only, as the action's preimage masks, cell by cell."""
+    M, fibres = ctx.module, ctx.dual_masks
+    cols, gens = M.column_preimages, generating_set(M) or [M.zero]
+    columns, acc = {t: [0] * M.size for t in pool}, [0] * M.size
+    for m1, (phis, times) in enumerate(zip(ctx.regularity_witnesses, M.action)):
         for t in phis:
             if (column := columns.get(t)) is not None:
-                fibres, agree = masks[t]
-                column[m1] = fibres[t[m1]] & agree[m1]
-    return list(columns.values())
+                mask = fibres[t][t[m1]]
+                for g in gens:
+                    mask &= cols[t[g]][times[t[g]]]
+                column[m1] = mask
+                acc[m1] |= mask
+    return acc, list(columns.values())
 
 
 minus_le_dual = Relation("minus-dual", lambda ctx: (ctx.dual,), (_dual_part,),
@@ -115,20 +122,20 @@ def _everything(ctx: ModuleContext):
     return ctx.endos.element_pool, ctx.module.ring.element_pool
 
 
-# -- clause parts: for each p of a pool, a column: at each m1, the mask of the m2 ------
+# -- clause parts: for each p of a pool, a column of m2 masks by m1; and their OR -------
 
 
-def _f_fixing(ctx: ModuleContext, pool) -> list[list[int]]:
+def _f_fixing(ctx: ModuleContext, pool) -> tuple[list[int], list[list[int]]]:
     """Mitsch's f side, m1 = f m1 = f m2: where f fixes m1, the fibre of m1 under f."""
     return fibre_columns(pool, ctx.endos.preimages, ctx.endos.maps.__getitem__, fixed_points)
 
 
 def _f_any(ctx: ModuleContext, pool):
-    return [ctx.endos.preimages[f] for f in pool]
+    return or_columns([ctx.endos.preimages[f] for f in pool])
 
 
 def _a_any(ctx: ModuleContext, pool):
-    return [ctx.module.column_preimages[a] for a in pool]
+    return or_columns([ctx.module.column_preimages[a] for a in pool])
 
 
 def _summands(ctx: ModuleContext):
@@ -136,36 +143,38 @@ def _summands(ctx: ModuleContext):
     return (ctx.summands[0],) * 2
 
 
-def _first_summand(ctx: ModuleContext, pool) -> list[list[int]]:
+def _first_summand(ctx: ModuleContext, pool):
     """For each A, every m2 (-1) at the m1 with m1 R = A, else 0."""
     every, classes, _ = ctx.summands
-    return [[-(c == i) for c in classes] for i in map(every.index, pool)]
+    return or_columns([[-(c == i) for c in classes] for i in map(every.index, pool)])
 
 
-def _second_summand(ctx: ModuleContext, pool) -> list[list[int]]:
+def _second_summand(ctx: ModuleContext, pool) -> tuple[list[int], list[list[int]]]:
     """For each B, at each m1, the m2 with (m2 - m1) R = B and m2 R = m1 R (+) B, an
     internal direct sum, decided by sizes: m2 = m1 + d is kept iff |m2 R| = |m1 R|.|dR|.
     With A = m1 R and B = dR, m2.r = m1.r + d.r puts m2 R in A + B, and |A + B| = |A||B| /
     |A meet B|; so the equation forces A meet B = 0 and m2 R = A + B, and a direct sum
     satisfies it, on every finite module.  One pass over (m1, d) puts each kept m2 in the
-    column of the class of dR."""
+    column of the class of dR, and in the OR at m1."""
     every, classes, sizes = ctx.summands
-    columns = [[0] * len(classes) for _ in every]
+    columns, acc = [[0] * len(classes) for _ in every], [0] * len(classes)
     for m1, (sums, k) in enumerate(zip(ctx.module.add, sizes)):
         for m2, c, size in zip(sums, classes, sizes):
             if sizes[m2] == k * size:
                 columns[c][m1] |= 1 << m2
-    return columns if pool is every else [columns[every.index(b)] for b in pool]
+                acc[m1] |= 1 << m2
+    return (acc, columns) if pool is every else or_columns(
+        [columns[every.index(b)] for b in pool])
 
 
 # The clause parts of minus-idem and the star family, l_S(f) = l_S(m1) and r_R(a) = r_R(m1),
 # one tuple: where their pools are equal, they share its ORs.  r(a) is built at pool a only.
-def _f_annihilator(ctx: ModuleContext, pool) -> list[list[int]]:
+def _f_annihilator(ctx: ModuleContext, pool) -> tuple[list[int], list[list[int]]]:
     return fibre_columns(pool, ctx.endos.preimages, ctx.endos.maps.__getitem__,
                          equal_keys(ctx.endos.left_anns.__getitem__, ctx.l_S))
 
 
-def _a_annihilator(ctx: ModuleContext, pool) -> list[list[int]]:
+def _a_annihilator(ctx: ModuleContext, pool) -> tuple[list[int], list[list[int]]]:
     r_a = (ctx.r_R.__getitem__ if ctx.module.is_ring_as_module()
            else partial(right_ann, ctx.ring_module))
     return fibre_columns(pool, ctx.module.column_preimages, lambda a: list(map(
@@ -222,7 +231,10 @@ star_le = _idempotent_form("star", True, True)
 
 def subset_cyclic(ctx: ModuleContext, m1: int, m2: int) -> bool:
     """m1 R <= m2 R (a consequence of the minus order, strictly weaker)."""
-    return ctx.cyclic[m1] <= ctx.cyclic[m2]
+    cyclic = ctx.cyclic
+    if not (0 <= m1 < len(cyclic) and 0 <= m2 < len(cyclic)):
+        check_elements(ctx, m1, m2)
+    return cyclic[m1] <= cyclic[m2]
 
 
 RELATIONS = {rel.tag: rel for rel in (

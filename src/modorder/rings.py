@@ -113,6 +113,7 @@ class FiniteRing:
         return self.add[a][self.neg[b]]
 
     def star(self, a: int) -> int:
+        check_elements(self, a)
         if self.involution is None:
             raise ValueError(f"{self.name} has no involution")
         return self.involution[a]
@@ -328,26 +329,27 @@ def ring_from_spec(spec: dict) -> FiniteRing:
 # -- element-level predicates and relations -----------------------------------
 
 
-def _hartwig_part(ring: FiniteRing, pool) -> list[list[int]]:
+def _hartwig_part(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
     """Hartwig's minus order: for each x, at each a with axa = a, the b with xa = xb and
     ax = bx.  Read off each a's inner inverses, the x with (ax)a = a."""
     table, rows, cols = ring.mul, ring.row_preimages, ring.column_preimages
-    columns = {x: [0] * ring.size for x in pool}
+    columns, acc = {x: [0] * ring.size for x in pool}, [0] * ring.size
     for a, a_times in enumerate(table):
         axa = map(itemgetter(a), map(table.__getitem__, a_times))
         for x in compress(ring.element_pool, map(a.__eq__, axa)):
             if (column := columns.get(x)) is not None:
-                column[a] = rows[x][table[x][a]] & cols[x][a_times[x]]
-    return list(columns.values())
+                column[a] = mask = rows[x][table[x][a]] & cols[x][a_times[x]]
+                acc[a] |= mask
+    return acc, list(columns.values())
 
 
-def _annih_p(ring: FiniteRing, pool) -> list[list[int]]:
+def _annih_p(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
     """For each idempotent p, at each a with l(a) = R(1-p), which is l(p), the b with pa = pb."""
     return fibre_columns(pool, ring.row_preimages, ring.mul.__getitem__,
                          equal_keys(ring.left_anns.__getitem__, ring.left_anns))
 
 
-def _annih_q(ring: FiniteRing, pool) -> list[list[int]]:
+def _annih_q(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
     """For each idempotent q, at each a with r(a) = (1-q)R, which is r(q), the b with aq = bq."""
     return fibre_columns(pool, ring.column_preimages, lambda q: list(map(itemgetter(q), ring.mul)),
                          equal_keys(ring.right_anns.__getitem__, ring.right_anns))

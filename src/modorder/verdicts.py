@@ -9,8 +9,8 @@ records whether the theorem hypotheses behind the characterization were
 satisfied by the operands.
 
 Each relation is one :class:`Relation` entry whose clause parts, a column of masks per
-pool element, drive its decision (``rows``), its witness search (``firsts``) and its
-replay.
+pool element and their OR, drive its decision (``rows``), its witness search (``firsts``)
+and its replay.
 """
 
 from __future__ import annotations
@@ -116,16 +116,23 @@ def bits(mask: int):
         mask ^= low
 
 
-def fibre_columns(pool, fibres, images, passing) -> list[list[int]]:
-    """For each p of pool, the column that at each x of passing(p, image), image = images(p)
-    the table of x -> p(x), is fibres[p][image[x]], the y in x's fibre; else 0."""
-    columns = []
+def or_columns(columns) -> tuple[list[int], list]:
+    """(their OR, columns), for the columns of a non-empty pool; equal columns (r and r + m
+    of Z_m/Z_n) are one object, ORed once."""
+    return list(reduce(partial(map, or_), {id(c): c for c in columns}.values())), columns
+
+
+def fibre_columns(pool, fibres, images, passing) -> tuple[list[int], list[list[int]]]:
+    """(OR, columns): for each p of pool, at each x of passing(p, image), image = images(p) the
+    table of x -> p(x), the column is fibres[p][image[x]], x's fibre, else 0; ORed as written."""
+    columns, acc = [], [0] * len(fibres[0])
     for p in pool:
-        column, fibre, image = [0] * len(fibres[p]), fibres[p], images(p)
+        column, fibre, image = [0] * len(acc), fibres[p], images(p)
         for x in passing(p, image):
-            column[x] = fibre[image[x]]
+            column[x] = mask = fibre[image[x]]
+            acc[x] |= mask
         columns.append(column)
-    return columns
+    return acc, columns
 
 
 def fixed_points(p, image):
@@ -156,14 +163,14 @@ class Relation(NamedTuple):
     """One order relation, defined once for the decision, the witness and the replay.
 
     ``pools(ctx)`` gives the pools of witness parts, or None where the relation is
-    undefined (a star order without its involution).  ``parts[i](ctx, pool)`` gives, for
-    each p of ``pool`` in order (pool i, or the one-element pool of a replay), a column:
-    for each x, the mask of the y at which clause part i holds for p (-1: every y).  It
-    holds at (x, y) when each pool has a p covering y; the first ones are the parts from
-    which ``witness`` builds the witness (as its first fields).  ``hypothesis`` says whether
-    the theorem covers (x, y) (None: no assumption).  ``ctx`` is a module context, or a
-    ring; it keeps each part's columns over each pool and their OR, so relations that share
-    a part and an equal pool share them.
+    undefined (a star order without its involution).  ``parts[i](ctx, pool)`` gives
+    ``(or_row, columns)``: for each p of ``pool`` in order (pool i, or the one-element pool
+    of a replay), a column: for each x, the mask of the y at which clause part i holds for p
+    (-1: every y); and for each x, the OR of the columns at x.  It holds at (x, y) when each
+    pool has a p covering y; the first ones are the parts from which ``witness`` builds the
+    witness (as its first fields).  ``hypothesis`` says whether the theorem covers (x, y)
+    (None: no assumption).  ``ctx`` is a module context, or a ring; it keeps what each part
+    returned for each pool, so relations that share a part and an equal pool share it.
     """
 
     tag: str
@@ -180,14 +187,12 @@ class Relation(NamedTuple):
     def _memo(self, ctx, part, pool) -> tuple:
         """(pool, the OR of its columns, the columns), kept on ctx with no reference back to it,
         so that dropping a context frees it.  A pool is compared, not hashed (M*'s holds every
-        table of M*); equal columns (r and r + m of Z_m/Z_n) are one object, ORed once."""
+        table of M*)."""
         memo = vars(ctx).get("clause_memo") or vars(ctx).setdefault("clause_memo", {})
         for entry in memo.get(part, ()):
             if entry[0] is pool or entry[0] == pool:
                 return entry
-        columns = part(ctx, pool)
-        entry = pool, list(reduce(partial(map, or_), {id(col): col for col in columns}.values(),
-                                  [0] * _carrier(ctx).size)), columns
+        entry = pool, *part(ctx, pool)
         memo.setdefault(part, []).append(entry)
         return entry
 

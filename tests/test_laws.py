@@ -1,6 +1,7 @@
 import functools
 import gc
 import weakref
+from operator import or_
 
 import modorder as mo
 import pytest
@@ -175,8 +176,10 @@ def test_witness_constructions_visit_the_regularity_witnesses(monkeypatch, corpu
     for ctx in (*corpus.values(), z4_over_z4, klein_four):
         visited.clear()
         r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
+        or_row, columns = part(ctx, ctx.dual)
         expected = [(m, t) for m in range(ctx.module.size)
-                    for t, column in zip(ctx.dual, part(ctx, ctx.dual)) if column[m] >> m & 1]
+                    for t, column in zip(ctx.dual, columns) if column[m] >> m & 1]
+        assert sum(1 << m for m, mask in enumerate(or_row) if mask >> m & 1) == ctx.regular
         assert r.outcome == "pass" and visited == expected, ctx.name
         assert ctx.regular == sum({1 << m for m, _ in expected}), ctx.name
 
@@ -225,6 +228,8 @@ def test_witness_constructions_read_the_columns_once(corpus):
         idem = RelationMatrix(ctx.name, "minus-idem", ctx.module.size, rel.rows(ctx), rel, ctx)
         first = mo.check_witness_constructions(ctx, idem)
         assert built == list(parts), ctx.name  # the ORs, whose columns the law reads
+        for spy, part, pool in zip(spies, parts, rel.pools(ctx)):  # kept as the part gave them
+            assert [entry[1:] for entry in ctx.clause_memo[spy]] == [part(ctx, pool)], ctx.name
         assert mo.check_witness_constructions(ctx, idem) == first
         assert built == list(parts) and first.outcome == "pass", ctx.name
 
@@ -234,8 +239,9 @@ def _tampered_idem(ctx, m1, f, y):
     f_part, a_part = orders.minus_le_idem.parts
 
     def tampered(target, pool):
-        return [[mask | (x == m1 and p == f) << y for x, mask in enumerate(column)]
-                for p, column in zip(pool, f_part(target, pool))]
+        columns = [[mask | (x == m1 and p == f) << y for x, mask in enumerate(column)]
+                   for p, column in zip(pool, f_part(target, pool)[1])]
+        return [functools.reduce(or_, cells) for cells in zip(*columns)], columns
     rel = orders.minus_le_idem._replace(parts=(tampered, a_part))
     return RelationMatrix(ctx.name, "minus-idem", ctx.module.size, rel.rows(ctx), rel, ctx)
 
@@ -416,6 +422,51 @@ def test_member_laws_builds_each_matrix_once(monkeypatch, z6_over_z30):
                         lambda ctx, tag: built.append(tag) or real(ctx, tag))
     mo.member_laws(z6_over_z30)
     assert "mitsch" in built and len(built) == len(set(built)), built
+
+
+def _spy_partial_order(monkeypatch):
+    """The relation of each matrix that laws.check_partial_order is called on, in order."""
+    checked, real = [], laws.check_partial_order
+    monkeypatch.setattr(laws, "check_partial_order",
+                        lambda rel, domain: checked.append(rel.relation) or real(rel, domain))
+    return checked
+
+
+@pytest.mark.parametrize("name", ["Z6/Z6", "Z10/Z10", "Z6/Z30", "Z2xZ3"])
+def test_equal_rows_are_checked_as_a_partial_order_once(monkeypatch, corpus, name):
+    """On a regular commutative member the four partial-order laws read equal rows: one
+    check runs, and each star law reports what its own check would, under its own name."""
+    ctx, real = mo.ModuleContext(corpus[name].module, name), laws.check_partial_order
+    checked = _spy_partial_order(monkeypatch)
+    reports = mo.member_laws(ctx, "partial-order/")
+    assert checked == ["minus-dual"]
+    assert reports == [real(mo.relation_matrix(ctx, tag), mo.regular_set(ctx))
+                       for tag in ("minus-dual", "rstar", "lstar", "star")]
+    assert {r.outcome for r in reports} == {"pass"}
+
+
+def test_star_rows_unlike_minus_dual_get_their_own_check(monkeypatch, z6_over_z6):
+    """Where rstar's rows differ from minus-dual's (its f part here drops row 0 from its OR),
+    the rstar law runs its own check, which fails reflexivity at 0; lstar and star, whose
+    rows equal minus-dual's, reuse its report."""
+    f_part, a_part = orders.right_star_le.parts
+
+    def dropped(target, pool):
+        or_row, columns = f_part(target, pool)
+        return [0, *or_row[1:]], columns
+    monkeypatch.setitem(orders._BY_TAG, "rstar",
+                        orders.right_star_le._replace(parts=(dropped, a_part)))
+    checked = _spy_partial_order(monkeypatch)
+    reports = {r.law: r for r in mo.member_laws(mo.ModuleContext(z6_over_z6.module, "Z6/Z6"),
+                                                 "partial-order/")}
+    assert checked == ["minus-dual", "rstar"]
+    assert reports["partial-order/rstar"].outcome == "fail"
+    assert reports["partial-order/rstar"].counterexample == {"axiom": "reflexivity",
+                                                             "element": 0}
+    minus = reports["partial-order/minus-dual"]
+    assert minus.outcome == "pass"
+    for tag in ("lstar", "star"):
+        assert reports[f"partial-order/{tag}"] == minus._replace(law=f"partial-order/{tag}")
 
 
 def test_run_suite_law_filter(corpus):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modorder as mo
+from modorder import homs, modules, orders
 from modorder.modules import AxiomError, SpecError
 
 from oracles import is_submodule, zm_over_zn_tables
@@ -14,6 +15,32 @@ def test_build_zm_over_zn_paper_module():
     assert m.size == 6 and m.ring.size == 30
     assert m.act(5, 7) == 5  # 5 * (7 mod 6)
     assert m.act(2, 10) == 2
+
+
+@pytest.mark.parametrize("call, carrier", [
+    (lambda M, ctx, x: modules.cyclic_submodule(M, x), "Z6/Z30"),
+    (lambda M, ctx, x: modules.right_ann(M, x), "Z6/Z30"),
+    (lambda M, ctx, x: orders.subset_cyclic(ctx, 0, x), "Z6/Z30"),
+    (lambda M, ctx, x: homs.smash(M, ctx.endos, x, ctx.dual[1]), "Z6/Z30"),
+    (lambda M, ctx, x: M.act(x, 1), "Z6/Z30"),
+    (lambda M, ctx, x: M.ring.star(x), "Z30"),
+], ids=["cyclic_submodule", "right_ann", "subset_cyclic", "smash", "act", "star"])
+def test_an_element_out_of_range_is_refused(call, carrier):
+    """-1 is not read as the last element of a table, nor the size as an IndexError."""
+    M = mo.build_zm_over_zn(6, 30)
+    ctx = mo.ModuleContext(M)
+    size = 30 if carrier == "Z30" else 6
+    for bad in (-1, size):
+        with pytest.raises(ValueError, match=rf"^element {bad} out of range for {carrier}$"):
+            call(M, ctx, bad)
+    call(M, ctx, size - 1)
+
+
+def test_act_refuses_a_ring_element_out_of_range():
+    M = mo.build_zm_over_zn(6, 30)
+    for bad in (-1, 30):
+        with pytest.raises(ValueError, match=rf"^element {bad} out of range for Z30$"):
+            M.act(1, bad)
 
 
 def test_zm_over_zn_rejects_non_divisor():

@@ -9,19 +9,23 @@ shared object still equals its own definition.
   the one at 0, are M's column_preimages at r_f; any other S reads them off its maps.
 - minus-idem and the three star orders share one clause-parts tuple, and the context keeps
   one OR of columns for each part and pool, built once.
+- Every clause part returns its columns with their OR; minus-dual's columns, made at its
+  witness cells only, are still its set definition.
 """
 
 from functools import reduce
+from operator import or_
 
 import pytest
 
 import modorder as mo
 from modorder import homs, orders
 from modorder.orders import RELATIONS
+from modorder.rings import RING_RELATIONS
 from modorder.tables import preimage_masks
 from modorder.verdicts import bits
 
-from oracles import ORACLE_RINGS, brute_homs, klein_four_tables
+from oracles import ORACLE_RINGS, brute_homs, definitional_parts, klein_four_tables, module_tables
 
 
 def _ring(name: str) -> mo.FiniteRing:
@@ -176,19 +180,35 @@ def _small_contexts():
     return contexts
 
 
-def test_dual_masks_match_their_definition():
-    """For each t of M*: the fibres {x : t(x) = r}, and {y : y.v = x.v for every v in tM},
-    the agreement read at the t(g) of the module generators g only."""
+def test_dual_part_is_its_definition():
+    """_dual_part's column of each t of M*, cell by cell, and its OR are minus-dual's set
+    definition (m1 = m1.t(m1), t(m1) = t(m2) and m1.v = m2.v for every v in tM), though
+    agreement is read at the t(g) of the module generators g only; dual_masks holds the
+    fibres {x : t(x) = r} of each t.  F2^2 has two generators."""
     for ctx in _small_contexts():
         M, R = ctx.module, ctx.module.ring
-        assert set(ctx.dual_masks) == set(ctx.dual)
-        for t, (fibres, agree) in ctx.dual_masks.items():
-            image = set(t)
-            assert fibres == _masks([[x for x in range(M.size) if t[x] == r]
-                                     for r in range(R.size)]), (ctx.name, t)
-            assert agree == _masks([[y for y in range(M.size)
-                                     if all(M.action[y][v] == M.action[x][v] for v in image)]
-                                    for x in range(M.size)]), (ctx.name, t)
+        assert ctx.dual_masks == {t: _masks([[x for x in range(M.size) if t[x] == r]
+                                             for r in range(R.size)]) for t in ctx.dual}
+        definition = [at_x for at_x, in definitional_parts("minus-dual", module_tables(ctx))]
+        or_row, columns = orders._dual_part(ctx, ctx.dual)
+        assert [list(cells) for cells in zip(*columns)] == [
+            [at_x[t] for t in ctx.dual] for at_x in definition], ctx.name
+        assert or_row == [reduce(or_, at_x.values()) for at_x in definition], ctx.name
+
+
+def test_each_part_returns_the_or_of_its_columns():
+    """Every part of every module and ring relation, on each of its pools and on each
+    one-element pool of a replay, returns one column per pool element and, at each x, the
+    OR of the columns."""
+    for ctx in _small_contexts():
+        for rel, target in [*((rel, ctx) for rel in RELATIONS.values()),
+                            *((rel, ctx.module.ring) for rel in RING_RELATIONS.values())]:
+            for part, pool in zip(rel.parts, rel.pools(target) or ()):
+                for each in (pool, *((p,) for p in pool)):
+                    or_row, columns = part(target, each)
+                    assert len(columns) == len(each), (ctx.name, rel.tag, each)
+                    assert or_row == [reduce(or_, cells, 0) for cells in zip(*columns)], (
+                        ctx.name, rel.tag, each)
 
 
 IDEMPOTENT_FORMS = ("minus-idem", "rstar", "lstar", "star")
