@@ -171,10 +171,7 @@ def cmd_module(args) -> int:
         return 0
     print(f"module {info['name']} over {info['ring']}: size {info['size']}")
     print(f"|M*| = {info['dual_size']}, |S| = {info['endo_size']}")
-    if regular:
-        print("regular: true")
-    else:
-        print(f"regular: false at {first_bad}")
+    print("regular: true" if regular else f"regular: false at {first_bad}")
     return 0
 
 

@@ -25,13 +25,12 @@ g.r -> f(g).r, so EndoRing reads S's tables off M's through f -> f(g), unchecked
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress, repeat
 from operator import eq
 
 from .modules import FiniteModule, build_ring_as_module, cyclic_submodule, right_ann
 from .rings import MAX_RING_SIZE, FiniteRing, SpecError, same_ring
-from .tables import AxiomError, preimage_masks
+from .tables import AxiomError, lazy, preimage_masks
 from .verdicts import check_elements
 
 HOM_BUDGET = 2 ** 24  # table entries copied plus lookups made in one extension step
@@ -137,10 +136,10 @@ class EndoRing(FiniteRing):
     Addition is pointwise; multiplication is composition with (f.g)(x) = f(g(x)), so M
     is a left S-module via f.m = f(m).  The elements are hom_group(module, module), in
     its order; AxiomError beyond MAX_RING_SIZE of them.  S of a module with one greedy
-    generator g, given no involution, is derived, its tables read off M's through f -> f(g)
-    and unchecked, as S is a ring of maps; any other S is built from the homs and checked
-    in full.  A commutative S gets the identity involution, a noncommutative one only a
-    given one.
+    generator g (0 for the zero module, which is 0R), given no involution, is derived, its
+    tables read off M's through f -> f(g) and unchecked, as S is a ring of maps; any other S
+    is built from the homs and checked in full.  A commutative S gets the identity
+    involution, a noncommutative one only a given one.
     """
 
     def __init__(self, module: FiniteModule, involution=None):
@@ -148,7 +147,7 @@ class EndoRing(FiniteRing):
         self.maps = tuple(hom_group(module, module))
         if len(self.maps) > MAX_RING_SIZE:
             raise AxiomError(f"{name} has {len(self.maps)} elements, beyond cap {MAX_RING_SIZE}")
-        if len(gens := generating_set(module)) == 1 and involution is None:
+        if len(gens := generating_set(module) or [module.zero]) == 1 and involution is None:
             self._derive(module, gens[0], name)
         else:
             add, mul = _hom_tables(module, module, self.maps, lambda t, _, cols: [
@@ -179,12 +178,12 @@ class EndoRing(FiniteRing):
 
     by_generator = None  # (g, the index of the f with f(g) = v, by v) where S was derived
     _factors = None  # the r_f with f = x -> x.r_f, by f, where S was derived, R commutative
-    _index = cached_property(lambda self: {t: i for i, t in enumerate(self.maps)})  # for index_of
+    _index = lazy(lambda self: {t: i for i, t in enumerate(self.maps)})  # for index_of
 
     def index_of(self, table) -> int:
         return self._index[tuple(table)]
 
-    @cached_property
+    @lazy
     def preimages(self) -> tuple[tuple[int, ...], ...]:
         """The mask of {x : f(x) = v}, indexed by f, then v in M; ker f is the mask at
         v = 0.  Where f is x -> x.r_f, M's column_preimages at r_f, the same objects."""
@@ -237,49 +236,47 @@ class ModuleContext:
 
     def __init__(self, module: FiniteModule, name: str | None = None,
                  endo_involution=None):
-        self.module = module
-        self.name = name or module.name
-        self.endo_involution = endo_involution
+        self.module, self.name, self.endo_involution = module, name or module.name, endo_involution
 
-    @cached_property
+    @lazy
     def ring_module(self) -> FiniteModule:
         """R_R: the module itself where it is R_R, so that M* and End(M) are one search."""
         M = self.module
         return M if M.is_ring_as_module() else build_ring_as_module(M.ring)
 
-    @cached_property
+    @lazy
     def dual(self) -> tuple[tuple[int, ...], ...]:
         """The value tables of M*, in order: the pool of functional witnesses."""
         return tuple(dual(self.module, self.ring_module))
 
-    @cached_property
+    @lazy
     def regularity_witnesses(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each m, the phi of M* with m = m.phi(m), in order: bit m of REGULARITY's part."""
         return tuple(tuple(t for t in self.dual if row[t[m]] == m)
                      for m, row in enumerate(self.module.action))
 
-    @cached_property
+    @lazy
     def regular(self) -> int:
         """The mask of the regular elements, the m with m = m.phi(m) for some phi in M*."""
         return sum(1 << m for m, phis in enumerate(self.regularity_witnesses) if phis)
 
-    @cached_property
+    @lazy
     def is_regular(self) -> bool:
         """Whether every element is regular, i.e. the module is regular."""
         return self.regular == (1 << self.module.size) - 1
 
-    @cached_property
+    @lazy
     def endos(self) -> EndoRing:
         return endo_ring(self.module, involution=self.endo_involution)
 
-    @cached_property
+    @lazy
     def l_S(self) -> tuple[frozenset[int], ...]:
         """l_S(m) = {f in S : f(m) = 0}, the left annihilator in S, indexed by m."""
         S, zero = self.endos, repeat(self.module.zero)
         return tuple(frozenset(compress(S.element_pool, map(eq, col, zero)))
                      for col in zip(*S.maps))
 
-    @cached_property
+    @lazy
     def r_R(self) -> tuple[frozenset[int], ...]:
         """r_R(m) = {r in R : m.r = 0}, the right annihilator in R, indexed by m (R_R: the
         ring's right_anns)."""
@@ -287,7 +284,7 @@ class ModuleContext:
         return (M.ring.right_anns if M.is_ring_as_module()
                 else tuple(right_ann(M, m) for m in range(M.size)))
 
-    @cached_property
+    @lazy
     def dual_masks(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """For each functional t of M*, the masks {x : t(x) = r}, indexed by r in R."""
         M, R = self.module, self.module.ring
@@ -295,12 +292,12 @@ class ModuleContext:
                 else preimage_masks(self.dual, R.size))  # R_R: t is x -> t(1)x
         return dict(zip(self.dual, pres))
 
-    @cached_property
+    @lazy
     def cyclic(self) -> tuple[frozenset[int], ...]:
         """mR, indexed by m."""
         return tuple(cyclic_submodule(self.module, m) for m in range(self.module.size))
 
-    @cached_property
+    @lazy
     def summands(self) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
         """Each distinct mR as a sorted tuple, in order of first m; for each m, the index
         of mR among them (the class of m); and for each m, |mR|."""

@@ -7,7 +7,7 @@ pure functions of their inputs, so reruns produce identical output.
 
 from __future__ import annotations
 
-from functools import cache, cached_property, partial
+from functools import partial
 from operator import and_, invert, mul, or_
 from typing import NamedTuple
 
@@ -15,7 +15,7 @@ from . import orders
 from .homs import ModuleContext, smash
 from .modules import build_ring_as_module, build_zm_over_zn
 from .rings import RING_RELATIONS, AxiomError, SpecError, build_matrix_ring, build_product, build_zn
-from .tables import greedy_generators
+from .tables import greedy_generators, lazy
 from .verdicts import OrderVerdict, Relation, bits, check_elements
 
 
@@ -42,11 +42,11 @@ class RelationMatrix:
         self.member, self.relation, self.size, self.rows = member, relation, size, rows
         self.rel, self.target = rel, target
 
-    @cached_property
+    @lazy
     def applicable(self) -> bool:
         return None not in self.rows
 
-    @cached_property
+    @lazy
     def parts(self) -> list[dict[int, tuple]] | None:
         """For each x, the first witness parts at each y that x is related to."""
         return self.rel and [self.rel.firsts(self.target, x, mask) if mask else {}
@@ -58,7 +58,7 @@ class RelationMatrix:
         check_elements(self.target, x, y)
         return self.rel.verdict(self.target, x, y, self.rows[x])
 
-    @cached_property
+    @lazy
     def verdicts(self) -> list[list[OrderVerdict]] | None:
         return self.rel and [[self.verdict(x, y) for y in range(self.size)]
                              for x in range(self.size)]
@@ -312,8 +312,10 @@ def member_laws(ctx: ModuleContext, law_filter: str | None = None) -> list[LawRe
     regular, _ = orders.is_regular_module(ctx)
     reg_dom = orders.regular_set(ctx)
     n, R = ctx.module.size, ctx.module.ring
-    # one object per tag for every law, bound per call, as a profiler may rebind relation_matrix
-    matrix = cache(partial(relation_matrix, ctx))
+    matrices = {}  # one object per tag for every law; a profiler may rebind relation_matrix
+
+    def matrix(tag):
+        return matrices.get(tag) or matrices.setdefault(tag, relation_matrix(ctx, tag))
 
     def law(name, check):
         """Run a law the filter keeps; a check that returns False is not applicable."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import reprlib
-from functools import cached_property
 from itertools import compress, product, repeat
 from operator import eq
 
@@ -11,7 +10,7 @@ from .rings import (FiniteRing, SpecError, build_zn, ring_from_spec, spec_field,
                     spec_size, spec_str)
 from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
                      check_size, checked_table, cyclic_tables, greedy_generators,
-                     preimage_masks, shown)
+                     lazy, preimage_masks, shown)
 from .verdicts import check_elements
 
 MAX_MODULE_SIZE = 64
@@ -71,7 +70,7 @@ class FiniteModule:
             if self.action[m][R.mul[r][s]] != self.action[self.action[m][r]][s]:
                 raise AxiomError(f"m(rs) law fails at (m,r,s)=({m},{r},{s})")
 
-    @cached_property
+    @lazy
     def column_preimages(self) -> tuple[tuple[int, ...], ...]:
         """The mask of {x : x.r = v}, indexed by r in R, then v in M (R_R: the ring's)."""
         if self.is_ring_as_module():
@@ -84,6 +83,7 @@ class FiniteModule:
         return self.action[m][r]
 
     def sub(self, x: int, y: int) -> int:
+        check_elements(self, x, y)
         return self.add[x][self.neg[y]]
 
 

@@ -24,8 +24,10 @@ from operator import itemgetter
 from .homs import ModuleContext, generating_set, smash
 from .modules import cyclic_submodule  # noqa: F401 -- perfbench's tracer wraps this binding
 from .modules import right_ann
+from .rings import _annih_q
 from .verdicts import (DirectSumWitness, DualWitness, IdemPair, MapPair, OrderVerdict, Relation,
-                       bits, check_elements, equal_keys, fibre_columns, fixed_points, or_columns)
+                       bits, check_elements, equal_keys, fibre_columns, fixed_points, kept_part,
+                       or_columns)
 
 
 # -- the definitional form and regularity ---------------------------------------------
@@ -94,6 +96,9 @@ def kernel_summand(ctx: ModuleContext, m: int, s: int):
     By sizes: |mR + N| = |mR|.|N| / |mR meet N|, and |mR meet N| = |mR| / |s(m)R| as s maps
     mR onto s(m)R; so |s(m)R| = |mR| and |mR|.|N| = |M| give M = mR (+) N, both checked."""
     M, S, cyclic = ctx.module, ctx.endos, ctx.cyclic
+    if not (0 <= m < M.size and 0 <= s < S.size):
+        check_elements(M, m)
+        check_elements(S, s)
     n_mask, size = S.preimages[s][M.zero], len(cyclic[m])
     split = len(cyclic[S.maps[s][m]]) == size and size * n_mask.bit_count() == M.size
     return n_mask if split else None
@@ -175,10 +180,10 @@ def _f_annihilator(ctx: ModuleContext, pool) -> tuple[list[int], list[list[int]]
 
 
 def _a_annihilator(ctx: ModuleContext, pool) -> tuple[list[int], list[list[int]]]:
-    r_a = (ctx.r_R.__getitem__ if ctx.module.is_ring_as_module()
-           else partial(right_ann, ctx.ring_module))
-    return fibre_columns(pool, ctx.module.column_preimages, lambda a: list(map(
-        itemgetter(a), ctx.module.action)), equal_keys(r_a, ctx.r_R))
+    if (M := ctx.module).is_ring_as_module():  # its column_preimages, action, r_R: the ring's
+        return kept_part(M.ring, _annih_q, pool)[1:]
+    return fibre_columns(pool, M.column_preimages, lambda a: list(map(itemgetter(a), M.action)),
+                         equal_keys(partial(right_ann, ctx.ring_module), ctx.r_R))
 
 
 _IDEMPOTENT_PARTS = (_f_annihilator, _a_annihilator)

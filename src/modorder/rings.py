@@ -9,16 +9,15 @@ concurrent reads are safe.
 from __future__ import annotations
 
 import reprlib
-from functools import cached_property
-from itertools import chain, compress, product, repeat
+from itertools import compress, product, repeat
 from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .tables import (AxiomError, additive_group, check_add_associative, check_additive,
                      check_size, checked_table, cyclic_tables, greedy_generators, identity_of,
-                     preimage_masks, shown)
+                     lazy, preimage_masks, shown)
 from .verdicts import (AnnihPair, InnerInverse, OrderVerdict, Relation, check_elements,
-                       equal_keys, fibre_columns)
+                       equal_keys, fibre_columns, kept_part)
 
 MAX_RING_SIZE = 256
 
@@ -64,7 +63,7 @@ class FiniteRing:
         self.involution = (list(range(self.size)) if involution is None and self.is_commutative()
                            else involution)
 
-    @cached_property
+    @lazy
     def additive_generators(self) -> tuple[int, ...]:
         """Greedy generators of the additive group (see ``greedy_generators``)."""
         return greedy_generators(self.add, range(self.size), self.zero)
@@ -104,12 +103,13 @@ class FiniteRing:
     def is_commutative(self) -> bool:
         return self._commutative
 
-    @cached_property
+    @lazy
     def _commutative(self) -> bool:
         """Whether mul equals its transpose, found once per ring."""
         return self.mul == [list(col) for col in zip(*self.mul)]
 
     def sub(self, a: int, b: int) -> int:
+        check_elements(self, a, b)
         return self.add[a][self.neg[b]]
 
     def star(self, a: int) -> int:
@@ -128,22 +128,22 @@ class FiniteRing:
         """Self-adjoint idempotents; requires an involution."""
         return frozenset(self.projection_pool)
 
-    @cached_property
+    @lazy
     def element_pool(self) -> range:
         """Every element in ascending order, as a witness pool."""
         return range(self.size)
 
-    @cached_property
+    @lazy
     def idempotent_pool(self) -> tuple[int, ...]:
         """The idempotents in ascending order, as a witness pool."""
         return tuple(e for e, row in enumerate(self.mul) if row[e] == e)
 
-    @cached_property
+    @lazy
     def unit_pool(self) -> tuple[int, ...]:
         """The units in ascending order: 1 in row u, as a finite ring is Dedekind-finite."""
         return tuple(u for u, row in enumerate(self.mul) if self.one in row)
 
-    @cached_property
+    @lazy
     def projection_pool(self) -> tuple[int, ...]:
         """The projections in ascending order, as a witness pool."""
         if self.involution is None:
@@ -152,7 +152,7 @@ class FiniteRing:
 
     # -- annihilators and principal one-sided ideals, per element -------------------
 
-    @cached_property
+    @lazy
     def left_anns(self) -> tuple[frozenset[int], ...]:
         """l(a) = {x : x*a = 0}, indexed by a; right_anns itself when R is commutative."""
         if self.is_commutative():
@@ -160,30 +160,30 @@ class FiniteRing:
         return tuple(frozenset(compress(self.element_pool, map(eq, col, repeat(self.zero))))
                      for col in zip(*self.mul))
 
-    @cached_property
+    @lazy
     def right_anns(self) -> tuple[frozenset[int], ...]:
         """r(a) = {x : a*x = 0}, indexed by a."""
         return tuple(frozenset(compress(self.element_pool, map(eq, row, repeat(self.zero))))
                      for row in self.mul)
 
-    @cached_property
+    @lazy
     def left_ideals(self) -> tuple[frozenset[int], ...]:
         """R*e, indexed by e; right_ideals itself when R is commutative."""
         if self.is_commutative():
             return self.right_ideals
         return tuple(frozenset(col) for col in zip(*self.mul))
 
-    @cached_property
+    @lazy
     def right_ideals(self) -> tuple[frozenset[int], ...]:
         """e*R, indexed by e."""
         return tuple(frozenset(row) for row in self.mul)
 
-    @cached_property
+    @lazy
     def row_preimages(self) -> tuple[tuple[int, ...], ...]:
         """The mask of {b : a*b = v}, indexed by a, then v."""
         return preimage_masks(self.mul, self.size)
 
-    @cached_property
+    @lazy
     def column_preimages(self) -> tuple[tuple[int, ...], ...]:
         """The mask of {b : b*a = v}, indexed by a, then v; row_preimages itself when R is
         commutative."""
@@ -191,7 +191,7 @@ class FiniteRing:
             return self.row_preimages
         return preimage_masks(zip(*self.mul), self.size)
 
-    @cached_property
+    @lazy
     def rickart_star(self) -> RickartCert:
         """``is_rickart_star``'s certificate, one per ring: callers must not mutate it."""
         return _rickart_cert(self, self.projection_pool)
@@ -220,9 +220,13 @@ def build_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     check_size(r1.size * n2, MAX_RING_SIZE, "ring")
 
     def table(t1, t2):  # row (x, y): row y of t2 shifted by t1[x][x'] * n2, for each x'
-        shifted = [[[v * n2 + w for w in row] for row in t2] for v in range(r1.size)]
-        return [list(chain.from_iterable(shifted[v][y] for v in row))
-                for row in t1 for y in range(n2)]
+        shifted, rows = [[[v * n2 + w for w in row] for row in t2] for v in range(r1.size)], []
+        for row in t1:
+            for y in range(n2):
+                rows.append(out := [])
+                for v in row:
+                    out += shifted[v][y]
+        return rows
     involution = None
     if r1.involution is not None and r2.involution is not None:
         involution = [v * n2 + w for v in r1.involution for w in r2.involution]
@@ -350,7 +354,10 @@ def _annih_p(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
 
 
 def _annih_q(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
-    """For each idempotent q, at each a with r(a) = (1-q)R, which is r(q), the b with aq = bq."""
+    """For each idempotent q, at each a with r(a) = (1-q)R, which is r(q), the b with aq = bq.
+    A commutative ring's are _annih_p's, kept: column q of mul is row q, and r(a) is l(a)."""
+    if ring.is_commutative():
+        return kept_part(ring, _annih_p, pool)[1:]
     return fibre_columns(pool, ring.column_preimages, lambda q: list(map(itemgetter(q), ring.mul)),
                          equal_keys(ring.right_anns.__getitem__, ring.right_anns))
 

@@ -12,6 +12,23 @@ class AxiomError(ValueError):
     """A structure table violates one of its defining laws."""
 
 
+class lazy:
+    """A family computed on first read and kept in the object's __dict__ under its name, where
+    later reads find it.  No lock: two first reads at once may each compute it, to equal values."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.func(obj)
+        return value
+
+
 def shown(n: int) -> str:
     """n for a message, or past 20 digits their count: str() refuses n past 4300 digits."""
     if (size := abs(n)) < 10 ** 20:

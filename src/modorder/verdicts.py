@@ -159,6 +159,18 @@ def check_elements(ctx, *elements) -> None:
             raise ValueError(f"element {shown(m)} out of range for {carrier.name}")
 
 
+def kept_part(ctx, part, pool) -> tuple:
+    """(pool, *part(ctx, pool)), kept on ctx with no reference back to it, so that dropping a
+    context frees it.  A pool is compared, not hashed (M*'s holds every table of M*)."""
+    memo = vars(ctx).get("clause_memo") or vars(ctx).setdefault("clause_memo", {})
+    for entry in memo.get(part, ()):
+        if entry[0] is pool or entry[0] == pool:
+            return entry
+    entry = pool, *part(ctx, pool)
+    memo.setdefault(part, []).append(entry)
+    return entry
+
+
 class Relation(NamedTuple):
     """One order relation, defined once for the decision, the witness and the replay.
 
@@ -184,18 +196,6 @@ class Relation(NamedTuple):
         check_elements(ctx, x, y)
         return self.verdict(ctx, x, y, self.rows(ctx)[x])
 
-    def _memo(self, ctx, part, pool) -> tuple:
-        """(pool, the OR of its columns, the columns), kept on ctx with no reference back to it,
-        so that dropping a context frees it.  A pool is compared, not hashed (M*'s holds every
-        table of M*)."""
-        memo = vars(ctx).get("clause_memo") or vars(ctx).setdefault("clause_memo", {})
-        for entry in memo.get(part, ()):
-            if entry[0] is pool or entry[0] == pool:
-                return entry
-        entry = pool, *part(ctx, pool)
-        memo.setdefault(part, []).append(entry)
-        return entry
-
     def rows(self, ctx) -> list[int | None]:
         """Each x's mask of the y related to it: the AND over the parts of their ORs (None
         throughout: not applicable)."""
@@ -203,11 +203,11 @@ class Relation(NamedTuple):
         if pools is None:
             return [None] * _carrier(ctx).size
         return list(reduce(partial(map, and_), [
-            self._memo(ctx, part, pool)[1] for part, pool in zip(self.parts, pools)]))
+            kept_part(ctx, part, pool)[1] for part, pool in zip(self.parts, pools)]))
 
     def columns(self, ctx) -> list[tuple]:
         """(pool, its columns) for each part, as the ORs were built from them."""
-        return [self._memo(ctx, part, pool)[::2] for part, pool in zip(self.parts, self.pools(ctx))]
+        return [kept_part(ctx, part, pool)[::2] for part, pool in zip(self.parts, self.pools(ctx))]
 
     def firsts(self, ctx, x: int, row: int) -> dict[int, tuple]:
         """The witness parts at each y of ``row``, a mask of cells where the relation

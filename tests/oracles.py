@@ -110,6 +110,17 @@ def relaxed_parts(add, action, mul, maps):
                              lambda m1, a: r_a[a] <= r_m[m1])
 
 
+def right_annihilator_parts(mul, zero, pool):
+    """ring-annih's q part, and minus-idem's a part on R_R, as each was computed on its own:
+    for each q of pool, at each a with r(a) = r(q), the mask of the b with bq = aq, read
+    from column q of mul; and for each a, the OR of the columns."""
+    n = len(mul)
+    right = [frozenset(x for x in range(n) if mul[a][x] == zero) for a in range(n)]
+    columns = [[sum(1 << b for b in range(n) if mul[b][q] == mul[a][q]) if right[a] == right[q]
+                else 0 for a in range(n)] for q in pool]
+    return [reduce(or_, cells) for cells in zip(*columns)], columns
+
+
 def _rows(parts):
     return [reduce(or_, f_parts.values(), 0) & reduce(or_, a_parts.values(), 0)
             for f_parts, a_parts in parts]

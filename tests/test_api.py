@@ -94,3 +94,13 @@ def test_src_has_no_unused_imports_or_unread_private_names():
                     name in read for node, read in statements if node not in nodes):
                 unused.append(f"{stem}: {name} is never read")
     assert unused == []
+
+
+def test_src_has_one_lazy_attribute_mechanism():
+    """Lazy families are tables.lazy: no module of src/modorder imports or reads
+    functools.cached_property, which takes a lock on each first read (Python 3.11)."""
+    found = [f"{stem}: line {node.lineno}" for stem, (tree, _) in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.alias) and node.name.endswith("cached_property")
+             or isinstance(node, ast.Attribute) and node.attr == "cached_property"]
+    assert found == []

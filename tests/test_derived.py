@@ -35,13 +35,13 @@ def test_only_given_tables_and_involutions_validate_rings(monkeypatch):
                mo.build_matrix_ring(3),
                mo.ring_from_spec({"kind": "product", "factors": [{"kind": "Zn", "n": 2},
                                                                  {"kind": "matrix2", "p": 2}]}),
-               *map(mo.EndoRing, cyclic)]
-    assert validated == [] and len(derived) == 9
+               *map(mo.EndoRing, cyclic), mo.EndoRing(mo.build_zm_over_zn(1, 5))]
+    assert validated == [] and len(derived) == 10
     checked = [mo.build_ring_from_tables(z6.ring.add, z6.ring.mul),
                mo.ring_from_spec(mo.ring_to_spec(z6.ring)),
                mo.EndoRing(z6, involution=list(range(6))),
                mo.EndoRing(cyclic[0], involution=list(range(6))),
-               mo.EndoRing(klein), mo.EndoRing(mo.build_zm_over_zn(1, 5))]
+               mo.EndoRing(klein)]
     assert validated == checked
 
 

@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 
 import pytest
@@ -24,14 +25,23 @@ def test_build_zm_over_zn_paper_module():
     (lambda M, ctx, x: homs.smash(M, ctx.endos, x, ctx.dual[1]), "Z6/Z30"),
     (lambda M, ctx, x: M.act(x, 1), "Z6/Z30"),
     (lambda M, ctx, x: M.ring.star(x), "Z30"),
-], ids=["cyclic_submodule", "right_ann", "subset_cyclic", "smash", "act", "star"])
+    (lambda M, ctx, x: M.ring.sub(x, 0), "Z30"),
+    (lambda M, ctx, x: M.ring.sub(0, x), "Z30"),
+    (lambda M, ctx, x: M.sub(x, 0), "Z6/Z30"),
+    (lambda M, ctx, x: M.sub(0, x), "Z6/Z30"),
+    (lambda M, ctx, x: orders.kernel_summand(ctx, x, 0), "Z6/Z30"),
+    (lambda M, ctx, x: orders.kernel_summand(ctx, 0, x), "End(Z6/Z30)"),
+], ids=["cyclic_submodule", "right_ann", "subset_cyclic", "smash", "act", "star", "ring-sub-a",
+        "ring-sub-b", "module-sub-x", "module-sub-y", "kernel_summand-m", "kernel_summand-s"])
 def test_an_element_out_of_range_is_refused(call, carrier):
-    """-1 is not read as the last element of a table, nor the size as an IndexError."""
+    """-1 is not read as the last element of a table, nor the size as an IndexError.
+    End(Z6/Z30) has 6 elements."""
     M = mo.build_zm_over_zn(6, 30)
     ctx = mo.ModuleContext(M)
     size = 30 if carrier == "Z30" else 6
     for bad in (-1, size):
-        with pytest.raises(ValueError, match=rf"^element {bad} out of range for {carrier}$"):
+        with pytest.raises(ValueError,
+                           match=rf"^element {bad} out of range for {re.escape(carrier)}$"):
             call(M, ctx, bad)
     call(M, ctx, size - 1)
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import time
 
@@ -277,6 +279,28 @@ def test_product_ring_invariants(n1, n2):
     z1, z2 = mo.build_zn(n1), mo.build_zn(n2)
     assert len(p.idempotents()) == len(z1.idempotents()) * len(z2.idempotents())
     assert len(p.units()) == len(z1.units()) * len(z2.units())
+
+
+@pytest.mark.parametrize("factors", [("Z3", "Z7"), ("Z2", "M2(Z2)"), ("M2(Z2)", "Z2"),
+                                     ("Z2", "Z3", "Z4"), ("Z2", "Z4", "Z8"),
+                                     ("Z2", "Z2", "Z2", "Z4")])
+def test_product_tables_are_componentwise(factors):
+    """+ and * of a product, factors folded from the left, are componentwise on the indices
+    t[x1.n2 + x2][y1.n2 + y2] = t1[x1][y1].n2 + t2[x2][y2], checked on every cell against
+    the mixed-radix index of the factors' results."""
+    rings = [mo.build_matrix_ring(2) if f == "M2(Z2)" else mo.build_zn(int(f[1:]))
+             for f in factors]
+    R = functools.reduce(mo.build_product, rings)
+    cells = list(itertools.product(*(range(r.size) for r in rings)))
+
+    def index(xs):
+        return functools.reduce(lambda i, rx: i * rx[0].size + rx[1], zip(rings, xs), 0)
+    assert R.size == len(cells) and [index(xs) for xs in cells] == list(range(R.size))
+    assert R.name == "x".join(r.name for r in rings)
+    for op in ("add", "mul"):
+        table = getattr(R, op)
+        assert table == [[index([getattr(r, op)[x][y] for r, x, y in zip(rings, xs, ys)])
+                          for ys in cells] for xs in cells], op
 
 
 @settings(max_examples=15, deadline=None)

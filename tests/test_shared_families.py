@@ -11,6 +11,9 @@ shared object still equals its own definition.
   one OR of columns for each part and pool, built once.
 - Every clause part returns its columns with their OR; minus-dual's columns, made at its
   witness cells only, are still its set definition.
+- On a commutative ring, ring-annih's q part is its p part, and on R_R minus-idem's a part
+  is the ring's q part: one evaluation, kept on the ring.
+- Every family is a lazy attribute, computed once per object and kept in its __dict__.
 """
 
 from functools import reduce
@@ -21,11 +24,12 @@ import pytest
 import modorder as mo
 from modorder import homs, orders
 from modorder.orders import RELATIONS
-from modorder.rings import RING_RELATIONS
-from modorder.tables import preimage_masks
+from modorder.rings import RING_RELATIONS, _annih_p as rings_annih_p, _annih_q as rings_annih_q
+from modorder.tables import lazy, preimage_masks
 from modorder.verdicts import bits
 
-from oracles import ORACLE_RINGS, brute_homs, definitional_parts, klein_four_tables, module_tables
+from oracles import (ORACLE_RINGS, brute_homs, definitional_parts, klein_four_tables,
+                     module_tables, right_annihilator_parts)
 
 
 def _ring(name: str) -> mo.FiniteRing:
@@ -124,9 +128,9 @@ def test_ring_module_families_are_the_rings():
 
 
 def _cyclic_over_commutative():
-    """Every Z_m/Z_n with 1 < m | n <= 64, and the commutative R_R of the default corpus and
-    of ORACLE_RINGS, fresh."""
-    modules = [mo.build_zm_over_zn(m, n) for n in range(2, 65) for m in range(2, n + 1)
+    """Every Z_m/Z_n with 1 <= m | n <= 64, 1 < n, and the commutative R_R of the default
+    corpus and of ORACLE_RINGS, fresh."""
+    modules = [mo.build_zm_over_zn(m, n) for n in range(2, 65) for m in range(1, n + 1)
                if n % m == 0]
     modules += [ctx.module for ctx in _ring_module_contexts() if ctx.module.ring.is_commutative()]
     return [mo.ModuleContext(M) for M in modules]
@@ -141,12 +145,14 @@ def _spied_preimage_masks(monkeypatch):
 
 def test_endo_fibres_of_a_cyclic_module_over_a_commutative_ring_are_ms_columns(monkeypatch):
     """S of gR over a commutative R: each f is x -> x.r_f with g.r_f = f(g), so its fibre
-    masks are M's column_preimages at r_f, the same object, and equal their definition."""
+    masks are M's column_preimages at r_f, the same object, and equal their definition.  The
+    zero module, which has no greedy generator, is 0R, with g = 0."""
     calls, contexts = _spied_preimage_masks(monkeypatch), _cyclic_over_commutative()
-    assert len(contexts) > 200 and {"Z6/Z30", "Z64/Z64", "Z2xZ3_R"} <= {c.name for c in contexts}
+    assert len(contexts) > 200 and {"Z6/Z30", "Z64/Z64", "Z2xZ3_R", "Z1/Z5"} <= {
+        c.name for c in contexts}
     for ctx in contexts:
         M, S = ctx.module, ctx.endos
-        (g,) = homs.generating_set(M)
+        (g,) = homs.generating_set(M) or [0]
         for f, t in enumerate(S.maps):
             r_f = M.action[g].index(t[g])
             assert list(t) == [M.action[x][r_f] for x in range(M.size)], (ctx.name, f)
@@ -160,11 +166,10 @@ def test_endo_fibres_of_a_cyclic_module_over_a_commutative_ring_are_ms_columns(m
     lambda: mo.ModuleContext(mo.build_module_from_tables(mo.build_zn(2), *klein_four_tables(),
                                                          name="F2^2")),
     lambda: mo.ModuleContext(mo.build_zm_over_zn(6, 30), endo_involution=list(range(6))),
-    lambda: mo.ModuleContext(mo.build_zm_over_zn(1, 5)),
-], ids=["M2(Z2)_R", "F2^2", "Z6/Z30-involution", "Z1/Z5"])
+], ids=["M2(Z2)_R", "F2^2", "Z6/Z30-involution"])
 def test_other_endo_fibres_are_read_off_the_maps(monkeypatch, build):
-    """A noncommutative R, a non-cyclic M, an S given an involution and the zero module,
-    which has no greedy generator, take preimage_masks over S.maps, once."""
+    """A noncommutative R, a non-cyclic M and an S given an involution take preimage_masks
+    over S.maps, once."""
     calls, ctx = _spied_preimage_masks(monkeypatch), build()
     S = ctx.endos
     assert S.preimages == preimage_masks(S.maps, ctx.module.size)
@@ -303,3 +308,79 @@ def test_equal_tables_share_preimage_masks():
     assert all(cols[r] is cols[r % 6] for r in range(30))
     assert cols == tuple(_masks([[x for x in range(M.size) if M.action[x][r] == v]
                                  for v in range(M.size)]) for r in range(30))
+
+
+def _lazy_families():
+    """Each class's lazy families, by class, with their names."""
+    classes = (mo.FiniteRing, mo.FiniteModule, mo.EndoRing, mo.ModuleContext, mo.RelationMatrix)
+    return {cls: {name: attr for name, attr in vars(cls).items() if isinstance(attr, lazy)}
+            for cls in classes}
+
+
+def test_a_lazy_family_is_computed_once_and_kept_on_its_object(monkeypatch):
+    """Every lazy family of the package, EndoRing._index (assigned from a lambda) among them,
+    runs its function once per object and keeps the value in vars(obj) under its name; read
+    on its class it is the descriptor.  No family is a functools.cached_property."""
+    families = _lazy_families()
+    assert sum(map(len, families.values())) == 30 and "_index" in families[mo.EndoRing]
+    calls = []
+    for cls, named in families.items():
+        for name, family in named.items():
+            assert getattr(cls, name) is family and family.name == name
+            monkeypatch.setattr(family, "func", lambda obj, func=family.func, name=name: (
+                calls.append((id(obj), name)) or func(obj)))
+    for _ in range(2):  # fresh objects each time: each computes its own families once
+        ctx = mo.ModuleContext(mo.build_ring_as_module(_ring("Z2xZ3")))
+        matrix = mo.relation_matrix(ctx, "minus-dual")
+        objects = (ctx.module.ring, ctx.module, ctx.endos, ctx, matrix)
+        calls.clear()
+        for obj, cls in zip(objects, families):
+            for name in families[cls] if cls is not mo.EndoRing else {
+                    **families[mo.FiniteRing], **families[mo.EndoRing]}:
+                value = getattr(obj, name)
+                assert getattr(obj, name) is value is vars(obj)[name], (cls.__name__, name)
+        assert len(calls) == len(set(calls)), calls
+    S = ctx.endos
+    assert S.index_of(S.maps[3]) == 3 and vars(S)["_index"] == {t: i for i, t in enumerate(S.maps)}
+
+
+def _commutative_rings(products_strata):
+    """The commutative rings of ORACLE_RINGS, Z1 to Z64 and the products strata."""
+    rings = [_ring(name) for name in ORACLE_RINGS if name != "M2(Z2)"]
+    rings += [*map(mo.build_zn, range(1, 65)), *(ctx.module.ring for ctx in products_strata)]
+    return [R for R in rings if R.is_commutative()]
+
+
+def _kept(target, part, pool):
+    (entry,) = [entry for entry in vars(target)["clause_memo"][part] if entry[0] == pool]
+    return entry
+
+
+def test_annih_q_is_annih_p_on_a_commutative_ring(products_strata):
+    """On a commutative ring, ring-annih's q part returns the OR and columns that its p part
+    keeps, the same objects, on the idempotents and on each one-element pool of a replay;
+    they equal the q part computed on its own, from the columns of mul and r(a)."""
+    rings = _commutative_rings(products_strata)
+    assert len(rings) == 3 + 64 + 30  # all but the strata's M2(Z2)
+    for R in rings:
+        for pool in (R.idempotent_pool, *((q,) for q in R.idempotent_pool)):
+            or_row, columns = rings_annih_q(R, pool)
+            entry = _kept(R, rings_annih_p, pool)
+            assert or_row is entry[1] and columns is entry[2], R.name
+            assert (or_row, columns) == right_annihilator_parts(R.mul, R.zero, pool), R.name
+
+
+def test_a_annihilator_is_the_rings_q_part_on_r_r():
+    """On R_R, minus-idem's a part returns the ring's kept ring-annih q part, the same
+    objects, on the idempotents and the projections; it equals the a part computed on its
+    own.  M2(Z2) is not commutative, and its transpose has fewer projections."""
+    contexts = [ctx for ctx in mo.default_corpus() if ctx.module.is_ring_as_module()]
+    assert [ctx.name for ctx in contexts] == ["Z6/Z6", "Z10/Z10", "Z2xZ3", "M2(Z2)"]
+    for ctx in contexts:
+        R, a_part = ctx.module.ring, orders.minus_le_idem.parts[1]
+        for pool in (R.idempotent_pool, R.projection_pool):
+            or_row, columns = a_part(ctx, pool)
+            entry = _kept(R, rings_annih_q, pool)
+            assert or_row is entry[1] and columns is entry[2], ctx.name
+            assert (or_row, columns) == right_annihilator_parts(R.mul, R.zero, pool), ctx.name
+    assert R.projection_pool != R.idempotent_pool
