@@ -166,10 +166,12 @@ def test_endo_fibres_of_a_cyclic_module_over_a_commutative_ring_are_ms_columns(m
     lambda: mo.ModuleContext(mo.build_module_from_tables(mo.build_zn(2), *klein_four_tables(),
                                                          name="F2^2")),
     lambda: mo.ModuleContext(mo.build_zm_over_zn(6, 30), endo_involution=list(range(6))),
-], ids=["M2(Z2)_R", "F2^2", "Z6/Z30-involution"])
+    lambda: mo.ModuleContext(mo.build_zm_over_zn(1, 5), endo_involution=[0]),
+], ids=["M2(Z2)_R", "F2^2", "Z6/Z30-involution", "Z1/Z5"])
 def test_other_endo_fibres_are_read_off_the_maps(monkeypatch, build):
     """A noncommutative R, a non-cyclic M and an S given an involution take preimage_masks
-    over S.maps, once."""
+    over S.maps, once.  The zero module's S is derived from generator 0 unless, as here, it
+    is given an involution."""
     calls, ctx = _spied_preimage_masks(monkeypatch), build()
     S = ctx.endos
     assert S.preimages == preimage_masks(S.maps, ctx.module.size)
