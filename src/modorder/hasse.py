@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .homs import ModuleContext
-from .laws import RelationMatrix, check_partial_order, relation_matrix
+from .laws import check_partial_order, relation_matrix
 from .rings import RING_RELATIONS
 from .verdicts import bits
 from . import orders
@@ -47,8 +47,7 @@ def transitive_reduction(rows) -> list[tuple[int, int]]:
     return covers
 
 
-def build_poset(ctx: ModuleContext, tag: str,
-                matrix: RelationMatrix | None = None) -> Poset:
+def build_poset(ctx: ModuleContext, tag: str) -> Poset:
     """Verify the relation is a partial order, then reduce it.
 
     Reflexivity is demanded on the regular elements for minus-type relations
@@ -58,11 +57,7 @@ def build_poset(ctx: ModuleContext, tag: str,
     """
     if tag in RING_RELATIONS and not ctx.module.is_ring_as_module():
         raise ValueError(f"ring relation {tag!r} needs R_R; {ctx.name} is not")
-    if matrix is None:
-        matrix = relation_matrix(ctx, tag)
-    if not matrix.applicable:
-        raise ValueError(f"relation {matrix.relation!r} is not applicable on "
-                         f"{ctx.name}: the required involution is absent")
+    matrix = relation_matrix(ctx, tag)
     domain = sorted(orders.regular_set(ctx))
     report = check_partial_order(matrix, domain)
     if report.outcome != "pass":

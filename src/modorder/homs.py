@@ -251,7 +251,8 @@ class ModuleContext:
 
     @lazy
     def regularity_witnesses(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each m, the phi of M* with m = m.phi(m), in order: bit m of REGULARITY's part."""
+        """For each m, the phi of M* with m = m.phi(m), in order: the t whose minus-dual
+        column covers m at m."""
         return tuple(tuple(t for t in self.dual if row[t[m]] == m)
                      for m, row in enumerate(self.module.action))
 
@@ -259,11 +260,6 @@ class ModuleContext:
     def regular(self) -> int:
         """The mask of the regular elements, the m with m = m.phi(m) for some phi in M*."""
         return sum(1 << m for m, phis in enumerate(self.regularity_witnesses) if phis)
-
-    @lazy
-    def is_regular(self) -> bool:
-        """Whether every element is regular, i.e. the module is regular."""
-        return self.regular == (1 << self.module.size) - 1
 
     @lazy
     def endos(self) -> EndoRing:

@@ -85,11 +85,19 @@ def relation_matrix(ctx: ModuleContext, tag: str) -> RelationMatrix:
 # -- individual law checks ---------------------------------------------------------
 
 
+def _rows(rel: RelationMatrix) -> list[int]:
+    """rel's rows; ValueError where it is not applicable, so that no check reads a None."""
+    if not rel.applicable:
+        raise ValueError(f"relation {rel.relation!r} is not applicable on {rel.member}: "
+                         "the required involution is absent")
+    return rel.rows
+
+
 def check_partial_order(rel: RelationMatrix, reflexive_domain) -> LawReport:
     """Reflexivity on the stated domain, antisymmetry/transitivity everywhere.  ``checks``
     counts the cells a cell-by-cell scan would visit: |domain| diagonal cells, the n^2
     cells for antisymmetry, then n cells k for each related pair (i, j)."""
-    n, rows = rel.size, rel.rows
+    n, rows = rel.size, _rows(rel)
     report = partial(LawReport, f"partial-order/{rel.relation}", rel.member)
     checks = 0
     for m in sorted(reflexive_domain):
@@ -118,15 +126,16 @@ def check_equivalence(rel_a: RelationMatrix, rel_b: RelationMatrix,
     mask and y in the column mask of ``domain``; ``checks`` counts the cells compared."""
     if rel_a.size != rel_b.size:
         raise ValueError("matrices over different modules")
+    rows_a, rows_b = _rows(rel_a), _rows(rel_b)
     law = f"equiv/{rel_a.relation}~{rel_b.relation}"
     every = (1 << rel_a.size) - 1
     dom_rows, cols = domain or (every, every)
     checks = 0
     for i in bits(dom_rows):
-        if diff := (rel_a.rows[i] ^ rel_b.rows[i]) & cols:
+        if diff := (rows_a[i] ^ rows_b[i]) & cols:
             j = next(bits(diff))
-            ce = {"pair": [i, j], rel_a.relation: bool(rel_a.rows[i] >> j & 1),
-                  rel_b.relation: bool(rel_b.rows[i] >> j & 1)}
+            ce = {"pair": [i, j], rel_a.relation: bool(rows_a[i] >> j & 1),
+                  rel_b.relation: bool(rows_b[i] >> j & 1)}
             for key, rel in (("witness_a", rel_a), ("witness_b", rel_b)):
                 if rel.rel:
                     ce[key] = rel.verdict(i, j).to_json()["witness"]
@@ -143,7 +152,7 @@ def check_unit_invariance(ctx: ModuleContext, minus: RelationMatrix) -> LawRepor
     and U(R) decide a pass; if one fails, every unit is scanned, and the lowest pair, in
     row-major order, at which the preimage differs from the edges fails."""
     M, n = ctx.module, ctx.module.size
-    edges = [(i, j) for i, row in enumerate(minus.rows) for j in bits(row)]
+    edges = [(i, j) for i, row in enumerate(_rows(minus)) for j in bits(row)]
     flat = sum(1 << i * n + j for i, j in edges)
 
     def moved(image):  # the preimage of the edges under a bijection of M, XOR the edges
@@ -167,7 +176,7 @@ def check_unit_invariance(ctx: ModuleContext, minus: RelationMatrix) -> LawRepor
 def _implication(law: str, minus: RelationMatrix, consequence) -> LawReport:
     """m1 <= m2 implies consequence(m1, m2), checked on every related pair."""
     checks = 0
-    for i, row in enumerate(minus.rows):
+    for i, row in enumerate(_rows(minus)):
         for j in bits(row):
             checks += 1
             if not consequence(i, j):
@@ -183,8 +192,7 @@ def check_annihilator_monotone(ctx: ModuleContext, minus: RelationMatrix) -> Law
 
 def check_subset_cyclic(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     """m1 <= m2 implies m1 R <= m2 R."""
-    return _implication("subset-cyclic", minus,
-                        lambda i, j: orders.subset_cyclic(ctx, i, j))
+    return _implication("subset-cyclic", minus, lambda i, j: ctx.cyclic[i] <= ctx.cyclic[j])
 
 
 def find_converse_gap(ctx: ModuleContext) -> list[tuple[int, int]]:
@@ -212,7 +220,7 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     This holds on working code, as for idempotent f, 1 - f in l_S(f) = l_S(m1) gives f m1 =
     m1, and a likewise.  Only if some p fails are the witnesses scanned cell by cell.
     """
-    M, S, R = ctx.module, ctx.endos, ctx.module.ring
+    M, S, R, rows = ctx.module, ctx.endos, ctx.module.ring, _rows(idem)
     fail = partial(LawReport, "witness-constructions", idem.member, "fail")
     checks = 0
     for m in bits(ctx.regular):
@@ -234,13 +242,13 @@ def check_witness_constructions(ctx: ModuleContext, idem: RelationMatrix) -> Law
     own = [1 << m1 for m1 in range(idem.size)]
 
     def chained(column, fibre):  # no m1 at which p covers an m2 of the row, p m1 or p m2 != m1
-        covers = list(map(and_, column, idem.rows))
+        covers = list(map(and_, column, rows))
         return not any(map(mul, map(bool, covers),
                            map(and_, map(or_, covers, own), map(invert, fibre))))
     if all(chained(column, fibre[p]) for (pool, columns), fibre
            in zip(idem.rel.columns(idem.target), fibres) for p, column in zip(pool, columns)):
         return LawReport("witness-constructions", idem.member, "pass", None,
-                         checks + sum(row.bit_count() for row in idem.rows if row))
+                         checks + sum(row.bit_count() for row in rows))
     for m1, row in enumerate(idem.parts):
         for m2, (f, a) in row.items():
             checks += 1
@@ -258,7 +266,7 @@ def check_ring_bridge(ctx: ModuleContext, minus: RelationMatrix) -> LawReport:
     Hartwig order and the annihilator form of the ring order coincide."""
     hartwig, annih = relation_matrix(ctx, "hartwig"), relation_matrix(ctx, "ring-annih")
     n = hartwig.size
-    for a, (h, w, m) in enumerate(zip(hartwig.rows, annih.rows, minus.rows)):
+    for a, (h, w, m) in enumerate(zip(hartwig.rows, annih.rows, _rows(minus))):
         if diff := (h ^ w) | (h ^ m):
             b = next(bits(diff))
             return LawReport("ring-bridge", minus.member, "fail",

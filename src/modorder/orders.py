@@ -54,15 +54,14 @@ def _dual_part(ctx: ModuleContext, pool) -> tuple[list[int], list[list[int]]]:
 
 minus_le_dual = Relation("minus-dual", lambda ctx: (ctx.dual,), (_dual_part,),
                          DualWitness)
-# Zelmanowitz regularity, m = m.phi(m) for some phi in M*, is m <= m.  ctx.regular
-# caches the mask of the m with such a phi, read from ctx.regularity_witnesses.
-REGULARITY = minus_le_dual._replace(tag="regular")
 
 
 def is_regular_element(ctx: ModuleContext, m: int) -> OrderVerdict:
-    """Zelmanowitz regularity: some phi in M* with m = m.phi(m)."""
+    """Zelmanowitz regularity, some phi in M* with m = m.phi(m), is m <= m in minus-dual:
+    the witness is m's first regularity witness, minus-dual's first at (m, m)."""
     check_elements(ctx, m)
-    return REGULARITY.verdict(ctx, m, m, ctx.regular)
+    phis = ctx.regularity_witnesses[m]
+    return OrderVerdict("regular", (m, m), bool(phis), DualWitness(phis[0]) if phis else None)
 
 
 def regular_set(ctx: ModuleContext) -> frozenset[int]:
@@ -116,7 +115,7 @@ def _both_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:
 
 
 def _module_regular(ctx: ModuleContext, m1: int, m2: int) -> bool:
-    return ctx.is_regular
+    return ctx.regular == (1 << ctx.module.size) - 1
 
 
 def _idempotents(ctx: ModuleContext):
@@ -236,19 +235,17 @@ star_le = _idempotent_form("star", True, True)
 
 def subset_cyclic(ctx: ModuleContext, m1: int, m2: int) -> bool:
     """m1 R <= m2 R (a consequence of the minus order, strictly weaker)."""
-    cyclic = ctx.cyclic
-    if not (0 <= m1 < len(cyclic) and 0 <= m2 < len(cyclic)):
-        check_elements(ctx, m1, m2)
-    return cyclic[m1] <= cyclic[m2]
+    check_elements(ctx, m1, m2)
+    return ctx.cyclic[m1] <= ctx.cyclic[m2]
 
 
 RELATIONS = {rel.tag: rel for rel in (
     minus_le_dual, minus_le_idem, minus_le_relaxed, minus_le_image, jones_le, mitsch_le,
     mitsch_le_sym, corollary_gb_le, direct_sum_le, right_star_le, left_star_le, star_le)}
 
-# Replay reads the table as defined here, even when a caller (a profiler, say)
-# rebinds entries of RELATIONS.
-_BY_TAG = {rel.tag: rel for rel in (REGULARITY, *RELATIONS.values())}
+# Replay reads the table as defined here, even when a caller (a profiler, say) rebinds
+# entries of RELATIONS; a "regular" verdict is minus-dual's at (m, m), and replays as one.
+_BY_TAG = {**RELATIONS, "regular": minus_le_dual}
 
 # the nine characterizations proved equivalent on regular modules
 EQUIVALENT_FAMILY = ("minus-dual", "minus-idem", "minus-relaxed", "minus-image",

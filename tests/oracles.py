@@ -55,6 +55,13 @@ def brute_minus_dual(module, functionals, m1, m2):
     return False
 
 
+def regularity_verdict(minus_dual, ctx, m):
+    """Regularity of m as m <= m in ``minus_dual`` (the minus-dual Relation, passed in),
+    its row at m read off the regular mask and its witness found by scanning minus-dual's
+    columns over all of M*, the verdict renamed "regular"."""
+    return minus_dual._replace(tag="regular").verdict(ctx, m, m, ctx.regular)
+
+
 def is_direct_sum(add, zero, a, b, target):
     """A + B = target with A intersect B = {zero}: an internal direct sum, by definition."""
     return set(a) & set(b) == {zero} and {add[x][y] for x in a for y in b} == set(target)

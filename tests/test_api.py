@@ -7,6 +7,8 @@ import types
 from pathlib import Path
 
 import modorder as mo
+from modorder import orders, rings
+from modorder.verdicts import Relation
 
 PUBLIC_NAMES = [
     "AnnihPair", "AxiomError", "DirectSumWitness", "DualWitness", "EQUIVALENT_FAMILY",
@@ -104,3 +106,14 @@ def test_src_has_one_lazy_attribute_mechanism():
              if isinstance(node, ast.alias) and node.name.endswith("cached_property")
              or isinstance(node, ast.Attribute) and node.attr == "cached_property"]
     assert found == []
+
+
+def test_every_module_level_relation_is_in_its_table():
+    """The relation tables drive the CLI, evaluate, relation_matrix and the replay: every
+    module-level Relation of orders is a value of RELATIONS, and every one of rings a value
+    of RING_RELATIONS, so that no pseudo-relation stands beside them."""
+    stray = [f"{module.__name__}.{name}"
+             for module, table in ((orders, orders.RELATIONS), (rings, rings.RING_RELATIONS))
+             for name, value in vars(module).items()
+             if isinstance(value, Relation) and not any(value is rel for rel in table.values())]
+    assert stray == []

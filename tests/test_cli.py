@@ -230,6 +230,39 @@ def test_module_info_non_regular():
     assert "regular: false at 2" in out
 
 
+def test_module_info_json_names_the_first_non_regular_element():
+    """In Z4/Z8, 1 = 1.phi(1) would need phi(1) to act as 1, but M* maps 1 into 2Z8."""
+    code, out, err = run_cli("module", "--module", "Z4/Z8", "--json")
+    assert (code, err) == (0, "")
+    assert out == ('{"name": "Z4/Z8", "size": 4, "ring": "Z8", "dual_size": 4, "endo_size": 4, '
+                   '"regular": false, "first_non_regular": 1}\n')
+
+
+@pytest.mark.parametrize("rel, needs", [("minus-dual", "--module"), ("hartwig", "--ring")])
+def test_order_without_ring_or_module_is_refused(rel, needs):
+    assert run_cli("order", "--rel", rel, "1", "2") == (
+        2, "", f"error: relation {rel} needs {needs}\n")
+
+
+def test_ring_without_involution_prints_it_absent(tmp_path):
+    """M2(Z2)'s tables without the transpose: no projections, proper-star or rickart-star."""
+    spec = mo.ring_to_spec(mo.build_matrix_ring(2))
+    del spec["involution"]
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("ring", "--ring", str(path)) == (0, (
+        "ring M2(Z2): size 16\ncommutative: false\nidempotents: {0, 1, 3, 5, 8, 9, 10, 12}\n"
+        "units: {6, 7, 9, 11, 13, 14}\ninvolution: absent\nrickart: true\n"), "")
+
+
+@pytest.mark.parametrize("content", ['{"id": "x"}', '"Z6/Z30"', "3"])
+def test_corpus_file_that_is_not_a_list_is_refused(tmp_path, content):
+    path = tmp_path / "corpus.json"
+    path.write_text(content)
+    assert run_cli("verify", "--corpus", str(path)) == (
+        2, "", "error: corpus file must be a JSON list of {id, module} entries\n")
+
+
 def test_order_dsum_paper_example():
     code, out, _ = run_cli("order", "--module", "Z6/Z30", "--rel", "dsum", "2", "5")
     assert code == 0

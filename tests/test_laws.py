@@ -93,6 +93,11 @@ def test_equivalence_domain_restriction(z4_over_z4):
     assert r.outcome == "pass" and r.checks == len(reg) ** 2
 
 
+def test_equivalence_refuses_matrices_of_different_sizes(z6_over_z6, z10_over_z10):
+    with pytest.raises(ValueError, match="^matrices over different modules$"):
+        mo.check_equivalence(_minus_matrix(z6_over_z6), _minus_matrix(z10_over_z10))
+
+
 # -- unit invariance, monotonicity, converse gaps ----------------------------------
 
 
@@ -113,6 +118,20 @@ def test_annihilator_monotone(corpus):
     for ctx in corpus.values():
         r = mo.check_annihilator_monotone(ctx, _minus_matrix(ctx))
         assert r.outcome == "pass", ctx.name
+
+
+@pytest.mark.parametrize("check,law", [(mo.check_annihilator_monotone, "annihilator-monotone"),
+                                       (mo.check_subset_cyclic, "subset-cyclic")])
+def test_implication_laws_report_the_first_failing_pair(z6_over_z6, check, law):
+    """With 1 <= 0 added to Z6/Z6's minus order, both consequences fail at (1, 0), as
+    1R = Z6 is not in 0R = {0} and l_S(0) = S is not in l_S(1): the pair after row 0's
+    six pairs, each of which holds."""
+    ctx = z6_over_z6
+    rows = list(_minus_matrix(ctx).rows)
+    assert rows[0] == 0b111111 and not rows[1] & 1
+    rows[1] |= 1
+    r = check(ctx, RelationMatrix(ctx.name, "minus-dual", 6, rows))
+    assert r == laws.LawReport(law, "Z6/Z6", "fail", {"pair": [1, 0]}, 7)
 
 
 def test_converse_gap_z10(z10_over_z10):
@@ -162,17 +181,48 @@ def test_witness_constructions_report_a_failed_decomposition(module, refused, el
                            "counterexample": {"kind": "decomposition", "element": element}}
 
 
+def test_witness_constructions_report_an_evaluation_that_is_not_idempotent(monkeypatch):
+    """On Z6/Z6 every phi of M* witnesses 0, and only x -> x witnesses 1; given x -> 2x
+    instead, whose value 2 at 1 is not idempotent, the law fails at 1, the seventh phi
+    it visits."""
+    ctx = mo.ModuleContext(mo.build_zm_over_zn(6, 6))
+    witnesses = ctx.regularity_witnesses
+    assert len(witnesses[0]) == 6 and witnesses[1] == ((0, 1, 2, 3, 4, 5),)
+    double = (0, 2, 4, 0, 2, 4)
+    assert double in ctx.dual
+    monkeypatch.setattr(ctx, "regularity_witnesses", (witnesses[0], (double,), *witnesses[2:]))
+    r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
+    assert r == laws.LawReport("witness-constructions", "Z6/Z6", "fail",
+                               {"kind": "eval-idempotent", "element": 1, "e": 2}, 7)
+
+
+def test_witness_constructions_report_a_smash_that_is_not_idempotent(monkeypatch):
+    """A smash that gives x -> 2x for m = 1, not idempotent in S = End(Z6), fails the law
+    at 1's one witness, after 0's six."""
+    ctx = mo.ModuleContext(mo.build_zm_over_zn(6, 6))
+    S = ctx.endos
+    double = S.index_of((0, 2, 4, 0, 2, 4))
+    assert S.mul[double][double] != double
+
+    def faulty(M, S, m, phi):
+        return double if m == 1 else smash(M, S, m, phi)
+    monkeypatch.setattr(laws, "smash", faulty)
+    r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
+    assert r == laws.LawReport("witness-constructions", "Z6/Z6", "fail",
+                               {"kind": "smash-idempotent", "element": 1, "f": double}, 7)
+
+
 def test_witness_constructions_visit_the_regularity_witnesses(monkeypatch, corpus, z4_over_z4,
                                                              klein_four):
-    """For each m, the law visits exactly the phi of M* whose REGULARITY part has bit m,
-    in the order of M*."""
+    """For each m, the law visits exactly the phi of M* whose minus-dual part has bit m
+    at m, in the order of M*."""
     visited = []
 
     def recording_smash(M, S, m, phi):
         visited.append((m, phi))
         return smash(M, S, m, phi)
     monkeypatch.setattr(laws, "smash", recording_smash)
-    (part,) = orders.REGULARITY.parts
+    (part,) = orders.minus_le_dual.parts
     for ctx in (*corpus.values(), z4_over_z4, klein_four):
         visited.clear()
         r = mo.check_witness_constructions(ctx, mo.relation_matrix(ctx, "minus-idem"))
@@ -297,6 +347,42 @@ def test_ring_bridge(corpus):
         ctx = corpus[name]
         r = mo.check_ring_bridge(ctx, _minus_matrix(ctx))
         assert r.outcome == "pass", (name, r.counterexample)
+
+
+def test_ring_bridge_reports_the_first_disagreement(corpus):
+    """With 1 <= 0 added to Z2xZ3's minus order, the three orders first differ at (1, 0),
+    the 7th cell in row-major order."""
+    ctx = corpus["Z2xZ3"]
+    rows = list(_minus_matrix(ctx).rows)
+    assert not rows[1] & 1
+    rows[1] |= 1
+    r = mo.check_ring_bridge(ctx, RelationMatrix(ctx.name, "minus-dual", 6, rows))
+    assert r == laws.LawReport("ring-bridge", "Z2xZ3", "fail",
+                               {"pair": [1, 0], "hartwig": False, "ring-annih": False,
+                                "minus-dual": True}, 7)
+
+
+@pytest.mark.parametrize("tag", ["star", "lstar"])
+def test_every_law_check_refuses_a_matrix_that_is_not_applicable(monkeypatch, tag):
+    """M2(Z2)_R's S has no involution, so its star and lstar matrices have rows of None:
+    each law check refuses them, witness-constructions before its first half."""
+    ctx = mo.ModuleContext(mo.build_ring_as_module(mo.build_matrix_ring(2)))
+    bad, minus = mo.relation_matrix(ctx, tag), mo.relation_matrix(ctx, "minus-dual")
+    assert not bad.applicable and minus.applicable
+    monkeypatch.setattr(laws, "smash", lambda *args: pytest.fail("smash called"))
+    checks = [lambda: mo.check_partial_order(bad, mo.regular_set(ctx)),
+              lambda: mo.check_equivalence(minus, bad),
+              lambda: mo.check_equivalence(bad, minus),
+              lambda: mo.check_unit_invariance(ctx, bad),
+              lambda: mo.check_annihilator_monotone(ctx, bad),
+              lambda: mo.check_subset_cyclic(ctx, bad),
+              lambda: mo.check_witness_constructions(ctx, bad),
+              lambda: mo.check_ring_bridge(ctx, bad)]
+    message = (f"^relation '{tag}' is not applicable on M2\\(Z2\\)_R: "
+               "the required involution is absent$")
+    for check in checks:
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 # -- the suite ----------------------------------------------------------------------

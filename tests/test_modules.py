@@ -58,6 +58,12 @@ def test_zm_over_zn_rejects_non_divisor():
         mo.build_zm_over_zn(4, 10)
 
 
+@pytest.mark.parametrize("m, n", [(0, 4), (4, 0), (-2, 4)])
+def test_zm_over_zn_rejects_a_modulus_below_one(m, n):
+    with pytest.raises(SpecError, match="^moduli must be positive$"):
+        mo.build_zm_over_zn(m, n)
+
+
 @pytest.mark.parametrize("m,n,message", [
     (10 ** 5000, 10 ** 5000, "ring size <5001 digits> exceeds cap 256"),
     (10 ** 5000, 3, "action ill-defined: <5001 digits> does not divide 3"),

@@ -12,7 +12,7 @@ from modorder.rings import MAX_RING_SIZE, RING_RELATIONS
 from oracles import (ORACLE_RINGS, brute_dsum_rows, brute_homs, brute_image_rows,
                      brute_minus_dual, brute_relaxed_rows, definitional_firsts,
                      definitional_parts, definitional_rows, direct_sum_tables, is_direct_sum,
-                     is_submodule, module_tables)
+                     is_submodule, module_tables, regularity_verdict)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -37,6 +37,20 @@ def test_non_regular_element(z4_over_z4):
     ok, first_bad = mo.is_regular_module(z4_over_z4)
     assert not ok and first_bad == 2
     assert mo.regular_set(z4_over_z4) == {0, 1, 3}
+
+
+def test_regular_element_is_minus_dual_at_m_m(corpus, oracle_contexts, products_strata):
+    """is_regular_element reads m's first regularity witness; it gives the verdict of
+    minus-dual at (m, m), read off the regular mask, on every element, and it replays."""
+    seen = set()
+    for ctx in (*corpus.values(), *oracle_contexts.values(), *products_strata):
+        for m in range(ctx.module.size):
+            v = mo.is_regular_element(ctx, m)
+            old = regularity_verdict(mo.minus_le_dual, ctx, m)
+            assert v == old and type(v.witness) is type(old.witness), (ctx.name, m)
+            assert v.to_json() == old.to_json() and mo.revalidate(ctx, v), (ctx.name, m)
+            seen.add(v.holds)
+    assert seen == {True, False}
 
 
 def test_regular_element_out_of_range(z4_over_z4):

@@ -419,7 +419,7 @@ def test_ring_bridge_gate_is_module_regularity(corpus, oracle_contexts, products
     for ctx in (*rr, *products_strata):
         R = ctx.module.ring
         diagonal = all(row >> a & 1 for a, row in enumerate(mo.hartwig_minus_le.rows(R)))
-        assert ctx.is_regular == diagonal, ctx.name
+        assert (ctx.regular == (1 << ctx.module.size) - 1) == diagonal, ctx.name
         seen.add(diagonal)
     assert seen == {True, False}
 
@@ -497,6 +497,15 @@ def test_projections_need_involution():
     assert bare.involution is None  # noncommutative: no identity fallback
     with pytest.raises(ValueError):
         bare.projections()
+
+
+def test_star_and_proper_star_need_an_involution():
+    m2 = mo.build_matrix_ring(2)
+    bare = mo.build_ring_from_tables(m2.add, m2.mul, name="M2(Z2)-bare")
+    with pytest.raises(ValueError, match=r"^M2\(Z2\)-bare has no involution$"):
+        bare.star(1)
+    with pytest.raises(ValueError, match=r"^M2\(Z2\)-bare has no involution$"):
+        mo.is_proper_star(bare)
 
 
 # -- element relations -------------------------------------------------------------

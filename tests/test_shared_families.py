@@ -324,7 +324,7 @@ def test_a_lazy_family_is_computed_once_and_kept_on_its_object(monkeypatch):
     runs its function once per object and keeps the value in vars(obj) under its name; read
     on its class it is the descriptor.  No family is a functools.cached_property."""
     families = _lazy_families()
-    assert sum(map(len, families.values())) == 30 and "_index" in families[mo.EndoRing]
+    assert sum(map(len, families.values())) == 29 and "_index" in families[mo.EndoRing]
     calls = []
     for cls, named in families.items():
         for name, family in named.items():

@@ -160,6 +160,38 @@ def test_replay_rejects_foreign_witness_types(corpus):
             assert w == v.witness and not replay(v._replace(witness=w)), (v, w)
 
 
+def test_replay_rejects_operands_out_of_range(corpus):
+    """Every positive verdict of the 12 module relations on Z6/Z30 and M2(Z2)_R, and of the
+    ring relations on Z6, replays False with either operand shifted by n or -n: no row is
+    read from its end, and no shift count is negative."""
+    z6, shifted = mo.build_zn(6), 0
+    cases = [(v, ctx.module.size, lambda v, ctx=ctx: mo.revalidate(ctx, v))
+             for ctx in (corpus["Z6/Z30"], corpus["M2(Z2)"]) for tag in TAGS
+             for row in mo.relation_matrix(ctx, tag).verdicts for v in row if v.holds]
+    cases += [(v, 6, lambda v: revalidate_ring(v, z6)) for rel in RING_RELATIONS.values()
+              for a in range(6) for b in range(6) if (v := rel(z6, a, b)).holds]
+    assert {v.relation for v, _, _ in cases} >= {*TAGS[:9], "hartwig", "ring-annih"}
+    for v, n, replay in cases:
+        x, y = v.operands
+        assert replay(v), v
+        for operands in ((x - n, y), (x + n, y), (x, y - n), (x, y + n)):
+            assert replay(v._replace(operands=operands)) is False, (v, operands)
+            shifted += 1
+    assert shifted == 4 * len(cases)
+
+
+def test_replay_refuses_an_unknown_relation(z6_over_z30):
+    z6 = mo.build_zn(6)
+    with pytest.raises(ValueError, match="^unknown relation 'hartwig'$"):
+        mo.revalidate(z6_over_z30, mo.hartwig_minus_le(z6, 3, 5))
+    with pytest.raises(ValueError, match="^unknown relation 'no-such'$"):
+        mo.revalidate(z6_over_z30, OrderVerdict("no-such", (0, 0), False))
+    with pytest.raises(ValueError, match="^not a ring-level relation: minus-dual$"):
+        revalidate_ring(mo.minus_le_dual(z6_over_z30, 2, 5), z6)
+    with pytest.raises(ValueError, match="^not a ring-level relation: no-such$"):
+        revalidate_ring(OrderVerdict("no-such", (0, 0), False), z6)
+
+
 def test_verdict_keeps_holds_iff_witness_on_every_construction_path(z6_over_z30):
     v = mo.minus_le_idem(z6_over_z30, 2, 5)
     assert v.holds and v.witness is not None
