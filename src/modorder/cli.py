@@ -199,7 +199,7 @@ def cmd_order(args) -> int:
         if not verdict.hypothesis_ok:
             print("note: hypothesis violated (operand outside the regular domain)")
     if not verdict.applicable:
-        raise ValueError(f"relation {args.rel!r} is not applicable on {args.module}: "
+        raise ValueError(f"relation {args.rel!r} is not applicable on {ctx.name}: "
                          "the required involution is absent")
     return 0 if verdict.holds else 1
 

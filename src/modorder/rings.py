@@ -82,8 +82,8 @@ class FiniteRing:
         add, mul, gens = self.add, self.mul, self.additive_generators
         check_add_associative(add, gens, "addition")
         check_additive(mul, add, add, gens, "left distributivity fails at (a,b,c)=({f},{x},{g})")
-        if not self.is_commutative():  # else the right law is the left one, cell for cell
-            check_additive(list(zip(*mul)), add, add, gens,
+        if self.opposite is not self:  # the right law is R^op's left one
+            check_additive(self.opposite.mul, add, add, gens,
                            "right distributivity fails at (a,b,c)=({f},{x},{g})")
         for a, b, c in product(gens, repeat=3):
             if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
@@ -107,6 +107,18 @@ class FiniteRing:
     def _commutative(self) -> bool:
         """Whether mul equals its transpose, found once per ring."""
         return self.mul == [list(col) for col in zip(*self.mul)]
+
+    @property
+    def opposite(self) -> FiniteRing:
+        """R^op, a.b = ba: R itself when R is commutative, else a ring with no link back to R."""
+        return self if self.is_commutative() else self._opposite
+
+    @lazy
+    def _opposite(self) -> FiniteRing:
+        """R^op; R's involution, an anti-automorphism of R, is one of R^op."""
+        return FiniteRing._derived(self.add, [list(col) for col in zip(*self.mul)], self.zero,
+                                   self.one, self.neg, involution=self.involution,
+                                   commutative=False, name=f"{self.name}^op")
 
     def sub(self, a: int, b: int) -> int:
         check_elements(self, a, b)
@@ -153,25 +165,10 @@ class FiniteRing:
     # -- annihilators and principal one-sided ideals, per element -------------------
 
     @lazy
-    def left_anns(self) -> tuple[frozenset[int], ...]:
-        """l(a) = {x : x*a = 0}, indexed by a; right_anns itself when R is commutative."""
-        if self.is_commutative():
-            return self.right_anns
-        return tuple(frozenset(compress(self.element_pool, map(eq, col, repeat(self.zero))))
-                     for col in zip(*self.mul))
-
-    @lazy
     def right_anns(self) -> tuple[frozenset[int], ...]:
         """r(a) = {x : a*x = 0}, indexed by a."""
         return tuple(frozenset(compress(self.element_pool, map(eq, row, repeat(self.zero))))
                      for row in self.mul)
-
-    @lazy
-    def left_ideals(self) -> tuple[frozenset[int], ...]:
-        """R*e, indexed by e; right_ideals itself when R is commutative."""
-        if self.is_commutative():
-            return self.right_ideals
-        return tuple(frozenset(col) for col in zip(*self.mul))
 
     @lazy
     def right_ideals(self) -> tuple[frozenset[int], ...]:
@@ -183,13 +180,10 @@ class FiniteRing:
         """The mask of {b : a*b = v}, indexed by a, then v."""
         return preimage_masks(self.mul, self.size)
 
-    @lazy
-    def column_preimages(self) -> tuple[tuple[int, ...], ...]:
-        """The mask of {b : b*a = v}, indexed by a, then v; row_preimages itself when R is
-        commutative."""
-        if self.is_commutative():
-            return self.row_preimages
-        return preimage_masks(zip(*self.mul), self.size)
+    # each is R^op's right-hand family (Anderson & Fuller): on a commutative R, the same object
+    left_anns = lazy(lambda self: self.opposite.right_anns)  # l(a) = {x : x*a = 0}, by a
+    left_ideals = lazy(lambda self: self.opposite.right_ideals)  # R*e, by e
+    column_preimages = lazy(lambda self: self.opposite.row_preimages)  # {b : b*a = v}, by a, v
 
     @lazy
     def rickart_star(self) -> RickartCert:
@@ -354,12 +348,9 @@ def _annih_p(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
 
 
 def _annih_q(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
-    """For each idempotent q, at each a with r(a) = (1-q)R, which is r(q), the b with aq = bq.
-    A commutative ring's are _annih_p's, kept: column q of mul is row q, and r(a) is l(a)."""
-    if ring.is_commutative():
-        return kept_part(ring, _annih_p, pool)[1:]
-    return fibre_columns(pool, ring.column_preimages, lambda q: list(map(itemgetter(q), ring.mul)),
-                         equal_keys(ring.right_anns.__getitem__, ring.right_anns))
+    """For each idempotent q, at each a with r(a) = (1-q)R, which is r(q), the b with aq = bq:
+    _annih_p on R^op, kept there (on R itself, shared with the p part, when R is commutative)."""
+    return kept_part(ring.opposite, _annih_p, pool)[1:]
 
 
 # The ring-level relations, each called as relation(ring, a, b).
@@ -420,7 +411,7 @@ def _first_generators(rows, zero, gens):
 
 
 def _rickart_cert(ring: FiniteRing, gens) -> RickartCert:
-    cols = ring.mul if ring.is_commutative() else list(zip(*ring.mul))
+    cols = ring.opposite.mul
     right = _first_generators(ring.mul, ring.zero, gens)
     left = right if cols is ring.mul else _first_generators(cols, ring.zero, gens)
     witnesses = {}

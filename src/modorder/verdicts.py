@@ -236,16 +236,17 @@ class Relation(NamedTuple):
         return self.hypothesis is None or self.hypothesis(ctx, x, y)
 
     def replay(self, ctx, verdict: OrderVerdict) -> bool:
-        """Check a positive verdict against this relation: operands in 0..size-1, the
-        hypothesis flag the search records, exactly the witness the search builds from its
-        parts (its type, as records compare equal to any tuple of equal fields, and its
-        projection flags), and each part in its pool, its column covering y at x."""
-        if not verdict.holds:
-            return True
+        """Check a verdict against this relation: operands in 0..size-1; a negative one is the
+        search's own at (x, y) but for its tag ("regular" is minus-dual's); a positive one has
+        the search's hypothesis flag, exactly its witness (its type, as records equal any tuple
+        of equal fields, and its projection flags), each part in its pool, covering y at x."""
         x, y = verdict.operands
         w, pools, elements = verdict.witness, self.pools(ctx), range(_carrier(ctx).size)
-        if (x not in elements or y not in elements or pools is None
-                or verdict.hypothesis_ok != self.covers(ctx, x, y)):
+        if x not in elements or y not in elements:
+            return False
+        if not verdict.holds:
+            return verdict[1:] == self(ctx, x, y)[1:]
+        if pools is None or verdict.hypothesis_ok != self.covers(ctx, x, y):
             return False
         parts = w[:len(pools)] if isinstance(w, tuple) else ()
         built = len(parts) == len(pools) and self.witness(*parts)

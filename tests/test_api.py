@@ -108,6 +108,26 @@ def test_src_has_one_lazy_attribute_mechanism():
     assert found == []
 
 
+def _mul_transposes(node):
+    """The calls zip(*<x>.mul) under node, outside class FiniteRing."""
+    if isinstance(node, ast.ClassDef) and node.name == "FiniteRing":
+        return
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "zip"
+            and any(isinstance(arg, ast.Starred) and isinstance(arg.value, ast.Attribute)
+                    and arg.value.attr == "mul" for arg in node.args)):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _mul_transposes(child)
+
+
+def test_only_finite_ring_transposes_a_multiplication():
+    """A left-hand fact of a ring is a right-hand fact of its opposite ring: no code of
+    src/modorder outside class FiniteRing, which builds R^op, transposes a ring's mul."""
+    found = [f"{stem}: line {node.lineno}" for stem, (tree, _) in _trees().items()
+             for node in _mul_transposes(tree)]
+    assert found == []
+
+
 def test_every_module_level_relation_is_in_its_table():
     """The relation tables drive the CLI, evaluate, relation_matrix and the replay: every
     module-level Relation of orders is a value of RELATIONS, and every one of rings a value

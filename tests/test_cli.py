@@ -298,7 +298,7 @@ def test_order_star_not_applicable(tmp_path):
     code, out, err = run_cli("order", "--module", "RR:M2(2)", "--rel", "star", "1", "2")
     assert code == 2
     assert out == "star(1, 2): not applicable (required involution is absent)\n"
-    assert err == ("error: relation 'star' is not applicable on RR:M2(2): "
+    assert err == ("error: relation 'star' is not applicable on M2(Z2)_R: "
                    "the required involution is absent\n")
 
 

@@ -1,7 +1,10 @@
 import functools
+import gc
 import itertools
 import random
 import time
+import weakref
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +13,8 @@ import modorder as mo
 from modorder import rings
 from modorder.rings import AxiomError, SpecError
 
-from oracles import (rickart_from_tables, triangular_tables, units_from_tables, vn_regular_mask,
-                     zm_over_zn_tables, zn_tables)
+from oracles import (klein_four_tables, rickart_from_tables, triangular_tables, units_from_tables,
+                     vn_regular_mask, zm_over_zn_tables, zn_tables)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -360,6 +363,52 @@ def test_element_families_on_m2z2():
     assert r.right_anns[e11] == {0, 1, 2, 3}     # first row zero
     assert r.left_ideals[e11] == {0, 2, 8, 10}   # second column zero
     assert r.right_ideals[e11] == {0, 4, 8, 12}  # second row zero
+
+
+def _opposite_rings(products_strata):
+    """The certificate rings, M2(Z2), tables rings with and without an involution, T2(Z3),
+    and End(F2^2), noncommutative and built from its homs."""
+    m2, add, action = mo.build_matrix_ring(2), *klein_four_tables()
+    klein = mo.build_module_from_tables(mo.build_zn(2), add, action, name="F2^2")
+    return [*_certificate_rings(products_strata), m2,
+            mo.build_ring_from_tables(m2.add, m2.mul, involution=m2.involution, name="M2-tables"),
+            mo.build_ring_from_tables(*zn_tables(6), name="Z6-tables"),
+            mo.build_ring_from_tables(*triangular_tables(3), name="T2(Z3)"),
+            mo.ModuleContext(klein).endos]
+
+
+def test_opposite_ring_is_the_transposed_ring(products_strata):
+    """R^op is R itself exactly when R is commutative, and vars(R) holds no "opposite".
+    Otherwise it is kept, a checked ring on the transposed mul with R's add, zero, one, neg
+    and involution, and (R^op)^op is a fresh ring with R's tables."""
+    rings_, tables = _opposite_rings(products_strata), attrgetter(
+        "add", "mul", "zero", "one", "neg", "involution")
+    assert {R.is_commutative() for R in rings_} == {True, False}
+    for R in rings_:
+        op = R.opposite
+        assert (op is R) == R.is_commutative() and "opposite" not in vars(R), R.name
+        if op is R:
+            continue
+        assert op is R.opposite and op.name == f"{R.name}^op" and not op.is_commutative()
+        assert tables(op) == (R.add, [list(col) for col in zip(*R.mul)], *tables(R)[2:])
+        op.validate()
+        assert op.opposite is not R and tables(op.opposite) == tables(R), R.name
+
+
+def test_opposite_ring_has_no_link_back():
+    """R keeps R^op, and R^op keeps (R^op)^op, but neither refers back: with the cycle
+    collector off, dropping R frees it."""
+    gc.disable()
+    try:
+        for build in (lambda: mo.build_matrix_ring(2),
+                      lambda: mo.build_ring_from_tables(*triangular_tables(2))):
+            R = build()
+            R.left_anns, R.column_preimages, R.opposite.opposite.right_anns
+            ring, op = weakref.ref(R), weakref.ref(R.opposite)
+            del R
+            assert ring() is None and op() is None
+    finally:
+        gc.enable()
 
 
 # -- Rickart and proper-star predicates -------------------------------------------

@@ -1,8 +1,8 @@
 """Families that are one computation on one table are computed once and shared, and each
 shared object still equals its own definition.
 
-- A commutative ring's left annihilators, left ideals and column preimages are its right
-  ones, as the same objects; a noncommutative ring keeps both sides.
+- A ring's left annihilators, left ideals and column preimages are R^op's right ones: on a
+  commutative ring, its own, as the same objects; a noncommutative ring keeps both sides.
 - R_R is its own ring module, so M* and End(M) read one Hom(M, M) search, and its r_R is
   the ring's.
 - S of a cyclic gR over a commutative R has each f = x -> x.r_f, so f's fibre masks, ker f
@@ -11,8 +11,8 @@ shared object still equals its own definition.
   one OR of columns for each part and pool, built once.
 - Every clause part returns its columns with their OR; minus-dual's columns, made at its
   witness cells only, are still its set definition.
-- On a commutative ring, ring-annih's q part is its p part, and on R_R minus-idem's a part
-  is the ring's q part: one evaluation, kept on the ring.
+- ring-annih's q part is its p part on the opposite ring R^op, kept there: on a commutative
+  ring, R itself, so one evaluation; and on R_R minus-idem's a part is the ring's q part.
 - Every family is a lazy attribute, computed once per object and kept in its __dict__.
 """
 
@@ -324,7 +324,7 @@ def test_a_lazy_family_is_computed_once_and_kept_on_its_object(monkeypatch):
     runs its function once per object and keeps the value in vars(obj) under its name; read
     on its class it is the descriptor.  No family is a functools.cached_property."""
     families = _lazy_families()
-    assert sum(map(len, families.values())) == 29 and "_index" in families[mo.EndoRing]
+    assert sum(map(len, families.values())) == 30 and "_index" in families[mo.EndoRing]
     calls = []
     for cls, named in families.items():
         for name, family in named.items():
@@ -370,6 +370,21 @@ def test_annih_q_is_annih_p_on_a_commutative_ring(products_strata):
             entry = _kept(R, rings_annih_p, pool)
             assert or_row is entry[1] and columns is entry[2], R.name
             assert (or_row, columns) == right_annihilator_parts(R.mul, R.zero, pool), R.name
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_annih_q_is_annih_p_on_the_opposite_ring(p):
+    """On M2(Z_p), ring-annih's q part is its p part on R^op, kept in R^op's memo: R keeps
+    the same OR and columns as its q part, and each column is the q clause by definition."""
+    R = mo.build_matrix_ring(p)
+    RING_RELATIONS["ring-annih"].rows(R)
+    pool = R.idempotent_pool
+    entry, kept = _kept(R.opposite, rings_annih_p, pool), _kept(R, rings_annih_q, pool)
+    assert entry[1] is kept[1] and entry[2] is kept[2]
+    q_parts = [at_x[1] for at_x in definitional_parts("ring-annih", ring=(R.add, R.mul))]
+    assert [[column[x] for column in entry[2]] for x in range(R.size)] == [
+        [masks[q] for q in pool] for masks in q_parts]
+    assert entry[1] == [reduce(or_, masks.values()) for masks in q_parts]
 
 
 def test_a_annihilator_is_the_rings_q_part_on_r_r():

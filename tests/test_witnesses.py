@@ -143,16 +143,21 @@ def _foreign(w):
     yield namedtuple("Forged", w._fields)(*w)
 
 
+def _every_verdict(corpus):
+    """(verdict, n, replay) for every verdict of the 12 module relations on Z6/Z30 and
+    M2(Z2)_R, and of the ring relations on Z6, with the carrier size n."""
+    z6 = mo.build_zn(6)
+    cases = [(v, ctx.module.size, lambda v, ctx=ctx: mo.revalidate(ctx, v))
+             for ctx in (corpus["Z6/Z30"], corpus["M2(Z2)"]) for tag in TAGS
+             for row in mo.relation_matrix(ctx, tag).verdicts for v in row]
+    return cases + [(rel(z6, a, b), 6, lambda v: revalidate_ring(v, z6))
+                    for rel in RING_RELATIONS.values() for a in range(6) for b in range(6)]
+
+
 def test_replay_rejects_foreign_witness_types(corpus):
     """Every positive verdict of the 12 module relations on Z6/Z30 and M2(Z2)_R, and of
     the ring relations on Z6, replays; the same values in another type do not."""
-    z6, replays = mo.build_zn(6), []
-    for ctx in (corpus["Z6/Z30"], corpus["M2(Z2)"]):
-        replays += [(v, lambda v, ctx=ctx: mo.revalidate(ctx, v)) for tag in TAGS
-                    for row in mo.relation_matrix(ctx, tag).verdicts for v in row]
-    replays += [(rel(z6, a, b), lambda v: revalidate_ring(v, z6))
-                for rel in RING_RELATIONS.values() for a in range(6) for b in range(6)]
-    positive = [(v, replay) for v, replay in replays if v.holds]
+    positive = [(v, replay) for v, _, replay in _every_verdict(corpus) if v.holds]
     assert {v.relation for v, _ in positive} >= {*TAGS[:9], "hartwig", "ring-annih"}
     for v, replay in positive:
         assert replay(v), v
@@ -161,16 +166,12 @@ def test_replay_rejects_foreign_witness_types(corpus):
 
 
 def test_replay_rejects_operands_out_of_range(corpus):
-    """Every positive verdict of the 12 module relations on Z6/Z30 and M2(Z2)_R, and of the
-    ring relations on Z6, replays False with either operand shifted by n or -n: no row is
-    read from its end, and no shift count is negative."""
-    z6, shifted = mo.build_zn(6), 0
-    cases = [(v, ctx.module.size, lambda v, ctx=ctx: mo.revalidate(ctx, v))
-             for ctx in (corpus["Z6/Z30"], corpus["M2(Z2)"]) for tag in TAGS
-             for row in mo.relation_matrix(ctx, tag).verdicts for v in row if v.holds]
-    cases += [(v, 6, lambda v: revalidate_ring(v, z6)) for rel in RING_RELATIONS.values()
-              for a in range(6) for b in range(6) if (v := rel(z6, a, b)).holds]
-    assert {v.relation for v, _, _ in cases} >= {*TAGS[:9], "hartwig", "ring-annih"}
+    """Every verdict of the 12 module relations on Z6/Z30 and M2(Z2)_R, and of the ring
+    relations on Z6, positive or negative, replays, and replays False with either operand
+    shifted by n or -n: no row is read from its end, and no shift count is negative."""
+    cases, shifted = _every_verdict(corpus), 0
+    assert {v.relation for v, _, _ in cases if v.holds} >= {*TAGS[:9], "hartwig", "ring-annih"}
+    assert {v.relation for v, _, _ in cases if not v.holds} == {*TAGS, "hartwig", "ring-annih"}
     for v, n, replay in cases:
         x, y = v.operands
         assert replay(v), v
@@ -178,6 +179,20 @@ def test_replay_rejects_operands_out_of_range(corpus):
             assert replay(v._replace(operands=operands)) is False, (v, operands)
             shifted += 1
     assert shifted == 4 * len(cases)
+
+
+def test_replay_accepts_a_negative_verdict_only_as_the_search_gives_it(corpus):
+    """A negative verdict replays False with applicable or hypothesis_ok flipped, not
+    applicable ones included, and no positive verdict replays with holds=False and no
+    witness: a negative verdict is the search's own at its cell, but for its tag."""
+    cases = _every_verdict(corpus)
+    assert {v.applicable for v, _, _ in cases if not v.holds} == {True, False}
+    for v, _, replay in cases:
+        if v.holds:
+            assert replay(v._replace(holds=False, witness=None)) is False, v
+        else:
+            assert replay(v._replace(applicable=not v.applicable)) is False, v
+            assert replay(v._replace(hypothesis_ok=not v.hypothesis_ok)) is False, v
 
 
 def test_replay_refuses_an_unknown_relation(z6_over_z30):
