@@ -3,7 +3,8 @@
 Subcommands: ring, module, order, verify, hasse.  Exit codes follow a stable
 contract: 0 = success / relation holds, 1 = relation does not hold (or a law
 failed), 2 = usage, parse or not-applicable.  Identical invocations produce
-byte-identical output.
+byte-identical output.  Each command imports the modules it runs, so that a fresh
+interpreter loads no other.
 """
 
 from __future__ import annotations
@@ -14,15 +15,6 @@ import os
 import reprlib
 import sys
 from functools import reduce
-
-from . import hasse as hasse_mod
-from . import laws, orders
-from .homs import ModuleContext
-from .modules import FiniteModule, build_ring_as_module, build_zm_over_zn, module_from_spec
-from .rings import (MAX_RING_SIZE, FiniteRing, AxiomError, RING_RELATIONS, SpecError,
-                    build_matrix_ring, build_product, build_zn, is_proper_star, is_rickart,
-                    is_rickart_star, ring_from_spec, spec_field, spec_str)
-from .verdicts import witness_to_json
 
 
 class _Token(str):
@@ -38,6 +30,7 @@ def _path(path: str) -> str:
 
 
 def _load_json(path):
+    from .rings import MAX_RING_SIZE, SpecError
     name = _path(path)
     try:
         with open(path) as fh:
@@ -54,24 +47,25 @@ def _load_json(path):
                         f"digits, beyond cap {MAX_RING_SIZE}") from None
 
 
-def parse_ring_arg(token: str) -> FiniteRing:
+def parse_ring_arg(token: str):
     """A builtin token (Z10, Z2xZ3, M2(3)) or a path to a ring definition file."""
     return _ring(token, "ring", token)
 
 
-def _ring(token: str, kind: str, typed: str) -> FiniteRing:
+def _ring(token: str, kind: str, typed: str):
     """The ring of ``token``: ``typed``, the argument as given for a ``kind``, or one of its
     parts.  A malformed token is a SpecError that names ``typed``."""
+    from . import rings
     if os.path.exists(token) or token.endswith(".json"):
-        return ring_from_spec(_load_json(token))
+        return rings.ring_from_spec(_load_json(token))
     if token.startswith("M2(") and token.endswith(")") and token[3:-1].isdecimal():
-        return build_matrix_ring(_number(token[3:-1], kind, typed))
+        return rings.build_matrix_ring(_number(token[3:-1], kind, typed))
     if "x" in token:
-        return reduce(build_product, (_ring(part, kind, typed) for part in token.split("x")))
+        return reduce(rings.build_product, (_ring(part, kind, typed) for part in token.split("x")))
     if token.startswith("Z") and token[1:].isdecimal():
-        return build_zn(_number(token[1:], kind, typed))
-    raise SpecError(f"cannot interpret {kind} {reprlib.repr(typed)} "
-                    "(no such file, not a builtin)")
+        return rings.build_zn(_number(token[1:], kind, typed))
+    raise rings.SpecError(f"cannot interpret {kind} {reprlib.repr(typed)} "
+                          "(no such file, not a builtin)")
 
 
 def element(token: str) -> int:
@@ -88,24 +82,26 @@ def element(token: str) -> int:
 def _number(digits: str, kind: str, typed: str) -> int:
     """A builtin token's number; past 20 digits, beyond every cap, ``typed`` is refused
     with the digits counted (int() refuses past 4300)."""
+    from .rings import MAX_RING_SIZE, SpecError
     if len(digits) > 20:
         shown = reprlib.repr(typed.replace(digits, f"<{len(digits)} digits>"))
         raise SpecError(f"{kind} {shown} is beyond cap {MAX_RING_SIZE}")
     return int(digits)
 
 
-def parse_module_arg(token: str) -> FiniteModule:
+def parse_module_arg(token: str):
     """A builtin token (Z6/Z30, RR:Z10, RR:M2(2)) or a module definition file."""
+    from . import modules, rings
     if os.path.exists(token) or token.endswith(".json"):
-        return module_from_spec(_load_json(token))
+        return modules.module_from_spec(_load_json(token))
     if token.startswith("RR:"):
-        return build_ring_as_module(_ring(token[3:], "module", token))
+        return modules.build_ring_as_module(_ring(token[3:], "module", token))
     m_part, _, n_part = token.partition("/")
     if all(part[:1] == "Z" and part[1:].isdecimal() for part in (m_part, n_part)):
-        return build_zm_over_zn(*(_number(part[1:], "module", token)
-                                  for part in (m_part, n_part)))
-    raise SpecError(f"cannot interpret module {reprlib.repr(token)} "
-                    "(no such file, not a builtin)")
+        return modules.build_zm_over_zn(*(_number(part[1:], "module", token)
+                                          for part in (m_part, n_part)))
+    raise rings.SpecError(f"cannot interpret module {reprlib.repr(token)} "
+                          "(no such file, not a builtin)")
 
 
 def _fmt_set(values) -> str:
@@ -120,6 +116,7 @@ def _emit(payload):
 
 
 def cmd_ring(args) -> int:
+    from .rings import is_proper_star, is_rickart, is_rickart_star
     ring = parse_ring_arg(args.ring)
     info = {
         "name": ring.name,
@@ -153,8 +150,9 @@ def cmd_ring(args) -> int:
 
 
 def cmd_module(args) -> int:
+    from . import homs, orders
     module = parse_module_arg(args.module)
-    ctx = ModuleContext(module)
+    ctx = homs.ModuleContext(module)
     regular, first_bad = orders.is_regular_module(ctx)
     info = {
         "name": module.name,
@@ -176,14 +174,15 @@ def cmd_module(args) -> int:
 
 
 def cmd_order(args) -> int:
-    if args.rel in RING_RELATIONS:
+    from . import homs, orders, rings, verdicts
+    if args.rel in rings.RING_RELATIONS:
         if not args.ring:
-            raise SpecError(f"relation {args.rel} needs --ring")
-        verdict = RING_RELATIONS[args.rel](parse_ring_arg(args.ring), args.m1, args.m2)
+            raise rings.SpecError(f"relation {args.rel} needs --ring")
+        verdict = rings.RING_RELATIONS[args.rel](parse_ring_arg(args.ring), args.m1, args.m2)
     else:
         if not args.module:
-            raise SpecError(f"relation {args.rel} needs --module")
-        ctx = ModuleContext(parse_module_arg(args.module))
+            raise rings.SpecError(f"relation {args.rel} needs --module")
+        ctx = homs.ModuleContext(parse_module_arg(args.module))
         verdict = orders.evaluate(ctx, args.rel, args.m1, args.m2)
 
     if args.json:
@@ -195,7 +194,7 @@ def cmd_order(args) -> int:
         word = "holds" if verdict.holds else "does not hold"
         print(f"{verdict.relation}({args.m1}, {args.m2}): {word}")
         if verdict.witness is not None:
-            print(f"witness: {json.dumps(witness_to_json(verdict.witness))}")
+            print(f"witness: {json.dumps(verdicts.witness_to_json(verdict.witness))}")
         if not verdict.hypothesis_ok:
             print("note: hypothesis violated (operand outside the regular domain)")
     if not verdict.applicable:
@@ -205,21 +204,23 @@ def cmd_order(args) -> int:
 
 
 def _load_corpus(token: str):
+    from . import homs, laws, modules, rings
     if token in laws.CORPORA:
         return laws.CORPORA[token]()
     spec = _load_json(token)
     if not isinstance(spec, list):
-        raise SpecError("corpus file must be a JSON list of {id, module} entries")
+        raise rings.SpecError("corpus file must be a JSON list of {id, module} entries")
     corpus = []
     for entry in spec:
-        module = module_from_spec(spec_field(entry, "module", "corpus entry"))
-        corpus.append(ModuleContext(module, spec_str(entry, "id", "corpus entry")))
+        module = modules.module_from_spec(rings.spec_field(entry, "module", "corpus entry"))
+        corpus.append(homs.ModuleContext(module, rings.spec_str(entry, "id", "corpus entry")))
     return corpus
 
 
 def cmd_verify(args) -> int:
+    from . import laws, rings
     if args.laws and not any(args.laws in law for law in laws.LAW_IDS):
-        raise SpecError(f"--laws {reprlib.repr(args.laws)} matches no law id")
+        raise rings.SpecError(f"--laws {reprlib.repr(args.laws)} matches no law id")
     corpus = _load_corpus(args.corpus)
     reports = laws.run_suite(corpus, args.laws)
     outcomes = [r.outcome for r in reports]
@@ -240,18 +241,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    ctx = ModuleContext(parse_module_arg(args.module))
-    poset = hasse_mod.build_poset(ctx, args.rel)
+    from . import hasse, homs, rings
+    ctx = homs.ModuleContext(parse_module_arg(args.module))
+    poset = hasse.build_poset(ctx, args.rel)
     if args.json:
-        _emit(hasse_mod.to_json_dict(poset))
+        _emit(hasse.to_json_dict(poset))
         return 0
-    dot = hasse_mod.to_dot(poset)
+    dot = hasse.to_dot(poset)
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(dot)
         except OSError as exc:
-            raise SpecError(f"{_path(args.out)}: {exc.strerror}") from None
+            raise rings.SpecError(f"{_path(args.out)}: {exc.strerror}") from None
         print(f"wrote {args.out}: {len(poset.elements)} nodes, "
               f"{len(poset.covers)} edges")
     else:
@@ -261,6 +263,7 @@ def cmd_hasse(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import orders, rings
     parser = argparse.ArgumentParser(
         prog="modorder",
         description="Minus-type partial orders on finite modules, with witnesses")
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", help="module for module-level relations")
     p.add_argument("--ring", help="ring for hartwig / ring-annih")
     p.add_argument("--rel", required=True, type=_Token,
-                   choices=sorted(orders.RELATIONS) + list(RING_RELATIONS))
+                   choices=sorted(orders.RELATIONS) + list(rings.RING_RELATIONS))
     p.add_argument("m1", type=element)
     p.add_argument("m2", type=element)
     p.add_argument("--json", action="store_true")
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
                "verify": cmd_verify, "hasse": cmd_hasse}[args.command]
     try:
         return command(args)
-    except (SpecError, AxiomError, ValueError) as exc:
+    except ValueError as exc:  # SpecError and AxiomError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -349,7 +349,9 @@ def _annih_p(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
 
 def _annih_q(ring: FiniteRing, pool) -> tuple[list[int], list[list[int]]]:
     """For each idempotent q, at each a with r(a) = (1-q)R, which is r(q), the b with aq = bq:
-    _annih_p on R^op, kept there (on R itself, shared with the p part, when R is commutative)."""
+    _annih_p on R^op, kept there (on R itself, shared with the p part, when R is commutative),
+    handed R's right annihilators as R^op's left ones, so that no (R^op)^op is built."""
+    vars(ring.opposite).setdefault("left_anns", ring.right_anns)
     return kept_part(ring.opposite, _annih_p, pool)[1:]
 
 

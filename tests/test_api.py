@@ -6,6 +6,8 @@ import ast
 import types
 from pathlib import Path
 
+import pytest
+
 import modorder as mo
 from modorder import orders, rings
 from modorder.verdicts import Relation
@@ -33,9 +35,19 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_of_package_root():
-    names = sorted(name for name, value in vars(mo).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert names == PUBLIC_NAMES
+    """The root binds its names lazily, so they are pinned through ``__all__``, ``dir`` and
+    ``import *``; each is the very object its submodule binds, and no other name resolves."""
+    assert sorted(mo.__all__) == PUBLIC_NAMES and set(PUBLIC_NAMES) <= set(dir(mo))
+    for name in PUBLIC_NAMES:
+        value = getattr(mo, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert any(vars(module).get(name) is value for module in vars(mo).values()
+                   if isinstance(module, types.ModuleType)), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        mo.no_such_name
+    star = {}
+    exec("from modorder import *", star)
+    assert sorted(name for name in star if name != "__builtins__") == PUBLIC_NAMES
 
 
 SRC = Path(mo.__file__).parent

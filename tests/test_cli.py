@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modorder as mo
-from modorder import cli
+from modorder import cli, hasse
 from modorder.orders import RELATIONS
 
 from oracles import f2_power_spec, klein_four_tables, zm_over_zn_tables, zn_tables
@@ -403,7 +403,7 @@ def test_hasse_non_order_leaves_through_main(monkeypatch):
 
     def refuse(ctx, tag):
         raise mo.NotAPartialOrder(report)
-    monkeypatch.setattr(cli.hasse_mod, "build_poset", refuse)
+    monkeypatch.setattr(hasse, "build_poset", refuse)
     code, out, err = run_cli("hasse", "--module", "Z6/Z6", "--rel", "minus-dual")
     assert (code, out) == (2, "")
     assert err == ("error: relation is not a partial order: "
@@ -435,16 +435,37 @@ def test_byte_identical_reruns(child_env):
 
 def test_cli_import_loads_no_dataclasses_or_inspect(child_env):
     """Every command is a fresh interpreter, so the CLI keeps out the heavy modules that
-    ``@dataclass`` pulls in; measured against a bare interpreter, whose site hooks may
-    load modules of their own."""
+    ``@dataclass`` pulls in, and the package root and the CLI load no other module of the
+    package until a command asks for it; measured against a bare interpreter, whose site
+    hooks may load modules of their own."""
     def modules(prelude):
         show = prelude + "import json, sys; print(json.dumps(sorted(sys.modules)))"
         proc = subprocess.run([sys.executable, "-c", show], capture_output=True,
                               env=child_env, check=True)
         return set(json.loads(proc.stdout))
     added = modules("import modorder.cli; ") - modules("")
-    assert "modorder.cli" in added
+    assert {name for name in added if name.startswith("modorder")} == {"modorder",
+                                                                       "modorder.cli"}
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+@pytest.mark.parametrize("argv, kept_out", [
+    (("ring", "--ring", "Z10"), {"modorder.laws", "modorder.hasse"}),
+    (("module", "--module", "Z6/Z30"), {"modorder.laws", "modorder.hasse"}),
+    (("order", "--module", "Z6/Z30", "--rel", "dsum", "2", "5"),
+     {"modorder.laws", "modorder.hasse"}),
+    (("verify", "--corpus", "paper"), {"modorder.hasse"}),
+])
+def test_each_command_loads_only_what_it_runs(child_env, argv, kept_out):
+    """A fresh interpreter that runs the command holds none of ``kept_out``."""
+    show = ("import contextlib, io, json, sys; from modorder import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()): code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", show, *argv], capture_output=True,
+                          env=child_env, check=True)
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0 and "modorder.cli" in loaded
+    assert not set(loaded) & kept_out, sorted(set(loaded) & kept_out)
 
 
 def test_missing_ring_file(tmp_path):

@@ -387,6 +387,16 @@ def test_annih_q_is_annih_p_on_the_opposite_ring(p):
     assert entry[1] == [reduce(or_, masks.values()) for masks in q_parts]
 
 
+def test_annih_q_builds_no_second_opposite():
+    """R^op's left annihilators are R's right ones: after the suite on M2(Z2)_R, R^op holds
+    R's own right_anns tuple and has built no (R^op)^op, a second transpose of mul."""
+    ctx = mo.ModuleContext(mo.build_ring_as_module(mo.build_matrix_ring(2)))
+    mo.run_suite([ctx])
+    R = ctx.module.ring
+    assert "clause_memo" in vars(R.opposite) and "_opposite" not in vars(R.opposite)
+    assert R.opposite.left_anns is R.right_anns
+
+
 def test_a_annihilator_is_the_rings_q_part_on_r_r():
     """On R_R, minus-idem's a part returns the ring's kept ring-annih q part, the same
     objects, on the idempotents and the projections; it equals the a part computed on its

@@ -126,3 +126,21 @@ def test_suites_record_every_span_the_benchmark_expects():
     tags = {name.partition(":")[2] for _, _, _, name, *_ in tracer.spans
             if name.startswith("laws.relation_matrix:")}
     assert tags == {*mods["orders"].RELATIONS, "hartwig", "ring-annih"}
+
+
+def test_package_root_reads_through_the_tracer_and_back():
+    """The root resolves each name from its submodule on every read, so it hands out the
+    tracer's wrapper while installed and the plain function once uninstalled."""
+    import modorder
+    tracing = _load_tracing()
+    rings, laws = (importlib.import_module(f"modorder.{m}") for m in ("rings", "laws"))
+    plain = rings.build_zn, laws.run_suite
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for fn, read in zip(plain, (modorder.build_zn, modorder.run_suite)):
+            assert read.__wrapped__ is fn
+    finally:
+        tracer.uninstall()
+    assert modorder.build_zn is plain[0] and modorder.run_suite is plain[1]
+    assert not any(hasattr(fn, "__wrapped__") for fn in (modorder.build_zn, modorder.run_suite))
